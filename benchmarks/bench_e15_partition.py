@@ -11,7 +11,8 @@ added; the price is multiplied memory (buffers/filters per shard).
 from __future__ import annotations
 
 from repro.bench.report import format_table
-from repro.partition.store import PartitionedStore, range_boundaries
+from repro.shard import ShardedStore, range_boundaries
+from repro.storage.disk import SimulatedDisk
 from repro.workload.distributions import format_key
 
 from common import bench_config, save_and_print, scaled
@@ -24,8 +25,12 @@ LOOKUPS = scaled(300)
 def _run(num_shards: int):
     import random
 
-    store = PartitionedStore(
-        range_boundaries(NUM_KEYS, num_shards), bench_config()
+    # One shared device: aggregate amplification and simulated time are
+    # read off a single set of counters, however many trees write to it.
+    store = ShardedStore(
+        boundaries=range_boundaries(NUM_KEYS, num_shards),
+        config=bench_config(),
+        disk=SimulatedDisk(),
     )
     keys = [format_key(index) for index in range(NUM_KEYS)]
     random.Random(3).shuffle(keys)
@@ -41,7 +46,7 @@ def _run(num_shards: int):
     return {
         "shards": num_shards,
         "wa": store.write_amplification(),
-        "compaction_mb": store.compaction_bytes() / (1 << 20),
+        "compaction_mb": store.stats.compaction_bytes_written / (1 << 20),
         "max_depth": store.max_depth(),
         "ingest_s": ingest_us / 1e6,
         "lookup_pages": lookup_pages,

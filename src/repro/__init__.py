@@ -55,9 +55,8 @@ from .errors import (
     SnapshotExpiredError,
     TxnConflictError,
 )
-from .partition import PartitionedStore, range_boundaries
 from .replication import ReplicatedStore
-from .shard import ShardedStore
+from .shard import ShardedStore, range_boundaries
 from .storage.disk import DiskProfile, SimulatedDisk
 
 __version__ = "1.2.0"
@@ -70,7 +69,6 @@ __all__ = [
     "LSMTree",
     "ShardedStore",
     "ReplicatedStore",
-    "PartitionedStore",
     "range_boundaries",
     "ClusterMap",
     "NodeInfo",

@@ -1,11 +1,11 @@
 """The unified store protocol: one contract, many engines.
 
 Every storage engine in this repository — the single
-:class:`~repro.core.tree.LSMTree`, the range-partitioned forest
-(:class:`~repro.partition.PartitionedStore`), the parallel sharded
-engine (:class:`~repro.shard.ShardedStore`), its replicated wrapper
-(:class:`~repro.replication.ReplicatedStore`), and the cluster node
-store (:class:`~repro.cluster.NodeStore`) — exposes the same key-value
+:class:`~repro.core.tree.LSMTree`, the sharded forest
+(:class:`~repro.shard.ShardedStore`, hash- or range-routed), its
+replicated wrapper (:class:`~repro.replication.ReplicatedStore`), and
+the cluster node store (:class:`~repro.cluster.NodeStore`, which
+composes a forest) — exposes the same key-value
 surface. :class:`KVStore` names that surface as a runtime-checkable
 :class:`typing.Protocol`, so serving layers, benchmarks, and tests can be
 written once against the protocol and run unmodified over any engine:

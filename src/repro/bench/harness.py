@@ -2,11 +2,11 @@
 
 The harness accepts anything with the tree-shaped surface (``put``/``get``/
 ``scan``/``delete`` — :class:`~repro.core.tree.LSMTree`,
-:class:`~repro.kvsep.wisckey.WiscKeyStore`,
-:class:`~repro.partition.store.PartitionedStore`), replays a generated
-workload, and reports the standard metric set every experiment prints:
-write/read/space amplification, simulated throughput, latency percentiles,
-and filter/cache effectiveness.
+:class:`~repro.kvsep.wisckey.WiscKeyStore`, a
+:class:`~repro.shard.ShardedStore` built over one shared ``disk=``),
+replays a generated workload, and reports the standard metric set every
+experiment prints: write/read/space amplification, simulated throughput,
+latency percentiles, and filter/cache effectiveness.
 """
 
 from __future__ import annotations
@@ -134,9 +134,8 @@ class Harness:
 
     def _user_bytes(self) -> int:
         tree = self._tree()
-        if tree is not None:
-            return tree.stats.user_bytes_written
-        return int(getattr(self.store, "user_bytes_written", 0))
+        stats = getattr(self.store if tree is None else tree, "stats", None)
+        return int(getattr(stats, "user_bytes_written", 0))
 
     def _latency_counts(self) -> Dict[str, int]:
         tree = self._tree()

@@ -7,8 +7,9 @@ processes, Nova-LSM-style. Four pieces, smallest first:
 
 * :class:`ClusterMap` — the epoch-versioned shard → node assignment
   every participant routes by (``cluster.json``);
-* :class:`NodeStore` — one node's engine: exactly its assigned shards,
-  ``MOVED`` for everything else, plus the migration primitives;
+* :class:`NodeStore` — one node's engine: a
+  :class:`~repro.shard.ShardedStore` forest over exactly its assigned
+  shards, ``MOVED`` for everything else, plus the migration primitives;
 * :class:`ClusterNode` — a ``KVServer`` subclass speaking the cluster
   verbs (``CLUSTER``, ``MIGRATE``, ``MIG.*``) over the same wire
   protocol;

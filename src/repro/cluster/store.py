@@ -1,16 +1,19 @@
 """One cluster node's engine: the shards the map assigns it, nothing else.
 
-:class:`NodeStore` is the per-node sibling of
-:class:`~repro.shard.ShardedStore`. Both satisfy the
-:class:`~repro.api.KVStore` protocol and route keys identically (same
-hash / range placement, driven by the :class:`~repro.cluster.ClusterMap`),
-but a NodeStore opens only the trees for the shards *assigned to its
-node id* — requests for any other shard raise
+:class:`NodeStore` owns a :class:`~repro.shard.ShardedStore` forest
+and adds ownership, fences, and transitions. The forest opens slots only
+for the shards *assigned to this node id* and is the single home of
+routing, quarantine, batch validation and split, two-phase commit,
+snapshots, scans, lifecycle, and rollups; every
+:class:`~repro.api.KVStore` method here is a guard followed by a call
+into it. The guards are what a cluster adds: requests for a shard the
+:class:`~repro.cluster.ClusterMap` places elsewhere raise
 :class:`~repro.errors.ShardMovedError` carrying the owning node's
-address and the map epoch, which the serving layer turns into the
-retryable ``ERR MOVED`` redirect. ``num_shards`` still reports the
-*global* shard count, so the serving layer's per-shard group committers
-line up with cluster-wide shard indices unchanged.
+address and the map epoch (the serving layer's retryable ``ERR MOVED``
+redirect), and writes to a shard mid-handoff raise
+:class:`~repro.errors.ShardFencedError` (``BUSY``). ``num_shards`` still
+reports the *global* shard count, so the serving layer's per-shard group
+committers line up with cluster-wide shard indices unchanged.
 
 Live migration is built from five small primitives, driven either
 in-process (:func:`migrate_local`, which the crash-consistency sweep
@@ -68,28 +71,19 @@ import os
 import shutil
 import threading
 import time
-from heapq import merge as heap_merge
+from contextlib import ExitStack
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..api import PartialScanResult, Snapshot, SnapshotLike
+from ..api import Snapshot, SnapshotLike
 from ..core.config import LSMConfig
 from ..core.entry import Entry
 from ..core.merge_operator import MergeOperator
 from ..core.stats import TreeStats
 from ..core.tree import LSMTree
-from ..core.wal import TXN_ABORT, TXN_COMMIT, TXN_LOG_NAME, TxnDecisionLog
-from ..errors import (
-    BackgroundError,
-    ClosedError,
-    ConfigError,
-    ShardFencedError,
-    ShardMovedError,
-    ShardUnavailableError,
-    TxnConflictError,
-)
+from ..errors import ConfigError, ShardFencedError, ShardMovedError
 from ..faults.registry import fault_point
 from ..replication.store import entries_to_batch_ops
-from ..shard.store import HEALTHY, BatchOp, HealthState
+from ..shard.store import BatchOp, ShardedStore
 from .map import ClusterMap
 
 #: Upper bound for snapshot pagination: ``scan(after, _MAX_KEY)`` reads
@@ -157,7 +151,6 @@ class NodeStore:
         wal_dir: str,
         merge_operator: Optional[MergeOperator] = None,
         _recover: bool = False,
-        _committed_txns: Optional[frozenset] = None,
     ) -> None:
         if node_id not in cluster_map.nodes:
             raise ConfigError(
@@ -166,31 +159,25 @@ class NodeStore:
             )
         self.node_id = node_id
         self.map = cluster_map
-        self._config = config
-        self._merge_operator = merge_operator
         self._wal_dir = wal_dir
-        self._closed = False
         os.makedirs(wal_dir, exist_ok=True)
         cluster_map.save(wal_dir)
-        #: Serving trees, keyed by *global* shard index.
-        self.trees: Dict[int, LSMTree] = {}
-        self._health: Dict[int, HealthState] = {}
-        for shard in cluster_map.shards_of(node_id):
-            path = self._shard_dir(shard)
-            os.makedirs(path, exist_ok=True)
-            if _recover:
-                tree = LSMTree.recover(
-                    config,
-                    path,
-                    merge_operator=merge_operator,
-                    committed_txns=_committed_txns,
-                )
-            else:
-                tree = LSMTree(
-                    config, wal_dir=path, merge_operator=merge_operator
-                )
-            self.trees[shard] = tree
-            self._health[shard] = HealthState()
+        #: The shard forest: one open slot per shard this node serves,
+        #: keyed by *global* shard index. Its coordinator decision log
+        #: lives at the node's WAL root (never inside a shard directory,
+        #: which migrations wipe), and its snapshots are node-local
+        #: consistent points the cluster client composes across nodes.
+        self._forest = ShardedStore(
+            cluster_map.num_shards,
+            config,
+            routing=cluster_map.routing,
+            boundaries=cluster_map.boundaries or None,
+            wal_dir=wal_dir,
+            merge_operator=merge_operator,
+            _recover=_recover,
+            _open_slots=cluster_map.shards_of(node_id),
+            _scope=f"{node_id}/",
+        )
         #: Per-shard write serialization point: the fence check and the
         #: commit it guards happen under this lock, and :meth:`fence`
         #: sets its flag under the same lock — so once ``fence`` returns,
@@ -200,6 +187,12 @@ class NodeStore:
         #: commit *after* the tail detached: acknowledged yet never
         #: shipped. The serving layer already runs one committer per
         #: shard, so the lock is uncontended in the common case.
+        #:
+        #: Lock order, on every path: write locks (ascending shard
+        #: index) → the forest's transaction lock. :meth:`write_batch`
+        #: takes both in that order; :meth:`snapshot` takes only the
+        #: transaction lock; :meth:`fence` and :meth:`repl_fence` only
+        #: a write lock.
         self._write_locks: Dict[int, threading.Lock] = {
             shard: threading.Lock() for shard in self.trees
         }
@@ -230,34 +223,30 @@ class NodeStore:
         self._replica_fresh: Set[int] = set()
         self._ship_hooks: Dict[int, Callable[[List[Entry]], None]] = {}
         self._transition_lock = threading.Lock()
-        self._health_lock = threading.Lock()
-        #: Serializes this node's two-phase-commit coordinator and
-        #: snapshot capture, exactly like ShardedStore's. Snapshots are
-        #: node-local consistent points over the shards this node owns,
-        #: keyed by *global* shard index — the cluster client composes
-        #: one per node into a cluster-wide snapshot.
-        self._txn_lock = threading.Lock()
-        #: Coordinator decision log for batches spanning this node's
-        #: shards; lives at the node's WAL root (never inside a shard
-        #: directory, which migrations wipe).
-        self._txn_log = TxnDecisionLog(
-            os.path.join(wal_dir, TXN_LOG_NAME),
-            fsync=config.wal_fsync if config is not None else False,
-        )
 
-    def _shard_dir(self, shard: int) -> str:
-        return os.path.join(self._wal_dir, f"shard-{shard:02d}")
+    def _scope(self, shard: int) -> str:
+        """Failpoint scope of one of this node's shards."""
+        return self._forest._failpoint_scope(shard)
 
-    # -- routing --------------------------------------------------------------
+    @property
+    def trees(self) -> Dict[int, LSMTree]:
+        """Serving trees, keyed by *global* shard index."""
+        return self._forest.shards
+
+    @property
+    def _closed(self) -> bool:
+        return self._forest._closed
+
+    # -- routing and ownership ------------------------------------------------
 
     @property
     def num_shards(self) -> int:
         """*Global* shard count (the serving layer's committer fan-out)."""
-        return self.map.num_shards
+        return self._forest.num_shards
 
     def shard_index(self, key: str) -> int:
-        """Global shard index of ``key`` (identical to ShardedStore)."""
-        return self.map.shard_index(key)
+        """Global shard index of ``key``."""
+        return self._forest.shard_index(key)
 
     def owned_shards(self) -> List[int]:
         """Shards this node currently serves, ascending."""
@@ -273,39 +262,34 @@ class NodeStore:
             )
         return tree
 
-    # -- failure isolation (mirrors ShardedStore) -----------------------------
+    def _check_unfenced(self, shard: int) -> None:
+        if shard in self._fenced or shard in self._repl_fenced:
+            raise ShardFencedError(shard)
 
-    def _quarantine(self, shard: int, cause: BaseException) -> None:
-        with self._health_lock:
-            health = self._health[shard]
-            if health.healthy:
-                health.state = "quarantined"
-                health.reason = str(cause) or type(cause).__name__
-                health.since_s = time.monotonic()
+    def _adopt(self, shard: int, tree: LSMTree) -> None:
+        """Start serving a warm ``tree`` as ``shard`` (seal, promote):
+        fresh write lock, fences lifted, healthy slot in the forest."""
+        self._write_locks[shard] = threading.Lock()
+        self._fenced.discard(shard)
+        self._repl_fenced.discard(shard)
+        self._forest._adopt_slot(shard, tree)
 
-    def _check_available(self, shard: int) -> None:
-        health = self._health.get(shard)
-        if health is not None and not health.healthy:
-            raise ShardUnavailableError(
-                shard, health.reason or "quarantined"
-            )
+    def _drop(self, shard: int) -> None:
+        """Stop serving ``shard`` (release, demote) and close its tree;
+        its taps die with it. The migration fence is set (or kept): a
+        racing write that passed its ownership check before the flip
+        answers FencedError (→ BUSY, retried) instead of committing to
+        the closed tree; its retry re-routes and gets the MOVED
+        redirect."""
+        self._fenced.add(shard)
+        self._repl_fenced.discard(shard)
+        tree = self._forest._drop_slot(shard)
+        self._write_locks.pop(shard, None)
+        self._tails.pop(shard, None)
+        self._ship_hooks.pop(shard, None)
+        tree.close()
 
-    def _shard_op(self, shard: int, op: Callable[[], object]):
-        self._check_available(shard)
-        tree = self._owned_tree(shard)
-        error = tree.background_error()
-        if error is not None:
-            self._quarantine(shard, error)
-            raise ShardUnavailableError(
-                shard, f"background workers died: {error}"
-            )
-        try:
-            return op()
-        except BackgroundError as exc:
-            self._quarantine(shard, exc)
-            raise ShardUnavailableError(shard, str(exc)) from exc
-
-    # -- KVStore operations ---------------------------------------------------
+    # -- KVStore operations: a guard, then the forest -------------------------
 
     def put(self, key: str, value: str) -> None:
         self.write_batch([("put", key, value)])
@@ -317,12 +301,8 @@ class NodeStore:
         self, key: str, at: Optional[SnapshotLike] = None
     ) -> Optional[str]:
         self._check_open()
-        shard = self.shard_index(key)
-        tree = self._owned_tree(shard)
-        if at is None:
-            return self._shard_op(shard, lambda: tree.get(key))
-        seq = Snapshot.coerce(at).seqno_for(shard)
-        return self._shard_op(shard, lambda: tree.get(key, at=seq))
+        self._owned_tree(self.shard_index(key))
+        return self._forest.get(key, at)
 
     def snapshot(self) -> Snapshot:
         """Consistent read point over the shards *this node owns*.
@@ -330,170 +310,56 @@ class NodeStore:
         Seqnos are keyed by global shard index, so per-node snapshot
         tokens from every node merge into one cluster-wide snapshot
         (:meth:`repro.cluster.ClusterClient.snapshot`). Capture holds the
-        transaction lock, so it never splits a cross-shard batch this
-        node coordinated.
+        forest's transaction lock, so it never splits a cross-shard batch
+        this node coordinated.
         """
-        self._check_open()
-        with self._txn_lock:
-            pins: Dict[int, int] = {}
-            for shard, tree in sorted(self.trees.items()):
-                if self._health[shard].healthy:
-                    pins[shard] = tree.snapshot_pin()
-        trees = {shard: self.trees[shard] for shard in pins}
-
-        def release() -> None:
-            for shard, seq in pins.items():
-                try:
-                    trees[shard].snapshot_release(seq)
-                except Exception:
-                    pass  # a released/killed tree drops its pins anyway
-
-        return Snapshot(pins, release=release)
+        return self._forest.snapshot()
 
     def write_batch(self, ops: Sequence[BatchOp]) -> None:
         """Commit ``ops`` on their owned shards; MOVED/fenced up front.
 
-        Validation and ownership/fence checks run before anything is
-        applied, so a batch touching a moved or fenced shard fails with
-        nothing written. A single-shard batch (the overwhelmingly common
-        case — the serving layer runs one committer per shard) commits
-        directly; a batch spanning several *owned* shards goes through
-        the node's two-phase-commit coordinator
-        (:meth:`_commit_cross_shard`), so it is all-or-nothing even
-        across a crash. A batch spanning *nodes* is the cluster client's
-        job to split — each node only ever coordinates its own shards.
+        Ownership and fence checks run before anything is applied, so a
+        batch touching a moved or fenced shard fails with nothing
+        written; the forest then validates, splits, and commits — a
+        single-shard batch (the overwhelmingly common case: the serving
+        layer runs one committer per shard) directly, a batch spanning
+        several *owned* shards through its two-phase commit. The
+        involved shards' write locks are held through the commit, so
+        :meth:`fence` returning still means every admitted write has
+        fully committed. A batch spanning *nodes* is the cluster
+        client's job to split — each node only ever coordinates its own
+        shards.
         """
         self._check_open()
-        if not ops:
-            return
-        for op, key, value in ops:
-            if not key:
-                raise ValueError("keys must be non-empty")
-            if key >= _MAX_KEY:
-                raise ValueError(
-                    "keys must sort below the migration snapshot bound "
-                    "(8 maximal code points); this key could not be "
-                    "paginated by a live migration"
-                )
-            if op == "put":
-                if value is None:
-                    raise ValueError("put ops need a value")
-            elif op != "delete":
-                raise ValueError(f"unknown batch op {op!r}")
-        by_shard: Dict[int, List[BatchOp]] = {}
-        for batch_op in ops:
-            by_shard.setdefault(
-                self.shard_index(batch_op[1]), []
-            ).append(batch_op)
-        for shard in by_shard:
+        shards = set()
+        for _op, key, _value in ops:
+            if key:  # empty keys are the forest's to reject
+                if key >= _MAX_KEY:
+                    raise ValueError(
+                        "keys must sort below the migration snapshot "
+                        "bound (8 maximal code points); this key could "
+                        "not be paginated by a live migration"
+                    )
+                shards.add(self.shard_index(key))
+        involved = sorted(shards)
+        # Ownership first: a shard served elsewhere must answer the MOVED
+        # redirect, not the fence's BUSY (which would make the client
+        # retry the wrong node forever).
+        for shard in involved:
             self._owned_tree(shard)
-            if shard in self._fenced or shard in self._repl_fenced:
-                raise ShardFencedError(shard)
-            self._check_available(shard)
-        if len(by_shard) == 1:
-            shard, sub_ops = next(iter(by_shard.items()))
-            tree = self._owned_tree(shard)
+        locks = []
+        for shard in involved:
+            self._check_unfenced(shard)
             lock = self._write_locks.get(shard)
             if lock is None:  # released between the check and here
                 raise ShardFencedError(shard)
-            with lock:
-                if shard in self._fenced or shard in self._repl_fenced:
-                    raise ShardFencedError(shard)
-                self._shard_op(shard, lambda: tree.write_batch(sub_ops))
-            return
-        self._commit_cross_shard(by_shard)
-
-    def _commit_cross_shard(
-        self, by_shard: Dict[int, List[BatchOp]]
-    ) -> None:
-        """Two-phase commit across this node's own shards.
-
-        Same protocol as :meth:`repro.shard.ShardedStore`'s coordinator
-        — prepare every shard, one durable decision, then apply — with
-        the node's fence discipline layered in: every involved shard's
-        write lock is taken (in sorted order, so concurrent coordinators
-        cannot deadlock) and its fence re-checked before any prepare, and
-        the locks are held through the apply, so :meth:`fence` returning
-        still means every admitted write has fully committed.
-        """
-        shards = sorted(by_shard)
-        locks = []
-        for shard in shards:
-            # Ownership first: a shard served elsewhere must answer the
-            # MOVED redirect, not the fence's BUSY (which would make the
-            # client retry the wrong node forever).
-            self._owned_tree(shard)
-            lock = self._write_locks.get(shard)
-            if lock is None:
-                raise ShardFencedError(shard)
             locks.append(lock)
-        with self._txn_lock:
-            acquired = []
-            try:
-                for shard, lock in zip(shards, locks):
-                    lock.acquire()
-                    acquired.append(lock)
-                for shard in shards:
-                    if shard in self._fenced or shard in self._repl_fenced:
-                        raise ShardFencedError(shard)
-                txn_id = self._txn_log.next_txn_id()
-                prepared: List[int] = []
-                try:
-                    for shard in shards:
-                        fault_point(
-                            "txn.prepare",
-                            scope=f"{self.node_id}/shard-{shard:02d}",
-                        )
-                        self._shard_op(
-                            shard,
-                            lambda shard=shard: self.trees[
-                                shard
-                            ].txn_prepare(txn_id, by_shard[shard]),
-                        )
-                        prepared.append(shard)
-                except Exception:
-                    self._rollback_prepared(txn_id, prepared)
-                    raise
-                try:
-                    self._txn_log.append(txn_id, TXN_COMMIT)
-                except Exception as exc:
-                    self._rollback_prepared(txn_id, prepared)
-                    try:
-                        self._txn_log.append(txn_id, TXN_ABORT)
-                    except Exception:
-                        pass
-                    raise TxnConflictError(
-                        "cross-shard batch rolled back: the coordinator "
-                        "decision could not be made durable"
-                    ) from exc
-                failure: Optional[BaseException] = None
-                for shard in prepared:
-                    fault_point(
-                        "txn.commit",
-                        scope=f"{self.node_id}/shard-{shard:02d}",
-                    )
-                    try:
-                        self._shard_op(
-                            shard,
-                            lambda shard=shard: self.trees[
-                                shard
-                            ].txn_commit(txn_id),
-                        )
-                    except Exception as exc:
-                        if failure is None:
-                            failure = exc
-                if failure is not None:
-                    raise failure
-            finally:
-                for lock in reversed(acquired):
-                    lock.release()
-
-    def _rollback_prepared(self, txn_id: int, prepared: List[int]) -> None:
-        for shard in reversed(prepared):
-            try:
-                self.trees[shard].txn_abort(txn_id)
-            except Exception:
-                pass  # recovery rolls an undecided prepare back anyway
+        with ExitStack() as held:
+            for lock in locks:  # ascending shard order: no deadlock
+                held.enter_context(lock)
+            for shard in involved:
+                self._check_unfenced(shard)
+            self._forest.write_batch(ops)
 
     def scan(
         self,
@@ -508,56 +374,11 @@ class NodeStore:
 
         A node answers for its slice of the key space only; the
         cluster-wide merge across nodes is the
-        :class:`~repro.cluster.ClusterClient`'s job. Range routing skips
-        owned shards outside ``[lo, hi)``. ``at=`` reads each shard at
-        its snapshot-pinned seqno; ``allow_partial=True`` skips
-        quarantined shards and reports them in the
-        :class:`PartialScanResult`.
+        :class:`~repro.cluster.ClusterClient`'s job.
         """
-        self._check_open()
-        if limit is not None and limit < 0:
-            raise ValueError("limit must be non-negative (or None)")
-        snap = None if at is None else Snapshot.coerce(at)
-        if lo >= hi or limit == 0:
-            return PartialScanResult([], []) if allow_partial else []
-        involved = sorted(self.trees)
-        if self.map.routing == "range":
-            import bisect
-
-            first = bisect.bisect_right(self.map.boundaries, lo)
-            # hi is exclusive, so bisect_left: a scan ending exactly on
-            # a boundary skips the next shard (it owns keys >= hi).
-            last = bisect.bisect_left(self.map.boundaries, hi)
-            involved = [s for s in involved if first <= s <= last]
-        partials: List[List[Tuple[str, str]]] = []
-        skipped: List[int] = []
-        for shard in involved:
-            tree = self.trees[shard]
-            try:
-                if snap is None:
-                    partials.append(
-                        self._shard_op(
-                            shard, lambda: tree.scan(lo, hi, limit)
-                        )
-                    )
-                else:
-                    seq = snap.seqno_for(shard)
-                    partials.append(
-                        self._shard_op(
-                            shard,
-                            lambda: tree.scan(lo, hi, limit, at=seq),
-                        )
-                    )
-            except ShardUnavailableError:
-                if not allow_partial:
-                    raise
-                skipped.append(shard)
-        merged = list(heap_merge(*partials))
-        if limit is not None:
-            merged = merged[:limit]
-        if allow_partial:
-            return PartialScanResult(merged, skipped)
-        return merged
+        return self._forest.scan(
+            lo, hi, limit, at=at, allow_partial=allow_partial
+        )
 
     # -- migration primitives: destination side -------------------------------
 
@@ -584,19 +405,19 @@ class NodeStore:
                 # warm copy is superseded by the full snapshot + tail.
                 standby.kill()
                 self._replica_fresh.discard(shard)
-            path = self._shard_dir(shard)
-            shutil.rmtree(path, ignore_errors=True)
-            os.makedirs(path, exist_ok=True)
-            fault_point(
-                "cluster.migrate.begin",
-                scope=f"{self.node_id}/shard-{shard:02d}",
-            )
-            self._receiving[shard] = LSMTree(
-                self._config,
-                wal_dir=path,
-                merge_operator=self._merge_operator,
+            self._receiving[shard] = self._fresh_tree(
+                shard, "cluster.migrate.begin"
             )
         return self.node_id
+
+    def _fresh_tree(self, shard: int, failpoint: str) -> LSMTree:
+        """Wipe ``shard``'s directory and open an empty tree over it —
+        journaled, but not serving until :meth:`_adopt`."""
+        path = self._forest.shard_dir(shard)
+        shutil.rmtree(path, ignore_errors=True)
+        os.makedirs(path, exist_ok=True)
+        fault_point(failpoint, scope=self._scope(shard))
+        return self._forest._open_tree(shard)
 
     def migration_apply(self, shard: int, ops: Sequence[BatchOp]) -> None:
         """Apply one shipped batch (snapshot chunk or tail drain)."""
@@ -649,18 +470,11 @@ class NodeStore:
                     f"seal map assigns shard {shard} to "
                     f"{new_map.owner_id(shard)!r}, not {self.node_id!r}"
                 )
-            fault_point(
-                "cluster.migrate.seal",
-                scope=f"{self.node_id}/shard-{shard:02d}",
-            )
+            fault_point("cluster.migrate.seal", scope=self._scope(shard))
             new_map.save(self._wal_dir)
             self.map = new_map
             del self._receiving[shard]
-            self.trees[shard] = tree
-            self._health[shard] = HealthState()
-            self._write_locks[shard] = threading.Lock()
-            self._fenced.discard(shard)
-            self._repl_fenced.discard(shard)
+            self._adopt(shard, tree)
 
     # -- WAL commit tap (shared by migration tails and replication) -----------
 
@@ -683,10 +497,7 @@ class NodeStore:
                 tail.on_commit(entries)
             ship = self._ship_hooks.get(shard)
             if ship is not None:
-                fault_point(
-                    "repl.node.ship",
-                    scope=f"{self.node_id}/shard-{shard:02d}",
-                )
+                fault_point("repl.node.ship", scope=self._scope(shard))
                 ship(entries)
 
         return tap
@@ -764,10 +575,10 @@ class NodeStore:
         """The next ``limit`` live pairs of ``shard`` strictly after
         ``after`` (``None`` starts from the beginning)."""
         self._check_open()
-        tree = self._owned_tree(shard)
+        self._owned_tree(shard)
         lo = "" if after is None else after + "\x00"
-        return self._shard_op(
-            shard, lambda: tree.scan(lo, _MAX_KEY, limit)
+        return self._forest._shard_op(
+            shard, lambda tree: tree.scan(lo, _MAX_KEY, limit)
         )
 
     def fence(self, shard: int) -> None:
@@ -781,10 +592,7 @@ class NodeStore:
         """
         self._check_open()
         self._owned_tree(shard)
-        fault_point(
-            "cluster.migrate.fence",
-            scope=f"{self.node_id}/shard-{shard:02d}",
-        )
+        fault_point("cluster.migrate.fence", scope=self._scope(shard))
         with self._write_locks[shard]:
             self._fenced.add(shard)
 
@@ -804,9 +612,7 @@ class NodeStore:
         self._check_open()
         if self.trees.get(shard) is None or shard in self._repl_fenced:
             return False
-        fault_point(
-            "repl.node.fence", scope=f"{self.node_id}/shard-{shard:02d}"
-        )
+        fault_point("repl.node.fence", scope=self._scope(shard))
         lock = self._write_locks.get(shard)
         if lock is None:
             return False
@@ -849,8 +655,7 @@ class NodeStore:
         """
         self._check_open()
         with self._transition_lock:
-            tree = self.trees.get(shard)
-            if tree is None:
+            if shard not in self.trees:
                 raise ConfigError(
                     f"node {self.node_id} does not own shard {shard}"
                 )
@@ -864,23 +669,10 @@ class NodeStore:
                     f"release map still assigns shard {shard} to "
                     f"{self.node_id!r}"
                 )
-            fault_point(
-                "cluster.migrate.release",
-                scope=f"{self.node_id}/shard-{shard:02d}",
-            )
+            fault_point("cluster.migrate.release", scope=self._scope(shard))
             new_map.save(self._wal_dir)
             self.map = new_map
-            del self.trees[shard]
-            self._health.pop(shard, None)
-            self._write_locks.pop(shard, None)
-            self._repl_fenced.discard(shard)
-            # The fence flag is deliberately *kept*: a racing write that
-            # grabbed the tree before the flip answers FencedError (→
-            # BUSY, retried) instead of committing to the closed tree;
-            # its retry re-routes and gets the MOVED redirect.
-            self._tails.pop(shard, None)
-            self._ship_hooks.pop(shard, None)
-            tree.close()
+            self._drop(shard)
 
     def abort_migration(self, shard: int) -> None:
         """Undo source-side migration state after a failed attempt:
@@ -934,17 +726,8 @@ class NodeStore:
             stale = self._replica_trees.pop(shard, None)
             if stale is not None:
                 stale.kill()
-            path = self._shard_dir(shard)
-            shutil.rmtree(path, ignore_errors=True)
-            os.makedirs(path, exist_ok=True)
-            fault_point(
-                "repl.node.sync",
-                scope=f"{self.node_id}/shard-{shard:02d}",
-            )
-            self._replica_trees[shard] = LSMTree(
-                self._config,
-                wal_dir=path,
-                merge_operator=self._merge_operator,
+            self._replica_trees[shard] = self._fresh_tree(
+                shard, "repl.node.sync"
             )
         return self.node_id
 
@@ -960,10 +743,7 @@ class NodeStore:
                 f"shard {shard}"
             )
         if ops:
-            fault_point(
-                "repl.node.apply",
-                scope=f"{self.node_id}/shard-{shard:02d}",
-            )
+            fault_point("repl.node.apply", scope=self._scope(shard))
             tree.write_batch(list(ops))
 
     def replica_mark_seeded(self, shard: int) -> None:
@@ -1029,13 +809,8 @@ class NodeStore:
             new_map.save(self._wal_dir)
             self.map = new_map
             for shard in shards:
-                tree = self._replica_trees.pop(shard)
                 self._replica_fresh.discard(shard)
-                self.trees[shard] = tree
-                self._health[shard] = HealthState()
-                self._write_locks[shard] = threading.Lock()
-                self._fenced.discard(shard)
-                self._repl_fenced.discard(shard)
+                self._adopt(shard, self._replica_trees.pop(shard))
             fault_point("repl.node.promote.done", scope=self.node_id)
 
     def adopt_map(self, new_map: ClusterMap) -> bool:
@@ -1073,26 +848,14 @@ class NodeStore:
                 set(self.trees) - set(new_map.shards_of(self.node_id))
             )
             for shard in lost:
-                fault_point(
-                    "repl.node.demote",
-                    scope=f"{self.node_id}/shard-{shard:02d}",
-                )
+                fault_point("repl.node.demote", scope=self._scope(shard))
             # Persist first (seal-before-release in reverse: the newer
             # epoch on disk is what durably fences our stale claim),
             # then stop serving the demoted shards.
             new_map.save(self._wal_dir)
             self.map = new_map
             for shard in lost:
-                tree = self.trees.pop(shard)
-                self._health.pop(shard, None)
-                self._write_locks.pop(shard, None)
-                # Like release_shard: racing writes answer BUSY (fence),
-                # their retry re-routes and gets the MOVED redirect.
-                self._fenced.add(shard)
-                self._repl_fenced.discard(shard)
-                self._tails.pop(shard, None)
-                self._ship_hooks.pop(shard, None)
-                tree.close()
+                self._drop(shard)
             # Standbys for shards we no longer replicate are dropped.
             for shard in list(self._replica_trees):
                 if new_map.replica_id(shard) != self.node_id:
@@ -1135,46 +898,25 @@ class NodeStore:
     # -- lifecycle ------------------------------------------------------------
 
     def flush(self) -> None:
-        self._check_open()
-        for shard in sorted(self.trees):
-            if self._health[shard].healthy:
-                self._shard_op(shard, self.trees[shard].flush)
+        self._forest.flush()
 
-    def close(self) -> None:
-        """Close every tree (serving and receiving). Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        failure: Optional[BaseException] = None
+    def _kill_warm_trees(self) -> None:
         for tree in list(self._receiving.values()):
             tree.kill()  # never served; nothing promised
         for tree in list(self._replica_trees.values()):
             tree.kill()  # reseeded from the primary on restart anyway
-        for shard, tree in sorted(self.trees.items()):
-            try:
-                tree.close()
-            except BackgroundError as exc:
-                if self._health[shard].healthy and failure is None:
-                    failure = exc
-            except BaseException as exc:
-                if failure is None:
-                    failure = exc
-        self._txn_log.close()
-        if failure is not None:
-            raise failure
+
+    def close(self) -> None:
+        """Close every tree (serving and warm). Idempotent."""
+        if not self._closed:
+            self._kill_warm_trees()
+            self._forest.close()
 
     def kill(self) -> None:
         """Abandon everything as a process crash would. Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        for tree in list(self._receiving.values()):
-            tree.kill()
-        for tree in list(self._replica_trees.values()):
-            tree.kill()
-        for tree in self.trees.values():
-            tree.kill()
-        self._txn_log.close()
+        if not self._closed:
+            self._kill_warm_trees()
+            self._forest.kill()
 
     def __enter__(self) -> "NodeStore":
         return self
@@ -1183,8 +925,7 @@ class NodeStore:
         self.close()
 
     def _check_open(self) -> None:
-        if self._closed:
-            raise ClosedError("node store is closed")
+        self._forest._check_open()
 
     # -- recovery -------------------------------------------------------------
 
@@ -1200,143 +941,54 @@ class NodeStore:
         """Rebuild this node from its directory after a crash.
 
         The persisted ``cluster.json`` (the freshest map this node ever
-        saved) decides which shards to open; each owned shard replays
-        its own WAL. Shard directories the map does *not* assign to this
-        node are left untouched — they are either an interrupted inbound
-        migration (re-wiped by the next ``migration_begin``) or data
-        this node released, kept as the crash-window backstop.
+        saved) decides which shards to open; the forest reads the
+        coordinator decision log and each owned shard replays its own
+        WAL against it. Shard directories the map does *not* assign to
+        this node are left untouched — they are either an interrupted
+        inbound migration (re-wiped by the next ``migration_begin``) or
+        data this node released, kept as the crash-window backstop.
         """
-        cluster_map = ClusterMap.load(wal_dir)
-        decisions = TxnDecisionLog.replay(
-            os.path.join(wal_dir, TXN_LOG_NAME)
-        )
-        committed = frozenset(
-            txn for txn, verdict in decisions.items()
-            if verdict == TXN_COMMIT
-        )
         return cls(
             node_id,
-            cluster_map,
+            ClusterMap.load(wal_dir),
             config,
             wal_dir=wal_dir,
             merge_operator=merge_operator,
             _recover=True,
-            _committed_txns=committed,
         )
 
     # -- introspection --------------------------------------------------------
 
     @property
     def stats(self) -> TreeStats:
-        owned = [tree.stats for tree in self.trees.values()]
-        return TreeStats.merged(owned) if owned else TreeStats()
+        return self._forest.stats
 
     def backpressure(self) -> Dict[str, object]:
         """Aggregate admission snapshot over *owned, healthy* shards."""
-        per_shard = []
-        for shard, tree in sorted(self.trees.items()):
-            snapshot = tree.backpressure()
-            snapshot["shard"] = shard
-            snapshot["healthy"] = self._health[shard].healthy
-            per_shard.append(snapshot)
-        healthy = [s for s in per_shard if s["healthy"]]
-        severity = {"ok": 0, "slowdown": 1, "stop": 2}
-        if healthy:
-            worst = max(
-                healthy, key=lambda s: severity.get(str(s["state"]), 0)
-            )
-            state = worst["state"]
-        elif per_shard:
-            worst = per_shard[0]
-            state = "stop"
-        else:  # a node can legitimately own zero shards (drained member)
-            return {
-                "state": "ok",
-                "level0_runs": 0,
-                "immutable_buffers": 0,
-                "slowdown_trigger": 0,
-                "stop_trigger": 0,
-                "quarantined_shards": [],
-                "shards": [],
-            }
-        return {
-            "state": state,
-            "level0_runs": max(int(s["level0_runs"]) for s in per_shard),
-            "immutable_buffers": sum(
-                int(s["immutable_buffers"]) for s in per_shard
-            ),
-            "slowdown_trigger": worst["slowdown_trigger"],
-            "stop_trigger": worst["stop_trigger"],
-            "quarantined_shards": self.quarantined_shards(),
-            "shards": per_shard,
-        }
+        return self._forest.backpressure()
 
     def quarantined_shards(self) -> List[int]:
-        return sorted(
-            shard
-            for shard, health in self._health.items()
-            if not health.healthy
-        )
+        return self._forest.quarantined_shards()
 
     def check_health(self) -> Dict[str, object]:
-        """HEALTH payload: cluster placement plus per-shard quarantine."""
-        self._check_open()
-        for shard, tree in self.trees.items():
-            if self._health[shard].healthy:
-                error = tree.background_error()
-                if error is not None:
-                    self._quarantine(shard, error)
-        quarantined = self.quarantined_shards()
-        if not self.trees:
-            state = HEALTHY
-        elif not quarantined:
-            state = HEALTHY
-        elif len(quarantined) == len(self.trees):
-            state = "failed"
-        else:
-            state = "degraded"
-        return {
-            "state": state,
-            "node_id": self.node_id,
-            "epoch": self.map.epoch,
-            "num_shards": self.map.num_shards,
-            "owned_shards": self.owned_shards(),
-            "migrating_shards": self.migrating_shards(),
-            "receiving_shards": sorted(self._receiving),
-            "replica_shards": self.replica_shards(),
-            "replica_fresh": self.promotable_shards(),
-            "quarantined": quarantined,
-            "shards": [
-                {
-                    "shard": shard,
-                    "state": self._health[shard].state,
-                    "reason": self._health[shard].reason,
-                }
-                for shard in sorted(self.trees)
-            ],
-        }
+        """HEALTH payload: per-shard quarantine plus cluster placement."""
+        payload = self._forest.check_health()
+        payload.update(
+            node_id=self.node_id,
+            epoch=self.map.epoch,
+            owned_shards=self.owned_shards(),
+            migrating_shards=self.migrating_shards(),
+            receiving_shards=sorted(self._receiving),
+            replica_shards=self.replica_shards(),
+            replica_fresh=self.promotable_shards(),
+        )
+        return payload
 
     def shard_summary(self) -> List[Dict[str, object]]:
-        return [
-            {
-                "shard": shard,
-                "routing": self.map.routing,
-                "levels": len(tree.levels),
-                "disk_bytes": tree.total_disk_bytes(),
-                "seqno": tree.seqno,
-                "puts": tree.stats.puts,
-                "deletes": tree.stats.deletes,
-                "flushes": tree.stats.flushes,
-                "compactions": tree.stats.compactions,
-                "backpressure": tree.backpressure()["state"],
-                "health": self._health[shard].state,
-                "health_reason": self._health[shard].reason,
-            }
-            for shard, tree in sorted(self.trees.items())
-        ]
+        return self._forest.shard_summary()
 
     def total_disk_bytes(self) -> int:
-        return sum(tree.total_disk_bytes() for tree in self.trees.values())
+        return self._forest.total_disk_bytes()
 
 
 def migrate_local(
@@ -1372,7 +1024,7 @@ def migrate_local(
             if pairs:
                 fault_point(
                     "cluster.migrate.snapshot",
-                    scope=f"{source.node_id}/shard-{shard:02d}",
+                    scope=source._scope(shard),
                 )
                 dest.migration_apply(
                     shard, [("put", key, value) for key, value in pairs]
@@ -1383,7 +1035,7 @@ def migrate_local(
             if drained:
                 fault_point(
                     "cluster.migrate.tail",
-                    scope=f"{source.node_id}/shard-{shard:02d}",
+                    scope=source._scope(shard),
                 )
                 dest.migration_apply(shard, drained)
             if len(pairs) < chunk:
@@ -1397,7 +1049,7 @@ def migrate_local(
         if final_tail:
             fault_point(
                 "cluster.migrate.tail",
-                scope=f"{source.node_id}/shard-{shard:02d}",
+                scope=source._scope(shard),
             )
             dest.migration_apply(shard, final_tail)
         new_map = source.map.with_assignment(shard, dest.node_id)

@@ -119,10 +119,10 @@ class TreeStats:
     def merged(cls, parts: List["TreeStats"]) -> "TreeStats":
         """A rollup: every counter summed, every sample list concatenated.
 
-        Aggregating stores (:class:`~repro.partition.PartitionedStore`,
-        :class:`~repro.shard.ShardedStore`) expose this as their
-        ``stats``, so ``store.stats.to_dict()`` has the same shape no
-        matter how many trees sit behind the store. Each part is copied
+        Aggregating stores (:class:`~repro.shard.ShardedStore` and the
+        stores built on it) expose this as their ``stats``, so
+        ``store.stats.to_dict()`` has the same shape no matter how many
+        trees sit behind the store. Each part is copied
         under its own lock, so the rollup is per-shard consistent even
         while background workers are bumping counters.
         """

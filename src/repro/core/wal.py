@@ -17,9 +17,7 @@ written with one file write. Besides amortizing the per-record encode
 cost (the hot-path batching lever from Luo & Carey's ingestion
 analysis), the one-line group is atomic under recovery for free: a torn
 group (crash before its single sync) is one torn line, discarded whole,
-never replayed partially. Logs written by earlier versions — a
-``crc,{"b":N}`` *batch header* followed by N entry records — replay
-unchanged.
+never replayed partially.
 
 Recovery tolerates a torn tail — the unparseable suffix a crash
 mid-append leaves behind, including trailing garbage after the tear —
@@ -81,13 +79,6 @@ def _encode(entry: Entry) -> str:
     return f"{crc:08x},{payload}\n"
 
 
-def _encode_batch_header(count: int) -> str:
-    """Legacy (pre-group-record) batch header; kept for format tests."""
-    payload = json.dumps({"b": count}, separators=(",", ":"))
-    crc = zlib.crc32(payload.encode("utf-8"))
-    return f"{crc:08x},{payload}\n"
-
-
 class PreparedGroup:
     """A decoded PREPARE record: a commit group awaiting a txn decision."""
 
@@ -145,9 +136,9 @@ def _decode_line(
     path: Optional[str] = None,
     record_index: Optional[int] = None,
     byte_offset: Optional[int] = None,
-) -> Union[Entry, int, List[Entry], PreparedGroup]:
-    """Decode one WAL line: an :class:`Entry`, a commit-group list, a
-    :class:`PreparedGroup`, or a legacy batch-header count."""
+) -> Union[Entry, List[Entry], PreparedGroup]:
+    """Decode one WAL line: an :class:`Entry`, a commit-group list, or a
+    :class:`PreparedGroup`."""
     crc_hex, _sep, payload = line.rstrip("\n").partition(",")
     if not _sep:
         raise CorruptionError(
@@ -206,16 +197,6 @@ def _decode_line(
                 record_index=record_index,
                 byte_offset=byte_offset,
             ) from exc
-    if isinstance(fields, dict) and "b" in fields and "k" not in fields:
-        try:
-            return int(fields["b"])
-        except (TypeError, ValueError) as exc:
-            raise CorruptionError(
-                "WAL batch header failed to decode",
-                path=path,
-                record_index=record_index,
-                byte_offset=byte_offset,
-            ) from exc
     try:
         return Entry(
             key=fields["k"],
@@ -236,7 +217,7 @@ def _decode_line(
 def _decode(line: str) -> Entry:
     decoded = _decode_line(line)
     if not isinstance(decoded, Entry):
-        raise CorruptionError("expected a WAL entry record, got a batch header")
+        raise CorruptionError("expected a WAL entry record, got a group")
     return decoded
 
 
@@ -497,9 +478,8 @@ class WriteAheadLog:
         * a torn tail — an unparseable final record, optionally followed
           by more garbage lines (nothing valid may follow the tear);
         * an incomplete trailing batch group — a torn single-line group
-          record, or (legacy format) a batch header whose N records were
-          not all written; the whole group is discarded, preserving
-          batch atomicity.
+          record; the whole group is discarded, preserving batch
+          atomicity.
 
         PREPARE records (two-phase commit) follow presumed-abort: a
         prepared group is replayed — rolled *forward* — only when its
@@ -520,7 +500,7 @@ class WriteAheadLog:
         for line in lines:
             offsets.append(offsets[-1] + len(line.encode("utf-8")))
 
-        def decode_at(index: int) -> Union[Entry, int]:
+        def decode_at(index: int) -> Union[Entry, List[Entry], PreparedGroup]:
             return _decode_line(
                 lines[index],
                 path=path,
@@ -562,38 +542,10 @@ class WriteAheadLog:
                 # the group was never acknowledged anywhere.
                 index += 1
                 continue
-            if isinstance(decoded, list):
-                # One-line commit group: atomic by construction.
-                for entry in decoded:
-                    yield entry
-                index += 1
-                continue
-            # Legacy batch header: the next `decoded` lines form one
-            # atomic group.
-            group_end = index + 1 + decoded
-            if group_end > len(lines):
-                # Crash mid-batch: the group's sync never happened, so
-                # nothing in it was acked. Discard it whole.
-                return
-            group: List[Entry] = []
-            for j in range(index + 1, group_end):
-                try:
-                    member = decode_at(j)
-                except CorruptionError:
-                    member = None
-                if not isinstance(member, Entry):
-                    if tail_is_torn(j):
-                        return
-                    raise CorruptionError(
-                        "WAL batch group corrupted mid-file",
-                        path=path,
-                        record_index=j,
-                        byte_offset=offsets[j],
-                    )
-                group.append(member)
-            for entry in group:
+            # One-line commit group: atomic by construction.
+            for entry in decoded:
                 yield entry
-            index = group_end
+            index += 1
 
 
 #: Canonical file name of a store's coordinator decision log (it lives

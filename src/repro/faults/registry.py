@@ -256,12 +256,12 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "repl.manifest.tmp",
-            "replication/store.py _write_replica_manifest",
+            "shard/store.py _write_manifest (replica side)",
             "replica-side shards.json tmp written, before its rename",
         ),
         Failpoint(
             "repl.manifest.done",
-            "replication/store.py _write_replica_manifest",
+            "shard/store.py _write_manifest (replica side)",
             "after the replica-side shards.json rename",
         ),
         Failpoint(

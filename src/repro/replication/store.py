@@ -33,7 +33,7 @@ implements exactly that, one replica per shard:
   died), the store promotes the replica in place: detach the hook, drain
   the replication queue into the standby, kill the old primary, and swap
   the replica in as the shard's serving tree — readers and writers
-  re-route on their next operation because every shard-routed lambda
+  re-route on their next operation because every shard-routed operation
   re-reads ``self.shards[index]``. Promotion is triggered automatically
   from the operation path (a routed op that finds its shard quarantined)
   and from :meth:`check_health` (which the serving layer's ``HEALTH``
@@ -62,7 +62,6 @@ distributed store — and the sweep's tracker treats it exactly that way.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -73,15 +72,15 @@ from ..core.config import LSMConfig
 from ..core.entry import Entry, EntryKind
 from ..core.merge_operator import MergeOperator
 from ..core.tree import LSMTree
-from ..core.wal import TXN_COMMIT, TXN_LOG_NAME, TxnDecisionLog
-from ..errors import (
-    ConfigError,
-    CorruptionError,
-    ReplicationError,
-    ShardUnavailableError,
-)
+from ..errors import ConfigError, ReplicationError, ShardUnavailableError
 from ..faults.registry import fault_point
-from ..shard.store import HEALTHY, MANIFEST_NAME, BatchOp, ShardedStore
+from ..shard.store import (
+    HEALTHY,
+    MANIFEST_NAME,
+    BatchOp,
+    ShardedStore,
+    load_manifest,
+)
 
 _T = TypeVar("_T")
 
@@ -351,7 +350,6 @@ class ReplicatedStore(ShardedStore):
         merge_operator: Optional[MergeOperator] = None,
         queue_capacity: int = 1024,
         _recover: bool = False,
-        _committed_txns: Optional[frozenset] = None,
     ) -> None:
         if mode not in MODES:
             raise ConfigError(f"replication mode must be one of {MODES}")
@@ -369,7 +367,6 @@ class ReplicatedStore(ShardedStore):
             wal_dir=primary_dir,
             merge_operator=merge_operator,
             _recover=_recover,
-            _committed_txns=_committed_txns,
         )
         self.mode = mode
         self._repl_wal_dir = wal_dir
@@ -390,7 +387,9 @@ class ReplicatedStore(ShardedStore):
         ]
         for path in replica_paths:
             os.makedirs(path, exist_ok=True)
-        self._write_replica_manifest(replica_dir)
+        # The same manifest, mirrored: the replica side is independently
+        # recoverable with identical key placement.
+        self._write_manifest(replica_dir, failpoint="repl.manifest")
         if _recover:
             self.replicas: List[LSMTree] = [
                 LSMTree.recover(config, path, merge_operator=merge_operator)
@@ -410,47 +409,8 @@ class ReplicatedStore(ShardedStore):
             )
             for index, replica in enumerate(self.replicas)
         ]
-        for index, shard in enumerate(self.shards):
+        for index, shard in self.shards.items():
             shard.set_wal_commit_hook(self._make_ship_hook(index))
-
-    def _write_replica_manifest(self, replica_dir: str) -> None:
-        """Mirror the routing manifest into the replica directory.
-
-        Same atomic tmp-write-then-rename as the primary's manifest (and
-        validated the same way when it already exists), so the replica
-        side is independently recoverable with identical key placement.
-        """
-        manifest = {
-            "num_shards": self.num_shards,
-            "routing": self.routing,
-            "boundaries": self.boundaries,
-        }
-        path = os.path.join(replica_dir, MANIFEST_NAME)
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as handle:
-                try:
-                    existing = json.load(handle)
-                except json.JSONDecodeError as exc:
-                    raise CorruptionError(
-                        "replica shard manifest is not valid JSON",
-                        path=path,
-                        byte_offset=exc.pos,
-                    ) from exc
-            if existing != manifest:
-                raise ConfigError(
-                    f"{path} records a different sharding ({existing}); "
-                    "the replica directory belongs to another store"
-                )
-            return
-        blob = json.dumps(manifest)
-        temporary = path + ".tmp"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(blob)
-        fault_point(
-            "repl.manifest.tmp", path=temporary, tail_bytes=len(blob)
-        )
-        os.replace(temporary, path)
-        fault_point("repl.manifest.done", path=path)
 
     # -- shipping ------------------------------------------------------------
 
@@ -565,14 +525,14 @@ class ReplicatedStore(ShardedStore):
             self._try_failover(index)
         super()._check_available(index)
 
-    def _shard_op(self, index: int, op: Callable[[], _T]) -> _T:
+    def _shard_op(self, index: int, op: Callable[[LSMTree], _T]) -> _T:
         """Shard-routed op with failover retry.
 
         The shard may die *mid-operation* (quarantined on the way out);
         promoting and retrying once turns that into a served request —
         this is what lifts post-kill availability from N−1/N to ~1.
-        The op lambdas re-read ``self.shards[index]``, so the retry runs
-        against the freshly promoted replica.
+        Each attempt hands ``op`` the slot's current tree, so the retry
+        runs against the freshly promoted replica.
         """
         try:
             return super()._shard_op(index, op)
@@ -585,13 +545,9 @@ class ReplicatedStore(ShardedStore):
         """Health rollup with failover: quarantined shards are promoted
         before the verdict, and a ``replication`` section is added."""
         self._check_open()
-        for index, shard in enumerate(self.shards):
-            if self._health[index].healthy:
-                error = shard.background_error()
-                if error is not None:
-                    self._quarantine(index, error)
-            if not self._health[index].healthy:
-                self._try_failover(index)
+        self._poll_health()
+        for index in self.quarantined_shards():
+            self._try_failover(index)
         payload = super().check_health()
         payload["replication"] = self.replication_summary()
         return payload
@@ -694,22 +650,7 @@ class ReplicatedStore(ShardedStore):
                 f"no {PRIMARY_DIR}/{MANIFEST_NAME} in {wal_dir}; not a "
                 "replicated WAL directory"
             )
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                manifest = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise CorruptionError(
-                    "shard manifest is not valid JSON",
-                    path=path,
-                    byte_offset=exc.pos,
-                ) from exc
-        decisions = TxnDecisionLog.replay(
-            os.path.join(wal_dir, PRIMARY_DIR, TXN_LOG_NAME)
-        )
-        committed = frozenset(
-            txn for txn, verdict in decisions.items()
-            if verdict == TXN_COMMIT
-        )
+        manifest = load_manifest(path)
         return cls(
             manifest["num_shards"],
             config,
@@ -720,5 +661,4 @@ class ReplicatedStore(ShardedStore):
             merge_operator=merge_operator,
             queue_capacity=queue_capacity,
             _recover=True,
-            _committed_txns=committed,
         )

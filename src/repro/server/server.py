@@ -4,8 +4,8 @@ commit, admission control.
 This is the process boundary the ROADMAP's "serving heavy traffic" goal
 needs: a :class:`KVServer` owns any :class:`~repro.api.KVStore` — a single
 :class:`~repro.core.tree.LSMTree` (typically in ``background_mode``), a
-:class:`~repro.partition.PartitionedStore`, or a
-:class:`~repro.shard.ShardedStore` — and speaks the length-prefixed
+:class:`~repro.shard.ShardedStore`, or a cluster node's
+:class:`~repro.cluster.NodeStore` — and speaks the length-prefixed
 protocol of :mod:`repro.server.protocol` to any number of concurrent
 connections.
 
@@ -256,8 +256,8 @@ class KVServer:
     """An asyncio TCP server fronting any :class:`~repro.api.KVStore`.
 
     Args:
-        store: The engine to serve — an ``LSMTree``, ``PartitionedStore``,
-            ``ShardedStore``, or anything else satisfying the protocol.
+        store: The engine to serve — an ``LSMTree``, ``ShardedStore``,
+            ``NodeStore``, or anything else satisfying the protocol.
             When the store is sharded (exposes ``num_shards`` and
             ``shard_index``), group commit runs one committer per shard so
             commits on different shards proceed in parallel. The server

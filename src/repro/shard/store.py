@@ -1,26 +1,36 @@
-"""Sharded LSM engine: N independent trees committing in parallel.
+"""Sharded LSM engine: the one forest of independent trees (§2.2.2).
 
-The tutorial's partitioning discussion (§2.2.2) — realized by PebblesDB's
-guards and Nova-LSM's shard-per-component design — observes that splitting
-the key space into independent trees makes each tree shallower *and* makes
-the trees independent failure and concurrency domains. The
-:class:`~repro.partition.PartitionedStore` exploits the first property on
-one simulated device; :class:`ShardedStore` exploits the second: every
-shard owns its *own* write-ahead log, write mutex, simulated device, and
-(in background mode) background flush/compaction coordinator, so commits,
-flushes, and compactions on different shards proceed genuinely in
-parallel. This is the engine the serving layer's per-shard group commit
-(:class:`~repro.server.KVServer`) fans out over.
+The tutorial's partitioning discussion — realized by PebblesDB's guards
+and Nova-LSM's shard-per-component design — observes that splitting the
+key space into independent trees makes each tree shallower (less
+compaction data movement, lower write amplification) *and* makes the
+trees independent failure and concurrency domains.
+:class:`ShardedStore` is the single implementation of that idea in this
+repository. By default every shard owns its *own* write-ahead log, write
+mutex, simulated device, and (in background mode) background
+flush/compaction coordinator, so commits, flushes, and compactions on
+different shards proceed genuinely in parallel — the engine the serving
+layer's per-shard group commit (:class:`~repro.server.KVServer`) fans out
+over. Pass ``disk=`` to put every tree on one shared simulated device
+instead, which is how experiment E15 reads the aggregate amplification of
+a range-partitioned forest off a single set of counters.
 
 Routing is pluggable:
 
 * ``"hash"`` (default) — ``crc32(key) % num_shards``. Spreads any
   workload evenly, including sequential writers; scans must scatter to
   every shard and k-way merge.
-* ``"range"`` — sorted split keys (reuse
-  :func:`repro.partition.range_boundaries` to derive them). Keys stay
-  clustered, so scans touch only the shards they overlap — range routing
-  beats hash whenever scans dominate and the key distribution is known.
+* ``"range"`` — sorted split keys (:func:`range_boundaries` derives an
+  even split). Keys stay clustered, so scans touch only the shards they
+  overlap — range routing beats hash whenever scans dominate and the key
+  distribution is known.
+
+Per-shard state lives in *open slots* keyed by global shard index: all
+of ``0..N-1`` for an embedded store, the owned subset when a cluster
+node (:class:`~repro.cluster.NodeStore`) composes a forest and adopts or
+drops slots as ownership moves. Everything below — routing, quarantine,
+batch validation and split, two-phase commit, snapshots, scans,
+lifecycle, rollups — works on the open slots only.
 
 Atomicity contract: :meth:`ShardedStore.write_batch` validates the whole
 batch up front, then splits it by shard — and is atomic **store-wide**.
@@ -29,7 +39,7 @@ write-mutex acquisition, one WAL sync, no coordinator). A batch spanning
 shards commits through two-phase commit: every touched shard durably
 journals a PREPARE record for its sub-batch, the store appends one
 COMMIT decision to its :class:`~repro.core.wal.TxnDecisionLog`
-(``txn.log``, beside ``shards.json``), and only then do the shards apply
+(``txn.log``, at the WAL root), and only then do the shards apply
 their sub-batches. A crash anywhere in that window resolves
 deterministically on :meth:`recover`: a durable COMMIT decision rolls
 every prepared sub-batch forward; no (or a torn) decision rolls them all
@@ -59,7 +69,16 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from heapq import merge as heap_merge
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from ..api import PartialScanResult, Snapshot, SnapshotLike
 from ..core.config import LSMConfig
@@ -72,10 +91,13 @@ from ..errors import (
     ClosedError,
     ConfigError,
     CorruptionError,
+    ShardFencedError,
     ShardUnavailableError,
     TxnConflictError,
 )
 from ..faults.registry import fault_point
+from ..storage.disk import SimulatedDisk
+from ..workload.distributions import format_key
 
 #: One batched write: ("put" | "delete", key, value-or-None).
 BatchOp = Tuple[str, str, Optional[str]]
@@ -122,6 +144,33 @@ def hash_shard_index(key: str, num_shards: int) -> int:
     return zlib.crc32(key.encode("utf-8")) % num_shards
 
 
+def range_boundaries(key_count: int, num_shards: int) -> List[str]:
+    """Evenly spaced shard boundaries for the canonical key format.
+
+    Returns ``num_shards - 1`` split keys: shard ``i`` owns keys in
+    ``[boundary[i-1], boundary[i])`` with open ends at the extremes.
+    """
+    if num_shards < 1:
+        raise ValueError("num_shards must be at least 1")
+    if key_count < num_shards:
+        raise ValueError("key_count must be at least num_shards")
+    step = key_count / num_shards
+    return [format_key(round(step * index)) for index in range(1, num_shards)]
+
+
+def load_manifest(path: str) -> Dict[str, object]:
+    """Parse a ``shards.json`` routing manifest (corruption is typed)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise CorruptionError(
+                "shard manifest is not valid JSON",
+                path=path,
+                byte_offset=exc.pos,
+            ) from exc
+
+
 class ShardedStore:
     """N independent :class:`~repro.core.tree.LSMTree` shards, one store.
 
@@ -130,16 +179,21 @@ class ShardedStore:
             those are given instead.
         config: Per-shard configuration (shared instance). With
             ``background_mode=True`` every shard runs its own flush and
-            compaction workers.
+            compaction workers. Each shard keeps the full buffer size —
+            partitioning multiplies memory too, which is part of the
+            real systems' bargain (:meth:`memory_footprint_bits`).
         routing: ``"hash"`` (default) or ``"range"``.
         boundaries: Sorted split keys for range routing
-            (``len(boundaries) + 1`` shards); reuse
-            :func:`repro.partition.range_boundaries` to derive them.
+            (``len(boundaries) + 1`` shards); :func:`range_boundaries`
+            derives an even split.
         wal_dir: Directory for durable WALs. Each shard journals into its
             own ``shard-NN/`` subdirectory, and a ``shards.json`` manifest
             records the routing so :meth:`recover` replays each shard's
             log with the same key placement.
         merge_operator: Passed through to every shard.
+        disk: One simulated device shared by every shard (also exposed as
+            ``store.disk``, which :class:`~repro.bench.harness.Harness`
+            reads). Omitted, each shard charges its own device.
 
     Example:
         >>> store = ShardedStore(4)
@@ -159,9 +213,16 @@ class ShardedStore:
         boundaries: Optional[Sequence[str]] = None,
         wal_dir: Optional[str] = None,
         merge_operator: Optional[MergeOperator] = None,
+        disk: Optional[SimulatedDisk] = None,
         _recover: bool = False,
-        _committed_txns: Optional[frozenset] = None,
+        _open_slots: Optional[Iterable[int]] = None,
+        _scope: str = "",
     ) -> None:
+        # The underscored arguments are the composition seam, not options:
+        # ``_recover`` replays instead of creating, ``_open_slots`` opens
+        # only the named shards (and skips the manifest — the owner
+        # persists its own placement), ``_scope`` prefixes failpoint
+        # scopes with the owner's identity.
         if routing not in _ROUTINGS:
             raise ConfigError(f"routing must be one of {_ROUTINGS}")
         if boundaries is not None:
@@ -184,36 +245,40 @@ class ShardedStore:
         if num_shards is None or num_shards < 1:
             raise ValueError("num_shards must be at least 1")
         self.routing = routing
+        self.disk = disk
+        self._num_shards = num_shards
+        self._config = config
+        self._merge_operator = merge_operator
         self._wal_dir = wal_dir
+        self._scope = _scope
         self._closed = False
-        self._health = [HealthState() for _ in range(num_shards)]
         self._health_lock = threading.Lock()
-        shard_dirs: List[Optional[str]] = [None] * num_shards
+        slots = list(
+            range(num_shards) if _open_slots is None else _open_slots
+        )
+        committed: Optional[frozenset] = None
         if wal_dir is not None:
-            shard_dirs = [
-                os.path.join(wal_dir, f"shard-{index:02d}")
-                for index in range(num_shards)
-            ]
-            for path in shard_dirs:
-                os.makedirs(path, exist_ok=True)
-            self._write_manifest(wal_dir, num_shards)
-        if _recover:
-            self.shards: List[LSMTree] = [
-                LSMTree.recover(
-                    config,
-                    path,
-                    merge_operator=merge_operator,
-                    committed_txns=_committed_txns,
+            for index in slots:
+                os.makedirs(self.shard_dir(index), exist_ok=True)
+            if _open_slots is None:
+                self._write_manifest(wal_dir)
+            if _recover:
+                # Decision log first: it settles every PREPARE record the
+                # shard replays below are about to find.
+                decisions = TxnDecisionLog.replay(
+                    os.path.join(wal_dir, TXN_LOG_NAME)
                 )
-                for path in shard_dirs  # type: ignore[union-attr]
-            ]
-        else:
-            self.shards = [
-                LSMTree(
-                    config, wal_dir=path, merge_operator=merge_operator
+                committed = frozenset(
+                    txn
+                    for txn, verdict in decisions.items()
+                    if verdict == TXN_COMMIT
                 )
-                for path in shard_dirs
-            ]
+        #: Open slots: serving tree and failure-domain status per shard,
+        #: keyed by *global* shard index.
+        self.shards: Dict[int, LSMTree] = {}
+        self._health: Dict[int, HealthState] = {}
+        for index in slots:
+            self._adopt_slot(index, self._open_tree(index, committed))
         #: Serializes the two-phase-commit coordinator and snapshot
         #: capture: one multi-shard transaction at a time, and a snapshot
         #: can never land between a transaction's sub-batches.
@@ -226,29 +291,29 @@ class ShardedStore:
                 os.path.join(wal_dir, TXN_LOG_NAME),
                 fsync=config.wal_fsync if config is not None else False,
             )
-        #: Commits sub-batches (and hash-routed scans) concurrently; one
-        #: worker per shard, so every shard can have a commit in flight.
+        #: Runs hash-routed scans and shard closes concurrently. Threads
+        #: are spawned lazily, on first use; single-shard reads and
+        #: commits stay inline on the calling thread.
         self._executor = ThreadPoolExecutor(
             max_workers=num_shards, thread_name_prefix="shard"
         )
 
-    def _write_manifest(self, wal_dir: str, num_shards: int) -> None:
+    def _write_manifest(
+        self, wal_dir: str, failpoint: str = "shard.manifest"
+    ) -> None:
+        """Persist (or validate against) the routing manifest, atomically.
+
+        Crosses ``shard.manifest.tmp`` / ``shard.manifest.done`` — or, for
+        a replica side's mirror, ``repl.manifest.tmp`` / ``.done``.
+        """
         manifest = {
-            "num_shards": num_shards,
+            "num_shards": self._num_shards,
             "routing": self.routing,
             "boundaries": self.boundaries,
         }
         path = os.path.join(wal_dir, MANIFEST_NAME)
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as handle:
-                try:
-                    existing = json.load(handle)
-                except json.JSONDecodeError as exc:
-                    raise CorruptionError(
-                        "shard manifest is not valid JSON",
-                        path=path,
-                        byte_offset=exc.pos,
-                    ) from exc
+            existing = load_manifest(path)
             if existing != manifest:
                 raise ConfigError(
                     f"{path} records a different sharding "
@@ -261,56 +326,119 @@ class ShardedStore:
         with open(temporary, "w", encoding="utf-8") as handle:
             handle.write(blob)
         fault_point(
-            "shard.manifest.tmp", path=temporary, tail_bytes=len(blob)
+            f"{failpoint}.tmp", path=temporary, tail_bytes=len(blob)
         )
         os.replace(temporary, path)  # atomic: readers never see a torn file
-        fault_point("shard.manifest.done", path=path)
+        fault_point(f"{failpoint}.done", path=path)
+
+    # -- slots ---------------------------------------------------------------
+
+    def shard_dir(self, index: int) -> str:
+        """Directory shard ``index`` journals into (durable stores)."""
+        return os.path.join(self._wal_dir, f"shard-{index:02d}")
+
+    def _failpoint_scope(self, index: int) -> str:
+        return f"{self._scope}shard-{index:02d}"
+
+    def _open_tree(
+        self, index: int, committed: Optional[frozenset] = None
+    ) -> LSMTree:
+        """A tree over slot ``index``'s directory, not yet serving;
+        ``committed`` (the decided transaction ids) replays its WAL."""
+        path = None if self._wal_dir is None else self.shard_dir(index)
+        if committed is not None:
+            return LSMTree.recover(
+                self._config,
+                path,
+                disk=self.disk,
+                merge_operator=self._merge_operator,
+                committed_txns=committed,
+            )
+        return LSMTree(
+            self._config,
+            disk=self.disk,
+            wal_dir=path,
+            merge_operator=self._merge_operator,
+        )
+
+    def _adopt_slot(self, index: int, tree: LSMTree) -> None:
+        """Start serving ``tree`` as shard ``index``, healthy."""
+        with self._health_lock:
+            self._health[index] = HealthState()
+            self.shards[index] = tree
+
+    def _drop_slot(self, index: int) -> LSMTree:
+        """Stop serving shard ``index``; the caller closes the tree."""
+        with self._health_lock:
+            del self._health[index]
+            return self.shards.pop(index)
+
+    def _slots(self) -> List[Tuple[int, LSMTree, HealthState]]:
+        """Open slots in shard order — a consistent copy, safe against a
+        concurrent adopt or drop."""
+        with self._health_lock:
+            return [
+                (index, shard, self._health[index])
+                for index, shard in sorted(self.shards.items())
+            ]
+
+    def _trees(self) -> List[LSMTree]:
+        return list(self.shards.values())
+
+    def _tree(self, index: int) -> LSMTree:
+        tree = self.shards.get(index)
+        if tree is None:
+            # Dropped between the owner's ownership check and here: the
+            # retryable answer, whose retry re-routes to the new owner.
+            raise ShardFencedError(index)
+        return tree
 
     # -- routing -------------------------------------------------------------
 
     @property
     def num_shards(self) -> int:
-        """Number of independent trees."""
-        return len(self.shards)
+        """Number of shards the key space is split into."""
+        return self._num_shards
 
     def shard_index(self, key: str) -> int:
         """Index of the shard owning ``key`` (stable across restarts)."""
         if self.routing == "hash":
-            return hash_shard_index(key, len(self.shards))
+            return hash_shard_index(key, self._num_shards)
         return bisect.bisect_right(self.boundaries, key)
 
     def shard_for(self, key: str) -> LSMTree:
         """The tree owning ``key``."""
-        return self.shards[self.shard_index(key)]
+        return self._tree(self.shard_index(key))
 
     # -- failure isolation ----------------------------------------------------
 
     def _quarantine(self, index: int, cause: BaseException) -> None:
         with self._health_lock:
-            health = self._health[index]
-            if health.healthy:
+            health = self._health.get(index)
+            if health is not None and health.healthy:
                 health.state = QUARANTINED
                 health.reason = str(cause) or type(cause).__name__
                 health.since_s = time.monotonic()
 
     def _check_available(self, index: int) -> None:
-        health = self._health[index]
-        if not health.healthy:
+        health = self._health.get(index)
+        if health is not None and not health.healthy:
             raise ShardUnavailableError(
                 index, health.reason or "quarantined"
             )
 
-    def _shard_op(self, index: int, op: Callable[[], _T]) -> _T:
+    def _shard_op(self, index: int, op: Callable[[LSMTree], _T]) -> _T:
         """Run one shard-routed operation with quarantine semantics.
 
         A shard whose background workers have died is unavailable for
         reads *and* writes: reads would serve from a tree whose
         maintenance stopped (unbounded staleness of structure, stalled
         flushes), so the degraded contract is explicit unavailability
-        rather than silent best-effort.
+        rather than silent best-effort. ``op`` receives the slot's
+        current serving tree.
         """
         self._check_available(index)
-        shard = self.shards[index]
+        shard = self._tree(index)
         error = shard.background_error()
         if error is not None:
             self._quarantine(index, error)
@@ -318,66 +446,58 @@ class ShardedStore:
                 index, f"background workers died: {error}"
             )
         try:
-            return op()
+            return op(shard)
         except BackgroundError as exc:
             self._quarantine(index, exc)
             raise ShardUnavailableError(index, str(exc)) from exc
 
-    def check_health(self) -> Dict[str, object]:
-        """Poll every shard for dead workers; return the health rollup.
-
-        Quarantines any shard whose background pool reports an error, so
-        a failure is detected even if no operation has routed to that
-        shard since it died. ``state`` is ``"healthy"`` (all shards up),
-        ``"degraded"`` (some quarantined), or ``"failed"`` (all
-        quarantined).
-        """
-        self._check_open()
-        for index, shard in enumerate(self.shards):
-            if self._health[index].healthy:
+    def _poll_health(self) -> None:
+        """Quarantine every open shard whose background pool reports an
+        error, even if no operation has routed to it since it died."""
+        for index, shard, health in self._slots():
+            if health.healthy:
                 error = shard.background_error()
                 if error is not None:
                     self._quarantine(index, error)
-        quarantined = [
-            index
-            for index, health in enumerate(self._health)
-            if not health.healthy
-        ]
+
+    def check_health(self) -> Dict[str, object]:
+        """Poll every shard for dead workers; return the health rollup.
+
+        ``state`` is ``"healthy"`` (all open shards up), ``"degraded"``
+        (some quarantined), or ``"failed"`` (all quarantined).
+        """
+        self._check_open()
+        self._poll_health()
+        slots = self._slots()
+        quarantined = [index for index, _s, h in slots if not h.healthy]
         if not quarantined:
             state = "healthy"
-        elif len(quarantined) == len(self.shards):
+        elif len(quarantined) == len(slots):
             state = "failed"
         else:
             state = "degraded"
         return {
             "state": state,
-            "num_shards": len(self.shards),
+            "num_shards": self._num_shards,
             "quarantined": quarantined,
             "shards": [
-                {
-                    "shard": index,
-                    "state": health.state,
-                    "reason": health.reason,
-                }
-                for index, health in enumerate(self._health)
+                {"shard": index, "state": h.state, "reason": h.reason}
+                for index, _shard, h in slots
             ],
         }
 
     def quarantined_shards(self) -> List[int]:
         """Indices of currently quarantined shards."""
-        return [
-            index
-            for index, health in enumerate(self._health)
-            if not health.healthy
-        ]
+        return [i for i, _shard, h in self._slots() if not h.healthy]
 
     # -- external operations -------------------------------------------------
 
     def put(self, key: str, value: str) -> None:
         """Insert or update ``key`` in its owning shard."""
         self._check_open()
-        index = self.shard_index(key)
-        self._shard_op(index, lambda: self.shards[index].put(key, value))
+        self._shard_op(
+            self.shard_index(key), lambda shard: shard.put(key, value)
+        )
 
     def get(
         self, key: str, at: Optional[SnapshotLike] = None
@@ -387,19 +507,15 @@ class ShardedStore:
         self._check_open()
         index = self.shard_index(key)
         if at is None:
-            return self._shard_op(
-                index, lambda: self.shards[index].get(key)
-            )
+            return self._shard_op(index, lambda shard: shard.get(key))
         seq = Snapshot.coerce(at).seqno_for(index)
-        return self._shard_op(
-            index, lambda: self.shards[index].get(key, at=seq)
-        )
+        return self._shard_op(index, lambda shard: shard.get(key, at=seq))
 
     def snapshot(self) -> Snapshot:
         """Capture a store-wide consistent read point.
 
-        Pins every healthy shard's tip seqno under the transaction lock,
-        so the capture can never land between a cross-shard batch's
+        Pins every healthy open shard's tip seqno under the transaction
+        lock, so the capture can never land between a cross-shard batch's
         sub-batches: a multi-shard read at the returned handle sees every
         atomic batch entirely or not at all. Quarantined shards are not
         covered — reading them at this snapshot raises
@@ -409,25 +525,29 @@ class ShardedStore:
         """
         self._check_open()
         with self._txn_lock:
-            pins: Dict[int, int] = {}
-            for index, shard in enumerate(self.shards):
-                if self._health[index].healthy:
-                    pins[index] = shard.snapshot_pin()
+            pinned = [
+                (index, shard, shard.snapshot_pin())
+                for index, shard, health in self._slots()
+                if health.healthy
+            ]
 
         def release() -> None:
-            for index, seq in pins.items():
+            for _index, shard, seq in pinned:
                 try:
-                    self.shards[index].snapshot_release(seq)
+                    shard.snapshot_release(seq)
                 except Exception:
-                    pass  # a dying shard's pins die with it
+                    pass  # a dying or dropped shard's pins die with it
 
-        return Snapshot(pins, release=release)
+        return Snapshot(
+            {index: seq for index, _shard, seq in pinned}, release=release
+        )
 
     def delete(self, key: str) -> None:
         """Logical delete in the owning shard."""
         self._check_open()
-        index = self.shard_index(key)
-        self._shard_op(index, lambda: self.shards[index].delete(key))
+        self._shard_op(
+            self.shard_index(key), lambda shard: shard.delete(key)
+        )
 
     def write_batch(self, ops: Sequence[BatchOp]) -> None:
         """Apply a batch atomically, across shards if it spans them.
@@ -475,10 +595,8 @@ class ShardedStore:
         self._commit_cross_shard(by_shard)
 
     def _commit_sub_batch(self, index: int, sub_ops: List[BatchOp]) -> None:
-        fault_point("shard.commit", scope=f"shard-{index:02d}")
-        self._shard_op(
-            index, lambda: self.shards[index].write_batch(sub_ops)
-        )
+        fault_point("shard.commit", scope=self._failpoint_scope(index))
+        self._shard_op(index, lambda shard: shard.write_batch(sub_ops))
 
     def _commit_cross_shard(
         self, by_shard: Dict[int, List[BatchOp]]
@@ -515,10 +633,12 @@ class ShardedStore:
             prepared: List[int] = []
             try:
                 for index in sorted(by_shard):
-                    fault_point("txn.prepare", scope=f"shard-{index:02d}")
+                    fault_point(
+                        "txn.prepare", scope=self._failpoint_scope(index)
+                    )
                     self._shard_op(
                         index,
-                        lambda index=index: self.shards[index].txn_prepare(
+                        lambda shard: shard.txn_prepare(
                             txn_id, by_shard[index]
                         ),
                     )
@@ -540,13 +660,10 @@ class ShardedStore:
                 ) from exc
             failure: Optional[BaseException] = None
             for index in prepared:
-                fault_point("txn.commit", scope=f"shard-{index:02d}")
+                fault_point("txn.commit", scope=self._failpoint_scope(index))
                 try:
                     self._shard_op(
-                        index,
-                        lambda index=index: self.shards[
-                            index
-                        ].txn_commit(txn_id),
+                        index, lambda shard: shard.txn_commit(txn_id)
                     )
                 except Exception as exc:
                     # The decision is durable: the transaction IS
@@ -575,13 +692,13 @@ class ShardedStore:
     ) -> List[Tuple[str, str]]:
         """Scatter-gather range lookup, k-way merged across shards.
 
-        Range routing touches only the shards overlapping ``[lo, hi)``, in
-        key order, stopping as soon as ``limit`` pairs are collected. Hash
-        routing must scatter to every shard (any shard may own any key in
-        the range) — the per-shard scans run concurrently on the store's
-        executor, each individually capped at ``limit``, and the sorted
-        partial results are k-way merged (shards own disjoint keys, so the
-        merge never sees duplicates).
+        Range routing touches only the open shards overlapping
+        ``[lo, hi)``, in key order, stopping as soon as ``limit`` pairs
+        are collected. Hash routing must scatter to every open shard (any
+        shard may own any key in the range) — the per-shard scans run
+        concurrently on the store's executor, each individually capped at
+        ``limit``, and the sorted partial results are k-way merged (shards
+        own disjoint keys, so the merge never sees duplicates).
 
         ``at=`` reads every shard as of its seqno pinned in the snapshot,
         so a multi-shard scan sees each cross-shard batch entirely or not
@@ -603,6 +720,7 @@ class ShardedStore:
         snap = None if at is None else Snapshot.coerce(at)
         if lo >= hi or limit == 0:
             return PartialScanResult([], []) if allow_partial else []
+        involved = sorted(self.shards)
         if self.routing == "range":
             first = bisect.bisect_right(self.boundaries, lo)
             # hi is exclusive: bisect_left keeps a scan ending exactly on
@@ -610,11 +728,7 @@ class ShardedStore:
             # keys >= hi and so can never contribute (and must not fail
             # or degrade the scan when quarantined).
             last = bisect.bisect_left(self.boundaries, hi)
-            involved = list(
-                range(first, min(last, len(self.shards) - 1) + 1)
-            )
-        else:
-            involved = list(range(len(self.shards)))
+            involved = [i for i in involved if first <= i <= last]
         available: List[int] = []
         skipped: List[int] = []
         for index in involved:
@@ -633,15 +747,12 @@ class ShardedStore:
             try:
                 if snap is None:
                     return self._shard_op(
-                        index,
-                        lambda: self.shards[index].scan(lo, hi, remaining),
+                        index, lambda shard: shard.scan(lo, hi, remaining)
                     )
                 seq = snap.seqno_for(index)
                 return self._shard_op(
                     index,
-                    lambda: self.shards[index].scan(
-                        lo, hi, remaining, at=seq
-                    ),
+                    lambda shard: shard.scan(lo, hi, remaining, at=seq),
                 )
             except ShardUnavailableError:
                 # Quarantined mid-scan (after the up-front check).
@@ -681,19 +792,18 @@ class ShardedStore:
         flush would only re-raise the failure the quarantine already
         recorded.
         """
-        self._check_open()
-        self.check_health()
-        for index, shard in enumerate(self.shards):
-            if self._health[index].healthy:
-                self._shard_op(index, shard.flush)
+        self._for_healthy(LSMTree.flush)
 
     def compact_all(self) -> None:
         """Major compaction on every healthy shard."""
+        self._for_healthy(LSMTree.compact_all)
+
+    def _for_healthy(self, op: Callable[[LSMTree], None]) -> None:
         self._check_open()
-        self.check_health()
-        for index, shard in enumerate(self.shards):
-            if self._health[index].healthy:
-                self._shard_op(index, shard.compact_all)
+        self._poll_health()
+        for index, _shard, health in self._slots():
+            if health.healthy:
+                self._shard_op(index, op)
 
     def close(self) -> None:
         """Close every shard and release the commit executor. Idempotent.
@@ -711,24 +821,20 @@ class ShardedStore:
         """
         if self._closed:
             return
-        for index, shard in enumerate(self.shards):
-            if self._health[index].healthy:
-                error = shard.background_error()
-                if error is not None:
-                    self._quarantine(index, error)
+        self._poll_health()
         self._closed = True
         failure: Optional[BaseException] = None
         futures = [
-            (index, self._executor.submit(shard.close))
-            for index, shard in enumerate(self.shards)
+            (health, self._executor.submit(shard.close))
+            for _index, shard, health in self._slots()
         ]
-        for index, future in futures:
+        for health, future in futures:
             try:
                 future.result()
             except BackgroundError as exc:
                 # Not quarantined before close: a genuinely new failure
                 # the caller has never seen. Surface it.
-                if self._health[index].healthy and failure is None:
+                if health.healthy and failure is None:
                     failure = exc
             except BaseException as exc:
                 if failure is None:
@@ -749,7 +855,7 @@ class ShardedStore:
         if self._closed:
             return
         self._closed = True
-        for shard in self.shards:
+        for shard in self._trees():
             shard.kill()
         if self._txn_log is not None:
             self._txn_log.close()
@@ -796,22 +902,7 @@ class ShardedStore:
                 f"no {MANIFEST_NAME} in {wal_dir}; not a sharded WAL "
                 "directory"
             )
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                manifest = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise CorruptionError(
-                    "shard manifest is not valid JSON",
-                    path=path,
-                    byte_offset=exc.pos,
-                ) from exc
-        decisions = TxnDecisionLog.replay(
-            os.path.join(wal_dir, TXN_LOG_NAME)
-        )
-        committed = frozenset(
-            txn for txn, verdict in decisions.items()
-            if verdict == TXN_COMMIT
-        )
+        manifest = load_manifest(path)
         return cls(
             manifest["num_shards"],
             config,
@@ -820,7 +911,6 @@ class ShardedStore:
             wal_dir=wal_dir,
             merge_operator=merge_operator,
             _recover=True,
-            _committed_txns=committed,
         )
 
     # -- introspection -------------------------------------------------------
@@ -828,7 +918,9 @@ class ShardedStore:
     @property
     def stats(self) -> TreeStats:
         """Rollup of every shard's counters (:meth:`TreeStats.merged`)."""
-        return TreeStats.merged([shard.stats for shard in self.shards])
+        return TreeStats.merged(
+            [shard.stats for shard in self._trees()]
+        )
 
     def backpressure(self) -> Dict[str, object]:
         """Aggregate admission snapshot: the *worst healthy* shard governs.
@@ -839,38 +931,40 @@ class ShardedStore:
         will route to until it parses the key. Quarantined shards are
         excluded from the backpressure verdict (their unavailability is
         reported per-operation, not as store-wide pushback) and listed
-        under ``quarantined_shards``; with *no* healthy shard left the
-        state degrades to ``"stop"``. The raw quantities aggregate (max
-        Level-0 depth, summed immutable buffers) and ``shards`` carries
-        the full per-shard breakdown for operators.
+        under ``quarantined_shards``; with shards open but *none* healthy
+        the state degrades to ``"stop"``, and with no shard open at all (a
+        drained cluster member) it is ``"ok"``. The raw quantities
+        aggregate (max Level-0 depth, summed immutable buffers) and
+        ``shards`` carries the full per-shard breakdown for operators.
         """
-        per_shard = []
-        for index, shard in enumerate(self.shards):
-            snapshot = shard.backpressure()
-            snapshot["healthy"] = self._health[index].healthy
-            per_shard.append(snapshot)
+        per_shard = [
+            {"shard": index, **shard.backpressure(), "healthy": h.healthy}
+            for index, shard, h in self._slots()
+        ]
         healthy = [s for s in per_shard if s["healthy"]]
         if healthy:
             worst = max(
                 healthy, key=lambda s: _STATE_SEVERITY.get(str(s["state"]), 0)
             )
             state = worst["state"]
-        else:
+        elif per_shard:
             worst = per_shard[0]
             state = "stop"
+        else:
+            worst = {"slowdown_trigger": 0, "stop_trigger": 0}
+            state = "ok"
         return {
             "state": state,
-            "level0_runs": max(int(s["level0_runs"]) for s in per_shard),
+            "level0_runs": max(
+                (int(s["level0_runs"]) for s in per_shard), default=0
+            ),
             "immutable_buffers": sum(
                 int(s["immutable_buffers"]) for s in per_shard
             ),
             "slowdown_trigger": worst["slowdown_trigger"],
             "stop_trigger": worst["stop_trigger"],
             "quarantined_shards": self.quarantined_shards(),
-            "shards": [
-                {"shard": index, **snapshot}
-                for index, snapshot in enumerate(per_shard)
-            ],
+            "shards": per_shard,
         }
 
     def shard_summary(self) -> List[Dict[str, object]]:
@@ -887,32 +981,42 @@ class ShardedStore:
                 "flushes": shard.stats.flushes,
                 "compactions": shard.stats.compactions,
                 "backpressure": shard.backpressure()["state"],
-                "health": self._health[index].state,
-                "health_reason": self._health[index].reason,
+                "health": health.state,
+                "health_reason": health.reason,
             }
-            for index, shard in enumerate(self.shards)
+            for index, shard, health in self._slots()
         ]
 
     def total_disk_bytes(self) -> int:
         """Payload bytes across all shards."""
-        return sum(shard.total_disk_bytes() for shard in self.shards)
+        return sum(
+            shard.total_disk_bytes() for shard in self._trees()
+        )
 
     def max_depth(self) -> int:
-        """Deepest shard's level count."""
-        return max((len(shard.levels) for shard in self.shards), default=0)
+        """Deepest shard's level count — the write-amplification driver
+        that partitioning cuts."""
+        return max(
+            (len(shard.levels) for shard in self._trees()),
+            default=0,
+        )
 
     def write_amplification(self) -> float:
-        """Aggregate device bytes written per user byte, across shards."""
-        user_bytes = sum(
-            shard.stats.user_bytes_written for shard in self.shards
-        )
+        """Aggregate device bytes written per user byte, across shards
+        (a device shared by several shards is counted once)."""
+        shards = self._trees()
+        user_bytes = sum(shard.stats.user_bytes_written for shard in shards)
         if user_bytes == 0:
             return 0.0
-        device_bytes = sum(
-            shard.disk.counters.bytes_written for shard in self.shards
+        disks = {id(shard.disk): shard.disk for shard in shards}
+        return (
+            sum(disk.counters.bytes_written for disk in disks.values())
+            / user_bytes
         )
-        return device_bytes / user_bytes
 
     def memory_footprint_bits(self) -> int:
         """Aggregate buffer + filter + fence memory across shards."""
-        return sum(shard.memory_footprint_bits() for shard in self.shards)
+        return sum(
+            shard.memory_footprint_bits()
+            for shard in self._trees()
+        )

@@ -24,8 +24,7 @@ SSTable file format, version 3 (little-endian)::
 
 The columnar entry block lets a whole table be encoded/decoded with a
 handful of batched ``struct`` calls instead of one pack/unpack per entry.
-Version 2 files (fixed fields and strings interleaved per entry) remain
-readable; new checkpoints always write version 3.
+Any other version is refused as corruption.
 
 Fence pointers and Bloom filters are rebuilt at load time (they are derived
 data), exactly as real engines rebuild/reload auxiliary blocks on open.
@@ -41,7 +40,7 @@ import zlib
 from typing import Dict, List, Optional, Tuple
 
 from ..core.config import LSMConfig
-from ..core.entry import Entry, EntryKind, pack_entries, unpack_entries
+from ..core.entry import Entry, pack_entries, unpack_entries
 from ..core.level import Level
 from ..core.merge_operator import MergeOperator
 from ..core.range_tombstone import RangeTombstone
@@ -55,10 +54,7 @@ from .disk import SimulatedDisk
 
 _MAGIC = b"RSST"
 _VERSION = 3
-#: Versions ``_decode_table`` accepts; only ``_VERSION`` is ever written.
-_SUPPORTED_VERSIONS = (2, 3)
 _HEADER = struct.Struct("<4sIII")
-_ENTRY_FIXED = struct.Struct("<HiQBd")
 _TOMBSTONE_FIXED = struct.Struct("<HHQd")
 
 
@@ -106,39 +102,20 @@ def _decode_table(
     magic, version, count, tombstone_count = _HEADER.unpack_from(payload, 0)
     if magic != _MAGIC:
         raise CorruptionError("not an SSTable file", path=path, byte_offset=0)
-    if version not in _SUPPORTED_VERSIONS:
+    if version != _VERSION:
         raise CorruptionError(
             f"unsupported SSTable version {version}", path=path
         )
     offset = _HEADER.size
-    entries: List[Entry]
-    if version >= 3:
-        try:
-            entries, consumed = unpack_entries(payload, count, offset)
-        except (ValueError, struct.error) as exc:
-            raise CorruptionError(
-                "SSTable entry block failed to decode",
-                path=path,
-                byte_offset=offset,
-            ) from exc
-        offset += consumed
-    else:
-        entries = []
-        for _ in range(count):
-            key_len, value_len, seqno, kind, stamp = _ENTRY_FIXED.unpack_from(
-                payload, offset
-            )
-            offset += _ENTRY_FIXED.size
-            key = payload[offset : offset + key_len].decode("utf-8")
-            offset += key_len
-            if value_len >= 0:
-                value: Optional[str] = payload[
-                    offset : offset + value_len
-                ].decode("utf-8")
-                offset += value_len
-            else:
-                value = None
-            entries.append(Entry(key, value, seqno, EntryKind(kind), stamp))
+    try:
+        entries, consumed = unpack_entries(payload, count, offset)
+    except (ValueError, struct.error) as exc:
+        raise CorruptionError(
+            "SSTable entry block failed to decode",
+            path=path,
+            byte_offset=offset,
+        ) from exc
+    offset += consumed
     tombstones: List[RangeTombstone] = []
     for _ in range(tombstone_count):
         lo_len, hi_len, seqno, stamp = _TOMBSTONE_FIXED.unpack_from(
@@ -278,7 +255,7 @@ def restore(
                 path=manifest_path,
                 byte_offset=exc.pos,
             ) from exc
-    if manifest.get("version") not in _SUPPORTED_VERSIONS:
+    if manifest.get("version") != _VERSION:
         raise CorruptionError(
             "unsupported manifest version", path=manifest_path
         )

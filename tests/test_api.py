@@ -16,11 +16,13 @@ import pytest
 
 from repro import (
     BatchOp,
+    ClusterMap,
     KVStore,
     LSMConfig,
     LSMTree,
+    NodeInfo,
+    NodeStore,
     PartialScanResult,
-    PartitionedStore,
     ReplicatedStore,
     ShardedStore,
     Snapshot,
@@ -49,10 +51,21 @@ def make_store(kind: str) -> KVStore:
             mode="sync",
             wal_dir=tempfile.mkdtemp(prefix="repro-api-repl-"),
         )
-    return PartitionedStore(range_boundaries(400, 4), small_config())
+    if kind == "node":
+        # A cluster node's store owning every shard of a one-node map.
+        node = NodeInfo("solo", "127.0.0.1", 0)
+        return NodeStore(
+            "solo",
+            ClusterMap.even(4, [node]),
+            small_config(),
+            wal_dir=tempfile.mkdtemp(prefix="repro-api-node-"),
+        )
+    return ShardedStore(
+        boundaries=range_boundaries(400, 4), config=small_config()
+    )
 
 
-STORE_KINDS = ("tree", "sharded", "replicated", "partitioned")
+STORE_KINDS = ("tree", "sharded", "sharded-range", "replicated", "node")
 
 
 @pytest.mark.parametrize("kind", STORE_KINDS)

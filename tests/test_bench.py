@@ -7,7 +7,8 @@ from repro.bench.report import format_number, format_table, ratio
 from repro.core.config import LSMConfig
 from repro.core.tree import LSMTree
 from repro.kvsep.wisckey import WiscKeyStore
-from repro.partition.store import PartitionedStore, range_boundaries
+from repro.shard import ShardedStore, range_boundaries
+from repro.storage.disk import SimulatedDisk
 from repro.workload.generator import Operation, OpKind, WorkloadSpec, ycsb_a
 
 
@@ -56,7 +57,9 @@ class TestApplyOperation:
         apply_operation(tree, Operation(OpKind.SINGLE_DELETE, "k2"))
 
     def test_single_delete_falls_back_for_other_stores(self):
-        store = PartitionedStore(range_boundaries(10, 2), small_config())
+        store = ShardedStore(
+            boundaries=range_boundaries(10, 2), config=small_config()
+        )
         store.put("key0000000001", "v")
         apply_operation(
             store, Operation(OpKind.SINGLE_DELETE, "key0000000001")
@@ -102,11 +105,16 @@ class TestHarness:
         assert metrics.write_amplification > 0
 
     def test_works_with_partitioned(self):
-        store = PartitionedStore(range_boundaries(100, 2), small_config())
+        store = ShardedStore(
+            boundaries=range_boundaries(100, 2),
+            config=small_config(),
+            disk=SimulatedDisk(),
+        )
         metrics = Harness(store).run_spec(
             ycsb_a(num_ops=100, key_count=100, value_size=16)
         )
         assert metrics.operations == 100
+        assert metrics.write_amplification > 0
 
     def test_pages_read_per_op(self):
         tree = LSMTree(small_config())

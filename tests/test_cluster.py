@@ -10,6 +10,9 @@ built from the resolved ports once the servers are listening.
 from __future__ import annotations
 
 import asyncio
+import sys
+import threading
+import time
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
@@ -28,7 +31,9 @@ from repro.errors import (
     ConfigError,
     ShardFencedError,
     ShardMovedError,
+    SnapshotExpiredError,
 )
+from repro.faults import inject_worker_death
 from repro.server.client import KVClient, MovedError, ServerError
 from repro.shard.store import hash_shard_index
 
@@ -251,6 +256,102 @@ class TestNodeStore:
         finally:
             store_a.close()
             store_b.close()
+
+    def test_degraded_flush_and_close_skip_a_dead_shard(self, tmp_path):
+        # A shard whose workers died since its last operation: flush()
+        # polls health and skips it, close() quarantines and swallows
+        # the never-observed BackgroundError — degraded shutdown works
+        # on a node exactly as on an embedded ShardedStore.
+        config = LSMConfig(
+            background_mode=True, flush_threads=1, compaction_threads=1
+        )
+        store_a, store_b = _two_node_stores(tmp_path, config)
+        try:
+            for shard in (0, 2):
+                for key in _keys_for_shard(shard, 3, NUM_SHARDS):
+                    store_a.put(key, "v")
+            inject_worker_death(store_a.trees[2], "test: dead worker")
+            store_a.flush()
+            health = store_a.check_health()
+            assert health["state"] == "degraded"
+            assert health["quarantined"] == [2]
+            inject_worker_death(store_a.trees[0], "test: dead at close")
+            store_a.close()
+        finally:
+            store_a.kill()
+            store_b.close()
+
+    def test_batches_snapshots_and_fences_race_without_deadlock(
+        self, tmp_path
+    ):
+        # Lock order is write locks -> the forest's transaction lock on
+        # the write path, the transaction lock alone for snapshots, a
+        # write lock alone for fences. Race all three: nothing may hang,
+        # and no snapshot may see half of a cross-shard batch.
+        store_a, store_b = _two_node_stores(tmp_path)
+        key0 = _keys_for_shard(0, 1, NUM_SHARDS)[0]
+        key2 = _keys_for_shard(2, 1, NUM_SHARDS)[0]
+        store_a.write_batch([("put", key0, "0"), ("put", key2, "0")])
+        stop = threading.Event()
+        torn: List[Tuple[Optional[str], Optional[str]]] = []
+        commits = [0]
+
+        def writer(worker: int) -> None:
+            version = 0
+            while not stop.is_set():
+                version += 1
+                value = f"{worker}-{version}"
+                try:
+                    store_a.write_batch(
+                        [("put", key0, value), ("put", key2, value)]
+                    )
+                    commits[0] += 1
+                except ShardFencedError:
+                    pass
+
+        def reader() -> None:
+            while not stop.is_set():
+                with store_a.snapshot() as snapshot:
+                    try:
+                        pair = (
+                            store_a.get(key0, at=snapshot),
+                            store_a.get(key2, at=snapshot),
+                        )
+                    except SnapshotExpiredError:
+                        continue
+                if pair[0] != pair[1]:
+                    torn.append(pair)
+
+        def fencer() -> None:
+            while not stop.is_set():
+                store_a.fence(0)
+                store_a.abort_migration(0)  # lifts the fence
+
+        threads = [
+            threading.Thread(target=writer, args=(worker,), daemon=True)
+            for worker in range(4)
+        ]
+        threads += [
+            threading.Thread(target=reader, daemon=True) for _ in range(2)
+        ]
+        threads.append(threading.Thread(target=fencer, daemon=True))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=20.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert torn == []
+            assert commits[0] > 0
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            store_a.kill()
+            store_b.kill()
 
     def test_scan_covers_owned_shards_only(self, tmp_path):
         store_a, store_b = _two_node_stores(tmp_path)

@@ -5,8 +5,9 @@ The hot-path pass replaced per-entry encode/decode loops with batched
 codecs in three places: ``pack_entries``/``unpack_entries`` (checkpoint
 entry blocks, format v3), the WAL's single-line commit-group record, and
 the pre-packed protocol reply frames. These tests pin the roundtrips,
-the error paths, and — critically — that the *legacy* formats (v2
-SSTable files, per-entry WAL lines, legacy batch headers) still decode.
+the error paths, that per-entry WAL lines still replay beside group
+records, and that the retired formats nobody has files for (v2 SSTables,
+WAL ``{"b":N}`` batch headers) are refused as corruption.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.core.entry import (
 from repro.core.wal import (
     WriteAheadLog,
     _encode,
-    _encode_batch_header,
     _encode_group,
 )
 from repro.errors import CorruptionError
@@ -139,11 +139,10 @@ class TestSSTableFormatCompat:
         assert entries == list(table.iter_entries())
         assert tombstones == []
 
-    def test_v2_file_still_decodes(self):
-        expected = list(self._table().iter_entries())
-        entries, tombstones = _decode_table(self._encode_v2(expected))
-        assert entries == expected
-        assert tombstones == []
+    def test_v2_file_is_rejected(self):
+        blob = self._encode_v2(list(self._table().iter_entries()))
+        with pytest.raises(CorruptionError, match="unsupported.*version 2"):
+            _decode_table(blob)
 
     def test_unsupported_version_rejected(self):
         blob = self._encode_v2(list(self._table().iter_entries()))
@@ -186,16 +185,19 @@ class TestWalGroupRecords:
         assert len(lines) == 1  # whole commit group, one record
         assert list(WriteAheadLog.replay(path)) == self._entries()
 
-    def test_legacy_batch_header_format_replays(self, tmp_path):
-        # A log written by the previous format: per-entry records behind
-        # a {"b": N} header line.
+    def test_legacy_batch_header_is_rejected(self, tmp_path):
+        # The retired format: per-entry records behind a checksummed
+        # {"b": N} header line. The header is no record this log knows,
+        # and valid records follow it, so it is corruption, not a tear.
         path = str(tmp_path / "wal.log")
         entries = self._entries()
+        header = '{"b":%d}' % len(entries)
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_encode_batch_header(len(entries)))
+            handle.write(f"{zlib.crc32(header.encode()):08x},{header}\n")
             for item in entries:
                 handle.write(_encode(item))
-        assert list(WriteAheadLog.replay(path)) == entries
+        with pytest.raises(CorruptionError, match="failed to decode"):
+            list(WriteAheadLog.replay(path))
 
     def test_torn_group_record_is_discarded_whole(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -203,17 +205,6 @@ class TestWalGroupRecords:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(_encode(survivor))
             handle.write(_encode_group(self._entries())[:-20])  # torn
-        assert list(WriteAheadLog.replay(path)) == [survivor]
-
-    def test_torn_legacy_group_is_discarded_whole(self, tmp_path):
-        path = str(tmp_path / "wal.log")
-        survivor = entry("keep", "me")
-        entries = self._entries()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_encode(survivor))
-            handle.write(_encode_batch_header(len(entries)))
-            for item in entries[:-1]:  # crash before the last record
-                handle.write(_encode(item))
         assert list(WriteAheadLog.replay(path)) == [survivor]
 
     def test_mixed_single_and_group_records(self, tmp_path):

@@ -1,17 +1,32 @@
-"""Unit tests for the range-partitioned store."""
+"""Range-partitioned forests: ``ShardedStore(boundaries=..., disk=...)``.
+
+Range routing over one shared device (the E15 setup). The ``[range]``
+half of ``test_shard.py::TestOperations`` runs the generic CRUD, scan and
+rollup cases over per-shard devices; the two cases that were identical to
+those (scan of an empty interval, stats rollup) live only there.
+"""
 
 import random
 
 import pytest
 
 from repro.core.config import LSMConfig
-from repro.partition.store import PartitionedStore, range_boundaries
+from repro.errors import ClosedError
+from repro.shard import ShardedStore, range_boundaries
+from repro.storage.disk import SimulatedDisk
 from repro.workload.distributions import format_key
 
 
 def small_config():
     return LSMConfig(
         buffer_size_bytes=1024, target_file_bytes=512, block_bytes=256
+    )
+
+
+def forest(boundaries):
+    """A range-partitioned forest on one shared simulated device."""
+    return ShardedStore(
+        boundaries=boundaries, config=small_config(), disk=SimulatedDisk()
     )
 
 
@@ -32,7 +47,7 @@ class TestBoundaries:
 
 class TestRouting:
     def test_shard_for(self):
-        store = PartitionedStore(range_boundaries(100, 4), small_config())
+        store = forest(range_boundaries(100, 4))
         assert store.num_shards == 4
         assert store.shard_for(format_key(0)) is store.shards[0]
         assert store.shard_for(format_key(25)) is store.shards[1]
@@ -41,15 +56,15 @@ class TestRouting:
 
     def test_unsorted_boundaries_rejected(self):
         with pytest.raises(ValueError):
-            PartitionedStore(["b", "a"], small_config())
+            forest(["b", "a"])
         with pytest.raises(ValueError):
-            PartitionedStore(["a", "a"], small_config())
+            forest(["a", "a"])
 
 
 class TestOperations:
     @pytest.fixture
     def store(self):
-        return PartitionedStore(range_boundaries(400, 4), small_config())
+        return forest(range_boundaries(400, 4))
 
     def test_put_get_roundtrip(self, store):
         keys = [format_key(i) for i in range(400)]
@@ -79,9 +94,6 @@ class TestOperations:
         ]
         assert [v for _k, v in result] == [str(i) for i in range(95, 205)]
 
-    def test_scan_empty_interval(self, store):
-        assert store.scan("z", "a") == []
-
     def test_scan_limit_stops_across_shards(self, store):
         for index in range(400):
             store.put(format_key(index), str(index))
@@ -100,17 +112,12 @@ class TestOperations:
         store.write_batch(ops)
         assert store.get(format_key(0)) is None
         assert store.get(format_key(200)) == "200"
-        assert all(shard.stats.puts > 0 for shard in store.shards)
-        before = store.user_bytes_written
+        assert all(shard.stats.puts > 0 for shard in store.shards.values())
+        before = store.stats.user_bytes_written
         with pytest.raises(ValueError):
             store.write_batch([("put", "good", "v"), ("put", "bad", None)])
         assert store.get("good") is None
-        assert store.user_bytes_written == before
-
-    def test_stats_rollup(self, store):
-        for index in range(100):
-            store.put(format_key(index), "v")
-        assert store.stats.puts == 100
+        assert store.stats.user_bytes_written == before
 
     def test_backpressure_aggregate(self, store):
         state = store.backpressure()
@@ -118,14 +125,14 @@ class TestOperations:
         assert state["stop_trigger"] == 2 * state["slowdown_trigger"]
 
     def test_context_manager(self):
-        with PartitionedStore(
-            range_boundaries(100, 2), small_config()
-        ) as store:
+        with forest(range_boundaries(100, 2)) as store:
             store.put(format_key(1), "v")
             assert store.get(format_key(1)) == "v"
 
     def test_close(self, store):
         store.close()
+        with pytest.raises(ClosedError):
+            store.get(format_key(1))
 
 
 class TestPartitioningBenefit:
@@ -134,30 +141,44 @@ class TestPartitioningBenefit:
         random.Random(7).shuffle(keys)
 
         def build(num_shards):
-            store = PartitionedStore(
-                range_boundaries(1200, num_shards), small_config()
-            )
+            store = forest(range_boundaries(1200, num_shards))
             for key in keys:
                 store.put(key, "payload-" * 3)
             return store
 
         single = build(1)
         sharded = build(8)
-        assert sharded.compaction_bytes() < single.compaction_bytes()
+        assert (
+            sharded.stats.compaction_bytes_written
+            < single.stats.compaction_bytes_written
+        )
         assert sharded.max_depth() <= single.max_depth()
         assert sharded.write_amplification() < single.write_amplification()
 
+    def test_shared_disk_is_counted_once(self):
+        store = forest(range_boundaries(300, 4))
+        for index in range(300):
+            store.put(format_key(index), "payload-" * 3)
+        assert all(s.disk is store.disk for s in store.shards.values())
+        assert store.write_amplification() == pytest.approx(
+            store.disk.counters.bytes_written
+            / store.stats.user_bytes_written
+        )
+
     def test_shard_summary(self):
-        store = PartitionedStore(range_boundaries(100, 2), small_config())
+        store = forest(range_boundaries(100, 2))
         for index in range(100):
             store.put(format_key(index), "v")
         summary = store.shard_summary()
-        assert len(summary) == 2
-        assert all("compaction_bytes" in row for row in summary)
+        assert [row["shard"] for row in summary] == [0, 1]
+        assert all(row["routing"] == "range" for row in summary)
+        assert sum(row["disk_bytes"] for row in summary) == (
+            store.total_disk_bytes()
+        )
 
     def test_memory_footprint_scales_with_shards(self):
-        one = PartitionedStore([], small_config())
-        four = PartitionedStore(range_boundaries(100, 4), small_config())
+        one = forest([])
+        four = forest(range_boundaries(100, 4))
         for index in range(100):
             one.put(format_key(index), "v")
             four.put(format_key(index), "v")

@@ -13,13 +13,17 @@ PACKAGES = [
     "repro.filters",
     "repro.compaction",
     "repro.kvsep",
-    "repro.partition",
     "repro.faster",
     "repro.secondary",
     "repro.cost",
     "repro.workload",
     "repro.bench",
     "repro.server",
+    "repro.shard",
+    "repro.replication",
+    "repro.cluster",
+    "repro.faults",
+    "repro.concurrency",
 ]
 
 

@@ -10,8 +10,7 @@ import pytest
 from repro.core.config import LSMConfig
 from repro.errors import ClosedError, ConfigError, ShardUnavailableError
 from repro.faults import inject_worker_death
-from repro.partition import range_boundaries
-from repro.shard import ShardedStore, hash_shard_index
+from repro.shard import ShardedStore, hash_shard_index, range_boundaries
 from repro.shard.store import MANIFEST_NAME, PartialScanResult
 from repro.workload.distributions import format_key
 
@@ -116,7 +115,7 @@ class TestOperations:
         assert store.get(format_key(60)) == "60"
         # Every shard received its sub-batch: the keys cover the whole
         # keyspace, so both hash and range routing touch all 4 shards.
-        assert all(shard.stats.puts > 0 for shard in store.shards)
+        assert all(shard.stats.puts > 0 for shard in store.shards.values())
 
     def test_write_batch_validates_before_submitting(self, store):
         with pytest.raises(ValueError):
@@ -132,7 +131,7 @@ class TestOperations:
             store.put(format_key(index), "v")
         merged = store.stats
         assert merged.puts == 100
-        assert merged.puts == sum(s.stats.puts for s in store.shards)
+        assert merged.puts == sum(s.stats.puts for s in store.shards.values())
 
     def test_backpressure_rollup_has_per_shard_breakdown(self, store):
         state = store.backpressure()
@@ -236,7 +235,7 @@ class TestCrashRecovery:
         # crash mid write_batch would leave things, then abandon the store.
         for index in committed:
             store.shards[index].write_batch(by_shard[index])
-        pre_crash_seqnos = [shard.seqno for shard in store.shards]
+        pre_crash_seqnos = [shard.seqno for shard in store.shards.values()]
 
         recovered = ShardedStore.recover(small_config(), str(tmp_path))
         try:
@@ -247,7 +246,7 @@ class TestCrashRecovery:
                 assert recovered.get(key) == expected
             # Each shard replayed only its own WAL: committed shards kept
             # their sequence numbers, untouched shards stayed at zero.
-            for index, shard in enumerate(recovered.shards):
+            for index, shard in recovered.shards.items():
                 assert shard.seqno >= pre_crash_seqnos[index]
                 if index not in committed:
                     assert shard.seqno == 0
