@@ -56,10 +56,12 @@ def iter_all_versions(
     current_key: Optional[str] = None
     group: List[Entry] = []
     while heap:
-        key, _neg, order, entry, iterator = heapq.heappop(heap)
+        key, _neg, order, entry, iterator = heap[0]
         successor = next(iterator, None)
-        if successor is not None:
-            heapq.heappush(
+        if successor is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(
                 heap, (successor.key, -successor.seqno, order, successor, iterator)
             )
         if key != current_key:

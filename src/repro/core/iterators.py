@@ -41,14 +41,16 @@ def merge_entries(sources: List[Iterable[Entry]]) -> Iterator[Entry]:
 
     previous_key: str | None = None
     while heap:
-        key, _neg_seqno, priority, entry, iterator = heapq.heappop(heap)
+        key, _neg_seqno, priority, entry, iterator = heap[0]
         successor = next(iterator, None)
-        if successor is not None:
+        if successor is None:
+            heapq.heappop(heap)
+        else:
             if successor.key <= key:
                 raise ValueError(
                     "merge sources must be strictly sorted by key"
                 )
-            heapq.heappush(
+            heapq.heapreplace(
                 heap,
                 (successor.key, -successor.seqno, priority, successor, iterator),
             )

@@ -9,12 +9,9 @@ point lookups "move from the most to the least recent tier" (§2.1.2).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List
 
-from ..filters.bloom import Digest
-from .entry import Entry
 from .run import SortedRun
-from .sstable import ReadContext
 
 
 class Level:
@@ -76,42 +73,6 @@ class Level:
     def remove_run(self, run: SortedRun) -> None:
         """Remove a specific run object from the level."""
         self.runs.remove(run)
-
-    def get(
-        self, key: str, ctx: ReadContext, digest: Optional[Digest] = None
-    ) -> Optional[Entry]:
-        """Point lookup across this level's runs, newest first.
-
-        Counts every run probed in ``ctx.stats.runs_probed``; the first
-        match wins because within a level newer runs shadow older ones.
-
-        Note: this is the raw structural lookup used by unit tests and
-        simple callers. The tree's read path
-        (:meth:`repro.core.tree.LSMTree.get`) walks runs itself so it can
-        additionally track range-tombstone shadows and collect merge
-        operands across levels.
-        """
-        for run in self.runs:
-            if ctx.stats is not None:
-                ctx.stats.runs_probed += 1
-            entry = run.get(key, ctx, digest)
-            if entry is not None:
-                return entry
-        return None
-
-    def iter_runs_newest_first(self) -> Iterator[SortedRun]:
-        """Runs in recency order (index 0 is newest)."""
-        return iter(self.runs)
-
-    def runs_snapshot(self) -> List[SortedRun]:
-        """A point-in-time copy of the run list, newest first.
-
-        Runs and their SSTables are immutable once built, so copying the
-        list under the tree's manifest lock yields a consistent version
-        that reads can traverse while background compactions swap the live
-        list (version-style snapshot isolation, §2.2.3).
-        """
-        return list(self.runs)
 
     def overlapping_run_bytes(self, lo: str, hi: str) -> int:
         """Bytes of this level's files overlapping ``[lo, hi]``.

@@ -17,7 +17,7 @@ constructs a small read-write tradeoff *inside* the buffer:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..entry import Entry
 from .base import MemTable
@@ -85,6 +85,13 @@ class SkipListMemTable(MemTable):
 
     def entries(self) -> List[Entry]:
         return [entry for _key, entry in self._list.items()]
+
+    def scan(self, lo: str, hi: str) -> Iterator[Entry]:
+        """Seek to ``lo`` in O(log n) instead of walking from the head."""
+        for key, entry in self._list.items_from(lo):
+            if key >= hi:
+                break
+            yield entry
 
     @property
     def supports_point_reads_cheaply(self) -> bool:

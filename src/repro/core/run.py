@@ -10,6 +10,7 @@ while a tiered level stacks several runs.
 from __future__ import annotations
 
 import bisect
+import itertools
 from typing import Iterator, List, Optional, Sequence
 
 from ..filters.bloom import Digest
@@ -115,11 +116,20 @@ class SortedRun:
     def get(
         self, key: str, ctx: ReadContext, digest: Optional[Digest] = None
     ) -> Optional[Entry]:
-        """Point lookup: dispatch to the one candidate file."""
+        """Point lookup: :meth:`probe`, then fold the counts into
+        ``ctx.stats`` (see :meth:`SSTable.get`)."""
+        found = self.probe(key, ctx, digest)
+        ctx.fold()
+        return found
+
+    def probe(
+        self, key: str, ctx: ReadContext, digest: Optional[Digest] = None
+    ) -> Optional[Entry]:
+        """Counted point probe: dispatch to the one candidate file."""
         table = self.table_for(key)
         if table is None:
             return None
-        return table.get(key, ctx, digest)
+        return table.probe(key, ctx, digest)
 
     def covering_tombstone_seqno(self, key: str) -> int:
         """Newest run-level range tombstone covering ``key`` (-1 if none)."""
@@ -132,13 +142,23 @@ class SortedRun:
         ]
 
     def iter_range(self, lo: str, hi: str, ctx: ReadContext) -> Iterator[Entry]:
-        """Sorted entries with ``lo <= key < hi``, charging block I/O."""
-        for table in self.tables:
-            if table.max_key < lo:
-                continue
+        """Sorted entries with ``lo <= key < hi``, charging block I/O
+        lazily, block by block, as the consumer advances."""
+        return itertools.chain.from_iterable(
+            self._iter_block_slices(lo, hi, ctx)
+        )
+
+    def _iter_block_slices(
+        self, lo: str, hi: str, ctx: ReadContext
+    ) -> Iterator[List[Entry]]:
+        tables = self.tables
+        first = max(0, bisect.bisect_right(self._min_keys, lo) - 1)
+        for index in range(first, len(tables)):
+            table = tables[index]
             if table.min_key >= hi:
                 break
-            yield from table.iter_range(lo, hi, ctx)
+            if table.max_key >= lo:
+                yield from table.iter_block_slices(lo, hi, ctx)
 
     def iter_entries(self) -> Iterator[Entry]:
         """All entries in key order without charging I/O."""

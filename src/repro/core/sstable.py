@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
 from ..filters.bloom import BloomFilter, Digest, key_digest
@@ -43,33 +42,77 @@ def reset_table_ids(start: int = 1) -> None:
     _table_ids = itertools.count(start)
 
 
-@dataclass
 class ReadContext:
-    """Everything a read needs: the device, caches, and stat counters.
+    """Everything a read needs — the device, caches, and stat counters —
+    and the record of what the read did with them.
 
-    Bundled so that deep call chains (tree -> level -> run -> table) stay
-    explicit without six positional arguments at every hop.
+    Bundled so that deep call chains (tree -> run -> table) stay explicit
+    without six positional arguments at every hop. The probe counts
+    (``runs_probed`` … ``blocks_from_disk``, named after the
+    :class:`~repro.core.stats.TreeStats` counters they feed) are plain
+    attributes of this per-read object, so the probe loop bumps them
+    without a lock; they reach ``stats`` in one
+    :meth:`~repro.core.stats.TreeStats.fold_read` when the read ends.
     """
 
-    disk: SimulatedDisk
-    cache: Optional[BlockCache] = None
-    heat: Optional[HeatTracker] = None
-    stats: Optional[TreeStats] = None
-    cause: str = "get"
+    __slots__ = (
+        "disk",
+        "cache",
+        "heat",
+        "stats",
+        "cause",
+        "runs_probed",
+        "filter_probes",
+        "filter_negatives",
+        "filter_false_positives",
+        "fence_misses",
+        "blocks_from_cache",
+        "blocks_from_disk",
+    )
 
-    def _read_block(self, table: "SSTable", block_index: int) -> None:
+    def __init__(
+        self,
+        disk: SimulatedDisk,
+        cache: Optional[BlockCache] = None,
+        heat: Optional[HeatTracker] = None,
+        stats: Optional[TreeStats] = None,
+        cause: str = "get",
+    ) -> None:
+        self.disk = disk
+        self.cache = cache
+        self.heat = heat
+        self.stats = stats
+        self.cause = cause
+        self._zero_counts()
+
+    def _zero_counts(self) -> None:
+        self.runs_probed = 0
+        self.filter_probes = 0
+        self.filter_negatives = 0
+        self.filter_false_positives = 0
+        self.fence_misses = 0
+        self.blocks_from_cache = 0
+        self.blocks_from_disk = 0
+
+    def fold(self) -> None:
+        """Add the counts so far to ``stats`` (if any) and zero them: how
+        a lookup made outside a tree read reports its work."""
+        if self.stats is not None:
+            self.stats.fold_read(self)
+        self._zero_counts()
+
+    def read_block(self, table: "SSTable", block_index: int) -> None:
         """Fetch one data block, through the cache when present."""
         block = table.blocks[block_index]
         block_id = (table.table_id, block_index)
-        if self.cache is not None and self.cache.probe(block_id):
-            if self.stats is not None:
-                self.stats.blocks_from_cache += 1
+        cache = self.cache
+        if cache is not None and cache.probe(block_id):
+            self.blocks_from_cache += 1
         else:
             self.disk.read(block.nbytes, self.cause)
-            if self.stats is not None:
-                self.stats.blocks_from_disk += 1
-            if self.cache is not None:
-                self.cache.insert(block_id, block.nbytes)
+            self.blocks_from_disk += 1
+            if cache is not None:
+                cache.insert(block_id, block.nbytes)
         if self.heat is not None:
             self.heat.record_access(block.first_key, block.last_key)
         table.last_access_us = self.disk.now_us
@@ -294,7 +337,17 @@ class SSTable:
     def get(
         self, key: str, ctx: ReadContext, digest: Optional[Digest] = None
     ) -> Optional[Entry]:
-        """Point lookup inside this table, charging I/O as it goes.
+        """Point lookup inside this table: :meth:`probe`, then fold the
+        counts into ``ctx.stats``. (A tree read probes many tables and
+        folds once itself.)"""
+        found = self.probe(key, ctx, digest)
+        ctx.fold()
+        return found
+
+    def probe(
+        self, key: str, ctx: ReadContext, digest: Optional[Digest] = None
+    ) -> Optional[Entry]:
+        """Counted point probe, charging I/O and counting into ``ctx``.
 
         The probe order mirrors a real engine (§2.1.3): key-range check
         (free), Bloom filter (in-memory), fence pointers (in-memory), then
@@ -302,17 +355,15 @@ class SSTable:
         the lookup must fetch blocks sequentially until the key's position
         is passed — the superfluous I/O experiment E4 quantifies.
         """
-        stats = ctx.stats
         if key < self.min_key or key > self.max_key:
             return None
-        if self.bloom is not None:
+        bloom = self.bloom
+        if bloom is not None:
             if digest is None:
                 digest = key_digest(key)
-            if stats is not None:
-                stats.filter_probes += 1
-            if not self.bloom.may_contain_digest(digest):
-                if stats is not None:
-                    stats.filter_negatives += 1
+            ctx.filter_probes += 1
+            if not bloom.may_contain_digest(digest):
+                ctx.filter_negatives += 1
                 return None
 
         if self.fence is not None:
@@ -320,23 +371,22 @@ class SSTable:
             if block_index is None:
                 # Key falls in a gap between blocks: fence pointers answer
                 # without any disk access, but the Bloom filter said maybe.
-                if stats is not None:
-                    stats.fence_misses += 1
-                    if self.bloom is not None:
-                        stats.filter_false_positives += 1
+                ctx.fence_misses += 1
+                if bloom is not None:
+                    ctx.filter_false_positives += 1
                 return None
-            ctx._read_block(self, block_index)
+            ctx.read_block(self, block_index)
             found = self.blocks[block_index].find(key)
         else:
             found = None
             for block_index, block in enumerate(self.blocks):
-                ctx._read_block(self, block_index)
+                ctx.read_block(self, block_index)
                 if block.last_key >= key:
                     found = block.find(key)
                     break
 
-        if found is None and self.bloom is not None and stats is not None:
-            stats.filter_false_positives += 1
+        if found is None and bloom is not None:
+            ctx.filter_false_positives += 1
         return found
 
     def iter_entries(self) -> Iterator[Entry]:
@@ -346,23 +396,32 @@ class SSTable:
             yield from block.entries
 
     def iter_range(self, lo: str, hi: str, ctx: ReadContext) -> Iterator[Entry]:
-        """Entries with ``lo <= key < hi``, charging block reads."""
+        """Entries with ``lo <= key < hi``, charging block reads lazily:
+        a block is charged when the consumer first needs an entry of it."""
+        return itertools.chain.from_iterable(self.iter_block_slices(lo, hi, ctx))
+
+    def iter_block_slices(
+        self, lo: str, hi: str, ctx: ReadContext
+    ) -> Iterator[List[Entry]]:
+        """Per overlapping block, in order: charge it, then yield its
+        entries within ``[lo, hi)`` as one list (bisected, not filtered
+        entry by entry)."""
         if lo >= hi:
             return
         if self.fence is not None:
             start, stop = self.fence.overlap(lo, hi)
-            block_indexes = range(start, stop)
         else:
-            block_indexes = range(len(self.blocks))
-        for block_index in block_indexes:
+            start, stop = 0, len(self.blocks)
+        for block_index in range(start, stop):
             block = self.blocks[block_index]
-            if block.last_key < lo:
+            keys = block._keys
+            if keys[-1] < lo:
                 continue
-            if block.first_key >= hi:
+            if keys[0] >= hi:
                 break
-            ctx._read_block(self, block_index)
-            for entry in block.entries:
-                if entry.key >= hi:
-                    return
-                if entry.key >= lo:
-                    yield entry
+            ctx.read_block(self, block_index)
+            begin = bisect.bisect_left(keys, lo)
+            end = bisect.bisect_left(keys, hi, begin)
+            yield block.entries[begin:end]
+            if end < len(keys):
+                return

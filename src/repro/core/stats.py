@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, fields
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
+
+if TYPE_CHECKING:
+    from .sstable import ReadContext
 
 
 def percentile(samples: List[float], fraction: float) -> float:
@@ -38,11 +41,12 @@ class TreeStats:
     device-level page-granular totals.
 
     Thread safety: in background mode (:mod:`repro.concurrency`) counters
-    are bumped from client threads *and* flush/compaction workers. The
-    engine's own hot paths go through :meth:`incr` / :meth:`add_sample`,
-    which serialize on an internal lock; per-probe read-path counters
-    (filter/fence/cache) remain plain attributes and are best-effort under
-    concurrency — they steer no control flow.
+    are bumped from client threads *and* flush/compaction workers, so
+    every update serializes on an internal lock: :meth:`incr` /
+    :meth:`add_sample` for single counters, and :meth:`fold_read` for a
+    whole read — its probe counts are accumulated lock-free in the read's
+    own :class:`~repro.core.sstable.ReadContext` and added here, together
+    with the op count and latency sample, under one acquisition.
     """
 
     # -- write path -------------------------------------------------------
@@ -106,6 +110,30 @@ class TreeStats:
         """Atomically append ``value`` to the named sample list."""
         with self._lock:
             getattr(self, series).append(value)
+
+    def fold_read(
+        self,
+        reads: "ReadContext",
+        gets: int = 0,
+        gets_found: int = 0,
+        scans: int = 0,
+        latency_us: Optional[float] = None,
+    ) -> None:
+        """Atomically add one read's probe counts, the ops it served and
+        (when given) its latency sample."""
+        with self._lock:
+            self.gets += gets
+            self.gets_found += gets_found
+            self.scans += scans
+            self.runs_probed += reads.runs_probed
+            self.filter_probes += reads.filter_probes
+            self.filter_negatives += reads.filter_negatives
+            self.filter_false_positives += reads.filter_false_positives
+            self.fence_misses += reads.fence_misses
+            self.blocks_from_cache += reads.blocks_from_cache
+            self.blocks_from_disk += reads.blocks_from_disk
+            if latency_us is not None:
+                self.read_latencies_us.append(latency_us)
 
     def record_write_latency(self, micros: float) -> None:
         """Record the latency of one external write."""

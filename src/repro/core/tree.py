@@ -18,13 +18,14 @@ manifest lock so they never block behind a running compaction.
 
 from __future__ import annotations
 
+import heapq
 import os
 import threading
 import time
 from contextlib import nullcontext
 from typing import ContextManager, Dict, Iterator, List, Optional, Tuple
 
-from ..compaction.executor import CompactionExecutor, iter_all_versions
+from ..compaction.executor import CompactionExecutor
 from ..compaction.layouts import make_layout
 from ..compaction.picker import make_picker
 from ..compaction.planner import CompactionPlanner, last_data_level
@@ -54,6 +55,9 @@ from .wal import CommitHook, WriteAheadLog
 #: Overwritten versions kept alive for open snapshots before the tree
 #: gives up and expires them (honest degradation beats unbounded memory).
 _SNAPSHOT_PIN_CAP = 8192
+
+#: What :meth:`LSMTree._manifest` hands out in synchronous mode.
+_NO_LOCK = nullcontext()
 
 
 class LSMTree:
@@ -479,15 +483,16 @@ class LSMTree:
         """
         self._check_open()
         started_us = self._clock_us()
-        self.stats.incr("gets")
-        if at is None:
-            value = self._lookup_resolved(key)
-        else:
-            value = self._read_at(key, self._resolve_at(at))
-        self.stats.record_read_latency(self._clock_us() - started_us)
-        if value is None:
-            return None
-        self.stats.incr("gets_found")
+        ctx = ReadContext(self.disk, self.cache, self.heat, self.stats, "get")
+        value = self._lookup(
+            key, ctx, None if at is None else self._resolve_at(at)
+        )
+        self.stats.fold_read(
+            ctx,
+            gets=1,
+            gets_found=value is not None,
+            latency_us=self._clock_us() - started_us,
+        )
         return value
 
     def scan(
@@ -519,48 +524,120 @@ class LSMTree:
         if limit is not None and limit < 0:
             raise ValueError("limit must be non-negative (or None)")
         started_us = self._clock_us()
-        self.stats.incr("scans")
         at_seq = None if at is None else self._resolve_at(at)
         if at_seq is not None:
-            self._check_snapshot_floor(at_seq)
-        if limit == 0:
-            self.stats.record_read_latency(self._clock_us() - started_us)
-            return self._scan_result([], allow_partial)
-        ctx = ReadContext(
-            self.disk, self.cache, self.heat, self.stats, cause="scan"
+            self._check_snapshot_floor(at_seq, "scans")
+        ctx = ReadContext(self.disk, self.cache, self.heat, self.stats, "scan")
+        results = (
+            [] if limit == 0 else self._scan_merge(lo, hi, limit, at_seq, ctx)
         )
-        with self._manifest():
-            sources: List[Iterator[Entry]] = [self._active.scan(lo, hi)]
-            for buffer in reversed(self._immutable):
-                sources.append(buffer.memtable.scan(lo, hi))
-            run_lists = [
-                list(level.iter_runs_newest_first()) for level in self.levels
-            ]
-            tombstones = [
-                t for t in self.all_range_tombstones() if t.overlaps(lo, hi)
-            ]
-        if at_seq is not None:
-            tombstones = [t for t in tombstones if t.seqno <= at_seq]
-            sources.append(self._pinned_source(lo, hi, at_seq))
-        for runs in run_lists:
-            for run in runs:
-                sources.append(run.iter_range(lo, hi, ctx))
-        results: List[Tuple[str, str]] = []
-        for key, versions in iter_all_versions(sources):
-            cover_seqno = max_covering_seqno(tombstones, key)
-            if at_seq is not None:
-                versions = sorted(
-                    (v for v in versions if v.seqno <= at_seq),
-                    key=lambda entry: -entry.seqno,
-                )
-            live = [v for v in versions if v.seqno > cover_seqno]
-            value = self._resolve_versions(key, live)
-            if value is not None:
-                results.append((key, value))
-                if limit is not None and len(results) >= limit:
-                    break
-        self.stats.record_read_latency(self._clock_us() - started_us)
+        self.stats.fold_read(
+            ctx, scans=1, latency_us=self._clock_us() - started_us
+        )
         return self._scan_result(results, allow_partial)
+
+    def _scan_merge(
+        self,
+        lo: str,
+        hi: str,
+        limit: Optional[int],
+        at_seq: Optional[int],
+        ctx: ReadContext,
+    ) -> List[Tuple[str, str]]:
+        """The scan merge: one heap over every component's range iterator.
+
+        Pops entries in (key, newest-first) order; each pop advances the
+        popped source at once, and a key is resolved when the first entry
+        of the *next* key has been popped. Runs charge a block when the
+        merge first needs an entry from it, so this order — including the
+        one pop past the key a ``limit`` stops at — fixes the sequence of
+        block reads. A key whose only version is a ``PUT``, with no range
+        tombstone over the scan and no ``at=``, is appended as is; every
+        other key takes :meth:`_visible_value`.
+        """
+        components, first_run = self._components()
+        sources: List[Iterator[Entry]] = [
+            memtable.scan(lo, hi) for memtable, _ in components[:first_run]
+        ]
+        if at_seq is not None:
+            sources.append(self._pinned_source(lo, hi, at_seq))
+        sources.extend(
+            run.iter_range(lo, hi, ctx) for run, _ in components[first_run:]
+        )
+        # Read after the buffers were captured: a tombstone list only
+        # grows, so no captured entry can postdate a tombstone missed here.
+        tombstones = [
+            tombstone
+            for _source, attached in components
+            for tombstone in attached
+            if tombstone.overlaps(lo, hi)
+            and (at_seq is None or tombstone.seqno <= at_seq)
+        ]
+        heap = []
+        for order, source in enumerate(sources):
+            first = next(source, None)
+            if first is not None:
+                heap.append((first.key, -first.seqno, order, first, source))
+        # Every real key sorts below ``hi``: this entry-less sentinel pops
+        # last and resolves the final key like any key change does.
+        heap.append((hi, 0, len(sources), None, iter(())))
+        heapq.heapify(heap)
+        results: List[Tuple[str, str]] = []
+        plain = at_seq is None and not tombstones
+        put = EntryKind.PUT
+        heappop, heapreplace = heapq.heappop, heapq.heapreplace
+        current_key: Optional[str] = None
+        newest: Optional[Entry] = None
+        older: Optional[List[Entry]] = None  # all versions, once a 2nd shows
+        while True:
+            key, _neg, order, entry, source = heap[0]
+            successor = next(source, None)
+            if successor is None:
+                heappop(heap)
+            else:
+                heapreplace(
+                    heap,
+                    (successor.key, -successor.seqno, order, successor, source),
+                )
+            if key == current_key:
+                if older is None:
+                    older = [newest]
+                older.append(entry)
+                continue
+            if current_key is not None:
+                if older is None and plain and newest.kind is put:
+                    value = newest.value
+                else:
+                    value = self._visible_value(
+                        current_key, older or [newest], tombstones, at_seq
+                    )
+                if value is not None:
+                    results.append((current_key, value))
+                    if len(results) == limit:
+                        return results
+            if entry is None:
+                return results
+            current_key, newest, older = key, entry, None
+
+    def _visible_value(
+        self,
+        key: str,
+        versions: List[Entry],
+        tombstones: List[RangeTombstone],
+        at_seq: Optional[int],
+    ) -> Optional[str]:
+        """General resolution of one key's versions: snapshot visibility,
+        range-tombstone shadowing (strictly-older rule), then point
+        tombstones and merge operands."""
+        if at_seq is not None:
+            versions = sorted(
+                (v for v in versions if v.seqno <= at_seq),
+                key=lambda entry: -entry.seqno,
+            )
+        cover_seqno = max_covering_seqno(tombstones, key)
+        return self._resolve_versions(
+            key, [v for v in versions if v.seqno > cover_seqno]
+        )
 
     @staticmethod
     def _scan_result(
@@ -783,8 +860,11 @@ class LSMTree:
 
         return Snapshot.coerce(at).seqno_for(0)
 
-    def _check_snapshot_floor(self, at_seq: int) -> None:
+    def _check_snapshot_floor(self, at_seq: int, counter: str) -> None:
+        """Refuse a read below the expiry floor; the refused read still
+        counts as one issued ``gets`` / ``scans``."""
         if at_seq < self._snap_floor:
+            self.stats.incr(counter)
             raise SnapshotExpiredError(
                 f"snapshot at seqno {at_seq} expired: versions below "
                 f"{self._snap_floor} may have been garbage-collected",
@@ -828,42 +908,6 @@ class LSMTree:
                     if seen is None or entry.seqno > seen.seqno:
                         best[entry.key] = entry
         return iter(sorted(best.values(), key=lambda entry: entry.key))
-
-    def _read_at(self, key: str, at_seq: int) -> Optional[str]:
-        """Point lookup as of a snapshot.
-
-        Collects *every* stored version of the key at or below the
-        snapshot — one probe per component plus the pin buffer — rather
-        than stopping at the first base entry: the newest stored version
-        may postdate the snapshot. Correctness over probe count; at-reads
-        are not the hot path.
-        """
-        self._check_snapshot_floor(at_seq)
-        ctx = ReadContext(
-            self.disk, self.cache, self.heat, self.stats, cause="get"
-        )
-        digest = key_digest(key) if self.config.filter_bits_per_key else None
-        shadow_seqno = -1
-        versions: List[Entry] = []
-        for tombstones, getter, counts_as_run in self._lookup_units(
-            key, ctx, digest
-        ):
-            visible = [t for t in tombstones if t.seqno <= at_seq]
-            shadow_seqno = max(
-                shadow_seqno, max_covering_seqno(visible, key)
-            )
-            if counts_as_run:
-                self.stats.incr("runs_probed")
-            entry = getter()
-            if entry is not None and entry.seqno <= at_seq:
-                versions.append(entry)
-        with self._write_mutex:
-            for entry in self._pinned:
-                if entry.key == key and entry.seqno <= at_seq:
-                    versions.append(entry)
-        versions.sort(key=lambda entry: -entry.seqno)
-        live = [v for v in versions if v.seqno > shadow_seqno]
-        return self._resolve_versions(key, live)
 
     def backpressure(self) -> Dict[str, object]:
         """Non-blocking admission-control snapshot for serving layers.
@@ -1160,7 +1204,7 @@ class LSMTree:
         """
         if self._background is not None:
             return self._background.manifest_lock
-        return nullcontext()
+        return _NO_LOCK
 
     def _before_write(self) -> None:
         """Background mode: surface worker errors, apply backpressure."""
@@ -1387,115 +1431,109 @@ class LSMTree:
         schedule = monkey_bits_per_key(counts, self.config.filter_bits_per_key)
         return schedule[level_index]
 
-    def _lookup_resolved(self, key: str) -> Optional[str]:
-        """Full read-path resolution: tombstones, range shadows, merges.
+    def _components(
+        self,
+    ) -> Tuple[List[Tuple[object, List[RangeTombstone]]], int]:
+        """One consistent view of the tree for a read: every component
+        with its range tombstones, newest first, and the index of the
+        first sorted run (buffers come before it).
 
-        Walks components newest-first; a covering range tombstone seen at
-        any component shadows every strictly-older version below (the LSM
-        invariant orders components by recency per key). The first base
-        entry (PUT or point tombstone) ends the walk; MERGE operands are
-        collected along the way and folded at the end.
+        The list is snapshotted under the manifest lock, then read
+        lock-free: runs and their SSTables are immutable, a rotated
+        memtable is frozen and tombstone lists only ever grow, so the
+        view stays valid however long the read takes (a compaction
+        finishing mid-read only leaves it reading
+        superseded-but-consistent runs).
         """
-        ctx = ReadContext(
-            self.disk, self.cache, self.heat, self.stats, cause="get"
-        )
+        with self._manifest():
+            components: List[Tuple[object, List[RangeTombstone]]] = [
+                (self._active, self._active_tombstones)
+            ]
+            for buffer in reversed(self._immutable):
+                components.append((buffer.memtable, buffer.tombstones))
+            first_run = len(components)
+            for level in self.levels:
+                for run in level.runs:
+                    components.append((run, run.range_tombstones))
+        return components, first_run
+
+    def _lookup(
+        self, key: str, ctx: ReadContext, at_seq: Optional[int]
+    ) -> Optional[str]:
+        """The probe loop of a point read: tombstones, range shadows, merges.
+
+        Walks components newest-first, counting into ``ctx``; a covering
+        range tombstone seen at any component shadows every strictly-older
+        version below (the LSM invariant orders components by recency per
+        key). Reading the latest state, the first base entry (PUT or point
+        tombstone) ends the walk and MERGE operands met on the way are
+        folded into it.
+
+        Reading as of ``at_seq`` collects *every* stored version of the
+        key at or below the snapshot — one probe per component plus the
+        pin buffer — rather than stopping at the first base entry: the
+        newest stored version may postdate the snapshot. Correctness over
+        probe count; at-reads are not the hot path.
+        """
+        if at_seq is not None:
+            self._check_snapshot_floor(at_seq, "gets")
+        components, first_run = self._components()
         digest = key_digest(key) if self.config.filter_bits_per_key else None
-
         shadow_seqno = -1
-        operand_entries: List[Entry] = []
-        base: Optional[Entry] = None
-
-        for tombstones, getter, counts_as_run in self._lookup_units(
-            key, ctx, digest
-        ):
-            shadow_seqno = max(
-                shadow_seqno, max_covering_seqno(tombstones, key)
-            )
-            if counts_as_run:
-                self.stats.incr("runs_probed")
-            entry = getter()
+        versions: List[Entry] = []  # newest first
+        for index, (source, tombstones) in enumerate(components):
+            if tombstones:
+                if at_seq is not None:
+                    tombstones = [t for t in tombstones if t.seqno <= at_seq]
+                shadow_seqno = max(
+                    shadow_seqno, max_covering_seqno(tombstones, key)
+                )
+            if index < first_run:
+                entry = source.get(key)
+            else:
+                ctx.runs_probed += 1
+                entry = source.probe(key, ctx, digest)
             if entry is None:
+                continue
+            if at_seq is not None:
+                if entry.seqno <= at_seq:
+                    versions.append(entry)
                 continue
             if entry.seqno < shadow_seqno:
                 break  # the newest version of this key is range-deleted
-            if entry.kind is EntryKind.MERGE:
-                operand_entries.append(entry)
-                continue
-            base = entry
-            break
-
-        live_operands = [
-            entry.value
-            for entry in operand_entries
-            if entry.seqno > shadow_seqno
-        ]
-        if live_operands:
-            assert self.merge_operator is not None  # enforced at merge()
-            base_value = (
-                base.value
-                if base is not None and base.kind is EntryKind.PUT
-                else None
-            )
-            return self.merge_operator.full_merge(
-                key, base_value, list(reversed(live_operands))
-            )
-        if base is None or base.is_tombstone:
-            return None
-        return base.value
-
-    def _lookup_units(self, key, ctx, digest):
-        """Yield (range tombstones, point getter, counts-as-run) per
-        component, newest first.
-
-        The component list is snapshotted under the manifest lock, then
-        probed lock-free: runs and their SSTables are immutable, and a
-        rotated memtable is frozen, so the snapshot stays valid however
-        long the walk takes (a compaction finishing mid-walk only leaves
-        the snapshot reading superseded-but-consistent runs).
-        """
-        with self._manifest():
-            active = self._active
-            active_tombstones = list(self._active_tombstones)
-            immutables = [
-                (buffer.memtable, list(buffer.tombstones))
-                for buffer in reversed(self._immutable)
-            ]
-            run_lists = [
-                list(level.iter_runs_newest_first()) for level in self.levels
-            ]
-        yield (active_tombstones, lambda: active.get(key), False)
-        for memtable, tombstones in immutables:
-            yield (tombstones, lambda m=memtable: m.get(key), False)
-        for runs in run_lists:
-            for run in runs:
-                yield (
-                    run.range_tombstones,
-                    lambda r=run: r.get(key, ctx, digest),
-                    True,
+            if entry.kind is EntryKind.PUT and not versions:
+                return entry.value
+            versions.append(entry)
+            if entry.kind is not EntryKind.MERGE:
+                break
+        if at_seq is not None:
+            with self._write_mutex:
+                versions.extend(
+                    entry
+                    for entry in self._pinned
+                    if entry.key == key and entry.seqno <= at_seq
                 )
+            versions.sort(key=lambda entry: -entry.seqno)
+        if not versions:
+            return None
+        return self._resolve_versions(
+            key, [v for v in versions if v.seqno > shadow_seqno]
+        )
 
     def all_range_tombstones(self) -> List[RangeTombstone]:
-        """Every live range tombstone, deduplicated (analysis + scans)."""
-        with self._manifest():
-            collected = list(self._active_tombstones)
-            for buffer in self._immutable:
-                collected.extend(buffer.tombstones)
-            for level in self.levels:
-                for run in level.runs:
-                    collected.extend(run.range_tombstones)
-        return dedupe(collected)
+        """Every live range tombstone, deduplicated (analysis)."""
+        components, _first_run = self._components()
+        return dedupe(
+            tombstone
+            for _source, tombstones in components
+            for tombstone in tombstones
+        )
 
     def _all_components(self) -> Iterator[Iterator[Entry]]:
         """Every entry source, newest component first (analysis only)."""
-        with self._manifest():
-            memtables = [self._active] + [
-                buffer.memtable for buffer in reversed(self._immutable)
-            ]
-            run_lists = [
-                list(level.iter_runs_newest_first()) for level in self.levels
-            ]
-        for memtable in memtables:
-            yield iter(memtable.entries())
-        for runs in run_lists:
-            for run in runs:
-                yield run.iter_entries()
+        components, first_run = self._components()
+        for index, (source, _tombstones) in enumerate(components):
+            if index < first_run:
+                yield iter(source.entries())
+            else:
+                yield source.iter_entries()

@@ -4,8 +4,8 @@ State-of-the-art LSM engines maintain one Bloom filter per sorted run so a
 point lookup can skip probing a run altogether on a negative. This module
 provides:
 
-* :class:`BloomFilter` — a standard k-hash Bloom filter over a numpy bit
-  array, built either from a bits-per-key budget or an explicit false
+* :class:`BloomFilter` — a standard k-hash Bloom filter over a ``bytearray``
+  bit array, built either from a bits-per-key budget or an explicit false
   positive rate.
 * **Hash sharing** (§2.1.3, Zhu et al.): :func:`key_digest` computes a
   single 128-bit digest per key that every filter in the tree re-uses via
@@ -18,8 +18,6 @@ from __future__ import annotations
 import hashlib
 import math
 from typing import Iterable, Optional, Tuple
-
-import numpy as np
 
 from ..errors import FilterError
 from .base import PointFilter
@@ -37,11 +35,10 @@ def key_digest(key: str) -> Digest:
     Computing this once per lookup and sharing it across every level's
     filter implements the hash-sharing technique of §2.1.3.
     """
-    raw = hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest()
-    return (
-        int.from_bytes(raw[:8], "little"),
-        int.from_bytes(raw[8:], "little") | 1,  # odd => full-period stride
+    both = int.from_bytes(
+        hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest(), "little"
     )
+    return (both & _MASK64, (both >> 64) | 1)  # odd => full-period stride
 
 
 def optimal_num_hashes(bits_per_key: float) -> int:
@@ -70,7 +67,10 @@ def theoretical_fpr(num_keys: int, num_bits: int) -> float:
 
 
 class BloomFilter(PointFilter):
-    """A standard Bloom filter with double hashing over a numpy bit array.
+    """A standard Bloom filter with double hashing over a byte-array bit set.
+
+    Probe ``i`` of a digest ``(h1, h2)`` is bit ``((h1 + i * h2) mod 2^64)
+    mod num_bits``; bit ``p`` lives at ``_bits[p >> 3] & (1 << (p & 7))``.
 
     Args:
         num_bits: Size of the bit array. Rounded up to at least 8.
@@ -87,7 +87,7 @@ class BloomFilter(PointFilter):
             raise FilterError("a Bloom filter needs at least one hash")
         self._num_bits = max(8, int(num_bits))
         self._num_hashes = int(num_hashes)
-        self._bits = np.zeros((self._num_bits + 7) // 8, dtype=np.uint8)
+        self._bits = bytearray((self._num_bits + 7) // 8)
         self._num_added = 0
 
     @classmethod
@@ -143,18 +143,17 @@ class BloomFilter(PointFilter):
     def memory_bits(self) -> int:
         return self._num_bits
 
-    def _positions(self, digest: Digest) -> Iterable[int]:
-        h1, h2 = digest
-        for i in range(self._num_hashes):
-            yield ((h1 + i * h2) & _MASK64) % self._num_bits
-
     def add(self, key: str) -> None:
         self.add_digest(key_digest(key))
 
     def add_digest(self, digest: Digest) -> None:
         """Insert a pre-hashed key (hash-sharing write path)."""
-        for pos in self._positions(digest):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
+        probe, stride = digest
+        bits, num_bits = self._bits, self._num_bits
+        for _ in range(self._num_hashes):
+            pos = (probe & _MASK64) % num_bits
+            bits[pos >> 3] |= 1 << (pos & 7)
+            probe += stride
         self._num_added += 1
 
     def may_contain(self, key: str) -> bool:
@@ -162,9 +161,13 @@ class BloomFilter(PointFilter):
 
     def may_contain_digest(self, digest: Digest) -> bool:
         """Probe with a pre-computed digest (hash-sharing read path)."""
-        for pos in self._positions(digest):
-            if not self._bits[pos >> 3] & (1 << (pos & 7)):
+        probe, stride = digest
+        bits, num_bits = self._bits, self._num_bits
+        for _ in range(self._num_hashes):
+            pos = (probe & _MASK64) % num_bits
+            if not bits[pos >> 3] & (1 << (pos & 7)):
                 return False
+            probe += stride
         return True
 
     def expected_fpr(self) -> float:

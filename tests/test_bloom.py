@@ -1,5 +1,7 @@
 """Unit tests for the Bloom filter and hash sharing."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import FilterError
@@ -22,6 +24,51 @@ class TestDigest:
     def test_second_lane_is_odd(self):
         for key in ["a", "b", "xyz"]:
             assert key_digest(key)[1] % 2 == 1
+
+
+class TestBitLayout:
+    """The bit array and its positions are a fixed format: the reference
+    below is the definition (two 64-bit lanes of one blake2b digest, double
+    hashing modulo the bit count, little-endian bit order within a byte),
+    kept here in its plainest form for the inlined probe and build loops
+    to be compared against."""
+
+    @staticmethod
+    def reference_positions(key, num_bits, num_hashes):
+        raw = hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest()
+        h1 = int.from_bytes(raw[:8], "little")
+        h2 = int.from_bytes(raw[8:], "little") | 1
+        return [
+            ((h1 + i * h2) & ((1 << 64) - 1)) % num_bits
+            for i in range(num_hashes)
+        ]
+
+    @pytest.mark.parametrize("bits_per_key", [2.0, 10.0, 13.5])
+    def test_build_and_probe_match_the_reference(self, bits_per_key):
+        keys = [f"key{i:05d}" for i in range(0, 600, 2)]
+        bloom = BloomFilter.for_keys(keys, bits_per_key)
+        expected = bytearray((bloom.num_bits + 7) // 8)
+        for key in keys:
+            for pos in self.reference_positions(
+                key, bloom.num_bits, bloom.num_hashes
+            ):
+                expected[pos >> 3] |= 1 << (pos & 7)
+        assert bloom._bits == expected
+        for index in range(600):
+            key = f"key{index:05d}"
+            assert bloom.may_contain(key) == all(
+                expected[pos >> 3] & (1 << (pos & 7))
+                for pos in self.reference_positions(
+                    key, bloom.num_bits, bloom.num_hashes
+                )
+            )
+
+    def test_key_digest_lanes(self):
+        raw = hashlib.blake2b(b"user42", digest_size=16).digest()
+        assert key_digest("user42") == (
+            int.from_bytes(raw[:8], "little"),
+            int.from_bytes(raw[8:], "little") | 1,
+        )
 
 
 class TestSizing:

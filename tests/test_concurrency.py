@@ -7,6 +7,7 @@ RocksDB-style background-error contract.
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -185,6 +186,72 @@ class TestBackgroundStress:
             thread.join()
         assert not failures, failures[0]
         assert len(tree.scan("key0001000", "key0001100")) == 100
+        tree.close()
+
+
+class TestReadCounters:
+    THREADS = 4
+    GETS_PER_THREAD = 5000
+
+    def test_concurrent_gets_lose_no_counts(self):
+        """Each GET counts its probes in its own record and folds them
+        into ``TreeStats`` under the stats lock, so counters bumped from
+        several reader threads (the server's executor) stay exact: every
+        filter probe ends as a negative, a fence miss or one block."""
+        tree = LSMTree(bg_config(block_cache_bytes=64 * 1024))
+        for i in range(3000):
+            tree.put(f"key{2 * i:06d}", f"value-{i}")
+        tree.flush()
+        before = tree.stats.to_dict()
+        failures = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(self.GETS_PER_THREAD):
+                    index = rng.randrange(6000)
+                    expected = None if index % 2 else f"value-{index // 2}"
+                    assert tree.get(f"key{index:06d}") == expected
+            except BaseException as exc:  # noqa: BLE001 - collected
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=reader, args=(seed,))
+            for seed in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[0]
+        after = tree.stats.to_dict()
+        moved = {
+            name: after[name] - before[name]
+            for name in (
+                "gets",
+                "gets_found",
+                "filter_probes",
+                "filter_negatives",
+                "fence_misses",
+                "blocks_from_cache",
+                "blocks_from_disk",
+            )
+        }
+        assert moved["gets"] == self.THREADS * self.GETS_PER_THREAD
+        assert 0 < moved["gets_found"] < moved["gets"]
+        assert moved["filter_probes"] == (
+            moved["filter_negatives"]
+            + moved["fence_misses"]
+            + moved["blocks_from_cache"]
+            + moved["blocks_from_disk"]
+        )
+        assert len(tree.stats.read_latencies_us) >= moved["gets"]
         tree.close()
 
 

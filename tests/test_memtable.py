@@ -1,17 +1,22 @@
 """Unit tests for the four memtable variants (§2.2.1)."""
 
+import random
+
 import pytest
 
+from repro.core.config import MEMTABLE_KINDS
 from repro.core.entry import put, tombstone
 from repro.core.memtable import (
     HashLinkedListMemTable,
     HashSkipListMemTable,
+    LockedMemTable,
+    MemTable,
     SkipListMemTable,
     VectorMemTable,
     make_memtable,
 )
 
-ALL_KINDS = ["vector", "skiplist", "hash_skiplist", "hash_linkedlist"]
+ALL_KINDS = list(MEMTABLE_KINDS)
 
 
 @pytest.fixture(params=ALL_KINDS)
@@ -52,6 +57,28 @@ class TestCommonBehaviour:
         for index, key in enumerate(["a", "b", "c", "d"]):
             memtable.insert(put(key, key, index))
         assert [entry.key for entry in memtable.scan("b", "d")] == ["b", "c"]
+
+    @pytest.mark.parametrize("locked", [False, True])
+    def test_scan_equals_base_walk_on_random_ranges(self, memtable, locked):
+        """A kind may override ``scan`` with a seek (the skip list does);
+        every kind must still agree with the base walk over ``entries``,
+        bare or behind the background-mode lock."""
+        rng = random.Random(11)
+        for seqno in range(400):
+            key = f"k{rng.randrange(300):04d}"
+            entry = (
+                tombstone(key, seqno)
+                if rng.random() < 0.1
+                else put(key, f"v{seqno}", seqno)
+            )
+            memtable.insert(entry)
+        scanned = LockedMemTable(memtable) if locked else memtable
+        bounds = [f"k{index:04d}" for index in range(0, 301, 7)] + ["", "k", "l"]
+        for _ in range(200):
+            lo, hi = rng.choice(bounds), rng.choice(bounds)
+            assert list(scanned.scan(lo, hi)) == list(
+                MemTable.scan(memtable, lo, hi)
+            )
 
     def test_size_accounting_tracks_replacement(self, memtable):
         memtable.insert(put("a", "short", 0))

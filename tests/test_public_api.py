@@ -2,6 +2,9 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -66,6 +69,31 @@ def test_quickstart_from_readme_docstring():
     tree.delete("user1")
     assert tree.get("user1") is None
     assert tree.write_amplification() >= 0.0
+
+
+def test_import_repro_loads_neither_numpy_nor_scipy():
+    """Only the robust tuner needs scipy (which brings numpy), and it
+    imports it when called: a process that just serves or embeds the
+    engine must not pay ~0.5 s and ~57 MB for them at import."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    probe = (
+        "import sys; import repro, repro.cli, repro.server, repro.cluster; "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    )
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=src + (os.pathsep + inherited if inherited else ""),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_module_importable():

@@ -6,7 +6,7 @@ from repro.core.entry import put
 from repro.core.level import Level
 from repro.core.run import SortedRun
 from repro.core.sstable import ReadContext, SSTable
-from repro.core.stats import TreeStats
+from repro.core.tree import LSMTree
 
 
 def table_for_range(disk, lo, hi, seqno_base=0):
@@ -99,21 +99,20 @@ class TestLevel:
         fresh = SSTable.build(
             [put("key1", "new", 2)], disk=disk, block_bytes=256
         )
-        level = Level(0, 10**6)
+        tree = LSMTree(disk=disk)
+        level = tree._ensure_level(0)
         level.add_run_newest(SortedRun([stale]))
         level.add_run_newest(SortedRun([fresh]))
-        stats = TreeStats()
-        found = level.get("key1", ReadContext(disk, stats=stats))
-        assert found.value == "new"
-        assert stats.runs_probed == 1  # terminated at the first match
+        assert tree.get("key1") == "new"
+        assert tree.stats.runs_probed == 1  # terminated at the first match
 
     def test_probes_all_runs_on_miss(self, disk):
-        level = Level(0, 10**6)
+        tree = LSMTree(disk=disk)
+        level = tree._ensure_level(0)
         level.add_run_newest(SortedRun([table_for_range(disk, 0, 10)]))
         level.add_run_newest(SortedRun([table_for_range(disk, 0, 10, 100)]))
-        stats = TreeStats()
-        assert level.get("zzz", ReadContext(disk, stats=stats)) is None
-        assert stats.runs_probed == 2
+        assert tree.get("zzz") is None
+        assert tree.stats.runs_probed == 2
 
     def test_aggregates_and_removal(self, disk):
         level = Level(2, 10**6)
