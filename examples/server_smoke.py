@@ -4,8 +4,10 @@ Two phases:
 
 1. **Real process boundary** — spawn ``python -m repro.cli serve`` as a
    subprocess, wait for its listening banner, run a pipelined client
-   session (PUT/GET/SCAN/BATCH/DELETE/INFO) against it, then SIGINT it
-   and assert a clean, orderly shutdown (exit code 0).
+   session (PUT/GET/SCAN/BATCH/DELETE/INFO) against it, then one raw
+   mixed window (PUT/GET x4 in one segment) that must cost one commit
+   group per shard it touches, then SIGINT it and assert a clean,
+   orderly shutdown (exit code 0).
 2. **BUSY retry path** — an in-process server whose tree is forced to
    report the write-stop backpressure state for the first few admission
    checks; the client's exponential-backoff retry must absorb the BUSY
@@ -28,7 +30,12 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro import LSMConfig, LSMTree  # noqa: E402
-from repro.server import KVClient, KVServer  # noqa: E402
+from repro.server import (  # noqa: E402
+    FrameParser,
+    KVClient,
+    KVServer,
+    encode_messages,
+)
 
 
 async def pipelined_session(port: int, shards: int) -> None:
@@ -63,6 +70,43 @@ async def pipelined_session(port: int, shards: int) -> None:
     print(f"pipelined round-trip ({shards} shard(s)): ok")
 
 
+async def mixed_window(port: int) -> None:
+    """One pipelined window of alternating PUT/GET on a fresh connection:
+    replies in arrival order, and the four writes share their commits —
+    one group on a single tree, at most one per shard touched."""
+
+    async def commit_counts(kv: KVClient):
+        info = await kv.info()
+        puts = [row["puts"] for row in info.get("shards", [])]
+        return info["server"]["group_commits"], puts or [info["engine"]["puts"]]
+
+    requests, expected = [], []
+    for i in range(4):
+        requests += [["PUT", f"window{i}", f"w{i}"], ["GET", f"user{i + 2:04d}"]]
+        expected += [["OK"], ["VALUE", f"profile-{i + 2}"]]
+    async with await KVClient.connect("127.0.0.1", port) as kv:
+        commits_before, puts_before = await commit_counts(kv)
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            writer.write(encode_messages(requests))
+            parser, replies = FrameParser(), []
+            while len(replies) < len(requests):
+                data = await asyncio.wait_for(reader.read(64 * 1024), 15)
+                assert data, "server closed the connection mid-window"
+                replies.extend(parser.feed(data))
+        finally:
+            writer.close()
+            await writer.wait_closed()
+        assert replies == expected, replies
+        commits_after, puts_after = await commit_counts(kv)
+    touched = sum(
+        1 for before, after in zip(puts_before, puts_after) if after > before
+    )
+    commits = commits_after - commits_before
+    assert 1 <= commits <= touched, (commits, touched)
+    print(f"mixed window: 4 PUTs + 4 GETs in {commits} commit group(s): ok")
+
+
 def subprocess_server_phase(shards: int) -> None:
     """Start the CLI server, drive it, SIGINT it, assert clean shutdown."""
     env = dict(os.environ)
@@ -85,6 +129,7 @@ def subprocess_server_phase(shards: int) -> None:
         assert "listening on" in banner, f"unexpected banner: {banner!r}"
         port = int(banner.split("listening on", 1)[1].split()[0].rsplit(":", 1)[1])
         asyncio.run(pipelined_session(port, shards))
+        asyncio.run(mixed_window(port))
     finally:
         process.send_signal(signal.SIGINT)
         try:

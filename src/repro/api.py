@@ -220,7 +220,15 @@ class KVStore(Protocol):
         self, key: str, at: Optional[SnapshotLike] = None
     ) -> Optional[str]:
         """Point lookup; ``None`` when the key is absent. ``at=`` reads
-        as of a snapshot instead of the latest state."""
+        as of a snapshot instead of the latest state.
+
+        Without ``at=`` the call never waits: it does no I/O and takes no
+        lock that another thread holds across I/O (it may run while a
+        commit's ``fdatasync`` is in flight). The server answers such
+        reads on its event loop on the strength of this rule; a store
+        that cannot keep it must not be served. ``at=`` reads may wait
+        (the engine takes its write mutex to consult pinned versions).
+        """
         ...
 
     def delete(self, key: str) -> None:

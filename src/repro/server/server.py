@@ -11,31 +11,47 @@ connections.
 
 Three serving-layer mechanisms do the heavy lifting:
 
-* **Pipelining** — each connection's requests are decoded incrementally
-  and answered strictly in arrival order, so clients may write many
-  requests before reading the first reply. Ordering is per-connection;
-  different connections interleave freely.
-* **Parallel group commit** — writes (PUT/DELETE/BATCH) from all
-  connections are coalesced into shared
-  :meth:`~repro.api.KVStore.write_batch` calls: one write-mutex
-  acquisition and one WAL flush for N client writes (Luo & Carey's
-  ingestion-batching observation applied at the serving boundary). When
-  the store is sharded (it exposes ``num_shards``/``shard_index``), the
-  server runs **one committer per shard**: each write is routed to its
-  shard's committer, so different shards' commits — including their WAL
-  fsyncs — are in flight simultaneously instead of serializing on one
-  commit pipeline.
-* **Admission control** — before a write is admitted the server consults
-  :meth:`~repro.api.KVStore.backpressure`: the *slowdown* state delays
-  the reply (client-visible pushback that costs no thread), and the
-  *stop* state is converted into a retryable ``BUSY`` reply instead of
-  parking an executor thread on the engine's stall condition. Connection
-  count and per-request frame size are bounded the same way.
+* **Pipelining, a window at a time** — each connection's requests are
+  decoded incrementally and every chunk read off the socket (a client's
+  pipelined window) is served as a unit. Replies leave strictly in
+  arrival order, in one buffer; a write's effects are as if executed in
+  arrival order on its connection. Inside a window the writes
+  (PUT/DELETE/BATCH, and MULTI where one committer serves the whole
+  store) are *deferred* into one run and committed together, a plain
+  ``GET`` is answered at once — unless its key is written earlier in
+  the run, in which case the run commits first (read your pipelined
+  writes) — and every other verb is a barrier: the run commits, then the
+  verb runs. A read that does not conflict may therefore be answered
+  from the state before its window's writes commit; those writes are
+  still unacknowledged when the read is invoked, so that is a legal
+  linearization. Ordering is per-connection; different connections
+  interleave freely.
+* **Parallel group commit** — writes from all connections are coalesced
+  into shared :meth:`~repro.api.KVStore.write_batch` calls: one
+  write-mutex acquisition and one WAL flush for N client writes (Luo &
+  Carey's ingestion-batching observation applied at the serving
+  boundary), and one submission per window rather than per request.
+  When the store is sharded (it exposes ``num_shards``/``shard_index``),
+  the server runs **one committer per shard**: each write is routed to
+  its shard's committer, so different shards' commits — including their
+  WAL fsyncs — are in flight simultaneously instead of serializing on
+  one commit pipeline.
+* **Admission control** — before a write run is admitted the server takes
+  one :meth:`~repro.api.KVStore.backpressure` snapshot: the *slowdown*
+  state delays the reply (client-visible pushback that costs no thread),
+  and the *stop* state is converted into a retryable ``BUSY`` reply
+  instead of parking an executor thread on the engine's stall condition.
+  Connection count and per-request frame size are bounded the same way.
 
-Engine calls run on a bounded thread-pool executor so the event loop
-never blocks on storage work; a failing background flush/compaction
-surfaces as a structured ``ERR BACKGROUND`` reply (the store stays
-readable), never as a hung or dropped connection.
+Plain ``GET`` (no ``AT``) and ``PING`` run on the event loop itself: a
+latest-state point read takes no lock that is held across I/O on any
+store (the rule :meth:`repro.api.KVStore.get` states), so the executor
+hop would only add latency. Everything that can wait — every write,
+``SCAN``, snapshot reads, ``SNAP``, ``HEALTH``, cluster verbs — runs on
+a bounded thread-pool executor, so the loop never blocks on a commit; a
+failing background flush/compaction surfaces as a structured
+``ERR BACKGROUND`` reply (the store stays readable), never as a hung or
+dropped connection.
 """
 
 from __future__ import annotations
@@ -70,10 +86,11 @@ from .protocol import (
     encode_messages,
 )
 
-#: Verbs the in-order dispatcher treats as writes (group-commit eligible).
-#: ``MULTI`` is deliberately absent: its store-wide atomicity contract
-#: must reach the engine as one ``write_batch`` call, never folded into a
-#: shared group-commit window or split across per-shard committers.
+#: Verbs deferred into a window's write run on every server. ``MULTI``
+#: joins them only where one committer serves the whole store (see
+#: :attr:`KVServer._run_verbs`): its store-wide atomicity contract must
+#: reach the engine as one ``write_batch`` call, never split across
+#: per-shard committers.
 _WRITE_VERBS = ("PUT", "DELETE", "BATCH")
 
 #: Verbs (and the ``AT`` read suffix) gated behind a ``HELLO`` handshake
@@ -113,6 +130,11 @@ class _ConnState:
 #: default so a burst of coalesced pipelined replies does not flap the
 #: flow-control pause/resume machinery.
 _WRITE_BUFFER_HIGH = 256 * 1024
+
+#: A connection yields to the loop after every this many requests of a
+#: window: plain GETs never suspend, so a 64 KiB chunk of them would
+#: otherwise hold every other connection for its whole length.
+_LOOP_HOLD_REQUESTS = 128
 
 
 def maybe_install_uvloop(force: Optional[bool] = None) -> bool:
@@ -326,6 +348,14 @@ class KVServer:
             )
             for _ in range(num_committers)
         ]
+        #: Verbs a window defers into its write run. One committer makes
+        #: one ``write_batch`` — one WAL group record — of whole
+        #: submissions, so there ``MULTI`` keeps its all-or-nothing
+        #: contract inside the run; with per-shard committers it stays a
+        #: barrier and its own engine call (:meth:`_dispatch_multi`).
+        self._run_verbs = _WRITE_VERBS + (
+            ("MULTI",) if num_committers == 1 else ()
+        )
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Set[asyncio.StreamWriter] = set()
         self._started_at = time.time()
@@ -390,7 +420,6 @@ class KVServer:
         self.metrics.connection_opened()
         tune_transport(writer)
         parser = FrameParser(self.max_request_bytes)
-        pending: Deque[List[str]] = deque()
         conn = _ConnState()
         try:
             while True:
@@ -398,7 +427,7 @@ class KVServer:
                 if not data:
                     break
                 try:
-                    pending.extend(parser.feed(data))
+                    requests = parser.feed(data)
                 except ProtocolError as exc:
                     self.metrics.protocol_errors += 1
                     writer.write(
@@ -407,12 +436,13 @@ class KVServer:
                     await writer.drain()
                     break
                 # Reply cork: everything this chunk's requests produce is
-                # written as one buffer — one send(2) per pipelined run.
-                replies: List[List[str]] = []
-                while pending:
-                    await self._serve_next(conn, pending, replies)
-                if replies:
-                    writer.write(encode_messages(replies))
+                # written as one buffer — one send(2) per pipelined window.
+                if requests:
+                    writer.write(
+                        encode_messages(
+                            await self._serve_window(conn, requests)
+                        )
+                    )
                 await writer.drain()
         except (ConnectionError, asyncio.CancelledError):
             pass
@@ -430,59 +460,74 @@ class KVServer:
         except (ConnectionError, OSError):
             pass
 
-    async def _serve_next(
-        self,
-        conn: _ConnState,
-        pending: Deque[List[str]],
-        replies: List[List[str]],
-    ) -> None:
-        """Answer the head request into ``replies``; coalesce a run of
-        pipelined writes into one dispatch."""
-        if pending[0] and pending[0][0] in _WRITE_VERBS:
-            run: List[List[str]] = []
-            while (
-                pending
-                and pending[0]
-                and pending[0][0] in _WRITE_VERBS
-            ):
-                run.append(pending.popleft())
-            replies.extend(await self._dispatch_writes(run))
-            return
-        request = pending.popleft()
-        if request and request[0] == "MULTI":
-            replies.append(await self._dispatch_multi(conn, request))
-            return
-        replies.append(await self._dispatch_read(request, conn))
+    async def _serve_window(
+        self, conn: _ConnState, requests: List[List[str]]
+    ) -> List[List[str]]:
+        """Answer one chunk of pipelined requests, in arrival order.
+
+        Writes are parsed once and deferred into ``run``; the run is
+        committed — one :meth:`_dispatch_writes` call, so one commit
+        group per committer — when a later request needs its effects (a
+        ``GET`` of a key it writes, or any barrier verb) and at the end
+        of the window. ``PING`` and a plain ``GET`` of a key the run does
+        not write are answered at once, on the loop. Deferring costs no
+        latency: the reply cork holds every reply until the window is
+        done anyway.
+        """
+        replies: List[List[str]] = [[]] * len(requests)
+        run: List[Tuple[str, List[BatchOp]]] = []
+        slots: List[int] = []  # run[i] answers into replies[slots[i]]
+        written: Set[str] = set()  # every key an op of the run touches
+
+        async def commit_run() -> None:
+            for index, reply in zip(slots, await self._dispatch_writes(run)):
+                replies[index] = reply
+            run.clear()
+            slots.clear()
+            written.clear()
+
+        for slot, request in enumerate(requests):
+            verb = request[0]
+            if verb in self._run_verbs:
+                try:
+                    ops = self._parse_write(request, conn)
+                except (ProtocolError, ValueError) as exc:
+                    # No effects to order: fails alone, in its slot.
+                    self.metrics.errors_total += 1
+                    replies[slot] = ["ERR", "BADREQ", str(exc)]
+                else:
+                    run.append((verb, ops))
+                    slots.append(slot)
+                    written.update(op[1] for op in ops)
+            else:
+                plain_get = verb == "GET" and len(request) == 2
+                on_loop = plain_get or verb == "PING"
+                if run and (
+                    not on_loop or (plain_get and request[1] in written)
+                ):
+                    await commit_run()
+                if verb == "MULTI":
+                    replies[slot] = await self._dispatch_multi(conn, request)
+                else:
+                    replies[slot] = await self._dispatch_read(request, conn)
+            if slot % _LOOP_HOLD_REQUESTS == _LOOP_HOLD_REQUESTS - 1:
+                await asyncio.sleep(0)
+        if run:
+            await commit_run()
+        return replies
 
     # -- write path ---------------------------------------------------------
 
     async def _dispatch_writes(
-        self, requests: List[List[str]]
+        self, run: List[Tuple[str, List[BatchOp]]]
     ) -> List[List[str]]:
-        """Admit, commit, and answer a run of pipelined write requests."""
+        """Admit, commit, and answer a window's run of parsed writes:
+        one ``(verb, ops)`` and one reply per request."""
         started = time.perf_counter()
-        parsed: List[List[BatchOp]] = []
-        for request in requests:
-            try:
-                parsed.append(self._parse_write(request))
-            except (ProtocolError, ValueError) as exc:
-                # A malformed write poisons the whole coalesced run; fall
-                # back to answering each request individually so only the
-                # bad one errors.
-                if len(requests) > 1:
-                    replies = []
-                    for single in requests:
-                        replies.extend(await self._dispatch_writes([single]))
-                    return replies
-                self.metrics.errors_total += 1
-                return [["ERR", "BADREQ", str(exc)]]
-
-        busy = self._admission_check()
+        busy = await self._admit(len(run))
         if busy is not None:
-            self.metrics.busy_rejections += len(requests)
-            return [list(busy) for _ in requests]
-        if await self._apply_slowdown():
-            self.metrics.slowdown_delays += len(requests)
+            return [busy] * len(run)
+        parsed = [ops for _, ops in run]
 
         # Per-request fault isolation: each request commits (and fails)
         # on its own, so one quarantined shard errors only the writes
@@ -531,15 +576,16 @@ class KVServer:
 
         micros = (time.perf_counter() - started) * 1e6
         replies: List[List[str]] = []
-        for request, sub_ops, outcome in zip(requests, parsed, outcomes):
-            verb = request[0]
+        for (verb, sub_ops), outcome in zip(run, outcomes):
             if outcome is not None:
                 self.metrics.errors_total += 1
                 replies.append(self._error_reply(outcome))
                 continue
             self.metrics.record_op(verb, micros)
             replies.append(
-                ["OK", str(len(sub_ops))] if verb == "BATCH" else ["OK"]
+                ["OK"]
+                if verb in ("PUT", "DELETE")
+                else ["OK", str(len(sub_ops))]
             )
         return replies
 
@@ -573,8 +619,9 @@ class KVServer:
             )
         )
 
-    @staticmethod
-    def _parse_write(request: Sequence[str]) -> List[BatchOp]:
+    def _parse_write(
+        self, request: Sequence[str], conn: _ConnState
+    ) -> List[BatchOp]:
         verb = request[0]
         if verb == "PUT":
             if len(request) != 3:
@@ -584,10 +631,15 @@ class KVServer:
             if len(request) != 2:
                 raise ProtocolError("DELETE needs exactly a key")
             return [("delete", request[1], None)]
+        if verb == "MULTI":
+            self._require_v2(conn, "MULTI")
         return decode_batch(request)
 
-    def _admission_check(self) -> Optional[List[str]]:
-        """BUSY reply if the engine is write-stopped, else ``None``.
+    async def _admit(self, requests: int) -> Optional[List[str]]:
+        """Admission for ``requests`` writes, decided from one
+        backpressure snapshot: the BUSY reply if the engine is
+        write-stopped, else ``None`` — after delaying the caller while
+        the engine reports the slowdown state.
 
         For sharded stores the check is conservative: the aggregate state
         is the worst shard's, so one write-stopped shard sheds writes for
@@ -595,57 +647,45 @@ class KVServer:
         cannot take.
         """
         state = self.store.backpressure()
-        if state["state"] != "stop":
-            return None
-        return [
-            "BUSY",
-            "engine write-stopped "
-            f"(level0_runs={state['level0_runs']}, "
-            f"immutable_buffers={state['immutable_buffers']}); retry",
-        ]
-
-    async def _apply_slowdown(self) -> bool:
-        """Delay the reply while the engine reports the slowdown state."""
-        if self.slowdown_delay_s <= 0:
-            return False
-        if self.store.backpressure()["state"] != "slowdown":
-            return False
-        await asyncio.sleep(self.slowdown_delay_s)
-        return True
+        if state["state"] == "stop":
+            self.metrics.busy_rejections += requests
+            return [
+                "BUSY",
+                "engine write-stopped "
+                f"(level0_runs={state['level0_runs']}, "
+                f"immutable_buffers={state['immutable_buffers']}); retry",
+            ]
+        if state["state"] == "slowdown" and self.slowdown_delay_s > 0:
+            await asyncio.sleep(self.slowdown_delay_s)
+            self.metrics.slowdown_delays += requests
+        return None
 
     # -- transactional write path (v2) --------------------------------------
 
     async def _dispatch_multi(
         self, conn: _ConnState, request: List[str]
     ) -> List[str]:
-        """Answer one ``MULTI`` request: a store-wide atomic batch.
+        """Answer one ``MULTI`` on a server with per-shard committers: a
+        store-wide atomic batch.
 
-        Deliberately bypasses the group committers: the whole batch must
-        reach the engine as a single ``write_batch`` call so its
-        atomicity contract (two-phase commit when it spans shards) holds,
-        and that call runs on one executor thread end to end — the 2PC
-        coordinator holds reentrant shard mutexes across the
-        prepare→commit window, so the protocol is thread-affine.
+        (With a single committer ``MULTI`` rides the window's write run
+        instead — see ``_run_verbs``.) Here it bypasses the group
+        committers: the whole batch must reach the engine as a single
+        ``write_batch`` call so its atomicity contract (two-phase commit
+        when it spans shards) holds, and that call runs on one executor
+        thread end to end — the 2PC coordinator holds reentrant shard
+        mutexes across the prepare→commit window, so the protocol is
+        thread-affine.
         """
         started = time.perf_counter()
-        if conn.protocol_version < 2:
-            self.metrics.errors_total += 1
-            return [
-                "ERR",
-                "BADREQ",
-                "MULTI requires protocol version 2; send HELLO 2 first",
-            ]
         try:
-            ops = decode_batch(request)
+            ops = self._parse_write(request, conn)
         except ProtocolError as exc:
             self.metrics.errors_total += 1
             return ["ERR", "BADREQ", str(exc)]
-        busy = self._admission_check()
+        busy = await self._admit(1)
         if busy is not None:
-            self.metrics.busy_rejections += 1
-            return list(busy)
-        if await self._apply_slowdown():
-            self.metrics.slowdown_delays += 1
+            return busy
         try:
             await self._run_engine(self.store.write_batch, ops)
         except Exception as exc:
@@ -727,9 +767,10 @@ class KVServer:
                         "GET needs a key (optionally: AT token)"
                     )
                 if at is None:
-                    value = await self._run_engine(
-                        self.store.get, request[1]
-                    )
+                    # On the loop: a latest-state point read never waits
+                    # (no I/O, no lock held across I/O — the KVStore.get
+                    # contract), so a thread hop would only add latency.
+                    value = self.store.get(request[1])
                 else:
                     value = await self._run_engine(
                         lambda: self.store.get(request[1], at=at)

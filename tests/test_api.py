@@ -10,7 +10,9 @@ each one unmodified).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import tempfile
+import threading
 
 import pytest
 
@@ -39,16 +41,17 @@ def small_config() -> LSMConfig:
     )
 
 
-def make_store(kind: str) -> KVStore:
+def make_store(kind: str, config: LSMConfig | None = None) -> KVStore:
+    config = config or small_config()
     if kind == "tree":
-        return LSMTree(small_config())
+        return LSMTree(config)
     if kind == "sharded":
-        return ShardedStore(4, small_config())
-    if kind == "replicated":
+        return ShardedStore(4, config)
+    if kind.startswith("replicated"):
         return ReplicatedStore(
             4,
-            small_config(),
-            mode="sync",
+            config,
+            mode="async" if kind == "replicated-async" else "sync",
             wal_dir=tempfile.mkdtemp(prefix="repro-api-repl-"),
         )
     if kind == "node":
@@ -57,12 +60,19 @@ def make_store(kind: str) -> KVStore:
         return NodeStore(
             "solo",
             ClusterMap.even(4, [node]),
-            small_config(),
+            config,
             wal_dir=tempfile.mkdtemp(prefix="repro-api-node-"),
         )
-    return ShardedStore(
-        boundaries=range_boundaries(400, 4), config=small_config()
-    )
+    return ShardedStore(boundaries=range_boundaries(400, 4), config=config)
+
+
+def shard_trees(store: KVStore) -> list[LSMTree]:
+    """Every tree a write to ``store`` can commit into."""
+    if isinstance(store, LSMTree):
+        return [store]
+    if isinstance(store, NodeStore):
+        return list(store.trees.values())
+    return list(store.shards.values()) + list(getattr(store, "replicas", []))
 
 
 STORE_KINDS = ("tree", "sharded", "sharded-range", "replicated", "node")
@@ -210,6 +220,54 @@ class TestConformance:
         with pytest.raises(Exception):
             store.put("k2", "v2")
             store.flush()
+
+
+@pytest.mark.parametrize("background", [False, True], ids=["sync", "bg"])
+@pytest.mark.parametrize("kind", STORE_KINDS + ("replicated-async",))
+def test_latest_state_get_never_waits_on_a_commit(kind, background):
+    """The KVStore.get contract the server's loop relies on: without
+    ``at=``, a point read takes no lock that is held across I/O. A
+    helper thread holds every tree's write mutex (an ``fdatasync`` in
+    flight holds exactly that); reads of a flushed key, a buffered key
+    and an absent key must still return."""
+    config = dataclasses.replace(small_config(), background_mode=background)
+    store = make_store(kind, config)
+    held, release = threading.Event(), threading.Event()
+
+    def hold_write_mutexes():
+        trees = shard_trees(store)
+        for tree in trees:
+            tree._write_mutex.acquire()
+        held.set()
+        release.wait(60)
+        for tree in trees:
+            tree._write_mutex.release()
+
+    values = []
+
+    def read():
+        keys = (format_key(5), format_key(105), "missing-key")
+        values.extend(store.get(key) for key in keys)
+
+    holder = threading.Thread(target=hold_write_mutexes)
+    reader = threading.Thread(target=read, daemon=True)
+    try:
+        for index in range(100):
+            store.put(format_key(index), "flushed")
+        store.flush()
+        for index in range(100, 120):
+            store.put(format_key(index), "buffered")
+        holder.start()
+        assert held.wait(10)
+        reader.start()
+        reader.join(30)  # the failure bound, not a pacing delay
+        assert not reader.is_alive(), "get() waited on a write mutex"
+        assert values == ["flushed", "buffered", None]
+    finally:
+        release.set()
+        if holder.ident is not None:
+            holder.join(10)
+        store.close()
 
 
 class TestNonConformance:

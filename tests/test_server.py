@@ -451,7 +451,7 @@ class TestAdmissionControl:
     def test_slowdown_state_delays_but_admits(self):
         async def scenario():
             tree = LSMTree(bg_config())
-            # One snapshot for admission, one for the slowdown check.
+            # One snapshot per write run decides stop / slowdown / ok.
             self.stub_backpressure(tree, ["slowdown", "slowdown"])
             async with serving(tree, slowdown_delay_s=0.001) as server:
                 async with await KVClient.connect(
