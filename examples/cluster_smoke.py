@@ -25,7 +25,15 @@ The distributed-serving drill CI runs end to end, against real
    silence, promotes its warm standbys behind an epoch bump, and the
    client rides the failover with zero failed writes and zero acked
    writes lost.
-6. Partition drill: a fresh primary/standby pair started with
+6. Migration onto the replica node: on another fresh replicated pair,
+   preload one shard until ``cluster migrate`` outlasts several of its
+   shipper's retries, then migrate it onto the node that holds its
+   standby while a writer keeps acking puts. Zero acked writes lost, a
+   bumped epoch, and the new owner's ``HEALTH`` lists the shard as
+   owned and as neither replica nor receiving — one open tree per shard
+   directory (the standby's slot is superseded by the migration, and
+   the shipper opens no session under it).
+7. Partition drill: a fresh primary/standby pair started with
    ``--self-fence``, every node-to-node link routed through an
    in-process :class:`repro.faults.net.NetProxy` via ``--peer-proxy``.
    Cut both node links under client load and assert the partitioned
@@ -132,26 +140,31 @@ async def write_and_read_back(client: ClusterClient) -> None:
     print(f"phase 1 ok: {len(keys)} keys across all {NUM_SHARDS} shards")
 
 
-async def migrate_under_load(client: ClusterClient, admin_port: int) -> None:
+async def _start_writer(client: ClusterClient, prefix: str, value: str):
+    """Keep acking windows of 8 puts across every shard; returns the
+    acked-key list, the stop event and the task once demonstrably in
+    flight."""
     acked: list = []
     stop = asyncio.Event()
 
     async def writer() -> None:
         index = 0
         while not stop.is_set():
-            window = [f"mig-{index + j:05d}" for j in range(8)]
-            await asyncio.gather(
-                *(client.put(key, "during-migration") for key in window)
-            )
+            window = [f"{prefix}-{index + j:05d}" for j in range(8)]
+            await asyncio.gather(*(client.put(key, value) for key in window))
             acked.extend(window)
             index += 8
 
     task = asyncio.create_task(writer())
-    while len(acked) < 24:  # writer is demonstrably in flight
+    while len(acked) < 24:
         if task.done():
             task.result()
         await asyncio.sleep(0.01)
+    return acked, stop, task
 
+
+async def migrate_under_load(client: ClusterClient, admin_port: int) -> None:
+    acked, stop, task = await _start_writer(client, "mig", "during-migration")
     admin = await KVClient.connect("127.0.0.1", admin_port)
     try:
         reply = await admin.command(["MIGRATE", str(MOVING_SHARD), "b"])
@@ -314,10 +327,78 @@ async def failover_drive(ports: list, processes: dict) -> None:
         )
 
 
-def failover_main() -> None:
-    """Phase 4's own cluster: 2 nodes, replicated map, fast lease."""
+async def migrate_onto_replica_drive(ports: list, processes: dict) -> None:
+    shard = 0  # a owns it, b holds its standby
+    async with await ClusterClient.connect("127.0.0.1", ports[0]) as client:
+        for port in ports:
+            await _wait_streaming(port)
+        assert client.map.owner_id(shard) == "a"
+        assert client.map.replica_id(shard) == "b"
+        epoch_before = client.map.epoch
+        # Enough keys that the migration outlasts several retries of the
+        # shard's shipper (first one 0.13–0.25 s after its stream dies).
+        preload = []
+        index = 0
+        while len(preload) < 12000:
+            key = f"big-{index:06d}"
+            if client.map.shard_index(key) == shard:
+                preload.append(key)
+            index += 1
+        owner = await KVClient.connect("127.0.0.1", ports[0])
+        try:
+            for start in range(0, len(preload), 400):
+                await owner.batch(
+                    [("put", key, "x" * 64)
+                     for key in preload[start:start + 400]]
+                )
+        finally:
+            await owner.close()
+
+        acked, stop, task = await _start_writer(client, "rmig", "during")
+        started = time.perf_counter()
+        await asyncio.to_thread(
+            _run_cli,
+            ["cluster", "migrate", "--port", str(ports[0]),
+             "--shard", str(shard), "--to", "b"],
+        )
+        migrate_s = time.perf_counter() - started
+        stop.set()
+        await task
+
+        values = await asyncio.gather(*(client.get(key) for key in acked))
+        lost = [k for k, v in zip(acked, values) if v != "during"]
+        assert not lost, f"{len(lost)} acked writes lost across migration"
+        for start in range(0, len(preload), 400):
+            window = preload[start:start + 400]
+            values = await asyncio.gather(*(client.get(k) for k in window))
+            assert all(v == "x" * 64 for v in values), "preloaded key lost"
+        await client.refresh()
+        assert client.map.epoch > epoch_before, client.map.epoch
+        assert client.map.owner_id(shard) == "b"
+        new_owner = await KVClient.connect("127.0.0.1", ports[1])
+        try:
+            health = await new_owner.health()
+        finally:
+            await new_owner.close()
+        assert shard in health["owned_shards"], health["owned_shards"]
+        assert shard not in health["replica_shards"], (
+            f"shard {shard} is owned *and* a standby on b: two trees on "
+            "one directory"
+        )
+        assert shard not in health["receiving_shards"]
+        print(
+            f"phase 5 ok: shard {shard} ({len(preload)} keys) migrated "
+            f"onto its replica node in {migrate_s:.2f}s under load; "
+            f"{len(acked)} acked writes, 0 lost; b owns it and holds no "
+            f"second tree for it (epoch {client.map.epoch})"
+        )
+
+
+def _replicated_pair_main(prefix: str, drive, clean_exits: tuple) -> None:
+    """A fresh 2-node cluster (replicated map, fast lease) for ``drive``;
+    the nodes in ``clean_exits`` must shut down in good order."""
     ports = _free_ports(2)
-    with tempfile.TemporaryDirectory(prefix="failover-smoke-") as data_dir:
+    with tempfile.TemporaryDirectory(prefix=prefix) as data_dir:
         _run_cli(
             ["cluster", "init", "--data-dir", data_dir, "--shards", "4",
              "--node", f"a=127.0.0.1:{ports[0]}",
@@ -334,7 +415,7 @@ def failover_main() -> None:
         try:
             for port in ports:
                 _wait_listening(port)
-            asyncio.run(failover_drive(ports, processes))
+            asyncio.run(drive(ports, processes))
         finally:
             for process in processes.values():
                 if process.poll() is None:
@@ -345,9 +426,9 @@ def failover_main() -> None:
                 except subprocess.TimeoutExpired:
                     process.kill()
                     raise AssertionError(f"node {node_id} hung on SIGINT")
-        # b was SIGINT'd and must shut down in good order; a was killed.
-        code = processes["b"].returncode
-        assert code == 0, f"node b exited {code}"
+        for node_id in clean_exits:
+            code = processes[node_id].returncode
+            assert code == 0, f"node {node_id} exited {code}"
 
 
 async def partition_drive(
@@ -482,7 +563,7 @@ async def partition_drive(
             )
             await client.refresh()
             print(
-                f"phase 5 ok: a↔b partitioned under load; a "
+                f"phase 6 ok: a↔b partitioned under load; a "
                 f"self-fenced (BUSY probe), b promoted, {len(acked)} "
                 f"acked writes, 0 failed, 0 lost; maps converged at "
                 f"epoch {client.map.epoch} after heal"
@@ -493,7 +574,7 @@ async def partition_drive(
 
 
 def partition_main() -> None:
-    """Phase 5's own cluster: designated primary/standby pair whose
+    """Phase 6's own cluster: designated primary/standby pair whose
     node links run through in-process fault proxies."""
     ports = _free_ports(4)  # 2 node binds + 2 proxy binds
     node_ports, proxy_ports = ports[:2], ports[2:]
@@ -580,7 +661,11 @@ def main() -> int:
         for node_id in ("a", "b"):
             code = processes[node_id].returncode
             assert code == 0, f"node {node_id} exited {code}"
-    failover_main()
+    # b was SIGINT'd and must shut down in good order; a was killed.
+    _replicated_pair_main("failover-smoke-", failover_drive, ("b",))
+    _replicated_pair_main(
+        "replica-migrate-smoke-", migrate_onto_replica_drive, ("a", "b")
+    )
     partition_main()
     print(f"cluster smoke passed in {time.perf_counter() - started:.1f}s")
     return 0

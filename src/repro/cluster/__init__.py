@@ -16,15 +16,18 @@ processes, Nova-LSM-style. Four pieces, smallest first:
 * :class:`ClusterClient` — map-driven routing with MOVED-redirect
   chasing and one pooled connection per node.
 
-:func:`migrate_local` and :func:`replicate_local` are the in-process
-twins of the wire migration driver and the cross-node replication
-shipper, built for the crash-consistency sweep.
+:func:`migrate_shard` is *the* migration driver — the synchronous
+function that serves ``MIGRATE`` (against a wire peer), that the tests
+call and that the crash-consistency sweep crashes at every crossing
+(both against a second in-process :class:`NodeStore`).
+:func:`replicate_local` is the small in-process twin of the long-lived
+cross-node replication shipper, built for the same sweep.
 """
 
 from .client import ClusterClient, ClusterError
 from .map import CLUSTER_MANIFEST, ClusterMap, NodeInfo
 from .node import ClusterNode
-from .store import SNAPSHOT_CHUNK, NodeStore, migrate_local, replicate_local
+from .store import SNAPSHOT_CHUNK, NodeStore, migrate_shard, replicate_local
 
 __all__ = [
     "CLUSTER_MANIFEST",
@@ -35,6 +38,6 @@ __all__ = [
     "ClusterNode",
     "NodeInfo",
     "NodeStore",
-    "migrate_local",
+    "migrate_shard",
     "replicate_local",
 ]

@@ -15,25 +15,30 @@ top of that, this subclass:
 * serves ``CLUSTER`` — fetch the node's epoch'd map, or push a newer map
   (membership changes ride this; ownership changes are rejected unless
   they come through the migration protocol);
-* serves the node-to-node migration stream ``MIG.BEGIN`` / ``MIG.APPLY``
-  / ``MIG.SEAL`` (the destination role);
-* serves ``MIGRATE <shard> <node_id>`` — the source role: drive a full
-  live migration of one owned shard to a peer and reply with its stats.
+* serves the two inbound streams that fill a shard's one slot
+  (:meth:`~repro.cluster.NodeStore.inbound_begin`) — ``MIG.BEGIN`` /
+  ``MIG.APPLY`` / ``MIG.SEAL`` for a migration, ``REPL.SYNC`` /
+  ``REPL.SHIP`` / ``REPL.SEEDED`` for a standby; the handlers differ
+  only in the role they pass;
+* serves ``MIGRATE <shard> <node_id>`` — the source role: run
+  :func:`~repro.cluster.migrate_shard`, the one migration driver,
+  against a :class:`_WirePeer` and reply with its stats.
 
-The ``MIG.*`` stream relies on a protocol guarantee the server already
-provides: requests on one connection are answered strictly in order, so
-the driver's single peer connection gives BEGIN → APPLY* → SEAL exactly
-the ordering the primitives need. ``MIGRATE`` itself is handled inline on
-the requesting connection — only that connection blocks for the duration;
-every other connection (including the writes being migrated under) keeps
-being served by the event loop.
+Both streams rely on a protocol guarantee the server already provides:
+requests on one connection are answered strictly in order, so a single
+peer connection gives BEGIN → APPLY* → SEAL (or SYNC → SHIP*) exactly
+the ordering the store needs. ``MIGRATE`` itself is handled inline on
+the requesting connection, its driver on a thread of its own — only that
+connection blocks for the duration; every other connection (including
+the writes being migrated under) keeps being served by the event loop.
 
 **Cross-node replication and failover (PR 9).** When the map assigns a
 shard a replica node, the owning ClusterNode runs a
 :class:`_ShardShipper`: it reseeds the peer's standby over ``REPL.SYNC``
-plus snapshot chunks, then forwards every WAL commit group over
-``REPL.SHIP`` on the same ordered connection (the migration tail's
-last-arrival-wins argument applies verbatim). In sync mode (the
+plus the snapshot pager's batches, then forwards every WAL commit group
+over ``REPL.SHIP`` on the same ordered connection (the migration tail's
+last-arrival-wins argument applies verbatim) — except while the shard
+is migrating off this node, when it opens no new session. In sync mode (the
 default) a commit is held until the replica acknowledged the group, so
 an acked write is on both nodes; when the replica becomes unreachable
 the shipper *degrades* — waiters release, writes keep committing
@@ -72,9 +77,10 @@ standby is the dead old primary) keeps acking writes and failover
 availability is preserved. Heartbeats gossip maps in both directions: a node that
 answers a ping with a stale epoch is *pushed* the newer map on the same
 connection, so even a primary that can only receive traffic demotes.
-Every node-to-node dial honors ``dial_overrides``, which is how the
-deterministic network fault layer (:mod:`repro.faults.net`) interposes
-per-link relays to prove all of this under scripted partitions.
+Every node-to-node dial goes through :meth:`ClusterNode._dial` and so
+honors ``dial_overrides``, which is how the deterministic network fault
+layer (:mod:`repro.faults.net`) interposes per-link relays to prove all
+of this under scripted partitions.
 """
 
 from __future__ import annotations
@@ -85,7 +91,8 @@ import random
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from contextlib import asynccontextmanager
+from typing import AsyncIterator, Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.entry import Entry
 from ..errors import (
@@ -101,7 +108,7 @@ from ..server.client import KVClient
 from ..server.protocol import BatchOp, ProtocolError, decode_batch, encode_batch
 from ..server.server import KVServer
 from .map import ClusterMap, NodeInfo
-from .store import SNAPSHOT_CHUNK, NodeStore
+from .store import MIGRATION, REPLICA, NodeStore, migrate_shard
 
 #: Verbs this subclass dispatches ahead of the base server.
 _CLUSTER_VERBS = (
@@ -205,6 +212,10 @@ class ClusterNode(KVServer):
         #: The shard stays fenced until a retried ``MIGRATE`` resolves
         #: it against the destination's durable map.
         self._unresolved_flips: Dict[int, ClusterMap] = {}
+        #: In-flight outbound migrations: shard → (the driver's peer
+        #: connection, the future of its thread). :meth:`stop` closes
+        #: the connection so the driver unwinds through its abort path.
+        self._outbound: Dict[int, Tuple[KVClient, asyncio.Future]] = {}
         #: Live outbound shippers, one per owned shard with a replica.
         self._shippers: Dict[int, "_ShardShipper"] = {}
         #: Peer node id → monotonic instant it last proved alive
@@ -232,6 +243,31 @@ class ClusterNode(KVServer):
         ``dial_overrides`` entry routes the link through a relay."""
         return self.dial_overrides.get(node_id, (info.host, info.port))
 
+    @asynccontextmanager
+    async def _dial(
+        self, info: NodeInfo, budget_s: Optional[float] = None
+    ) -> AsyncIterator[KVClient]:
+        """One connection to a peer, closed on exit — the only place
+        this node dials another, so every link honors
+        :meth:`peer_address`. With a ``budget_s`` the connect and every
+        request are bounded by it and nothing reconnects (a probe or a
+        session that must fail fast); without, the client's defaults."""
+        options: Dict[str, object] = {}
+        if budget_s is not None:
+            options = dict(
+                timeout_s=budget_s,
+                connect_timeout_s=budget_s,
+                reconnect_retries=0,
+            )
+        peer = await asyncio.wait_for(
+            KVClient.connect(*self.peer_address(info.node_id, info), **options),
+            budget_s,
+        )
+        try:
+            yield peer
+        finally:
+            await peer.close()
+
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
@@ -253,6 +289,11 @@ class ClusterNode(KVServer):
             shipper.stop()
         for shipper in shippers:
             await shipper.wait_stopped()
+        outbound = list(self._outbound.values())
+        for peer, _job in outbound:
+            await peer.close()  # fails the driver's in-flight call
+        if outbound:
+            await asyncio.wait([job for _peer, job in outbound])
         await super().stop()
 
     # -- error mapping --------------------------------------------------------
@@ -318,21 +359,42 @@ class ClusterNode(KVServer):
                 self._parse_shard(request[1]), request[2]
             )
             return ["OK", json.dumps(stats, sort_keys=True)]
-        if verb == "MIG.BEGIN":
-            if len(request) != 2:
-                raise ProtocolError("MIG.BEGIN needs exactly a shard index")
+        # The two inbound streams differ only in role: MIG.* fills a
+        # slot that ends in a seal, REPL.* one that stays a standby.
+        replica = verb.startswith("REPL.")
+        if verb in ("MIG.BEGIN", "REPL.SYNC"):
+            if len(request) != 2 + replica:
+                raise ProtocolError(
+                    "REPL.SYNC needs a shard index and a map payload"
+                    if replica
+                    else "MIG.BEGIN needs exactly a shard index"
+                )
             shard = self._parse_shard(request[1])
-            await self._run_engine(store.migration_begin, shard)
+            await self._run_engine(
+                store.inbound_begin,
+                shard,
+                REPLICA if replica else MIGRATION,
+                ClusterMap.from_json(request[2]) if replica else None,
+            )
+            if replica:
+                self._reconcile_replication()  # adopting the map may demote us
+                self._note_stream(shard)
             # Reply with our map too: a source whose map lags ours (it
             # missed migrations we took part in) fast-forwards before
             # computing the flip epoch, which must exceed *both* maps.
             return ["OK", store.node_id, store.map.to_json()]
-        if verb == "MIG.APPLY":
+        if verb in ("MIG.APPLY", "REPL.SHIP"):
             if len(request) < 2:
-                raise ProtocolError("MIG.APPLY needs a shard index")
+                raise ProtocolError(f"{verb} needs a shard index")
             shard = self._parse_shard(request[1])
             ops = decode_batch(["BATCH", *request[2:]])
-            await self._run_engine(store.migration_apply, shard, ops)
+            await self._run_engine(
+                store.replica_apply if replica else store.migration_apply,
+                shard,
+                ops,
+            )
+            if replica:
+                self._note_stream(shard)
             return ["OK", str(len(ops))]
         if verb == "MIG.SEAL":
             if len(request) != 3:
@@ -344,29 +406,6 @@ class ClusterNode(KVServer):
             await self._run_engine(store.migration_seal, shard, sealed)
             self._reconcile_replication()  # the new shard may need a shipper
             return ["OK", str(sealed.epoch)]
-        if verb == "REPL.SYNC":
-            if len(request) != 3:
-                raise ProtocolError(
-                    "REPL.SYNC needs a shard index and a map payload"
-                )
-            shard = self._parse_shard(request[1])
-            source_map = ClusterMap.from_json(request[2])
-            await self._run_engine(
-                store.replica_sync_begin, shard, source_map
-            )
-            self._reconcile_replication()  # adopting the map may demote us
-            self._ship_seen[shard] = time.monotonic()
-            self._note_stream_owner(shard)
-            return ["OK", store.node_id, store.map.to_json()]
-        if verb == "REPL.SHIP":
-            if len(request) < 2:
-                raise ProtocolError("REPL.SHIP needs a shard index")
-            shard = self._parse_shard(request[1])
-            ops = decode_batch(["BATCH", *request[2:]])
-            await self._run_engine(store.replica_apply, shard, ops)
-            self._ship_seen[shard] = time.monotonic()
-            self._note_stream_owner(shard)
-            return ["OK", str(len(ops))]
         if verb == "REPL.SEEDED":
             if len(request) != 2:
                 raise ProtocolError(
@@ -374,8 +413,7 @@ class ClusterNode(KVServer):
                 )
             shard = self._parse_shard(request[1])
             await self._run_engine(store.replica_mark_seeded, shard)
-            self._ship_seen[shard] = time.monotonic()
-            self._note_stream_owner(shard)
+            self._note_stream(shard)
             return ["OK", str(shard)]
         if verb == "REPL.PING":
             if len(request) != 3:
@@ -384,16 +422,18 @@ class ClusterNode(KVServer):
             return ["OK", store.node_id, str(store.map.epoch)]
         raise ProtocolError(f"unknown command {verb!r}")  # unreachable
 
-    def _note_stream_owner(self, shard: int) -> None:
-        """Inbound ship traffic is a sign of life from the shard's
-        primary — recording it alongside ``_ship_seen`` keeps both ends'
-        contact clocks within one frame of each other, which is what
-        lets the primary's fence window provably undercut this node's
-        lease window."""
+    def _note_stream(self, shard: int) -> None:
+        """Record inbound ship-stream activity for ``shard``. It is also
+        a sign of life from the shard's primary — recording that
+        alongside ``_ship_seen`` keeps both ends' contact clocks within
+        one frame of each other, which is what lets the primary's fence
+        window provably undercut this node's lease window."""
         store = self.node_store
+        now = time.monotonic()
+        self._ship_seen[shard] = now
         owner = store.map.owner_id(shard)
         if owner != store.node_id:
-            self._last_seen[owner] = time.monotonic()
+            self._last_seen[owner] = now
 
     @staticmethod
     def _parse_shard(text: str) -> int:
@@ -409,13 +449,13 @@ class ClusterNode(KVServer):
     async def _migrate_shard(
         self, shard: int, dest_id: str
     ) -> Dict[str, object]:
-        """Drive one live migration: warm the peer, fence, flip, release.
-
-        Engine-touching steps run on the executor so the event loop — and
-        with it the writes being migrated under — never stalls; the only
-        write-visible window is the fence, measured and reported as
-        ``fence_ms``.
-        """
+        """Serve ``MIGRATE``: run :func:`~repro.cluster.migrate_shard`
+        against a :class:`_WirePeer` and report its stats. The driver
+        gets a thread of its own — outside the bounded engine pool, so
+        a seconds-long migration never takes a committer's worker — and
+        the event loop, and with it the writes being migrated under,
+        never stalls; the only write-visible window is the fence,
+        measured and reported as ``fence_ms``."""
         store = self.node_store
         if dest_id == store.node_id:
             raise ConfigError(f"shard {shard} already lives on {dest_id}")
@@ -430,87 +470,23 @@ class ClusterNode(KVServer):
             resolved = await self._resolve_pending_flip(shard, pending)
             if resolved is not None:
                 return resolved  # the earlier flip had in fact sealed
-        peer = await KVClient.connect(*self.peer_address(dest_id, dest))
-        try:
-            begun = await peer.command(["MIG.BEGIN", str(shard)])
-            if len(begun) > 2:
-                peer_map = ClusterMap.from_json(begun[2])
-                if peer_map.epoch > store.map.epoch:
-                    # The peer's map is newer (every change to *our*
-                    # shards goes through us, so it can only differ in
-                    # other nodes' placements — installable). Adopting
-                    # it keeps the flip epoch above the peer's.
-                    await self._run_engine(store.install_map, peer_map)
-            tail = await self._run_engine(store.migration_attach_tail, shard)
+        async with self._dial(dest) as client:
+            # Checked here, with no await before the registration below.
+            if self._closing or shard in self._outbound:
+                raise ConfigError(
+                    f"shard {shard} cannot start migrating off "
+                    f"{store.node_id}: it already is, or the node is stopping"
+                )
+            job = asyncio.get_running_loop().run_in_executor(
+                None, migrate_shard, store, _WirePeer(self, dest, client), shard
+            )
+            self._outbound[shard] = (client, job)
             try:
-                snapshot_pairs = 0
-                tail_ops = 0
-                after: Optional[str] = None
-                while True:
-                    pairs = await self._run_engine(
-                        store.migration_snapshot_chunk,
-                        shard,
-                        after,
-                        SNAPSHOT_CHUNK,
-                    )
-                    if pairs:
-                        await self._ship(
-                            peer,
-                            shard,
-                            [("put", key, value) for key, value in pairs],
-                        )
-                        snapshot_pairs += len(pairs)
-                        after = pairs[-1][0]
-                    tail_ops += await self._ship(peer, shard, tail.drain())
-                    if len(pairs) < SNAPSHOT_CHUNK:
-                        break
-                fence_started = time.perf_counter()
-                await self._run_engine(store.fence, shard)
-                await self._run_engine(store.migration_detach_tail, shard)
-                tail_ops += await self._ship(peer, shard, tail.drain())
-                new_map = store.map.with_assignment(shard, dest_id)
-                try:
-                    await peer.command(
-                        ["MIG.SEAL", str(shard), new_map.to_json()]
-                    )
-                    flip_map = new_map
-                except Exception as seal_exc:
-                    # The seal's outcome is unknown: the client is
-                    # at-least-once, so the request may have been
-                    # applied with only the reply lost. Blindly
-                    # aborting would lift the fence while the
-                    # destination owns the shard at a higher epoch —
-                    # dual ownership, with this side's acks lost once
-                    # clients follow the newer epoch — so ask the
-                    # destination's durable map what actually happened.
-                    flip_map = await self._confirm_seal(
-                        dest, dest_id, shard, new_map, seal_exc
-                    )
-                    if flip_map is None:
-                        raise  # provably unsealed; aborting is safe
-                await self._run_engine(store.release_shard, shard, flip_map)
-                fence_ms = (time.perf_counter() - fence_started) * 1000.0
-            except MigrationUnresolvedError:
-                # Neither releasing nor aborting is provably safe, so
-                # the shard stays fenced (writes answer BUSY) rather
-                # than risk dual ownership; a retried MIGRATE resolves
-                # the flip once the destination answers again.
-                self._unresolved_flips[shard] = new_map
-                raise
-            except BaseException:
-                await self._run_engine(store.abort_migration, shard)
-                raise
-        finally:
-            await peer.close()
-        stats: Dict[str, object] = {
-            "shard": shard,
-            "from": store.node_id,
-            "to": dest_id,
-            "epoch": store.map.epoch,
-            "snapshot_pairs": snapshot_pairs,
-            "tail_ops": tail_ops,
-            "fence_ms": fence_ms,
-        }
+                stats = await job
+            finally:
+                del self._outbound[shard]
+        # The shard's shipper (and its armed standby) go with the shard.
+        self._reconcile_replication()
         self.migrations.append(stats)
         return stats
 
@@ -529,22 +505,17 @@ class ClusterNode(KVServer):
         """
         store = self.node_store
         dest_id = new_map.owner_id(shard)
-        dest = new_map.nodes[dest_id]
-        try:
-            flip_map = await self._confirm_seal(
-                dest,
-                dest_id,
-                shard,
-                new_map,
-                ConnectionError("unresolved earlier flip"),
-            )
-        except MigrationUnresolvedError:
-            self._unresolved_flips[shard] = new_map
-            raise
+        flip_map = await self._confirm_seal(
+            new_map.nodes[dest_id],
+            shard,
+            new_map,
+            ConnectionError("unresolved earlier flip"),
+        )
         if flip_map is None:
             await self._run_engine(store.abort_migration, shard)
             return None
         await self._run_engine(store.release_shard, shard, flip_map)
+        self._reconcile_replication()
         stats: Dict[str, object] = {
             "shard": shard,
             "from": store.node_id,
@@ -561,7 +532,6 @@ class ClusterNode(KVServer):
     async def _confirm_seal(
         self,
         dest: NodeInfo,
-        dest_id: str,
         shard: int,
         new_map: ClusterMap,
         cause: BaseException,
@@ -574,24 +544,20 @@ class ClusterNode(KVServer):
         shard to it at (at least) the proposed epoch, ``None`` when that
         map proves the seal never took effect — ``migration_seal``
         persists the map *before* adopting the shard, so a durable map
-        still assigning the shard to us is proof — and raises
+        still assigning the shard to us is proof — and records the flip
+        as unresolved and raises
         :class:`~repro.errors.MigrationUnresolvedError` when the
         destination cannot be reached: the one case where neither
-        releasing nor aborting is safe.
+        releasing nor aborting is safe, so the shard stays fenced
+        (writes answer BUSY) until a retried ``MIGRATE`` resolves it.
         """
         last: BaseException = cause
         for attempt in range(4):
             if attempt:
                 await asyncio.sleep(0.05 * (2 ** (attempt - 1)))
             try:
-                probe = await KVClient.connect(
-                    *self.peer_address(dest_id, dest)
-                )
-            except (ConnectionError, OSError) as exc:
-                last = exc
-                continue
-            try:
-                reply = await probe.command(["CLUSTER"])
+                async with self._dial(dest) as probe:
+                    reply = await probe.command(["CLUSTER"])
                 dest_map = ClusterMap.from_json(reply[1])
             except (
                 ConnectionError,
@@ -601,29 +567,16 @@ class ClusterNode(KVServer):
             ) as exc:
                 last = exc
                 continue
-            finally:
-                await probe.close()
             if (
-                dest_map.owner_id(shard) == dest_id
+                dest_map.owner_id(shard) == dest.node_id
                 and dest_map.epoch >= new_map.epoch
             ):
                 # Sealed. Release under the destination's (possibly
                 # even newer) map so this side's epoch keeps growing.
                 return dest_map
             return None
-        raise MigrationUnresolvedError(shard, dest_id, str(last)) from last
-
-    @staticmethod
-    async def _ship(
-        peer: KVClient, shard: int, ops: List[BatchOp]
-    ) -> int:
-        """MIG.APPLY one batch to the peer; returns the op count."""
-        if not ops:
-            return 0
-        await peer.command(
-            ["MIG.APPLY", str(shard), *encode_batch(ops)[1:]]
-        )
-        return len(ops)
+        self._unresolved_flips[shard] = new_map
+        raise MigrationUnresolvedError(shard, dest.node_id, str(last)) from last
 
     # -- cross-node replication ----------------------------------------------
 
@@ -688,44 +641,30 @@ class ClusterNode(KVServer):
     async def _ping_peer(self, info: NodeInfo) -> None:
         """One REPL.PING exchange; records liveness, pulls newer maps."""
         store = self.node_store
-        budget = max(self.lease_timeout_s / 2.0, 0.05)
-        host, port = self.peer_address(info.node_id, info)
         try:
-            peer = await asyncio.wait_for(
-                KVClient.connect(
-                    host,
-                    port,
-                    timeout_s=budget,
-                    connect_timeout_s=budget,
-                    reconnect_retries=0,
-                ),
-                budget,
-            )
-        except (asyncio.TimeoutError, ConnectionError, OSError):
-            return
-        try:
-            reply = await peer.command(
-                ["REPL.PING", store.node_id, str(store.map.epoch)]
-            )
-            self._last_seen[info.node_id] = time.monotonic()
-            peer_epoch = int(reply[2])
-            if peer_epoch > store.map.epoch:
-                fetched = await peer.command(["CLUSTER"])
-                await self._adopt_remote_map(
-                    ClusterMap.from_json(fetched[1])
+            async with self._dial(
+                info, max(self.lease_timeout_s / 2.0, 0.05)
+            ) as peer:
+                reply = await peer.command(
+                    ["REPL.PING", store.node_id, str(store.map.epoch)]
                 )
-            elif peer_epoch < store.map.epoch:
-                # Gossip *push*: under a lopsided partition the stale
-                # peer may be unable to dial anyone (its pull path is
-                # dead) while still answering inbound connections — this
-                # reply-path push is the only way a newer epoch reaches
-                # it, and the stale primary's adopt_map demotion rides
-                # on it.
-                await peer.command(["CLUSTER", store.map.to_json()])
+                self._last_seen[info.node_id] = time.monotonic()
+                peer_epoch = int(reply[2])
+                if peer_epoch > store.map.epoch:
+                    fetched = await peer.command(["CLUSTER"])
+                    await self._adopt_remote_map(
+                        ClusterMap.from_json(fetched[1])
+                    )
+                elif peer_epoch < store.map.epoch:
+                    # Gossip *push*: under a lopsided partition the
+                    # stale peer may be unable to dial anyone (its pull
+                    # path is dead) while still answering inbound
+                    # connections — this reply-path push is the only way
+                    # a newer epoch reaches it, and the stale primary's
+                    # adopt_map demotion rides on it.
+                    await peer.command(["CLUSTER", store.map.to_json()])
         except Exception:
-            return
-        finally:
-            await peer.close()
+            return  # unreachable or refused: the lease clock decides
 
     async def _adopt_remote_map(self, new_map: ClusterMap) -> None:
         """Adopt a newer map learned from a peer (gossip pull)."""
@@ -810,7 +749,7 @@ class ClusterNode(KVServer):
         of life for ``fence_timeout_s`` stops acking writes — before any
         standby's lease on *us* can expire, because the fence window
         undercuts the lease window and inbound ship traffic keeps the
-        two contact clocks in step (:meth:`_note_stream_owner`).
+        two contact clocks in step (:meth:`_note_stream`).
 
         Unfence: only when the shipper is *streaming* again — that
         requires a full ``REPL.SYNC`` round trip whose reply carries the
@@ -857,26 +796,11 @@ class ClusterNode(KVServer):
         for node_id, info in new_map.nodes.items():
             if node_id == store.node_id or node_id in exclude:
                 continue
-            host, port = self.peer_address(node_id, info)
             try:
-                peer = await asyncio.wait_for(
-                    KVClient.connect(
-                        host,
-                        port,
-                        timeout_s=self.repl_timeout_s,
-                        connect_timeout_s=self.repl_timeout_s,
-                        reconnect_retries=0,
-                    ),
-                    self.repl_timeout_s,
-                )
-            except (asyncio.TimeoutError, ConnectionError, OSError):
-                continue
-            try:
-                await peer.command(["CLUSTER", new_map.to_json()])
+                async with self._dial(info, self.repl_timeout_s) as peer:
+                    await peer.command(["CLUSTER", new_map.to_json()])
             except Exception:
-                pass
-            finally:
-                await peer.close()
+                continue
 
     # -- introspection --------------------------------------------------------
 
@@ -901,6 +825,73 @@ class ClusterNode(KVServer):
         return payload
 
 
+class _WirePeer:
+    """The migration driver's destination when it is another process:
+    the five names an in-process :class:`NodeStore` answers to, spoken
+    as ``MIG.BEGIN/APPLY/SEAL`` over one connection (answered strictly
+    in order: the single ordered channel the driver needs).
+
+    Blocking by design: the driver is synchronous and runs on a thread,
+    so each call hands a coroutine to the node's event loop and waits.
+    What only a wire can add — a seal whose outcome is unknown — is
+    owned here, not by the driver (:meth:`migration_seal`).
+    """
+
+    def __init__(
+        self, node: ClusterNode, dest: NodeInfo, client: KVClient
+    ) -> None:
+        self._node = node
+        self._dest = dest
+        self._client = client
+        self._loop = asyncio.get_running_loop()
+        self.node_id = dest.node_id
+        #: The destination's map, as of its ``MIG.BEGIN`` reply.
+        self.map = node.node_store.map
+
+    def _on_loop(self, coro):
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+
+    def inbound_begin(self, shard: int, role: str) -> None:
+        reply = self._on_loop(self._client.command(["MIG.BEGIN", str(shard)]))
+        self.map = ClusterMap.from_json(reply[2])
+
+    def migration_apply(self, shard: int, ops: List[BatchOp]) -> None:
+        self._on_loop(
+            self._client.command(
+                ["MIG.APPLY", str(shard), *encode_batch(ops)[1:]]
+            )
+        )
+
+    def migration_seal(self, shard: int, new_map: ClusterMap) -> ClusterMap:
+        """``MIG.SEAL``; returns the map to release under.
+
+        A failed call does not mean a failed seal: the client is
+        at-least-once, so the request may have been applied with only
+        the reply lost. Blindly aborting would lift the fence while the
+        destination owns the shard at a higher epoch — dual ownership,
+        with this side's acks lost once clients follow the newer epoch
+        — so ask the destination's durable map what actually happened
+        (:meth:`ClusterNode._confirm_seal`): sealed → its map; provably
+        unsealed → the original error (aborting is safe); unreachable →
+        :class:`~repro.errors.MigrationUnresolvedError`.
+        """
+        return self._on_loop(self._seal(shard, new_map))
+
+    async def _seal(self, shard: int, new_map: ClusterMap) -> ClusterMap:
+        try:
+            await self._client.command(
+                ["MIG.SEAL", str(shard), new_map.to_json()]
+            )
+            return new_map
+        except Exception as seal_exc:
+            flip_map = await self._node._confirm_seal(
+                self._dest, shard, new_map, seal_exc
+            )
+            if flip_map is None:
+                raise
+            return flip_map
+
+
 class _ShardShipper:
     """Ships one owned shard's commit stream to its replica node.
 
@@ -917,6 +908,18 @@ class _ShardShipper:
     a dead peer's shards, its shipper keeps knocking until the peer
     restarts, and the first successful ``REPL.SYNC`` hands the old
     primary the failover map (demoting it) and rebuilds its standby.
+
+    **No new session while the shard is migrating off this node**: the
+    retry loop backs off instead. A two-node replicated cluster migrates
+    every shard onto its own replica node, where ``MIG.BEGIN``
+    supersedes the standby, this stream's next ``REPL.SHIP`` is refused,
+    and a ``REPL.SYNC`` retry would in turn supersede — wipe — the
+    migration. A session already streaming to a *third* node is
+    untouched. One interleaving remains — a retry that passed the check
+    an instant before the tail was attached, whose ``REPL.SYNC`` lands
+    after ``MIG.BEGIN`` — and the slot rule makes it cost a cleanly
+    aborted, retryable ``MIGRATE`` (its next ``MIG.APPLY`` is refused),
+    never two trees; hence no lock held across a network call.
     """
 
     def __init__(
@@ -1063,6 +1066,8 @@ class _ShardShipper:
                 ):
                     return  # reassigned under us; reconcile reaps us
                 try:
+                    if self.shard in store.migrating_shards():
+                        raise ConfigError("no replica session mid-migration")
                     await self._session()
                     return
                 except asyncio.CancelledError:
@@ -1092,15 +1097,7 @@ class _ShardShipper:
                 f"replica node {self.target_id!r} left the map"
             )
         self.state = "seeding"
-        host, port = node.peer_address(self.target_id, target)
-        peer = await KVClient.connect(
-            host,
-            port,
-            timeout_s=node.repl_timeout_s,
-            connect_timeout_s=node.repl_timeout_s,
-            reconnect_retries=0,
-        )
-        try:
+        async with node._dial(target, node.repl_timeout_s) as peer:
             reply = await peer.command(
                 ["REPL.SYNC", str(self.shard), store.map.to_json()]
             )
@@ -1118,27 +1115,16 @@ class _ShardShipper:
                 self._accepting = True
                 self._streaming = False
             try:
-                # Seed: snapshot chunks interleaved with live-group
+                # Seed: pager batches interleaved with live-group
                 # drains on this one connection — arrival order is
                 # apply order, and per key the last arrival wins.
-                after: Optional[str] = None
+                batches = store.snapshot_batches(self.shard)
                 while True:
-                    pairs = await node._run_engine(
-                        store.migration_snapshot_chunk,
-                        self.shard,
-                        after,
-                        SNAPSHOT_CHUNK,
-                    )
-                    if pairs:
-                        await self._ship_ops(
-                            peer,
-                            [("put", key, value) for key, value in pairs],
-                            count_groups=False,
-                        )
-                        after = pairs[-1][0]
-                    await self._drain(peer)
-                    if len(pairs) < SNAPSHOT_CHUNK:
+                    batch = await node._run_engine(next, batches, None)
+                    if batch is None:
                         break
+                    await self._ship_ops(peer, batch, count_groups=False)
+                    await self._drain(peer)
                 await peer.command(["REPL.SEEDED", str(self.shard)])
                 # From here the standby passes the peer's promotion
                 # gate: self-fencing must guard this shard. Armed
@@ -1178,8 +1164,6 @@ class _ShardShipper:
                 with self._lock:
                     self._accepting = False
                     self._streaming = False
-        finally:
-            await peer.close()
 
     async def _drain(self, peer: KVClient) -> int:
         """Ship every buffered commit group, in order; returns op count."""

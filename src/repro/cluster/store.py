@@ -15,54 +15,57 @@ redirect), and writes to a shard mid-handoff raise
 reports the *global* shard count, so the serving layer's per-shard group
 committers line up with cluster-wide shard indices unchanged.
 
-Live migration is built from five small primitives, driven either
-in-process (:func:`migrate_local`, which the crash-consistency sweep
-crashes at every crossing) or over the wire (the ``MIGRATE`` driver in
-:mod:`repro.cluster.node`):
+Copying or moving a shard is one idea — scan the immutable state, then
+tail the log — written once, in four parts:
 
-1. destination :meth:`~NodeStore.migration_begin` — wipe any stale
-   leftovers and open a fresh *receiving* tree that is journaled but not
-   serving;
-2. source :meth:`~NodeStore.migration_attach_tail` — tap the shard's
-   WAL commit hook so every group committed from now on is buffered in
-   commit order, then ship a chunked snapshot scan (tail groups are
-   drained and shipped between chunks, so the backlog never grows);
-3. source :meth:`~NodeStore.fence` — writes to the shard now raise
-   :class:`~repro.errors.ShardFencedError` (served as ``BUSY``, absorbed
-   by client retry); detaching the tail takes the tree's write mutex, so
-   after it returns every in-flight commit has been observed;
-4. destination :meth:`~NodeStore.migration_seal` — persist the
-   bumped-epoch map and atomically adopt the receiving tree as serving;
-5. source :meth:`~NodeStore.release_shard` — persist the same map,
-   close the local tree, answer ``MOVED`` thereafter.
+1. **One inbound slot per shard** (:meth:`NodeStore.inbound_begin`): the
+   tree a peer is filling — journaled, not serving — the *role* of the
+   stream filling it, and whether it finished seeding. **The newest
+   begin owns the slot**: whatever held it is killed *before* the
+   directory is wiped, so a shard directory never has two open trees.
+   Applies are **role-checked**: a superseded stream's late batches are
+   refused, never interleaved.
+2. **One snapshot pager** (:meth:`NodeStore.snapshot_batches`): ``put``
+   batches, each read from the live tree at the moment it is asked for.
+3. **One migration driver** (:func:`migrate_shard`): begin → attach the
+   WAL tail → ship each pager batch, then whatever the tail buffered
+   meanwhile → :meth:`~NodeStore.fence` (writes answer ``BUSY``) →
+   detach the tail, whose write-mutex barrier means every in-flight
+   commit has been observed → final tail → seal → release. Its
+   destination is duck-typed: an in-process :class:`NodeStore` *is* a
+   peer, and :mod:`repro.cluster.node` supplies one that speaks
+   ``MIG.*`` — so the function the crash-consistency sweep crashes at
+   every crossing is the function that serves ``MIGRATE``.
+4. **Two endings.** A *migration* stream ends in
+   :meth:`~NodeStore.migration_seal`: ownership transfers, the source
+   releases and answers ``MOVED``. A *replica* stream stays a standby:
+   once seeded it is kept warm by every WAL commit group forwarded
+   through :meth:`~NodeStore.attach_replication`, and failover is a
+   promotion (:meth:`~NodeStore.promote_shards`); a restarted old
+   primary observes the newer map (:meth:`~NodeStore.adopt_map`) and
+   demotes itself. Seal and promotion share one commit step — persist
+   the bumped-epoch map, *then* serve. The long-lived async shipper
+   lives in :mod:`repro.cluster.node`; :func:`replicate_local` is its
+   small in-process twin for the sweep.
+
+One rule keeps the roles apart on the wire: a source opens no replica
+session for a shard it is migrating — its ``REPL.SYNC`` would supersede
+the migration on the destination (``_ShardShipper`` in the node module).
 
 Correctness argument, in one paragraph: all data flows to the
-destination over a single ordered channel, snapshot chunks interleaved
-with drained tail batches. A snapshot chunk read at time *t* carries a
-value at least as new as any tail group shipped before *t* (the scan
-reads the live tree), and every tail group shipped after it is a newer
-commit — so per key, the *last arrival wins* and applying everything in
-arrival order (duplicates included, applies are last-write-wins)
-reproduces the source's latest state. The fence plus the write-mutex
-barrier in the hook detach guarantee the final drain is complete. The
-destination seals *before* the source releases; a crash between the two
-leaves both nodes claiming the shard on disk, and the bumped epoch —
-higher wins — arbitrates to exactly one owner, with both claimants
-holding every acknowledged write.
-
-Cross-node replication (PR 9) reuses the same machinery on the standby
-side: a primary seeds a peer's *replica* tree with the snapshot-chunk
-scan (:meth:`NodeStore.replica_sync_begin` / :meth:`replica_apply`),
-then keeps it warm by forwarding every WAL commit group through an
-attached ship hook (:meth:`attach_replication`). Failover is a
-promotion (:meth:`promote_shards`): the replica node persists a
-bumped-epoch map *before* adopting its warm trees as serving — the
-same seal-before-release discipline as migration, with the stale
-primary fenced by its older epoch. A restarted old primary observes
-the newer map (:meth:`adopt_map`) and demotes itself to replica for
-its former shards; :func:`replicate_local` is the in-process twin of
-the wire shipper that the crash-consistency sweep crashes at every
-``repl.node.*`` crossing.
+destination over a single ordered channel, snapshot batches interleaved
+with drained tail batches. A snapshot batch read at time *t* carries a
+value at least as new as any tail group shipped before *t* (the pager
+reads the live tree when advanced), and every tail group shipped after
+it is a newer commit — so per key, the *last arrival wins* and applying
+everything in arrival order (duplicates included, applies are
+last-write-wins) reproduces the source's latest state. The fence plus
+the write-mutex barrier in the hook detach guarantee the final drain is
+complete. The destination seals *before* the source releases; a crash
+between the two leaves both nodes claiming the shard on disk, and the
+bumped epoch — higher wins — arbitrates to exactly one owner, with both
+claimants holding every acknowledged write. The slot rules are what
+make the channel single: one slot per shard, one stream per slot.
 """
 
 from __future__ import annotations
@@ -72,7 +75,8 @@ import shutil
 import threading
 import time
 from contextlib import ExitStack
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..api import Snapshot, SnapshotLike
 from ..core.config import LSMConfig
@@ -80,7 +84,12 @@ from ..core.entry import Entry
 from ..core.merge_operator import MergeOperator
 from ..core.stats import TreeStats
 from ..core.tree import LSMTree
-from ..errors import ConfigError, ShardFencedError, ShardMovedError
+from ..errors import (
+    ConfigError,
+    MigrationUnresolvedError,
+    ShardFencedError,
+    ShardMovedError,
+)
 from ..faults.registry import fault_point
 from ..replication.store import entries_to_batch_ops
 from ..shard.store import BatchOp, ShardedStore
@@ -93,8 +102,35 @@ from .map import ClusterMap
 #: excluded from (and lost by) a migration snapshot.
 _MAX_KEY = "\U0010ffff" * 8
 
-#: Key/value pairs shipped per snapshot chunk by the migration drivers.
+#: Key/value pairs per batch of the snapshot pager.
 SNAPSHOT_CHUNK = 256
+
+#: The two roles of an inbound stream — what it ends in. A *migration*
+#: ends in a seal (ownership transfers); a *replica* stays a standby,
+#: promotable once seeded. Per role: the failpoint its begin crosses and
+#: the refusal a stream gets when the slot is not (or no longer) its own.
+MIGRATION = "migration"
+REPLICA = "replica"
+_BEGIN_FAILPOINT = {MIGRATION: "cluster.migrate.begin", REPLICA: "repl.node.sync"}
+_REFUSAL = {
+    MIGRATION: "no migration in progress for shard {shard} on {node}",
+    REPLICA: "node {node} holds no replica stream for shard {shard}",
+}
+
+
+@dataclass
+class _Inbound:
+    """One shard's inbound slot: the tree a peer is filling (journaled
+    in the ``shard-NN/`` directory a serving tree would use, so adopting
+    it needs no data move), the role of the stream filling it, and
+    whether a replica stream completed its seed *in this process
+    lifetime* — only those are promotable, so a stale directory (a
+    crashed replica, a demoted primary awaiting reseed) can never be
+    promoted over writes it missed."""
+
+    tree: LSMTree
+    role: str
+    seeded: bool = False
 
 
 class _TailBuffer:
@@ -196,9 +232,11 @@ class NodeStore:
         self._write_locks: Dict[int, threading.Lock] = {
             shard: threading.Lock() for shard in self.trees
         }
-        #: Migration state: trees being warmed (not serving), shards
-        #: fenced for handoff, and attached WAL-tail buffers.
-        self._receiving: Dict[int, LSMTree] = {}
+        #: Trees a peer is filling (not serving): one slot per shard,
+        #: whatever the stream's role — see :meth:`inbound_begin`.
+        self._inbound: Dict[int, _Inbound] = {}
+        #: Source-side migration state: shards fenced for handoff, and
+        #: attached WAL-tail buffers.
         self._fenced: Set[int] = set()
         #: Shards write-fenced by the *replication* layer: the primary
         #: lost contact with its standby past the fence window and stops
@@ -209,18 +247,7 @@ class NodeStore:
         #: a handoff.
         self._repl_fenced: Set[int] = set()
         self._tails: Dict[int, _TailBuffer] = {}
-        #: Cross-node replication state. ``_replica_trees`` are warm
-        #: standbys of shards *other* nodes own (journaled in the same
-        #: ``shard-NN/`` directory a serving tree would use — a node is
-        #: never primary and replica of the same shard, and promotion
-        #: then needs no data move). ``_replica_fresh`` marks standbys
-        #: that completed a seed *in this process lifetime*: only those
-        #: are promotable, so a stale directory (a crashed replica, or a
-        #: demoted primary awaiting reseed) can never be promoted over
-        #: writes it missed. ``_ship_hooks`` are the primary-side taps
-        #: forwarding commit groups to remote replicas.
-        self._replica_trees: Dict[int, LSMTree] = {}
-        self._replica_fresh: Set[int] = set()
+        #: The primary-side taps forwarding commit groups to replicas.
         self._ship_hooks: Dict[int, Callable[[List[Entry]], None]] = {}
         self._transition_lock = threading.Lock()
 
@@ -380,64 +407,135 @@ class NodeStore:
             lo, hi, limit, at=at, allow_partial=allow_partial
         )
 
-    # -- migration primitives: destination side -------------------------------
+    # -- the inbound slot: a peer fills a tree for a shard --------------------
 
-    def migration_begin(self, shard: int) -> str:
-        """Open a fresh receiving tree for ``shard``; returns our node id.
+    def inbound_begin(
+        self,
+        shard: int,
+        role: str,
+        source_map: Optional[ClusterMap] = None,
+    ) -> str:
+        """Wipe ``shard``'s directory and open a fresh tree over it for a
+        peer's ``role`` stream to fill; returns our node id.
 
-        Any leftover state for the shard — an abandoned earlier
-        migration attempt, or debris from a previous ownership stint —
-        is wiped first, so the warm-up always starts from empty (which is
-        what makes re-shipping after a failed attempt safe).
+        **The newest begin owns the slot.** Whatever held it — an
+        abandoned attempt of the same role, a standby superseded because
+        the shard is migrating onto its own replica node, a migration
+        superseded by the primary's next reseed — is killed *before*
+        the wipe, so a shard directory never has two open trees, and
+        the role check refuses the superseded stream from then on.
+        Always starting from empty is what makes re-shipping after a
+        failure safe, and what lets a standby of unknown freshness
+        converge on the primary's exact state.
+
+        A replica begin (``REPL.SYNC``) first adopts a newer
+        ``source_map`` (:meth:`adopt_map`) — for a rejoining old primary
+        this is precisely the demotion step: the new primary's first
+        ``REPL.SYNC`` carries the promotion map — and the map must then
+        name this node the shard's replica.
         """
         self._check_open()
+        if source_map is not None:
+            self.adopt_map(source_map)
         with self._transition_lock:
             if shard in self.trees:
                 raise ConfigError(
-                    f"node {self.node_id} already owns shard {shard}"
+                    f"node {self.node_id} serves shard {shard}; it "
+                    f"cannot also receive its {role} stream"
                 )
-            stale = self._receiving.pop(shard, None)
-            if stale is not None:
-                stale.kill()
-            standby = self._replica_trees.pop(shard, None)
-            if standby is not None:
-                # The shard is migrating onto its own replica node; the
-                # warm copy is superseded by the full snapshot + tail.
-                standby.kill()
-                self._replica_fresh.discard(shard)
-            self._receiving[shard] = self._fresh_tree(
-                shard, "cluster.migrate.begin"
+            if role == REPLICA and (
+                self.map.replica_id(shard) != self.node_id
+            ):
+                raise ConfigError(
+                    f"map (epoch {self.map.epoch}) does not name "
+                    f"{self.node_id!r} the replica of shard {shard}"
+                )
+            superseded = self._inbound.pop(shard, None)
+            if superseded is not None:
+                superseded.tree.kill()
+            path = self._forest.shard_dir(shard)
+            shutil.rmtree(path, ignore_errors=True)
+            os.makedirs(path, exist_ok=True)
+            fault_point(_BEGIN_FAILPOINT[role], scope=self._scope(shard))
+            self._inbound[shard] = _Inbound(
+                self._forest._open_tree(shard), role
             )
         return self.node_id
 
-    def _fresh_tree(self, shard: int, failpoint: str) -> LSMTree:
-        """Wipe ``shard``'s directory and open an empty tree over it —
-        journaled, but not serving until :meth:`_adopt`."""
-        path = self._forest.shard_dir(shard)
-        shutil.rmtree(path, ignore_errors=True)
-        os.makedirs(path, exist_ok=True)
-        fault_point(failpoint, scope=self._scope(shard))
-        return self._forest._open_tree(shard)
+    def _inbound_slot(self, shard: int, role: str) -> _Inbound:
+        """``shard``'s slot when a ``role`` stream owns it; refused
+        otherwise (never begun, or superseded by a newer begin)."""
+        slot = self._inbound.get(shard)
+        if slot is None or slot.role != role:
+            raise ConfigError(
+                _REFUSAL[role].format(shard=shard, node=self.node_id)
+            )
+        return slot
+
+    def _inbound_shards(self, role: str, seeded: bool = False) -> List[int]:
+        return sorted(
+            shard
+            for shard, slot in list(self._inbound.items())
+            if slot.role == role and (slot.seeded or not seeded)
+        )
+
+    def _inbound_apply(
+        self, shard: int, role: str, ops: Sequence[BatchOp]
+    ) -> None:
+        """Apply one shipped batch to the slot's tree, journaled as one
+        group so the tree's own recovery preserves its atomicity.
+        Role-checked: two channels into one tree would break the
+        single-ordered-channel argument, so a superseded stream's late
+        batches are refused, never interleaved."""
+        self._check_open()
+        slot = self._inbound_slot(shard, role)
+        if ops:
+            if role == REPLICA:
+                fault_point("repl.node.apply", scope=self._scope(shard))
+            slot.tree.write_batch(list(ops))
 
     def migration_apply(self, shard: int, ops: Sequence[BatchOp]) -> None:
-        """Apply one shipped batch (snapshot chunk or tail drain)."""
-        self._check_open()
-        tree = self._receiving.get(shard)
-        if tree is None:
+        """Apply one migration batch (snapshot batch or tail drain)."""
+        self._inbound_apply(shard, MIGRATION, ops)
+
+    def replica_apply(self, shard: int, ops: Sequence[BatchOp]) -> None:
+        """Apply one replica batch (seed batch or live commit group)."""
+        self._inbound_apply(shard, REPLICA, ops)
+
+    def _take_ownership(
+        self,
+        shards: Sequence[int],
+        new_map: ClusterMap,
+        what: str,
+        failpoint: str,
+        scope: str,
+    ) -> None:
+        """The commit step a seal and a promotion share (under the
+        transition lock, own preconditions already checked): the map is
+        persisted *before* any tree starts serving, so after any crash
+        the freshest on-disk epoch names exactly one writable owner per
+        shard and agrees with the shard data (the slot tree's WAL,
+        already durable in the shard directory)."""
+        if new_map.epoch <= self.map.epoch:
             raise ConfigError(
-                f"no migration in progress for shard {shard} on "
-                f"{self.node_id}"
+                f"{what} map epoch {new_map.epoch} is not newer than "
+                f"current epoch {self.map.epoch}"
             )
-        if ops:
-            tree.write_batch(list(ops))
+        for shard in shards:
+            if new_map.owner_id(shard) != self.node_id:
+                raise ConfigError(
+                    f"{what} map assigns shard {shard} to "
+                    f"{new_map.owner_id(shard)!r}, not {self.node_id!r}"
+                )
+        fault_point(failpoint, scope=scope)
+        new_map.save(self._wal_dir)
+        self.map = new_map
+        for shard in shards:
+            self._adopt(shard, self._inbound.pop(shard).tree)
 
-    def migration_seal(self, shard: int, new_map: ClusterMap) -> None:
-        """Atomically adopt the warmed shard under the bumped-epoch map.
-
-        The map is persisted *before* the tree starts serving: after any
-        crash, disk ownership (the freshest ``cluster.json``) and the
-        shard data (the receiving tree's WAL, already durable in the
-        shard directory) agree.
+    def migration_seal(self, shard: int, new_map: ClusterMap) -> ClusterMap:
+        """Atomically adopt the warmed shard under the bumped-epoch map;
+        returns the map the source should release under.
 
         Idempotent once applied: the wire client is at-least-once (a
         reply lost to a connection reset resends the request), so a
@@ -453,28 +551,12 @@ class NodeStore:
                 and self.map.owner_id(shard) == self.node_id
                 and self.map.epoch >= new_map.epoch
             ):
-                return  # duplicate seal; the first copy took effect
-            tree = self._receiving.get(shard)
-            if tree is None:
-                raise ConfigError(
-                    f"no migration in progress for shard {shard} on "
-                    f"{self.node_id}"
-                )
-            if new_map.epoch <= self.map.epoch:
-                raise ConfigError(
-                    f"seal map epoch {new_map.epoch} is not newer than "
-                    f"current epoch {self.map.epoch}"
-                )
-            if new_map.owner_id(shard) != self.node_id:
-                raise ConfigError(
-                    f"seal map assigns shard {shard} to "
-                    f"{new_map.owner_id(shard)!r}, not {self.node_id!r}"
-                )
-            fault_point("cluster.migrate.seal", scope=self._scope(shard))
-            new_map.save(self._wal_dir)
-            self.map = new_map
-            del self._receiving[shard]
-            self._adopt(shard, tree)
+                return self.map  # duplicate seal; the first copy took effect
+            self._inbound_slot(shard, MIGRATION)
+            self._take_ownership(
+                [shard], new_map, "seal", "cluster.migrate.seal", self._scope(shard)
+            )
+            return new_map
 
     # -- WAL commit tap (shared by migration tails and replication) -----------
 
@@ -566,20 +648,30 @@ class NodeStore:
             self._sync_tap(shard, tree)
         return tail
 
-    def migration_snapshot_chunk(
-        self,
-        shard: int,
-        after: Optional[str],
-        limit: int = SNAPSHOT_CHUNK,
-    ) -> List[Tuple[str, str]]:
-        """The next ``limit`` live pairs of ``shard`` strictly after
-        ``after`` (``None`` starts from the beginning)."""
-        self._check_open()
-        self._owned_tree(shard)
-        lo = "" if after is None else after + "\x00"
-        return self._forest._shard_op(
-            shard, lambda tree: tree.scan(lo, _MAX_KEY, limit)
-        )
+    def snapshot_batches(
+        self, shard: int, chunk: int = SNAPSHOT_CHUNK
+    ) -> Iterator[List[BatchOp]]:
+        """The snapshot pager: ``shard``'s live pairs, in key order, as
+        ``put`` batches of up to ``chunk``.
+
+        Each batch is read from the live tree *when the generator is
+        advanced*, never ahead of time — so a shipper that sends each
+        batch as soon as it has it, and its buffered tail between
+        batches, keeps the last-arrival-wins argument (a batch read
+        early and sent after newer tail groups would overwrite them).
+        """
+        lo = ""
+        while True:
+            self._check_open()
+            self._owned_tree(shard)
+            pairs = self._forest._shard_op(
+                shard, lambda tree: tree.scan(lo, _MAX_KEY, chunk)
+            )
+            if pairs:
+                yield [("put", key, value) for key, value in pairs]
+            if len(pairs) < chunk:
+                return
+            lo = pairs[-1][0] + "\x00"
 
     def fence(self, shard: int) -> None:
         """Refuse new writes to ``shard`` (``ShardFencedError`` → BUSY).
@@ -693,58 +785,7 @@ class NodeStore:
 
     def replica_shards(self) -> List[int]:
         """Shards this node holds a warm standby tree for, ascending."""
-        return sorted(self._replica_trees)
-
-    def replica_sync_begin(
-        self, shard: int, source_map: Optional[ClusterMap] = None
-    ) -> str:
-        """Wipe and reopen ``shard``'s standby tree for (re)seeding.
-
-        Called by the primary's shipper at stream start — always a full
-        reseed, so a standby of unknown freshness (a crashed replica, a
-        demoted primary) converges on the primary's exact state. When
-        the primary's ``source_map`` is newer than ours it is adopted
-        first (:meth:`adopt_map`) — for a rejoining old primary this is
-        precisely the demotion step: the new primary's first ``REPL.SYNC``
-        carries the promotion map. Returns our node id.
-        """
-        self._check_open()
-        if source_map is not None:
-            self.adopt_map(source_map)
-        with self._transition_lock:
-            if self.map.replica_id(shard) != self.node_id:
-                raise ConfigError(
-                    f"map (epoch {self.map.epoch}) does not name "
-                    f"{self.node_id!r} the replica of shard {shard}"
-                )
-            if shard in self.trees:
-                raise ConfigError(
-                    f"node {self.node_id} serves shard {shard} as "
-                    "primary; it cannot also receive its replica stream"
-                )
-            self._replica_fresh.discard(shard)
-            stale = self._replica_trees.pop(shard, None)
-            if stale is not None:
-                stale.kill()
-            self._replica_trees[shard] = self._fresh_tree(
-                shard, "repl.node.sync"
-            )
-        return self.node_id
-
-    def replica_apply(self, shard: int, ops: Sequence[BatchOp]) -> None:
-        """Apply one shipped batch (seed chunk or live commit group) to
-        the standby tree, journaled as one group so the standby's own
-        recovery preserves its atomicity."""
-        self._check_open()
-        tree = self._replica_trees.get(shard)
-        if tree is None:
-            raise ConfigError(
-                f"node {self.node_id} holds no replica stream for "
-                f"shard {shard}"
-            )
-        if ops:
-            fault_point("repl.node.apply", scope=self._scope(shard))
-            tree.write_batch(list(ops))
+        return self._inbound_shards(REPLICA)
 
     def replica_mark_seeded(self, shard: int) -> None:
         """Record that ``shard``'s standby caught up with the primary's
@@ -752,17 +793,12 @@ class NodeStore:
         the seeding scan completes (``REPL.SEEDED`` on the wire)."""
         self._check_open()
         with self._transition_lock:
-            if shard not in self._replica_trees:
-                raise ConfigError(
-                    f"node {self.node_id} holds no replica stream for "
-                    f"shard {shard}"
-                )
-            self._replica_fresh.add(shard)
+            self._inbound_slot(shard, REPLICA).seeded = True
 
     def promotable_shards(self) -> List[int]:
         """Standby shards eligible for promotion: seeded in this process
         lifetime, so they missed no acknowledged write."""
-        return sorted(self._replica_fresh)
+        return self._inbound_shards(REPLICA, seeded=True)
 
     def promote_shards(
         self, shards: Sequence[int], new_map: ClusterMap
@@ -770,47 +806,25 @@ class NodeStore:
         """Adopt warm standby trees as serving under the failover map.
 
         The promotion's commit point is persisting ``new_map`` (epoch
-        bumped, this node now the primary of ``shards``): the map is
-        saved *before* any tree starts serving — seal-before-release —
-        so after any crash the freshest on-disk epoch names exactly one
-        writable owner per shard, and the dead primary's claim is fenced
-        by its stale epoch. Only fresh standbys
-        (:meth:`promotable_shards`) are accepted: a stale directory
-        might miss acknowledged writes.
+        bumped, this node now the primary of ``shards``), and the dead
+        primary's claim is fenced by its stale epoch. Only seeded
+        standbys (:meth:`promotable_shards`) are accepted: a stale
+        directory might miss acknowledged writes.
         """
         self._check_open()
         if not shards:
             raise ConfigError("a promotion needs at least one shard")
         with self._transition_lock:
-            if new_map.epoch <= self.map.epoch:
-                raise ConfigError(
-                    f"promotion map epoch {new_map.epoch} is not newer "
-                    f"than current epoch {self.map.epoch}"
-                )
             for shard in shards:
-                if new_map.owner_id(shard) != self.node_id:
-                    raise ConfigError(
-                        f"promotion map assigns shard {shard} to "
-                        f"{new_map.owner_id(shard)!r}, not "
-                        f"{self.node_id!r}"
-                    )
-                if shard not in self._replica_trees:
-                    raise ConfigError(
-                        f"node {self.node_id} holds no standby for "
-                        f"shard {shard}"
-                    )
-                if shard not in self._replica_fresh:
+                if not self._inbound_slot(shard, REPLICA).seeded:
                     raise ConfigError(
                         f"shard {shard}'s standby on {self.node_id} was "
                         "never seeded in this process lifetime; "
                         "refusing to promote a possibly stale copy"
                     )
-            fault_point("repl.node.promote.seal", scope=self.node_id)
-            new_map.save(self._wal_dir)
-            self.map = new_map
-            for shard in shards:
-                self._replica_fresh.discard(shard)
-                self._adopt(shard, self._replica_trees.pop(shard))
+            self._take_ownership(
+                shards, new_map, "promotion", "repl.node.promote.seal", self.node_id
+            )
             fault_point("repl.node.promote.done", scope=self.node_id)
 
     def adopt_map(self, new_map: ClusterMap) -> bool:
@@ -857,10 +871,9 @@ class NodeStore:
             for shard in lost:
                 self._drop(shard)
             # Standbys for shards we no longer replicate are dropped.
-            for shard in list(self._replica_trees):
+            for shard in self._inbound_shards(REPLICA):
                 if new_map.replica_id(shard) != self.node_id:
-                    self._replica_fresh.discard(shard)
-                    self._replica_trees.pop(shard).close()
+                    self._inbound.pop(shard).tree.close()
             return True
 
     # -- map installation -----------------------------------------------------
@@ -901,10 +914,9 @@ class NodeStore:
         self._forest.flush()
 
     def _kill_warm_trees(self) -> None:
-        for tree in list(self._receiving.values()):
-            tree.kill()  # never served; nothing promised
-        for tree in list(self._replica_trees.values()):
-            tree.kill()  # reseeded from the primary on restart anyway
+        # Never served, nothing promised: the next begin starts over.
+        for slot in list(self._inbound.values()):
+            slot.tree.kill()
 
     def close(self) -> None:
         """Close every tree (serving and warm). Idempotent."""
@@ -945,7 +957,7 @@ class NodeStore:
         coordinator decision log and each owned shard replays its own
         WAL against it. Shard directories the map does *not* assign to
         this node are left untouched — they are either an interrupted
-        inbound migration (re-wiped by the next ``migration_begin``) or
+        inbound stream (re-wiped by the next :meth:`inbound_begin`) or
         data this node released, kept as the crash-window backstop.
         """
         return cls(
@@ -978,7 +990,7 @@ class NodeStore:
             epoch=self.map.epoch,
             owned_shards=self.owned_shards(),
             migrating_shards=self.migrating_shards(),
-            receiving_shards=sorted(self._receiving),
+            receiving_shards=self._inbound_shards(MIGRATION),
             replica_shards=self.replica_shards(),
             replica_fresh=self.promotable_shards(),
         )
@@ -991,79 +1003,76 @@ class NodeStore:
         return self._forest.total_disk_bytes()
 
 
-def migrate_local(
+def migrate_shard(
     source: NodeStore,
-    dest: NodeStore,
+    dest,
     shard: int,
     *,
     chunk: int = SNAPSHOT_CHUNK,
     during: Optional[Callable[[], None]] = None,
 ) -> Dict[str, object]:
-    """Migrate ``shard`` between two in-process NodeStores.
+    """*The* migration driver: move ``shard`` from ``source`` to ``dest``.
 
-    The synchronous twin of the wire driver in
-    :mod:`repro.cluster.node` — same primitive sequence, same failpoint
-    crossings, no sockets — which is exactly what the crash-consistency
-    sweep needs: it crashes this function at every crossing and proves
-    that recovery lands every acknowledged write on exactly one owner.
-    ``during`` (tests/sweep only) runs extra source-side writes after the
-    snapshot but before the fence, forcing data through the tail path.
+    Synchronous, and the only function that fences a shard or seals a
+    migration: ``MIGRATE`` runs it on a thread against a wire peer; the
+    tests and the crash-consistency sweep run it — and crash it at every
+    crossing — against a second :class:`NodeStore`. ``dest`` is
+    duck-typed: ``node_id``, ``map`` (current after the begin),
+    ``inbound_begin``, ``migration_apply``, and ``migration_seal``
+    returning the map to release under.
+
+    A :class:`~repro.errors.MigrationUnresolvedError` out of the seal
+    (wire only: the destination went dark at the seal instant) leaves
+    the shard *fenced* — neither releasing nor aborting is provably
+    safe; any other failure aborts and the source keeps serving.
+    ``during`` (tests/sweep only) runs source-side writes after the
+    snapshot but before the fence, forcing data through the tail.
     """
-    dest.migration_begin(shard)
+    dest.inbound_begin(shard, MIGRATION)
     if dest.map.epoch > source.map.epoch:
         # The destination's map is newer (it took part in migrations we
-        # missed; none can have touched our shards without us). Adopt it
-        # so the flip epoch exceeds both maps.
+        # missed; every change to *our* shards goes through us, so it
+        # can only differ in other nodes' placements — installable).
+        # Adopt it so the flip epoch exceeds both maps.
         source.install_map(dest.map)
     tail = source.migration_attach_tail(shard)
+    scope = source._scope(shard)
+
+    def ship_tail() -> None:
+        drained = tail.drain()
+        if drained:
+            fault_point("cluster.migrate.tail", scope=scope)
+            dest.migration_apply(shard, drained)
+
     snapshot_pairs = 0
     try:
-        after: Optional[str] = None
-        while True:
-            pairs = source.migration_snapshot_chunk(shard, after, chunk)
-            if pairs:
-                fault_point(
-                    "cluster.migrate.snapshot",
-                    scope=source._scope(shard),
-                )
-                dest.migration_apply(
-                    shard, [("put", key, value) for key, value in pairs]
-                )
-                snapshot_pairs += len(pairs)
-                after = pairs[-1][0]
-            drained = tail.drain()
-            if drained:
-                fault_point(
-                    "cluster.migrate.tail",
-                    scope=source._scope(shard),
-                )
-                dest.migration_apply(shard, drained)
-            if len(pairs) < chunk:
-                break
+        for batch in source.snapshot_batches(shard, chunk):
+            fault_point("cluster.migrate.snapshot", scope=scope)
+            dest.migration_apply(shard, batch)
+            snapshot_pairs += len(batch)
+            ship_tail()  # between batches, so the backlog never grows
         if during is not None:
             during()
         fence_started = time.monotonic()
         source.fence(shard)
         source.migration_detach_tail(shard)
-        final_tail = tail.drain()
-        if final_tail:
-            fault_point(
-                "cluster.migrate.tail",
-                scope=source._scope(shard),
-            )
-            dest.migration_apply(shard, final_tail)
-        new_map = source.map.with_assignment(shard, dest.node_id)
-        dest.migration_seal(shard, new_map)
-        source.release_shard(shard, new_map)
+        ship_tail()
+        flip_map = dest.migration_seal(
+            shard, source.map.with_assignment(shard, dest.node_id)
+        )
+        source.release_shard(shard, flip_map)
+    except MigrationUnresolvedError:
+        raise
     except BaseException:
-        # InjectedCrash included: leave fences/tails as the crash found
-        # them for serving-path failures, but only clean up when the
-        # source still runs (abort is a no-op post-release).
+        # InjectedCrash included: only clean up when the source still
+        # runs (abort is a no-op post-release).
         if not source._closed and shard in source.trees:
             source.abort_migration(shard)
         raise
     return {
         "shard": shard,
+        "from": source.node_id,
+        "to": dest.node_id,
         "epoch": source.map.epoch,
         "snapshot_pairs": snapshot_pairs,
         "tail_ops": tail.total_ops,
@@ -1079,11 +1088,14 @@ def replicate_local(
     chunk: int = SNAPSHOT_CHUNK,
 ) -> Callable[[], None]:
     """Seed and then continuously ship ``shard`` between two in-process
-    NodeStores; the synchronous twin of the wire shipper in
-    :mod:`repro.cluster.node`, crossing the same ``repl.node.*``
-    failpoints so the crash-consistency sweep can break the replication
-    pipeline at every step. Unlike :func:`migrate_local` the stream
-    stays attached after seeding; the returned callable detaches it.
+    NodeStores; returns the callable that detaches the stream.
+
+    A replica stream never ends, so there is no synchronous driver to
+    share as :func:`migrate_shard` is: the wire shipper
+    (``_ShardShipper`` in :mod:`repro.cluster.node`) is a long-lived
+    async task with a buffered window, and this is its small in-process
+    twin — same begin, same pager loop, same ``repl.node.*`` failpoints
+    — for the crash-consistency sweep.
 
     In-process shipping is synchronous by construction: the ship hook
     applies each commit group to the standby on the committing thread,
@@ -1093,7 +1105,7 @@ def replicate_local(
     and tests are single-threaded); the wire shipper orders concurrent
     writers through one buffered stream instead.
     """
-    dest.replica_sync_begin(shard, source.map)
+    dest.inbound_begin(shard, REPLICA, source.map)
     if dest.map.epoch > source.map.epoch:
         source.install_map(dest.map)
 
@@ -1102,26 +1114,16 @@ def replicate_local(
             shard, entries_to_batch_ops(entries, context="replication")
         )
 
-    source.attach_replication(shard, ship)
-    try:
-        after: Optional[str] = None
-        while True:
-            pairs = source.migration_snapshot_chunk(shard, after, chunk)
-            if pairs:
-                dest.replica_apply(
-                    shard, [("put", key, value) for key, value in pairs]
-                )
-                after = pairs[-1][0]
-            if len(pairs) < chunk:
-                break
-        dest.replica_mark_seeded(shard)
-    except BaseException:
-        if not source._closed:
-            source.detach_replication(shard)
-        raise
-
     def detach() -> None:
         if not source._closed:
             source.detach_replication(shard)
 
+    source.attach_replication(shard, ship)
+    try:
+        for batch in source.snapshot_batches(shard, chunk):
+            dest.replica_apply(shard, batch)
+        dest.replica_mark_seeded(shard)
+    except BaseException:
+        detach()
+        raise
     return detach

@@ -276,17 +276,17 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "cluster.migrate.begin",
-            "cluster/store.py migration_begin",
+            "cluster/store.py inbound_begin (migration role)",
             "destination wiped, before the receiving tree opens",
         ),
         Failpoint(
             "cluster.migrate.snapshot",
-            "cluster/store.py migrate_local / node.py driver",
+            "cluster/store.py migrate_shard",
             "before shipping one snapshot chunk to the destination",
         ),
         Failpoint(
             "cluster.migrate.tail",
-            "cluster/store.py migrate_local / node.py driver",
+            "cluster/store.py migrate_shard",
             "before shipping one drained WAL-tail batch",
         ),
         Failpoint(
@@ -296,7 +296,7 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "cluster.migrate.seal",
-            "cluster/store.py migration_seal",
+            "cluster/store.py _take_ownership (migration_seal)",
             "destination warm, before it persists the bumped-epoch map "
             "and adopts the shard",
         ),
@@ -314,13 +314,13 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "repl.node.sync",
-            "cluster/store.py replica_sync_begin",
+            "cluster/store.py inbound_begin (replica role)",
             "standby directory wiped for reseeding, before the fresh "
             "replica tree opens",
         ),
         Failpoint(
             "repl.node.apply",
-            "cluster/store.py replica_apply",
+            "cluster/store.py _inbound_apply (replica role)",
             "shipped batch received on the replica node, before its "
             "replica-WAL append",
         ),
@@ -336,7 +336,7 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "repl.node.promote.seal",
-            "cluster/store.py promote_shards",
+            "cluster/store.py _take_ownership (promote_shards)",
             "failover decided, before the bumped-epoch map is persisted "
             "— the promotion commit point",
         ),

@@ -45,7 +45,7 @@ from ..cluster import (
     ClusterMap,
     NodeInfo,
     NodeStore,
-    migrate_local,
+    migrate_shard,
     replicate_local,
 )
 from ..core.config import LSMConfig
@@ -499,7 +499,7 @@ class ClusterScenario:
     The cluster crossings this enumerates: the per-node ``cluster.json``
     saves at open, every ``cluster.migrate.*`` step of a live migration
     of shard 0 (node ``a`` → node ``b``) driven by
-    :func:`~repro.cluster.migrate_local` — snapshot chunks, the WAL-tail
+    :func:`~repro.cluster.migrate_shard` — snapshot chunks, the WAL-tail
     ship, the fence, the destination seal, the source release — plus the
     ordinary WAL crossings of writes landing on both nodes, including a
     write batch applied *during* the migration that must ride the tail.
@@ -639,7 +639,7 @@ class ClusterScenario:
                     ]
                 )
 
-            migrate_local(source, dest, shard, chunk=4, during=during)
+            migrate_shard(source, dest, shard, chunk=4, during=during)
         elif kind == "stale":
             key, value = op[1], op[2]
             stale_owner = ctx.other_store(ctx.map.shard_index(key))

@@ -24,8 +24,9 @@ from repro.cluster import (
     ClusterNode,
     NodeInfo,
     NodeStore,
-    migrate_local,
+    migrate_shard,
 )
+from repro.cluster.node import _WirePeer
 from repro.core.config import LSMConfig
 from repro.errors import (
     ConfigError,
@@ -409,7 +410,7 @@ class TestNodeStore:
             owner = store_a if shard in store_a.owned_shards() else store_b
             other = store_b if owner is store_a else store_a
             owner.put(edge, "kept")
-            migrate_local(owner, other, shard)
+            migrate_shard(owner, other, shard)
             assert other.get(edge) == "kept"
         finally:
             store_a.close()
@@ -443,7 +444,7 @@ class TestMigrateLocal:
             keys = _keys_for_shard(0, 10, NUM_SHARDS)
             for key in keys:
                 store_a.put(key, "v")
-            stats = migrate_local(store_a, store_b, 0, chunk=3)
+            stats = migrate_shard(store_a, store_b, 0, chunk=3)
             assert stats["snapshot_pairs"] == 10
             assert store_a.map.epoch == 1
             assert store_b.owned_shards() == [0, 1, 3]
@@ -466,7 +467,7 @@ class TestMigrateLocal:
                 store_a.put(keys[0], "new")
                 store_a.delete(keys[1])
 
-            stats = migrate_local(
+            stats = migrate_shard(
                 store_a, store_b, 0, chunk=3, during=during
             )
             assert stats["tail_ops"] >= 2
@@ -482,9 +483,9 @@ class TestMigrateLocal:
         try:
             key = _keys_for_shard(0, 1, NUM_SHARDS)[0]
             store_a.put(key, "v1")
-            migrate_local(store_a, store_b, 0)
+            migrate_shard(store_a, store_b, 0)
             store_b.put(key, "v2")
-            migrate_local(store_b, store_a, 0)
+            migrate_shard(store_b, store_a, 0)
             assert store_a.map.epoch == 2
             assert store_a.get(key) == "v2"
             with pytest.raises(ShardMovedError):
@@ -513,9 +514,9 @@ class TestMigrateLocal:
             for node_id in ("a", "b", "c")
         }
         try:
-            migrate_local(stores["b"], stores["c"], 1)
+            migrate_shard(stores["b"], stores["c"], 1)
             assert stores["a"].map.epoch == 0  # a missed that flip
-            migrate_local(stores["a"], stores["c"], 0)
+            migrate_shard(stores["a"], stores["c"], 0)
             assert stores["a"].map.epoch == 2
             assert stores["c"].owned_shards() == [0, 1, 2]
         finally:
@@ -531,7 +532,7 @@ class TestMigrateLocal:
         try:
             key = _keys_for_shard(0, 1, NUM_SHARDS)[0]
             store_a.put(key, "v")
-            migrate_local(store_a, store_b, 0)
+            migrate_shard(store_a, store_b, 0)
             sealed = store_b.map
             store_b.migration_seal(0, sealed)  # duplicate: no raise
             assert store_b.owned_shards() == [0, 1, 3]
@@ -550,7 +551,7 @@ class TestMigrateLocal:
             store_a.put(key, "v")
             store_b.close()  # destination dies before the flip
             with pytest.raises(Exception):
-                migrate_local(store_a, store_b, 0)
+                migrate_shard(store_a, store_b, 0)
             assert store_a.get(key) == "v"  # not fenced, not moved
             store_a.put(key, "v2")
             assert store_a.get(key) == "v2"
@@ -913,6 +914,178 @@ class TestClusterWire:
                 assert client._pool == {}
             finally:
                 await _stop_all(servers)
+
+        asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# One driver, two peers: an in-process NodeStore and the MIG.* wire peer
+# ---------------------------------------------------------------------------
+
+
+def _record_inbound(store: NodeStore) -> List[tuple]:
+    """Wrap ``store``'s inbound entry points; returns the live recording
+    of every call a migration driver's peer makes on it."""
+    calls: List[tuple] = []
+    begin, apply_, seal = (
+        store.inbound_begin, store.migration_apply, store.migration_seal
+    )
+
+    def inbound_begin(shard, role, source_map=None):
+        calls.append(("begin", shard, role))
+        return begin(shard, role, source_map)
+
+    def migration_apply(shard, ops):
+        calls.append(("apply", shard, [tuple(op) for op in ops]))
+        return apply_(shard, ops)
+
+    def migration_seal(shard, new_map):
+        calls.append(
+            ("seal", shard, new_map.epoch, new_map.owner_id(shard))
+        )
+        return seal(shard, new_map)
+
+    store.inbound_begin = inbound_begin
+    store.migration_apply = migration_apply
+    store.migration_seal = migration_seal
+    return calls
+
+
+class TestMigrationDriverPeers:
+    def test_wire_peer_and_node_store_are_one_protocol(self, tmp_path):
+        """The crash sweep drives ``migrate_shard`` against a NodeStore;
+        ``MIGRATE`` drives it against the wire peer. Same shard, same
+        chunking, same mid-migration batch: the destination store must
+        see the identical call sequence either way."""
+        keys = _keys_for_shard(0, 11, NUM_SHARDS)
+        preload, fresh = keys[:10], keys[10]
+
+        def load(store):
+            for index, key in enumerate(preload):
+                store.put(key, f"v{index}")
+
+        def during_on(store):
+            def during():
+                store.write_batch(
+                    [
+                        ("put", preload[0], "overwritten"),
+                        ("delete", preload[1], None),
+                        ("put", fresh, "fresh"),
+                    ]
+                )
+
+            return during
+
+        # in-process: both maps at epoch 1, like the wire bootstrap
+        cmap = ClusterMap.even(
+            NUM_SHARDS, _nodes(("a", 7611), ("b", 7612)), epoch=1
+        )
+        local_a, local_b = (
+            NodeStore(
+                node_id,
+                cmap,
+                LSMConfig(),
+                wal_dir=str(tmp_path / "local" / node_id),
+            )
+            for node_id in ("a", "b")
+        )
+        try:
+            load(local_a)
+            local_calls = _record_inbound(local_b)
+            local_stats = migrate_shard(
+                local_a, local_b, 0, chunk=4, during=during_on(local_a)
+            )
+        finally:
+            local_a.close()
+            local_b.close()
+
+        async def scenario():
+            servers, stores, live = await _start_wire_cluster(
+                tmp_path / "wire"
+            )
+            try:
+                load(stores[0])
+                calls = _record_inbound(stores[1])
+                async with servers[0]._dial(live.nodes["b"]) as client:
+                    peer = _WirePeer(servers[0], live.nodes["b"], client)
+                    stats = await asyncio.get_running_loop().run_in_executor(
+                        None,
+                        lambda: migrate_shard(
+                            stores[0],
+                            peer,
+                            0,
+                            chunk=4,
+                            during=during_on(stores[0]),
+                        ),
+                    )
+                assert stores[1].get(preload[0]) == "overwritten"
+                assert stores[1].get(preload[1]) is None
+                assert stores[1].get(fresh) == "fresh"
+                return calls, stats
+            finally:
+                await _stop_all(servers)
+                for store in stores:
+                    store.close()
+
+        wire_calls, wire_stats = asyncio.run(scenario())
+        assert wire_calls == local_calls
+        kinds = [call[0] for call in wire_calls]
+        # begin, 3 snapshot batches of ≤ 4, the tail batch, the seal
+        assert kinds == ["begin"] + ["apply"] * 4 + ["seal"]
+        assert wire_calls[-1] == ("seal", 0, 2, "b")
+        for field in ("shard", "from", "to", "epoch", "snapshot_pairs",
+                      "tail_ops"):
+            assert wire_stats[field] == local_stats[field], field
+
+    def test_stop_unwinds_a_migration_parked_mid_seed(self, tmp_path):
+        """``stop()`` with a MIGRATE in flight must return, and the
+        driver thread must leave through its abort path: the source
+        still owns the shard, unfenced, with no tail attached."""
+        async def scenario():
+            servers, stores, live = await _start_wire_cluster(tmp_path)
+            gate = threading.Event()
+            try:
+                moving = stores[0].owned_shards()[0]
+                keys = _keys_for_shard(moving, 6, live.num_shards)
+                for key in keys[:5]:
+                    stores[0].put(key, "v")
+                parked = threading.Event()
+                real_apply = stores[1].migration_apply
+
+                def gated_apply(shard, ops):
+                    parked.set()
+                    assert gate.wait(8.0), "gate never released"
+                    real_apply(shard, ops)
+
+                stores[1].migration_apply = gated_apply
+                admin = await KVClient.connect(
+                    "127.0.0.1", servers[0].port, reconnect_retries=0
+                )
+                migrate = asyncio.create_task(
+                    admin.command(["MIGRATE", str(moving), "b"])
+                )
+                while not parked.is_set():
+                    assert not migrate.done(), migrate
+                    await asyncio.sleep(0.01)
+                assert stores[0].migrating_shards() == [moving]
+                (_peer, job) = servers[0]._outbound[moving]
+                await asyncio.wait_for(servers[0].stop(), 5.0)
+                assert job.done() and job.exception() is not None
+                assert servers[0]._outbound == {}
+                with pytest.raises((ConnectionError, OSError, ServerError)):
+                    await migrate
+                await admin.close()
+                # exactly one owner, and it still serves
+                assert moving in stores[0].owned_shards()
+                assert moving not in stores[1].owned_shards()
+                assert stores[0].migrating_shards() == []
+                stores[0].put(keys[5], "after-stop")  # not fenced
+                assert stores[0].get(keys[0]) == "v"
+            finally:
+                gate.set()
+                await _stop_all(servers)
+                for store in stores:
+                    store.close()
 
         asyncio.run(scenario())
 

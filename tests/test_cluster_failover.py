@@ -11,8 +11,9 @@ in test time.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -22,8 +23,10 @@ from repro.cluster import (
     ClusterNode,
     NodeInfo,
     NodeStore,
+    migrate_shard,
     replicate_local,
 )
+from repro.cluster.store import MIGRATION, REPLICA
 from repro.core.config import LSMConfig
 from repro.errors import ConfigError, ShardMovedError
 from repro.server.client import KVClient, MovedError
@@ -49,7 +52,7 @@ def _keys_for_shard(
     return keys
 
 
-def _replicated_stores(tmp_path):
+def _replicated_stores(tmp_path, config: Optional[LSMConfig] = None):
     """Two NodeStores sharing a replicated even map (a: 0,2 / b: 1,3)."""
     cluster_map = ClusterMap.even(
         NUM_SHARDS, _nodes(("a", 7411), ("b", 7412)), replicated=True
@@ -58,12 +61,41 @@ def _replicated_stores(tmp_path):
         node_id: NodeStore(
             node_id,
             cluster_map,
-            LSMConfig(),
+            config or LSMConfig(),
             wal_dir=str(tmp_path / node_id),
         )
         for node_id in ("a", "b")
     }
     return cluster_map, stores
+
+
+def _track_open_trees(store: NodeStore, shard: int):
+    """A probe for "how many trees are open on ``shard``'s directory".
+
+    Records every tree ``store`` opens over the directory from now on
+    (tracked in a table or not — a tree a table forgot is exactly the
+    zombie this guards against) and returns a callable asserting that at
+    most one of them, and of the tables' entries (inbound ∪ serving), is
+    open.
+    """
+    opened = []
+    real_open = store._forest._open_tree
+
+    def recording_open(index, committed=None):
+        tree = real_open(index, committed)
+        if index == shard:
+            opened.append(tree)
+        return tree
+
+    store._forest._open_tree = recording_open
+
+    def check() -> None:
+        tracked = int(shard in store._inbound) + int(shard in store.trees)
+        live = [tree for tree in opened if not tree._closed]
+        assert tracked <= 1, f"{tracked} tables hold shard {shard}"
+        assert len(live) <= 1, f"{len(live)} trees open on one directory"
+
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +268,74 @@ class TestNodeStoreReplication:
             b.kill()
 
 
+class TestOneInboundSlot:
+    """A shard directory never has two open trees: the newest begin owns
+    the shard's one inbound slot, whatever its role, and the stream it
+    superseded is refused from then on."""
+
+    def test_migration_onto_the_replica_node_loses_nothing(self, tmp_path):
+        """In a two-node replicated cluster every MIGRATE targets the
+        shard's own replica node. The sequence the wire produces there —
+        MIG.BEGIN supersedes the standby, the live shipper's REPL.SHIP
+        is refused, its retry REPL.SYNCs — once left two trees open on
+        one directory (one table each), the later wipe under the earlier
+        tree, and every acked key gone after a restart."""
+        config = LSMConfig(wal_preserve_segments=True)
+        _, stores = _replicated_stores(tmp_path, config)
+        a, b = stores["a"], stores["b"]
+        keys = _keys_for_shard(0, 51)
+        preload, post = keys[:50], keys[50]
+        one_tree = _track_open_trees(b, 0)
+        try:
+            for key in preload:
+                a.put(key, "pre")
+            detach = replicate_local(a, b, 0)
+            one_tree()
+            # MIGRATE 0 b begins: the standby is superseded
+            b.inbound_begin(0, MIGRATION)
+            one_tree()
+            health = b.check_health()
+            assert health["receiving_shards"] == [0]
+            assert health["replica_shards"] == []
+            # what the live shipper's next REPL.SHIP / REPL.SEEDED gets
+            with pytest.raises(ConfigError):
+                b.replica_apply(0, [("put", preload[0], "late")])
+            with pytest.raises(ConfigError):
+                b.replica_mark_seeded(0)
+            one_tree()
+            # ... and its retry: a fresh REPL.SYNC now owns the slot
+            b.inbound_begin(0, REPLICA, a.map)
+            one_tree()
+            health = b.check_health()
+            assert health["receiving_shards"] == []
+            assert health["replica_shards"] == [0]
+            assert health["replica_fresh"] == []
+            # the migration is the superseded stream: refused, not
+            # interleaved, and it cannot seal what it no longer fills
+            with pytest.raises(ConfigError):
+                b.migration_apply(0, [("put", preload[0], "late")])
+            with pytest.raises(ConfigError):
+                b.migration_seal(0, a.map.with_assignment(0, "b"))
+            one_tree()
+            assert 0 not in b.owned_shards()
+            # the retried MIGRATE runs to completion
+            detach()
+            migrate_shard(a, b, 0, chunk=7)
+            one_tree()
+            health = b.check_health()
+            assert 0 in health["owned_shards"]
+            assert health["receiving_shards"] == []
+            assert health["replica_shards"] == []
+            b.put(post, "post-flip")
+            b.kill()
+            b = NodeStore.recover("b", config, str(tmp_path / "b"))
+            assert [b.get(key) for key in preload] == ["pre"] * 50
+            assert b.get(post) == "post-flip"
+        finally:
+            a.kill()
+            b.kill()
+
+
 # ---------------------------------------------------------------------------
 # wire: heartbeats, automatic promotion, rejoin
 # ---------------------------------------------------------------------------
@@ -247,6 +347,7 @@ async def _start_replicated_cluster(
     heartbeat_interval_s: float = 0.1,
     lease_timeout_s: float = 0.6,
     node_ids: Sequence[str] = ("a", "b"),
+    config: Optional[LSMConfig] = None,
 ):
     """Port-0 bootstrap, then a replicated successor map at epoch 1.
 
@@ -259,7 +360,10 @@ async def _start_replicated_cluster(
     )
     stores = [
         NodeStore(
-            node_id, boot, LSMConfig(), wal_dir=str(tmp_path / node_id)
+            node_id,
+            boot,
+            config or LSMConfig(),
+            wal_dir=str(tmp_path / node_id),
         )
         for node_id in node_ids
     ]
@@ -451,6 +555,105 @@ class TestWireFailover:
                     assert summary["lag_records"] == 0
             finally:
                 await _stop_all(servers)
+
+        asyncio.run(scenario())
+
+
+class TestWireMigrationOntoReplica:
+    def test_migrate_onto_replica_node_under_shipper_retries(self, tmp_path):
+        """MIGRATE a replicated shard onto its own replica node, held
+        mid-seed until the shard's shipper has failed (its standby was
+        superseded) and come round its retry loop: the retry must not
+        REPL.SYNC — wipe — the destination under the migration."""
+        config = LSMConfig(wal_preserve_segments=True)
+        moving = 0
+        keys = _keys_for_shard(moving, 201)
+        preload, post = keys[:200], keys[200]
+
+        async def scenario():
+            servers, stores, live = await _start_replicated_cluster(
+                tmp_path, config=config
+            )
+            try:
+                assert live.owner_id(moving) == "a"
+                assert live.replica_id(moving) == "b"
+                raw_a = await KVClient.connect("127.0.0.1", servers[0].port)
+                try:
+                    for start in range(0, len(preload), 50):
+                        await raw_a.batch(
+                            [
+                                ("put", key, "pre")
+                                for key in preload[start:start + 50]
+                            ]
+                        )
+                    # gate the destination's applies: ordering, not sleeps
+                    gate = threading.Event()
+                    real_apply = stores[1].migration_apply
+
+                    def gated_apply(shard, ops):
+                        assert gate.wait(8.0), "gate never released"
+                        real_apply(shard, ops)
+
+                    stores[1].migration_apply = gated_apply
+                    # what the shard's shipper goes through, in order
+                    shipper = servers[0]._shippers[moving]
+                    rounds: List[str] = []
+                    real_release = shipper._release_all
+                    real_session = shipper._session
+
+                    def release_all(state):
+                        rounds.append(state)
+                        real_release(state)
+
+                    async def session():
+                        rounds.append("session")
+                        await real_session()
+
+                    shipper._release_all = release_all
+                    shipper._session = session
+                    migrate = asyncio.create_task(
+                        raw_a.command(["MIGRATE", str(moving), "b"])
+                    )
+                    await _wait_until(
+                        lambda: "retrying" in rounds
+                        and len(rounds) > rounds.index("retrying") + 1,
+                        "the shipper never failed and came round again",
+                    )
+                    # it backed off instead of opening a session
+                    assert "session" not in rounds, rounds
+                    assert not migrate.done()
+                    gate.set()
+                    reply = await migrate
+                    assert reply[0] == "OK", reply
+                    # reconciled on the way out, not a heartbeat later:
+                    # the source ships nothing for a shard it released
+                    assert moving not in servers[0]._shippers
+                    assert str(moving) not in servers[0].health()[
+                        "replication"
+                    ]
+                finally:
+                    await raw_a.close()
+                raw_b = await KVClient.connect("127.0.0.1", servers[1].port)
+                try:
+                    health = await raw_b.health()
+                    assert moving in health["owned_shards"]
+                    assert moving not in health["replica_shards"]
+                    assert moving not in health["receiving_shards"]
+                    await raw_b.put(post, "post-flip")
+                finally:
+                    await raw_b.close()
+            finally:
+                await _stop_all(servers)
+            stores[0].kill()
+            stores[1].kill()
+            recovered = NodeStore.recover("b", config, str(tmp_path / "b"))
+            try:
+                assert moving in recovered.owned_shards()
+                lost = [key for key in preload if recovered.get(key) != "pre"]
+                assert not lost, f"{len(lost)} of {len(preload)} keys lost"
+                assert recovered.get(post) == "post-flip"
+            finally:
+                recovered.kill()
 
         asyncio.run(scenario())
 
