@@ -6,8 +6,10 @@ Two phases:
    subprocess, wait for its listening banner, run a pipelined client
    session (PUT/GET/SCAN/BATCH/DELETE/INFO) against it, then one raw
    mixed window (PUT/GET x4 in one segment) that must cost one commit
-   group per shard it touches, then SIGINT it and assert a clean,
-   orderly shutdown (exit code 0).
+   group per shard it touches, then an idle drill — ``INFO`` twice
+   across a one-second pause: the background workers of an idle store
+   may only have run their backstop poll — then SIGINT it and assert a
+   clean, orderly shutdown (exit code 0).
 2. **BUSY retry path** — an in-process server whose tree is forced to
    report the write-stop backpressure state for the first few admission
    checks; the client's exponential-backoff retry must absorb the BUSY
@@ -107,6 +109,24 @@ async def mixed_window(port: int) -> None:
     print(f"mixed window: 4 PUTs + 4 GETs in {commits} commit group(s): ok")
 
 
+async def idle_drill(port: int, shards: int) -> None:
+    """An idle server's background workers sleep: over a one-second
+    pause each of them (``serve`` defaults to two flush and two
+    compaction workers per shard tree) runs only its 20 ms backstop
+    poll — 50 empty steps, allowed 150 — not a wake storm."""
+    pause_s, per_worker = 1.0, 150
+    async with await KVClient.connect("127.0.0.1", port) as kv:
+        before = (await kv.info())["engine"]["background_idle_steps"]
+        await asyncio.sleep(pause_s)
+        after = (await kv.info())["engine"]["background_idle_steps"]
+    grew, workers = after - before, 4 * shards
+    assert grew <= per_worker * workers, (
+        f"{grew} empty worker steps in {pause_s:.0f}s idle "
+        f"({workers} workers): the workers are waking each other"
+    )
+    print(f"idle drill: {grew} empty steps in 1s over {workers} workers: ok")
+
+
 def subprocess_server_phase(shards: int) -> None:
     """Start the CLI server, drive it, SIGINT it, assert clean shutdown."""
     env = dict(os.environ)
@@ -130,6 +150,7 @@ def subprocess_server_phase(shards: int) -> None:
         port = int(banner.split("listening on", 1)[1].split()[0].rsplit(":", 1)[1])
         asyncio.run(pipelined_session(port, shards))
         asyncio.run(mixed_window(port))
+        asyncio.run(idle_drill(port, shards))
     finally:
         process.send_signal(signal.SIGINT)
         try:

@@ -91,6 +91,7 @@ import random
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import asynccontextmanager
 from typing import AsyncIterator, Deque, Dict, List, Optional, Set, Tuple
 
@@ -235,6 +236,17 @@ class ClusterNode(KVServer):
         #: mode. Mutated on the event loop, read by the engine thread in
         #: the ack-time fence check (GIL-atomic set membership).
         self._standby_armed: Set[int] = set()
+        #: Where a peer's inbound stream verbs (``MIG.*``, ``REPL.SYNC``/
+        #: ``SHIP``/``SEEDED``) run: threads of their own, so an apply
+        #: never queues behind this node's commit threads — which sit in
+        #: :meth:`_ShardShipper._on_commit` waiting for the *peer's*
+        #: apply, while the peer's commit threads wait for ours. An
+        #: inbound call takes only the slot tree's locks and waits on no
+        #: ack, so the cycle is broken by construction. One thread per
+        #: shard: each stream is ordered, one apply in flight at a time.
+        self._inbound_executor = ThreadPoolExecutor(
+            max_workers=store.num_shards, thread_name_prefix="kv-inbound"
+        )
         self._hb_task: Optional[asyncio.Task] = None
         self._closing = False
 
@@ -295,6 +307,7 @@ class ClusterNode(KVServer):
         if outbound:
             await asyncio.wait([job for _peer, job in outbound])
         await super().stop()
+        self._inbound_executor.shutdown(wait=True)
 
     # -- error mapping --------------------------------------------------------
 
@@ -370,7 +383,7 @@ class ClusterNode(KVServer):
                     else "MIG.BEGIN needs exactly a shard index"
                 )
             shard = self._parse_shard(request[1])
-            await self._run_engine(
+            await self._run_inbound(
                 store.inbound_begin,
                 shard,
                 REPLICA if replica else MIGRATION,
@@ -388,7 +401,7 @@ class ClusterNode(KVServer):
                 raise ProtocolError(f"{verb} needs a shard index")
             shard = self._parse_shard(request[1])
             ops = decode_batch(["BATCH", *request[2:]])
-            await self._run_engine(
+            await self._run_inbound(
                 store.replica_apply if replica else store.migration_apply,
                 shard,
                 ops,
@@ -403,7 +416,7 @@ class ClusterNode(KVServer):
                 )
             shard = self._parse_shard(request[1])
             sealed = ClusterMap.from_json(request[2])
-            await self._run_engine(store.migration_seal, shard, sealed)
+            await self._run_inbound(store.migration_seal, shard, sealed)
             self._reconcile_replication()  # the new shard may need a shipper
             return ["OK", str(sealed.epoch)]
         if verb == "REPL.SEEDED":
@@ -412,7 +425,7 @@ class ClusterNode(KVServer):
                     "REPL.SEEDED needs exactly a shard index"
                 )
             shard = self._parse_shard(request[1])
-            await self._run_engine(store.replica_mark_seeded, shard)
+            await self._run_inbound(store.replica_mark_seeded, shard)
             self._note_stream(shard)
             return ["OK", str(shard)]
         if verb == "REPL.PING":
@@ -421,6 +434,11 @@ class ClusterNode(KVServer):
             self._last_seen[request[1]] = time.monotonic()
             return ["OK", store.node_id, str(store.map.epoch)]
         raise ProtocolError(f"unknown command {verb!r}")  # unreachable
+
+    async def _run_inbound(self, fn, *args):
+        return await asyncio.get_running_loop().run_in_executor(
+            self._inbound_executor, fn, *args
+        )
 
     def _note_stream(self, shard: int) -> None:
         """Record inbound ship-stream activity for ``shard``. It is also

@@ -271,10 +271,17 @@ class BackgroundCoordinator:
         """
         tree = self.tree
         with self._cv:
+            # A FAILED buffer stays queued (its writes are acknowledged
+            # and readable) and blocks every later install — runs enter
+            # Level 0 in rotation order — so behind one there is nothing
+            # to do: claiming the next buffer would build its tables,
+            # fail to install them, and spin doing so.
             buffer = next(
-                (b for b in tree._immutable if b.state == PENDING), None
+                (b for b in tree._immutable if b.state != FLUSHING), None
             )
-            if buffer is None:
+            claimable = buffer is not None and buffer.state == PENDING
+            tree.stats.count_background_step(claimable)
+            if not claimable:
                 return False
             buffer.state = FLUSHING
         try:
@@ -333,6 +340,7 @@ class BackgroundCoordinator:
             plan = tree.planner.plan_background(
                 tree.levels, tree.disk.now_us, self._busy_levels
             )
+            tree.stats.count_background_step(plan is not None)
             if plan is None:
                 return False
             job = plan.job

@@ -2,11 +2,25 @@
 
 Workers repeatedly call a *step* function that performs one unit of work
 (claim-and-flush one buffer, plan-and-run one compaction) and reports
-whether any work was available. Idle workers park on a condition variable
-until :meth:`BackgroundWorkerPool.kick` announces new work; a short wait
-timeout backstops missed wakeups. Exceptions escaping a step are captured —
-never propagated into the thread — so the owning tree can surface them on
-the next foreground operation (see :class:`~repro.errors.BackgroundError`).
+whether any work was available. A worker runs a step only because work
+*may* exist; the wake protocol has three rules:
+
+1. **An empty step wakes nobody.** A step that changed state announces
+   it itself with :meth:`BackgroundWorkerPool.kick`; a step that found
+   nothing has nothing to announce. (A notify on the idle path is a busy
+   loop as soon as two roles share the condition: each empty step wakes
+   the sibling, whose empty step wakes the first.)
+2. **A kick is never lost.** :meth:`~BackgroundWorkerPool.kick` bumps a
+   generation under the condition; a worker samples it before its step
+   and sleeps after an empty step only if it has not moved — so a kick
+   that lands while the step was looking for work reruns the step
+   instead of being slept through.
+3. **The poll is a backstop** (:data:`IDLE_WAIT_S`), needed only for
+   work that becomes due without any state change.
+
+Exceptions escaping a step are captured — never propagated into the
+thread — so the owning tree can surface them on the next foreground
+operation (see :class:`~repro.errors.BackgroundError`).
 """
 
 from __future__ import annotations
@@ -14,8 +28,13 @@ from __future__ import annotations
 import threading
 from typing import Callable, List, Optional
 
-#: Seconds an idle worker sleeps before re-polling, as a missed-wakeup
-#: backstop; real wakeups come from :meth:`BackgroundWorkerPool.kick`.
+#: Seconds an idle worker sleeps before re-polling. Every *state-change*
+#: hand-off (rotate → flush, flush install → compaction, compaction
+#: install → next compaction, resume, stop) is delivered by
+#: :meth:`BackgroundWorkerPool.kick` and works with this stretched to any
+#: length; the poll exists for time-triggered plans (Lethe-style
+#: delete-persistence deadlines), which become due because the simulated
+#: clock advanced — something reads do without kicking anyone.
 IDLE_WAIT_S = 0.02
 
 #: A unit of background work: returns True if it found work to do.
@@ -38,7 +57,11 @@ class BackgroundWorkerPool:
         self._stopped = False
         self._paused = False
         self._active_workers = 0
-        self._errors: List[BaseException] = []
+        #: Bumped by every :meth:`kick`; see rule 2 in the module docstring.
+        self._generation = 0
+        #: The first failure only: a persistently failing step is retried
+        #: on every poll, and nothing ever reads the later exceptions.
+        self._error: Optional[BaseException] = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -66,8 +89,13 @@ class BackgroundWorkerPool:
     # -- coordination -------------------------------------------------------
 
     def kick(self) -> None:
-        """Wake idle workers: new work may be available."""
+        """Announce that new work may be available.
+
+        Wakes sleeping workers, and makes any worker currently inside a
+        step run another one before it sleeps.
+        """
         with self._cv:
+            self._generation += 1
             self._cv.notify_all()
 
     def inject_failure(self, exc: BaseException) -> None:
@@ -79,9 +107,7 @@ class BackgroundWorkerPool:
         :class:`~repro.errors.BackgroundError` exactly as it would for an
         organic worker death.
         """
-        with self._cv:
-            self._errors.append(exc)
-            self._cv.notify_all()
+        self._record_failure(exc)
         self.stop()
 
     def pause(self) -> None:
@@ -104,9 +130,14 @@ class BackgroundWorkerPool:
     def first_error(self) -> Optional[BaseException]:
         """The first exception captured from any worker, if any."""
         with self._cv:
-            return self._errors[0] if self._errors else None
+            return self._error
 
     # -- worker loop --------------------------------------------------------
+
+    def _record_failure(self, exc: BaseException) -> None:
+        with self._cv:
+            if self._error is None:
+                self._error = exc
 
     def _run(self, step: WorkStep) -> None:
         while True:
@@ -116,18 +147,18 @@ class BackgroundWorkerPool:
                 if self._stopped:
                     return
                 self._active_workers += 1
+                generation = self._generation
             did_work = False
             try:
                 did_work = step()
             except BaseException as exc:  # surfaced via first_error
-                with self._cv:
-                    self._errors.append(exc)
-            finally:
-                with self._cv:
-                    self._active_workers -= 1
-                    self._cv.notify_all()
-            if not did_work:
-                with self._cv:
-                    if self._stopped:
-                        return
+                self._record_failure(exc)
+            with self._cv:
+                self._active_workers -= 1
+                if (
+                    not did_work
+                    and self._generation == generation
+                    and not self._paused
+                    and not self._stopped
+                ):
                     self._cv.wait(IDLE_WAIT_S)

@@ -79,6 +79,14 @@ class TreeStats:
     #: notes current systems fail to provide for range deletes (§2.3.3).
     range_tombstone_drop_ages_us: List[float] = field(default_factory=list)
 
+    # -- background workers (background mode only) ------------------------
+    #: Flush and compaction worker steps run, and how many of them found
+    #: nothing to do: the wake protocol's useful outcomes ÷ attempts. An
+    #: idle tree adds only the backstop poll (two per ``IDLE_WAIT_S`` with
+    #: the default one flush and one compaction worker).
+    background_steps: int = 0
+    background_idle_steps: int = 0
+
     # -- read path --------------------------------------------------------
     gets: int = 0
     gets_found: int = 0
@@ -134,6 +142,13 @@ class TreeStats:
             self.blocks_from_disk += reads.blocks_from_disk
             if latency_us is not None:
                 self.read_latencies_us.append(latency_us)
+
+    def count_background_step(self, did_work: bool) -> None:
+        """Atomically count one worker step and whether it was idle."""
+        with self._lock:
+            self.background_steps += 1
+            if not did_work:
+                self.background_idle_steps += 1
 
     def record_write_latency(self, micros: float) -> None:
         """Record the latency of one external write."""

@@ -398,11 +398,23 @@ class LSMTree:
         its WAL sync — acknowledge the group (commit hook included),
         insert into the buffer, honor rotation/flush triggers — and then
         releases the write mutex taken by :meth:`txn_prepare`.
+
+        One difference: an ``Exception`` from the commit hook (a failed
+        replica ack, a self-fence) is held until the group has been
+        applied, then re-raised. The transaction is decided and the
+        coordinator applies the other shards regardless, so skipping
+        this shard's insert would leave a committed batch visible on
+        some shards and not others until the next restart. A
+        ``BaseException`` (an injected crash) still propagates at once.
         """
         try:
             entries = self._pending_txns.pop(txn_id)
             started_us = self.disk.now_us
-            self._active_wal.commit_prepared(txn_id)
+            hook_error: Optional[Exception] = None
+            try:
+                self._active_wal.commit_prepared(txn_id)
+            except Exception as exc:
+                hook_error = exc
             put_count = sum(
                 1 for entry in entries if entry.kind is EntryKind.PUT
             )
@@ -426,6 +438,8 @@ class LSMTree:
                 self.stats.record_write_latency(
                     self.disk.now_us - started_us
                 )
+            if hook_error is not None:
+                raise hook_error
         finally:
             self._write_mutex.release()
 

@@ -247,7 +247,13 @@ class WriteAheadLog:
             one call per commit group, so the group can be re-applied
             atomically on a replica. A hook exception propagates to the
             writer (sync replication surfaces its ack failure here) but
-            never un-commits the local records.
+            never un-commits the local records: they stay in the log and
+            in :attr:`pending_entries`. Whether they are *visible* is
+            the caller's business — :meth:`LSMTree.txn_commit
+            <repro.core.tree.LSMTree.txn_commit>` applies a decided
+            group and then re-raises, while the single-tree write paths
+            let the exception skip the memtable insert, so such a write
+            is durable but unreadable until the log is replayed.
     """
 
     def __init__(

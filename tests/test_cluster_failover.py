@@ -348,11 +348,13 @@ async def _start_replicated_cluster(
     lease_timeout_s: float = 0.6,
     node_ids: Sequence[str] = ("a", "b"),
     config: Optional[LSMConfig] = None,
+    **node_options,
 ):
     """Port-0 bootstrap, then a replicated successor map at epoch 1.
 
     Waits until every node has seeded the warm standbys its map asks of
-    it, so tests start from a promotable cluster.
+    it, so tests start from a promotable cluster. ``node_options`` go to
+    every :class:`ClusterNode`.
     """
     boot = ClusterMap.even(
         NUM_SHARDS,
@@ -374,6 +376,7 @@ async def _start_replicated_cluster(
             port=0,
             heartbeat_interval_s=heartbeat_interval_s,
             lease_timeout_s=lease_timeout_s,
+            **node_options,
         )
         for store in stores
     ]
@@ -533,6 +536,55 @@ class TestWireFailover:
                 rejoined.put(s0[2], "v3-home-again")
                 assert rejoined.get(s0[2]) == "v3-home-again"
             finally:
+                await _stop_all(servers)
+
+        asyncio.run(scenario())
+
+    def test_mutual_sync_writes_do_not_starve_the_peers_applies(
+        self, tmp_path
+    ):
+        """Each node's commit thread waits for the *peer's* apply of its
+        shipped group. With the applies on the same bounded pool as the
+        commits, two nodes writing at once fill both pools with waiters
+        and every apply queues behind them until the ship times out, the
+        stream degrades and writes are acked un-replicated. Inbound
+        applies have threads of their own, so a pool of one suffices."""
+
+        async def scenario():
+            servers, stores, live = await _start_replicated_cluster(
+                tmp_path,
+                lease_timeout_s=30.0,
+                executor_threads=1,
+                repl_timeout_s=2.0,
+            )
+            clients = [
+                await KVClient.connect("127.0.0.1", server.port)
+                for server in servers
+            ]
+            try:
+                # One key on a shard each node owns (a: 0, b: 1).
+                keys = [_keys_for_shard(shard, 1)[0] for shard in (0, 1)]
+                for round_no in range(20):
+                    started = time.monotonic()
+                    await asyncio.gather(
+                        *(
+                            client.put(key, f"round-{round_no}")
+                            for client, key in zip(clients, keys)
+                        )
+                    )
+                    elapsed = time.monotonic() - started
+                    assert elapsed < 1.0, (round_no, elapsed)
+                for server in servers:
+                    for summary in server.health()["replication"].values():
+                        assert summary["state"] == "streaming"
+                        assert summary["missed_records"] == 0
+                # Acked means replicated: the standbys hold the writes.
+                for store, key in zip(reversed(stores), keys):
+                    shard = hash_shard_index(key, NUM_SHARDS)
+                    assert store._inbound[shard].tree.get(key) == "round-19"
+            finally:
+                for client in clients:
+                    await client.close()
                 await _stop_all(servers)
 
         asyncio.run(scenario())

@@ -6,13 +6,18 @@ work, backpressure accounting, WAL recovery of unflushed buffers, and the
 RocksDB-style background-error contract.
 """
 
+import gc
 import random
 import sys
 import threading
+import time
+import weakref
 
 import pytest
 
 from repro import LSMConfig, LSMTree
+from repro.concurrency import pool as pool_module
+from repro.concurrency.pool import BackgroundWorkerPool
 from repro.errors import BackgroundError, ClosedError
 
 
@@ -83,6 +88,222 @@ class TestBackgroundBasics:
             stats = tree.stats
             assert stats.slowdown_events + stats.stall_events > 0
             assert stats.slowdown_us + stats.stall_us >= 0.0
+
+
+def wait_until(predicate, timeout_s, message="condition not reached in time"):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError(message)
+        time.sleep(0.005)
+
+
+class TestWakeProtocol:
+    """A worker runs a step only because work may exist (pool.py rules):
+    counts and orderings, never CPU time."""
+
+    WINDOW_S = 0.5
+    #: Steps one idle worker may run in the window: the backstop poll,
+    #: with a factor of two and a little slack for scheduling jitter.
+    IDLE_BOUND = WINDOW_S / pool_module.IDLE_WAIT_S * 2 + 5
+
+    def test_empty_steps_wake_nobody(self):
+        calls = {"flush": 0, "compact": 0}
+
+        def empty_step(role):
+            def step():
+                calls[role] += 1
+                return False
+
+            return step
+
+        pool = BackgroundWorkerPool()
+        try:
+            pool.spawn("flush", 1, empty_step("flush"))
+            pool.spawn("compact", 1, empty_step("compact"))
+            time.sleep(self.WINDOW_S)
+        finally:
+            pool.stop()
+        assert 1 <= calls["flush"] <= self.IDLE_BOUND, calls
+        assert 1 <= calls["compact"] <= self.IDLE_BOUND, calls
+
+    def test_idle_tree_only_polls(self):
+        with LSMTree(LSMConfig(background_mode=True)) as tree:
+            before = tree.stats.background_steps
+            time.sleep(self.WINDOW_S)
+            steps = tree.stats.background_steps - before
+            # One flush and one compaction worker by default.
+            assert 1 <= steps <= 2 * self.IDLE_BOUND
+            assert tree.stats.background_idle_steps == (
+                tree.stats.background_steps
+            )
+
+    def test_kick_during_an_empty_step_reruns_it(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "IDLE_WAIT_S", 30.0)
+        pool = BackgroundWorkerPool()
+        calls = []
+
+        def step():
+            calls.append(time.monotonic())
+            if len(calls) == 1:
+                # New work announced after this step looked for it and
+                # before the worker went to sleep.
+                pool.kick()
+            return False
+
+        try:
+            pool.spawn("only", 1, step)
+            wait_until(
+                lambda: len(calls) >= 2, 1.0, "the kick was slept through"
+            )
+            # ...and the second, un-kicked empty step does sleep.
+            time.sleep(0.1)
+            assert len(calls) == 2
+        finally:
+            pool.stop()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_no_kick_is_lost_under_contention(self, monkeypatch, workers):
+        """Producers queue a token and kick, as fast as they can, against
+        workers whose steps each take one token. With the poll out of
+        reach, a single kick slept through strands its token."""
+        monkeypatch.setattr(pool_module, "IDLE_WAIT_S", 30.0)
+        producers, per_producer = 4, 1500
+        pool = BackgroundWorkerPool()
+        lock = threading.Lock()
+        state = {"queued": 0, "taken": 0}
+
+        def step():
+            with lock:
+                if not state["queued"]:
+                    return False
+                state["queued"] -= 1
+                state["taken"] += 1
+                return True
+
+        def produce():
+            for _ in range(per_producer):
+                with lock:
+                    state["queued"] += 1
+                pool.kick()
+
+        threads = [threading.Thread(target=produce) for _ in range(producers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool.spawn("taker", workers, step)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            wait_until(
+                lambda: state["taken"] == producers * per_producer,
+                10.0,
+                "a kick was slept through: its token is stranded",
+            )
+        finally:
+            sys.setswitchinterval(interval)
+            pool.stop()
+
+    def test_state_changes_hand_off_without_the_poll(self, monkeypatch):
+        """rotate -> flush -> compaction -> next compaction, with the
+        backstop stretched out of reach and without flush()/drain(),
+        whose wait loops kick every 50 ms and would mask a missing
+        hand-off."""
+        monkeypatch.setattr(pool_module, "IDLE_WAIT_S", 30.0)
+        tree = LSMTree(
+            LSMConfig(
+                background_mode=True,
+                buffer_size_bytes=4 * 1024,
+                num_buffers=8,
+            )
+        )
+        try:
+            rotations = 0
+            index = 0
+            while rotations < 4:
+                queued = len(tree._immutable)
+                tree.put(f"key{index:06d}", "v" * 64)
+                index += 1
+                if len(tree._immutable) > queued:
+                    rotations += 1
+            assert tree.config.level0_run_limit <= 4
+            stats = tree.stats
+            wait_until(
+                lambda: stats.flushes >= 4,
+                10.0,
+                "rotate -> flush hand-off missing",
+            )
+            wait_until(
+                lambda: stats.compactions >= 1
+                and tree.levels[0].run_count < tree.config.level0_run_limit,
+                10.0,
+                "flush install -> compaction hand-off missing",
+            )
+            # Far fewer steps than a poll would have needed: every one
+            # was caused by a kick.
+            assert stats.background_idle_steps < 50
+        finally:
+            tree.close()
+
+    def test_resume_flushes_what_was_rotated_while_paused(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "IDLE_WAIT_S", 30.0)
+        tree = LSMTree(bg_config())
+        try:
+            # Let the workers reach their idle sleep before pausing.
+            wait_until(lambda: tree.stats.background_idle_steps >= 4, 5.0)
+            tree._background.pool.pause()
+            tree.put("alpha", "1")
+            tree._background.rotate()
+            time.sleep(0.1)
+            assert len(tree._immutable) == 1 and tree.stats.flushes == 0
+            tree._background.pool.resume()
+            wait_until(lambda: tree.stats.flushes == 1, 5.0)
+            assert not tree._immutable
+            assert tree.get("alpha") == "1"
+        finally:
+            tree.close()
+
+    def test_stop_interrupts_the_idle_sleep(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "IDLE_WAIT_S", 30.0)
+        pool = BackgroundWorkerPool()
+        calls = []
+
+        def step():
+            calls.append(1)
+            return False
+
+        pool.spawn("only", 1, step)
+        wait_until(lambda: calls, 1.0)
+        started = time.monotonic()
+        pool.stop()
+        assert time.monotonic() - started < 1.0
+
+    def test_failing_step_keeps_only_the_first_error(self):
+        """A step that always raises is retried on every poll; the pool
+        must not hold one exception per try (only ``first_error`` is
+        ever read)."""
+        class StepFailed(RuntimeError):  # a subclass: weakly referenceable
+            pass
+
+        raised = []  # weak references, oldest first
+
+        def step():
+            exc = StepFailed(f"attempt {len(raised)}")
+            raised.append(weakref.ref(exc))
+            raise exc
+
+        pool = BackgroundWorkerPool()
+        try:
+            pool.spawn("only", 1, step)
+            wait_until(lambda: len(raised) >= 3, 5.0)
+        finally:
+            pool.stop()
+        gc.collect()  # exception -> traceback -> frame -> exception
+        alive = [ref() for ref in raised if ref() is not None]
+        assert alive == [pool.first_error]
+        assert alive[0] is raised[0]()
 
 
 class TestBackgroundStress:
@@ -311,3 +532,34 @@ class TestBackgroundErrors:
         with pytest.raises(BackgroundError):
             tree.close()
         assert tree._closed
+
+    def test_no_flush_is_attempted_behind_a_failed_buffer(self):
+        """Runs enter Level 0 in rotation order, so a failed flush blocks
+        every later install. The worker must not claim those buffers:
+        it would build their tables, fail to install them, and spin."""
+        tree = LSMTree(
+            bg_config(flush_threads=1, num_buffers=8, buffer_size_bytes=2048)
+        )
+        builds = []
+        real_build = tree.executor.build_tables
+
+        def fail_once(*args, **kwargs):
+            builds.append(1)
+            if len(builds) == 1:
+                raise RuntimeError("injected flush failure")
+            return real_build(*args, **kwargs)
+
+        tree.executor.build_tables = fail_once
+        tree._background.pool.pause()
+        for i in range(200):
+            tree.put(f"key{i:05d}", "v" * 64)
+        queued = len(tree._immutable)
+        assert queued >= 3
+        tree._background.pool.resume()
+        wait_until(lambda: tree.background_error is not None, 5.0)
+        time.sleep(0.3)
+        assert len(builds) == 1
+        assert len(tree._immutable) == queued  # still readable
+        assert tree.get("key00000") == "v" * 64
+        with pytest.raises(BackgroundError):
+            tree.close()

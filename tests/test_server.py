@@ -537,8 +537,8 @@ class TestBackgroundErrorBoundary:
                     await kv.put("before", "ok")
                     # Inject a worker failure the way a real flush crash
                     # would record it: into the pool's error slot.
-                    tree._background.pool._errors.append(
-                        RuntimeError("injected flush failure")
+                    tree._background.pool._error = RuntimeError(
+                        "injected flush failure"
                     )
                     with pytest.raises(ServerError) as excinfo:
                         await kv.put("after", "nope")
@@ -550,7 +550,7 @@ class TestBackgroundErrorBoundary:
                     assert await kv.ping()
                     assert await kv.get("before") == "ok"
                 # Clear the injected error so the owned tree closes cleanly.
-                tree._background.pool._errors.clear()
+                tree._background.pool._error = None
 
         asyncio.run(scenario())
 
@@ -561,13 +561,13 @@ class TestBackgroundErrorBoundary:
                 async with await KVClient.connect(
                     "127.0.0.1", server.port
                 ) as kv:
-                    tree._background.pool._errors.append(
-                        RuntimeError("worker died")
+                    tree._background.pool._error = RuntimeError(
+                        "worker died"
                     )
                     with pytest.raises(ServerError) as excinfo:
                         await kv.batch([("put", "a", "1")])
                     assert excinfo.value.code == "BACKGROUND"
-                tree._background.pool._errors.clear()
+                tree._background.pool._error = None
 
         asyncio.run(scenario())
 

@@ -278,6 +278,50 @@ class TestCrashRecovery:
             recovered.close()
 
 
+class TestDecidedBatchVisibility:
+    """A cross-shard batch whose commit hook fails on one participant is
+    still *decided*: every shard applies its half, before any restart."""
+
+    @pytest.fixture(params=["hash", "range"])
+    def store(self, request, tmp_path):
+        if request.param == "hash":
+            built = ShardedStore(4, small_config(), wal_dir=str(tmp_path))
+        else:
+            built = ShardedStore(
+                boundaries=range_boundaries(300, 4),
+                config=small_config(),
+                wal_dir=str(tmp_path),
+            )
+        yield built
+        built.close()
+
+    def test_failed_hook_leaves_no_half_visible_batch(self, store, tmp_path):
+        by_shard = {}
+        for i in range(300):
+            by_shard.setdefault(store.shard_index(format_key(i)), format_key(i))
+        k0, k1 = by_shard[0], by_shard[1]
+        store.write_batch([("put", k0, "A"), ("put", k1, "A")])
+
+        def failing_hook(_entries):
+            raise RuntimeError("replica ack failed")
+
+        # Fails on the second participant, after the first has applied.
+        store.shards[1].set_wal_commit_hook(failing_hook)
+        with pytest.raises(RuntimeError, match="replica ack failed"):
+            store.write_batch([("put", k1, "B"), ("put", k0, "B")])
+        store.shards[1].set_wal_commit_hook(None)
+        # All or nothing, now: not k0 == "B" beside k1 == "A".
+        assert (store.get(k0), store.get(k1)) == ("B", "B")
+        # ...and the same after a crash: restart agrees with what
+        # readers already saw.
+        store.kill()
+        recovered = ShardedStore.recover(small_config(), str(tmp_path))
+        try:
+            assert (recovered.get(k0), recovered.get(k1)) == ("B", "B")
+        finally:
+            recovered.close()
+
+
 class TestPartialScan:
     def bg_config(self) -> LSMConfig:
         return LSMConfig(
