@@ -36,7 +36,6 @@ from ..faults.registry import fault_point
 from .pool import BackgroundWorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.entry import Entry
     from ..core.tree import LSMTree
 
 #: Seconds between re-checks while blocked on a condition; wakeups are
@@ -139,42 +138,6 @@ class BackgroundCoordinator:
             tree.stats.incr("slowdown_events")
             tree.stats.incr("slowdown_us", config.slowdown_sleep_us)
             time.sleep(config.slowdown_sleep_us / 1e6)
-
-    def buffer_entry(self, entry: "Entry") -> None:
-        """Journal and buffer one entry; rotate a full buffer for flushing.
-
-        Must be called under the tree's write mutex. The write's latency is
-        wall-clock here — the whole point of background mode is that the
-        writer is *not* charged simulated flush/compaction time.
-        """
-        tree = self.tree
-        started = time.perf_counter()
-        tree._active_wal.append(entry)
-        tree._insert_active(entry)
-        if tree._active.size_bytes >= tree.config.buffer_size_bytes:
-            self.rotate()
-        tree.stats.record_write_latency(
-            (time.perf_counter() - started) * 1e6
-        )
-
-    def buffer_entries(self, entries: List["Entry"]) -> None:
-        """Batch variant of :meth:`buffer_entry`: one WAL flush for all.
-
-        Must be called under the tree's write mutex. This is the group
-        commit path: the whole batch is journaled with a single log sync
-        before the entries enter the memtable, and the rotation check
-        runs once at the end.
-        """
-        tree = self.tree
-        started = time.perf_counter()
-        tree._active_wal.append_batch(entries)
-        for entry in entries:
-            tree._insert_active(entry)
-        if tree._active.size_bytes >= tree.config.buffer_size_bytes:
-            self.rotate()
-        tree.stats.record_write_latency(
-            (time.perf_counter() - started) * 1e6
-        )
 
     def backpressure_state(self) -> dict:
         """Snapshot the slowdown/stop triggers without blocking.

@@ -169,7 +169,7 @@ class LSMTree:
                 self.disk.now_us,
             )
             self.stats.incr("puts")
-            self._write(entry)
+            self._commit([entry])
 
     def delete(self, key: str) -> None:
         """Logically delete ``key`` by inserting a tombstone (§2.1.2)."""
@@ -185,7 +185,7 @@ class LSMTree:
                 self.disk.now_us,
             )
             self.stats.incr("deletes")
-            self._write(entry)
+            self._commit([entry])
 
     def single_delete(self, key: str) -> None:
         """Single-delete: for keys written at most once (§2.3.3).
@@ -205,7 +205,7 @@ class LSMTree:
                 self.disk.now_us,
             )
             self.stats.incr("single_deletes")
-            self._write(entry)
+            self._commit([entry])
 
     def merge(self, key: str, operand: str) -> None:
         """Read-modify-write without the read (§2.2.6): append an operand.
@@ -275,7 +275,7 @@ class LSMTree:
                 now,
             )
         self.stats.incr("merges")
-        self._write(entry)
+        self._commit([entry])
 
     def write_batch(
         self, ops: List[Tuple[str, str, Optional[str]]]
@@ -296,38 +296,32 @@ class LSMTree:
         normalized = self._normalize_batch(ops)
         self._before_write()
         with self._write_mutex:
-            # Hot path: one clock read, one seqno range claim, and three
-            # counter updates for the whole batch instead of per entry.
-            stamp = self.disk.now_us
-            first_seqno = self._next_seqno
-            self._next_seqno = first_seqno + len(normalized)
-            entries = [
-                Entry(key, value, first_seqno + offset, kind, stamp)
-                for offset, (kind, key, value) in enumerate(normalized)
-            ]
-            put_count = sum(
-                1 for kind, _, _ in normalized if kind is EntryKind.PUT
-            )
-            if put_count:
-                self.stats.incr("puts", put_count)
-            if put_count != len(normalized):
-                self.stats.incr("deletes", len(normalized) - put_count)
-            self.stats.incr(
-                "user_bytes_written", sum(entry.size for entry in entries)
-            )
-            if self._background is not None:
-                self._background.buffer_entries(entries)
-                return
-            started_us = self.disk.now_us
-            self._active_wal.append_batch(entries)
-            for entry in entries:
-                self._insert_active(entry)
-            if self._active.size_bytes >= self.config.buffer_size_bytes:
-                self._rotate_active()
-            while len(self._immutable) >= self.config.num_buffers:
-                self._flush_oldest()
-            # One latency sample per batch: the batch is one commit.
-            self.stats.record_write_latency(self.disk.now_us - started_us)
+            entries = self._claim_batch(normalized)
+            self._count_batch(entries)
+            self._commit(entries)
+
+    def _claim_batch(
+        self, normalized: List[Tuple[EntryKind, str, Optional[str]]]
+    ) -> List[Entry]:
+        """Entries for a validated batch: one clock read and one seqno
+        range claim for the whole batch instead of per entry. Caller
+        holds the write mutex."""
+        stamp = self.disk.now_us
+        first_seqno = self._next_seqno
+        self._next_seqno = first_seqno + len(normalized)
+        return [
+            Entry(key, value, first_seqno + offset, kind, stamp)
+            for offset, (kind, key, value) in enumerate(normalized)
+        ]
+
+    def _count_batch(self, entries: List[Entry]) -> None:
+        """Count a batch's verbs (batches hold puts and deletes only)."""
+        put = EntryKind.PUT  # one enum-member lookup, not one per entry
+        put_count = sum(1 for entry in entries if entry.kind is put)
+        if put_count:
+            self.stats.incr("puts", put_count)
+        if put_count != len(entries):
+            self.stats.incr("deletes", len(entries) - put_count)
 
     @staticmethod
     def _normalize_batch(
@@ -377,13 +371,7 @@ class LSMTree:
         self._write_mutex.acquire()
         try:
             self._check_open()
-            stamp = self.disk.now_us
-            first_seqno = self._next_seqno
-            self._next_seqno = first_seqno + len(normalized)
-            entries = [
-                Entry(key, value, first_seqno + offset, kind, stamp)
-                for offset, (kind, key, value) in enumerate(normalized)
-            ]
+            entries = self._claim_batch(normalized)
             self._active_wal.append_prepare(txn_id, entries)
             self._pending_txns[txn_id] = entries
         except BaseException:
@@ -393,11 +381,12 @@ class LSMTree:
     def txn_commit(self, txn_id: int) -> None:
         """Phase two, commit side: apply the prepared group.
 
-        The coordinator's COMMIT decision is already durable, so this
-        mirrors exactly what :meth:`write_batch` would have done after
-        its WAL sync — acknowledge the group (commit hook included),
-        insert into the buffer, honor rotation/flush triggers — and then
-        releases the write mutex taken by :meth:`txn_prepare`.
+        The coordinator's COMMIT decision is already durable, so this is
+        the commit :meth:`write_batch` would have made, with the WAL
+        settling the prepared group instead of journaling a new one —
+        acknowledge it (commit hook included), insert into the buffer,
+        honor rotation/flush triggers — and then releases the write
+        mutex taken by :meth:`txn_prepare`.
 
         One difference: an ``Exception`` from the commit hook (a failed
         replica ack, a self-fence) is held until the group has been
@@ -409,37 +398,8 @@ class LSMTree:
         """
         try:
             entries = self._pending_txns.pop(txn_id)
-            started_us = self.disk.now_us
-            hook_error: Optional[Exception] = None
-            try:
-                self._active_wal.commit_prepared(txn_id)
-            except Exception as exc:
-                hook_error = exc
-            put_count = sum(
-                1 for entry in entries if entry.kind is EntryKind.PUT
-            )
-            if put_count:
-                self.stats.incr("puts", put_count)
-            if put_count != len(entries):
-                self.stats.incr("deletes", len(entries) - put_count)
-            self.stats.incr(
-                "user_bytes_written", sum(entry.size for entry in entries)
-            )
-            for entry in entries:
-                self._insert_active(entry)
-            if self._active.size_bytes >= self.config.buffer_size_bytes:
-                if self._background is not None:
-                    self._background.rotate()
-                else:
-                    self._rotate_active()
-            if self._background is None:
-                while len(self._immutable) >= self.config.num_buffers:
-                    self._flush_oldest()
-                self.stats.record_write_latency(
-                    self.disk.now_us - started_us
-                )
-            if hook_error is not None:
-                raise hook_error
+            self._count_batch(entries)
+            self._commit(entries, settle_txn=txn_id)
         finally:
             self._write_mutex.release()
 
@@ -468,15 +428,16 @@ class LSMTree:
             raise ValueError("delete_range needs non-empty lo < hi")
         self._before_write()
         with self._write_mutex:
-            seqno = self._claim_seqno()
-            tombstone = RangeTombstone(lo, hi, seqno, self.disk.now_us)
             # Range deletes are journaled like any write (value = end key).
-            self._active_wal.append(
-                Entry(lo, hi, seqno, EntryKind.RANGE_DELETE, self.disk.now_us)
+            entry = Entry(
+                lo,
+                hi,
+                self._claim_seqno(),
+                EntryKind.RANGE_DELETE,
+                self.disk.now_us,
             )
-            self._active_tombstones.append(tombstone)
             self.stats.incr("range_deletes")
-            self.stats.incr("user_bytes_written", tombstone.size)
+            self._commit([entry])
 
     def get(self, key: str, at: Optional[object] = None) -> Optional[str]:
         """Point lookup: the most recent value of ``key``, or ``None``.
@@ -1083,23 +1044,26 @@ class LSMTree:
         ``committed_txns`` is the committed-transaction id set recovered
         from the store's coordinator decision log: prepared two-phase
         groups in it are rolled forward, all others rolled back (see
-        :meth:`~repro.core.wal.WriteAheadLog.replay`).
+        :meth:`~repro.core.wal.WriteAheadLog.replay_groups`).
 
-        Crash-safe ordering: every replayed entry is re-journaled into a
-        *fresh* segment (numbered above all existing ones) before any old
-        segment is deleted, so a crash at any point during recovery —
-        including mid-deletion, see the ``wal.recover.before_delete``
-        failpoint — leaves a WAL set that replays to the same state.
+        Crash-safe ordering: every segment is decoded before anything is
+        built (a refused WAL leaves the directory as found), then every
+        replayed group is re-journaled — one record and one sync per
+        group, so it stays atomic — into a *fresh* segment (numbered
+        above all existing ones) before any old segment is deleted, so a
+        crash at any point during recovery — including mid-deletion, see
+        the ``wal.recover.before_delete`` failpoint — leaves a WAL set
+        that replays to the same state.
         """
         segments = sorted(
             name
             for name in os.listdir(wal_dir)
             if name.startswith("wal.") and name.endswith(".log")
         )
-        entries: List[Entry] = []
+        groups: List[List[Entry]] = []
         for name in segments:
-            entries.extend(
-                WriteAheadLog.replay(
+            groups.extend(
+                WriteAheadLog.replay_groups(
                     os.path.join(wal_dir, name), committed_txns
                 )
             )
@@ -1107,8 +1071,8 @@ class LSMTree:
             config, disk=disk, wal_dir=None, merge_operator=merge_operator
         )
         tree.attach_wal_dir(wal_dir)
-        for entry in entries:
-            tree._ingest_recovered(entry)
+        for group in groups:
+            tree.apply_replicated(group)
         for name in segments:
             path = os.path.join(wal_dir, name)
             fault_point("wal.recover.before_delete", path=path)
@@ -1162,12 +1126,13 @@ class LSMTree:
             self._active_wal.on_commit = hook
 
     def apply_replicated(self, entries: List[Entry]) -> None:
-        """Apply one shipped commit group to this tree as a replica.
+        """Apply one commit group that already carries its seqnos.
 
-        Entries keep the sequence numbers the primary assigned (like
-        :meth:`_ingest_recovered`), and the whole group is journaled with
-        one :meth:`~repro.core.wal.WriteAheadLog.append_batch` so the
-        replica's own recovery preserves the group's atomicity: a torn
+        A shipped group on a replica and a replayed group in recovery
+        are the same operation: the entries keep the sequence numbers
+        their first commit assigned (so re-applying is idempotent), and
+        the whole group is one :meth:`_commit` — one WAL record — so
+        this tree's own recovery preserves the group's atomicity: a torn
         tail drops the group whole, never half of it.
         """
         if not entries:
@@ -1175,30 +1140,10 @@ class LSMTree:
         self._before_write()
         with self._write_mutex:
             self._check_open()
-            for entry in entries:
-                self._next_seqno = max(self._next_seqno, entry.seqno + 1)
-                self.stats.incr("user_bytes_written", entry.size)
-            self._active_wal.append_batch(entries)
-            for entry in entries:
-                if entry.kind is EntryKind.RANGE_DELETE:
-                    self._active_tombstones.append(
-                        RangeTombstone(
-                            entry.key,
-                            entry.value,  # type: ignore[arg-type]
-                            entry.seqno,
-                            entry.stamp_us,
-                        )
-                    )
-                else:
-                    self._insert_active(entry)
-            if self._active.size_bytes < self.config.buffer_size_bytes:
-                return
-            if self._background is not None:
-                self._background.rotate()
-                return
-            self._rotate_active()
-            while len(self._immutable) >= self.config.num_buffers:
-                self._flush_oldest()
+            self._next_seqno = max(
+                self._next_seqno, max(entry.seqno for entry in entries) + 1
+            )
+            self._commit(entries)
 
     # ------------------------------------------------------------------
     # internals
@@ -1267,29 +1212,38 @@ class LSMTree:
             on_commit=self._wal_commit_hook,
         )
 
-    def _write(self, entry: Entry) -> None:
-        """Apply one journaled write; caller holds the write mutex."""
-        self.stats.incr("user_bytes_written", entry.size)
-        if self._background is not None:
-            self._background.buffer_entry(entry)
-            return
-        started_us = self.disk.now_us
-        self._active_wal.append(entry)
-        self._insert_active(entry)
-        if self._active.size_bytes >= self.config.buffer_size_bytes:
-            self._rotate_active()
-        if len(self._immutable) >= self.config.num_buffers:
-            self._flush_oldest()
-        self.stats.record_write_latency(self.disk.now_us - started_us)
+    def _commit(
+        self, entries: List[Entry], settle_txn: Optional[int] = None
+    ) -> None:
+        """Commit one group — the engine's only write step (§2.1.1-A/B).
 
-    def _ingest_recovered(self, entry: Entry) -> None:
-        """Re-buffer one replayed entry, preserving its sequence number."""
-        self._before_write()
-        with self._write_mutex:
-            self._next_seqno = max(self._next_seqno, entry.seqno + 1)
-            self.stats.incr("user_bytes_written", entry.size)
-            self._active_wal.append(entry)
-            if entry.kind is EntryKind.RANGE_DELETE:
+        Journal the group as one WAL record (or, with ``settle_txn``,
+        acknowledge the PREPARE record already there), make each entry
+        visible, and hand a full buffer to flush. Caller holds the write
+        mutex and has claimed the entries' seqnos.
+
+        The commit hook fires inside the journal step, after the sync. An
+        exception from it propagates at once and skips the insert — the
+        group is durable but unreadable until replay — except for a
+        settled transaction: its ``Exception`` is held until the group
+        is applied, then re-raised (see :meth:`txn_commit` for why).
+        """
+        started_us = self._clock_us()
+        hook_error: Optional[Exception] = None
+        if settle_txn is None:
+            self._active_wal.append_batch(entries)
+        else:
+            try:
+                self._active_wal.commit_prepared(settle_txn)
+            except Exception as exc:
+                hook_error = exc
+        self.stats.incr(
+            "user_bytes_written", sum(entry.size for entry in entries)
+        )
+        range_delete = EntryKind.RANGE_DELETE
+        for entry in entries:
+            if entry.kind is range_delete:
+                # The memtable holds only point entries.
                 self._active_tombstones.append(
                     RangeTombstone(
                         entry.key,
@@ -1298,16 +1252,22 @@ class LSMTree:
                         entry.stamp_us,
                     )
                 )
-                return
-            self._insert_active(entry)
-            if self._active.size_bytes < self.config.buffer_size_bytes:
-                return
+            else:
+                self._insert_active(entry)
+        if self._active.size_bytes >= self.config.buffer_size_bytes:
             if self._background is not None:
                 self._background.rotate()
-                return
-            self._rotate_active()
-            if len(self._immutable) >= self.config.num_buffers:
+            else:
+                self._rotate_active()
+        if self._background is None:
+            while len(self._immutable) >= self.config.num_buffers:
                 self._flush_oldest()
+        # One latency sample per group: the group is one commit. Sync
+        # mode charges it the inline flush/compaction time; background
+        # mode is wall-clock — the writer pays WAL + buffer time only.
+        self.stats.record_write_latency(self._clock_us() - started_us)
+        if hook_error is not None:
+            raise hook_error
 
     def _rotate_active(self) -> None:
         """Swap in a fresh buffer so ingestion never edits a flushing one.

@@ -2,27 +2,32 @@
 
 Batched ingestion (§2.1.1-A) keeps the newest entries only in memory, so
 every production LSM engine pairs the buffer with a write-ahead log. This
-WAL appends one record per external write, charges the simulated device for
-sequential log pages (so write amplification accounts for the log), and can
-optionally mirror records to a real file for crash-recovery tests.
+WAL appends one record per commit group, charges the simulated device for
+sequential log pages (so write amplification accounts for the log), and
+can optionally mirror records to a real file for crash-recovery tests.
 
 File format (one record per line)::
 
     <crc32 hex>,<json payload>\n
 
-A batch append writes the whole commit group as one *group record* —
+There is one record kind, the *group record* —
 ``crc,{"g":[[k,v,s,t,u], ...]}`` — a single line, encoded with a single
 ``json.dumps``, checksummed with one whole-buffer ``zlib.crc32``, and
-written with one file write. Besides amortizing the per-record encode
-cost (the hot-path batching lever from Luo & Carey's ingestion
+written with one file write; a single write is a group of one. A
+two-phase-commit PREPARE is the same record tagged with its transaction
+id (``crc,{"p":txn,"g":[...]}``). Besides amortizing the per-record
+encode cost (the hot-path batching lever from Luo & Carey's ingestion
 analysis), the one-line group is atomic under recovery for free: a torn
 group (crash before its single sync) is one torn line, discarded whole,
 never replayed partially.
 
-Recovery tolerates a torn tail — the unparseable suffix a crash
-mid-append leaves behind, including trailing garbage after the tear —
-but treats corruption followed by any valid record as fatal, mirroring
-the usual WAL contract.
+One reader (:func:`_read_log`) serves this log and the coordinator's
+:class:`TxnDecisionLog`. It reads bytes and checks each record's CRC
+over the raw payload, so bytes that are not UTF-8 are damage to the one
+record that holds them. It tolerates a torn tail — the unparseable
+suffix a crash mid-append leaves behind, including trailing garbage
+after the tear — but treats damage followed by any valid record as
+fatal, mirroring the usual WAL contract.
 
 Durability contract (fsyncgate semantics): an entry only joins
 :attr:`WriteAheadLog.pending_entries` — i.e. is only *acknowledged* —
@@ -32,8 +37,9 @@ every later append raises :class:`~repro.errors.DurabilityError`, because
 after one failed sync the OS may have dropped the dirty pages and the
 segment tail can no longer be trusted.
 
-The failpoints declared here (``wal.append.*``, ``wal.batch.*``,
-``wal.sync``, ``wal.fsync``) are catalogued in
+The failpoints declared here (``wal.batch.start``, ``wal.batch.written``,
+``txn.prepare.record``, ``wal.sync``, ``wal.fsync``, ``txn.rollforward``,
+``txn.decide.start``, ``txn.decide``) are catalogued in
 :mod:`repro.faults.registry` and exercised by the crash-consistency
 sweep.
 """
@@ -43,7 +49,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from typing import Callable, Iterator, List, Optional, Union
+from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 
 from ..errors import ClosedError, CorruptionError, DurabilityError
 from ..faults.registry import fault_point
@@ -63,162 +69,107 @@ CommitHook = Callable[[List["Entry"]], None]
 #: ``fsync`` for an append-only log, measurably cheaper on ext4.
 _datasync = getattr(os, "fdatasync", os.fsync)
 
-
-def _encode(entry: Entry) -> str:
-    payload = json.dumps(
-        {
-            "k": entry.key,
-            "v": entry.value,
-            "s": entry.seqno,
-            "t": int(entry.kind),
-            "u": entry.stamp_us,
-        },
-        separators=(",", ":"),
-    )
-    crc = zlib.crc32(payload.encode("utf-8"))
-    return f"{crc:08x},{payload}\n"
+_Record = TypeVar("_Record")
 
 
-class PreparedGroup:
-    """A decoded PREPARE record: a commit group awaiting a txn decision."""
-
-    __slots__ = ("txn_id", "entries")
-
-    def __init__(self, txn_id: int, entries: List[Entry]) -> None:
-        self.txn_id = txn_id
-        self.entries = entries
+def _frame(payload: str) -> str:
+    """One log line: the payload behind its CRC-32."""
+    return f"{zlib.crc32(payload.encode('utf-8')):08x},{payload}\n"
 
 
-def _encode_prepare(txn_id: int, entries: List[Entry]) -> str:
-    """Encode a two-phase-commit PREPARE record: a commit group tagged
-    with its transaction id (``crc,{"p":txn,"g":[...]}``). Same one-line
-    atomicity as a plain group record, but replay applies it only when
-    the coordinator's decision log says the transaction committed.
-    """
-    payload = json.dumps(
-        {
-            "p": txn_id,
-            "g": [
-                [entry.key, entry.value, entry.seqno, int(entry.kind),
-                 entry.stamp_us]
-                for entry in entries
-            ],
-        },
-        separators=(",", ":"),
-    )
-    crc = zlib.crc32(payload.encode("utf-8"))
-    return f"{crc:08x},{payload}\n"
-
-
-def _encode_group(entries: List[Entry]) -> str:
+def _encode_group(entries: List[Entry], txn_id: Optional[int] = None) -> str:
     """Encode a whole commit group as one record.
 
-    One ``json.dumps`` and one whole-buffer ``zlib.crc32`` for N entries —
-    the batched-codec counterpart of per-entry :func:`_encode`.
+    One ``json.dumps`` and one whole-buffer ``zlib.crc32`` for N entries.
+    With ``txn_id`` the record is a two-phase-commit PREPARE
+    (``{"p":txn,"g":[...]}``): same one-line atomicity, but replay
+    applies it only when the coordinator's decision log says the
+    transaction committed.
     """
-    payload = json.dumps(
-        {
-            "g": [
-                [entry.key, entry.value, entry.seqno, int(entry.kind),
-                 entry.stamp_us]
-                for entry in entries
-            ]
-        },
-        separators=(",", ":"),
-    )
-    crc = zlib.crc32(payload.encode("utf-8"))
-    return f"{crc:08x},{payload}\n"
+    fields: dict = {} if txn_id is None else {"p": txn_id}
+    fields["g"] = [
+        [entry.key, entry.value, entry.seqno, int(entry.kind), entry.stamp_us]
+        for entry in entries
+    ]
+    return _frame(json.dumps(fields, separators=(",", ":")))
 
 
-def _decode_line(
-    line: str,
-    *,
-    path: Optional[str] = None,
-    record_index: Optional[int] = None,
-    byte_offset: Optional[int] = None,
-) -> Union[Entry, List[Entry], PreparedGroup]:
-    """Decode one WAL line: an :class:`Entry`, a commit-group list, or a
-    :class:`PreparedGroup`."""
-    crc_hex, _sep, payload = line.rstrip("\n").partition(",")
-    if not _sep:
-        raise CorruptionError(
-            "WAL record missing checksum separator",
-            path=path,
-            record_index=record_index,
-            byte_offset=byte_offset,
+def _decode_group(fields) -> Tuple[Optional[int], List[Entry]]:
+    """Inverse of :func:`_encode_group`: ``(txn id or None, entries)``."""
+    entries = [
+        Entry(
+            key=key,
+            value=value,
+            seqno=seqno,
+            kind=EntryKind(kind),
+            stamp_us=stamp_us,
         )
-    try:
-        expected = int(crc_hex, 16)
-    except ValueError as exc:
-        raise CorruptionError(
-            "WAL record has malformed checksum",
-            path=path,
-            record_index=record_index,
-            byte_offset=byte_offset,
-        ) from exc
-    actual = zlib.crc32(payload.encode("utf-8"))
-    if actual != expected:
-        raise CorruptionError(
-            "WAL record failed checksum",
-            path=path,
-            record_index=record_index,
-            byte_offset=byte_offset,
-            expected_crc=expected,
-            actual_crc=actual,
-        )
-    try:
-        fields = json.loads(payload)
-    except ValueError as exc:
-        raise CorruptionError(
-            "WAL record failed to decode",
-            path=path,
-            record_index=record_index,
-            byte_offset=byte_offset,
-        ) from exc
-    if isinstance(fields, dict) and "g" in fields and "k" not in fields:
+        for key, value, seqno, kind, stamp_us in fields["g"]
+    ]
+    return (int(fields["p"]) if "p" in fields else None), entries
+
+
+def _read_log(
+    path: str, what: str, decode: Callable[[object], _Record]
+) -> Iterator[_Record]:
+    """Yield the decoded records of a framed log file, oldest first.
+
+    Owns the checksum check and the torn-tail rule for both logs. A line
+    is damaged when it has no checksum, fails it, or does not ``decode``
+    (which raises ``KeyError`` / ``TypeError`` / ``ValueError`` on
+    payload it does not know). Damage is tolerated when no valid record
+    follows it: that is a crash tail — a torn final record, optionally
+    followed by more garbage lines — and the log ends before it. Damage
+    *followed by a valid record* is not a crash artifact and raises the
+    first damaged record's :class:`~repro.errors.CorruptionError`, with
+    the file path, record index and byte offset, once that valid record
+    is reached. A missing file is an empty log.
+    """
+
+    def parse(line: bytes, **where) -> _Record:
+        crc_hex, separator, payload = line.rstrip(b"\n").partition(b",")
+        if not separator:
+            raise CorruptionError(
+                f"{what} record missing checksum separator", **where
+            )
         try:
-            entries = [
-                Entry(
-                    key=key,
-                    value=value,
-                    seqno=seqno,
-                    kind=EntryKind(kind),
-                    stamp_us=stamp_us,
-                )
-                for key, value, seqno, kind, stamp_us in fields["g"]
-            ]
-            if "p" in fields:
-                return PreparedGroup(int(fields["p"]), entries)
-            return entries
+            expected = int(crc_hex, 16)
+        except ValueError as exc:
+            raise CorruptionError(
+                f"{what} record has malformed checksum", **where
+            ) from exc
+        actual = zlib.crc32(payload)
+        if actual != expected:
+            raise CorruptionError(
+                f"{what} record failed checksum",
+                expected_crc=expected,
+                actual_crc=actual,
+                **where,
+            )
+        try:
+            return decode(json.loads(payload.decode("utf-8")))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptionError(
-                "WAL group record failed to decode",
-                path=path,
-                record_index=record_index,
-                byte_offset=byte_offset,
+                f"{what} record failed to decode", **where
             ) from exc
-    try:
-        return Entry(
-            key=fields["k"],
-            value=fields["v"],
-            seqno=fields["s"],
-            kind=EntryKind(fields["t"]),
-            stamp_us=fields.get("u", 0.0),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptionError(
-            "WAL record failed to decode",
-            path=path,
-            record_index=record_index,
-            byte_offset=byte_offset,
-        ) from exc
 
-
-def _decode(line: str) -> Entry:
-    decoded = _decode_line(line)
-    if not isinstance(decoded, Entry):
-        raise CorruptionError("expected a WAL entry record, got a group")
-    return decoded
+    if not os.path.exists(path):
+        return
+    damage: Optional[CorruptionError] = None
+    offset = 0
+    with open(path, "rb") as handle:
+        for index, line in enumerate(handle):
+            try:
+                record = parse(
+                    line, path=path, record_index=index, byte_offset=offset
+                )
+            except CorruptionError as exc:
+                damage = damage or exc
+            else:
+                if damage is not None:
+                    raise damage
+                yield record
+            offset += len(line)
 
 
 class WriteAheadLog:
@@ -240,7 +191,8 @@ class WriteAheadLog:
             to amortize: one fsync per :meth:`append_batch` instead of
             one per write.
         on_commit: Post-commit hook called with the list of entries of
-            each successful :meth:`append` / :meth:`append_batch` —
+            each successful :meth:`append_batch` (or settled
+            :meth:`commit_prepared`) —
             after the record bytes are written *and* the sync succeeded,
             i.e. with exactly the records the durability contract has
             acknowledged. This is the WAL-shipping tap replication uses:
@@ -251,9 +203,9 @@ class WriteAheadLog:
             in :attr:`pending_entries`. Whether they are *visible* is
             the caller's business — :meth:`LSMTree.txn_commit
             <repro.core.tree.LSMTree.txn_commit>` applies a decided
-            group and then re-raises, while the single-tree write paths
-            let the exception skip the memtable insert, so such a write
-            is durable but unreadable until the log is replayed.
+            group and then re-raises, while every other write lets the
+            exception skip the memtable insert, so such a write is
+            durable but unreadable until the log is replayed.
     """
 
     def __init__(
@@ -275,8 +227,8 @@ class WriteAheadLog:
         self._file = (
             open(path, "a", encoding="utf-8", buffering=1) if path else None
         )
-        #: File flushes performed so far (0 for in-memory logs). One per
-        #: :meth:`append`, but only one per :meth:`append_batch` — the
+        #: File flushes performed so far (0 for in-memory logs): one per
+        #: journaled group, however many entries it holds — the
         #: observable benefit of group commit.
         self.sync_count = 0
         #: Failed flush attempts that were retried (transient-I/O events).
@@ -310,27 +262,33 @@ class WriteAheadLog:
             self._disk.write(page, cause="wal")
             self._unaccounted_bytes -= page
 
-    def append(self, entry: Entry) -> None:
-        """Durably record one entry before it enters the memtable."""
-        self._check_writable()
-        record = _encode(entry)
+    def _journal(
+        self, entries: List[Entry], txn_id: Optional[int] = None
+    ) -> None:
+        """Write one group record and sync it — the only way bytes enter
+        the segment. Nothing is acknowledged here."""
+        record = _encode_group(entries, txn_id)
         if self._file is not None:
-            fault_point("wal.append.start", path=self._path)
+            fault_point("wal.batch.start", path=self._path)
             self._file.write(record)
             fault_point(
-                "wal.append.written",
+                "wal.batch.written" if txn_id is None else "txn.prepare.record",
                 path=self._path,
                 tail_bytes=len(record),
                 handle=self._file,
             )
             self._sync()
         self._charge(len(record))
-        self._pending.append(entry)
+
+    def _acknowledge(self, entries: List[Entry]) -> None:
+        """A journaled group becomes committed: it joins
+        :attr:`pending_entries` and the :attr:`on_commit` hook fires."""
+        self._pending.extend(entries)
         if self.on_commit is not None:
-            self.on_commit([entry])
+            self.on_commit(list(entries))
 
     def append_batch(self, entries: List[Entry]) -> None:
-        """Durably record several entries with a single log flush.
+        """Durably record a commit group with a single log flush.
 
         The group-commit primitive, batched end to end: the whole group
         is encoded as one record (one ``json.dumps`` + one whole-buffer
@@ -345,33 +303,14 @@ class WriteAheadLog:
         self._check_writable()
         if not entries:
             return
-        record = _encode_group(entries)
-        if self._file is not None:
-            fault_point("wal.batch.start", path=self._path)
-            self._file.write(record)
-            fault_point(
-                "wal.batch.record",
-                path=self._path,
-                tail_bytes=len(record),
-                handle=self._file,
-            )
-            fault_point(
-                "wal.batch.written",
-                path=self._path,
-                tail_bytes=len(record),
-                handle=self._file,
-            )
-            self._sync()
-        self._charge(len(record))
-        self._pending.extend(entries)
-        if self.on_commit is not None:
-            self.on_commit(list(entries))
+        self._journal(entries)
+        self._acknowledge(entries)
 
     def append_prepare(self, txn_id: int, entries: List[Entry]) -> None:
         """Durably record a commit group *without* acknowledging it.
 
         The first phase of two-phase commit: the group's bytes and sync
-        cost are identical to :meth:`append_batch`, but the entries do
+        cost are those of :meth:`append_batch`, but the entries do
         not join :attr:`pending_entries` and the :attr:`on_commit` hook
         does not fire — the group is not committed until the coordinator
         decides, at which point :meth:`commit_prepared` (or
@@ -381,18 +320,7 @@ class WriteAheadLog:
         self._check_writable()
         if not entries:
             return
-        record = _encode_prepare(txn_id, entries)
-        if self._file is not None:
-            fault_point("wal.batch.start", path=self._path)
-            self._file.write(record)
-            fault_point(
-                "txn.prepare.record",
-                path=self._path,
-                tail_bytes=len(record),
-                handle=self._file,
-            )
-            self._sync()
-        self._charge(len(record))
+        self._journal(entries, txn_id)
         self._prepared[txn_id] = list(entries)
 
     def commit_prepared(self, txn_id: int) -> List[Entry]:
@@ -403,9 +331,7 @@ class WriteAheadLog:
         The commit *decision* is durable in the coordinator's log, not
         here; this segment already holds the group's bytes."""
         entries = self._prepared.pop(txn_id)
-        self._pending.extend(entries)
-        if self.on_commit is not None:
-            self.on_commit(list(entries))
+        self._acknowledge(entries)
         return entries
 
     def abort_prepared(self, txn_id: int) -> None:
@@ -474,18 +400,14 @@ class WriteAheadLog:
         self._closed = True
 
     @staticmethod
-    def replay(
+    def replay_groups(
         path: str, committed_txns: "Optional[set] | frozenset" = None
-    ) -> Iterator[Entry]:
-        """Yield the entries recorded in a WAL file, oldest first.
+    ) -> Iterator[List[Entry]]:
+        """Yield the commit groups recorded in a WAL file, oldest first.
 
-        Tolerated (the normal signatures of a crash mid-append):
-
-        * a torn tail — an unparseable final record, optionally followed
-          by more garbage lines (nothing valid may follow the tear);
-        * an incomplete trailing batch group — a torn single-line group
-          record; the whole group is discarded, preserving batch
-          atomicity.
+        Read under the torn-tail rule of :func:`_read_log`: a torn
+        final group record is discarded whole, preserving batch
+        atomicity.
 
         PREPARE records (two-phase commit) follow presumed-abort: a
         prepared group is replayed — rolled *forward* — only when its
@@ -493,65 +415,26 @@ class WriteAheadLog:
         from the coordinator's :class:`TxnDecisionLog`); any prepared
         group without a durable commit decision is rolled *back* by
         simply not replaying it.
-
-        Corruption *followed by a valid record* means the damage is not a
-        crash artifact and raises :class:`~repro.errors.CorruptionError`
-        with the file path, record index, and byte offset.
         """
-        if not os.path.exists(path):
-            return
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        offsets = [0]
-        for line in lines:
-            offsets.append(offsets[-1] + len(line.encode("utf-8")))
+        for txn_id, entries in _read_log(path, "WAL", _decode_group):
+            if txn_id is None:
+                yield entries
+            elif committed_txns and txn_id in committed_txns:
+                # Roll forward: the coordinator's COMMIT decision is
+                # durable, so the group is as good as committed.
+                fault_point("txn.rollforward", path=path)
+                yield entries
+            # else roll back (presumed abort): no durable decision, the
+            # group was never acknowledged anywhere.
 
-        def decode_at(index: int) -> Union[Entry, List[Entry], PreparedGroup]:
-            return _decode_line(
-                lines[index],
-                path=path,
-                record_index=index,
-                byte_offset=offsets[index],
-            )
-
-        def tail_is_torn(start: int) -> bool:
-            """True when nothing from ``start`` onward decodes — i.e. the
-            damage is confined to the crash tail."""
-            for j in range(start, len(lines)):
-                try:
-                    decode_at(j)
-                except CorruptionError:
-                    continue
-                return False
-            return True
-
-        index = 0
-        while index < len(lines):
-            try:
-                decoded = decode_at(index)
-            except CorruptionError:
-                if tail_is_torn(index + 1):
-                    return
-                raise
-            if isinstance(decoded, Entry):
-                yield decoded
-                index += 1
-                continue
-            if isinstance(decoded, PreparedGroup):
-                if committed_txns and decoded.txn_id in committed_txns:
-                    # Roll forward: the coordinator's COMMIT decision is
-                    # durable, so the group is as good as committed.
-                    fault_point("txn.rollforward", path=path)
-                    for entry in decoded.entries:
-                        yield entry
-                # else roll back (presumed abort): no durable decision,
-                # the group was never acknowledged anywhere.
-                index += 1
-                continue
-            # One-line commit group: atomic by construction.
-            for entry in decoded:
-                yield entry
-            index += 1
+    @staticmethod
+    def replay(
+        path: str, committed_txns: "Optional[set] | frozenset" = None
+    ) -> Iterator[Entry]:
+        """Yield the entries recorded in a WAL file, oldest first: the
+        flattened view of :meth:`replay_groups`."""
+        for group in WriteAheadLog.replay_groups(path, committed_txns):
+            yield from group
 
 
 #: Canonical file name of a store's coordinator decision log (it lives
@@ -586,9 +469,7 @@ class TxnDecisionLog:
         self._path = path
         self._fsync = fsync
         self._decisions = self.replay(path)
-        self._next_txn = (
-            max(self._decisions, default=0) + 1 if self._decisions else 1
-        )
+        self._next_txn = max(self._decisions, default=0) + 1
         self._file = open(path, "a", encoding="utf-8", buffering=1)
         self._closed = False
 
@@ -614,10 +495,9 @@ class TxnDecisionLog:
             raise ClosedError("txn decision log is closed")
         if decision not in (TXN_COMMIT, TXN_ABORT):
             raise ValueError(f"unknown txn decision {decision!r}")
-        payload = json.dumps(
-            {"x": txn_id, "d": decision}, separators=(",", ":")
+        record = _frame(
+            json.dumps({"x": txn_id, "d": decision}, separators=(",", ":"))
         )
-        record = f"{zlib.crc32(payload.encode('utf-8')):08x},{payload}\n"
         fault_point("txn.decide.start", path=self._path)
         self._file.write(record)
         fault_point(
@@ -655,46 +535,10 @@ class TxnDecisionLog:
         result. Corruption followed by a valid record raises
         :class:`~repro.errors.CorruptionError`, like WAL replay.
         """
-        decisions: "dict[int, str]" = {}
-        if not os.path.exists(path):
-            return decisions
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-
-        def decode(index: int) -> "tuple[int, str]":
-            crc_hex, sep, payload = lines[index].rstrip("\n").partition(",")
-            try:
-                expected = int(crc_hex, 16) if sep else None
-            except ValueError:
-                expected = None
-            if expected is None or (
-                zlib.crc32(payload.encode("utf-8")) != expected
-            ):
-                raise CorruptionError(
-                    "txn decision record failed checksum",
-                    path=path,
-                    record_index=index,
-                )
-            try:
-                fields = json.loads(payload)
-                return int(fields["x"]), str(fields["d"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorruptionError(
-                    "txn decision record failed to decode",
-                    path=path,
-                    record_index=index,
-                ) from exc
-
-        for index in range(len(lines)):
-            try:
-                txn_id, verdict = decode(index)
-            except CorruptionError:
-                for j in range(index + 1, len(lines)):
-                    try:
-                        decode(j)
-                    except CorruptionError:
-                        continue
-                    raise  # valid record after the damage: not a torn tail
-                return decisions
-            decisions[txn_id] = verdict
-        return decisions
+        return dict(
+            _read_log(
+                path,
+                "txn decision",
+                lambda fields: (int(fields["x"]), str(fields["d"])),
+            )
+        )

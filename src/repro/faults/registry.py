@@ -82,29 +82,14 @@ FAILPOINTS: Dict[str, Failpoint] = {
     fp.name: fp
     for fp in (
         Failpoint(
-            "wal.append.start",
-            "core/wal.py append",
-            "before a single record touches the segment file",
-        ),
-        Failpoint(
-            "wal.append.written",
-            "core/wal.py append",
-            "record written, not yet synced (tearable)",
-        ),
-        Failpoint(
             "wal.batch.start",
-            "core/wal.py append_batch",
-            "before the group record is written",
-        ),
-        Failpoint(
-            "wal.batch.record",
-            "core/wal.py append_batch",
-            "group record written, before the batch sync (tearable)",
+            "core/wal.py _journal",
+            "before a group (or PREPARE) record is written",
         ),
         Failpoint(
             "wal.batch.written",
-            "core/wal.py append_batch",
-            "whole batch written, not yet synced (tearable)",
+            "core/wal.py _journal",
+            "group record written, not yet synced (tearable)",
         ),
         Failpoint(
             "wal.sync",
@@ -119,7 +104,7 @@ FAILPOINTS: Dict[str, Failpoint] = {
         Failpoint(
             "wal.recover.before_delete",
             "core/tree.py recover",
-            "entries re-journaled, old segments not yet deleted",
+            "groups re-journaled, old segments not yet deleted",
         ),
         Failpoint(
             "flush.build",
@@ -198,7 +183,7 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "txn.prepare.record",
-            "core/wal.py append_prepare",
+            "core/wal.py _journal",
             "PREPARE record written, before the prepare sync (tearable)",
         ),
         Failpoint(
@@ -219,7 +204,7 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "txn.rollforward",
-            "core/wal.py replay",
+            "core/wal.py replay_groups",
             "before recovery rolls a committed prepared group forward",
         ),
         Failpoint(
@@ -402,8 +387,6 @@ FAILPOINTS: Dict[str, Failpoint] = {
 #: Failpoints whose in-flight tail may legitimately be torn: the bytes
 #: after the last sync belong to an unacknowledged write.
 TEARABLE = (
-    "wal.append.written",
-    "wal.batch.record",
     "wal.batch.written",
     "txn.prepare.record",
     "txn.decide",

@@ -1103,7 +1103,9 @@ def _bitflip_runs(seed: int, report: SweepReport, count: int) -> None:
 
     The flip lands inside the *second* line of a multi-record segment, so
     valid records follow the damage — the signature of real corruption,
-    not a crash tail. Silent acceptance would be data loss.
+    not a crash tail. Silent acceptance would be data loss. Odd attempts
+    flip bit 7, which leaves a byte that is not UTF-8: still damage to
+    one record, never a decode error out of recovery.
     """
     scenario = SingleTreeScenario()
     rng = random.Random(seed * 31 + 5)
@@ -1135,7 +1137,7 @@ def _bitflip_runs(seed: int, report: SweepReport, count: int) -> None:
             with open(path, "r+b") as handle:
                 handle.seek(offset)
                 byte = handle.read(1)[0]
-                flipped = byte ^ 0x04
+                flipped = byte ^ (0x80 if attempt % 2 else 0x04)
                 if flipped == 0x0A or byte == 0x0A:
                     flipped = byte ^ 0x01
                 handle.seek(offset)

@@ -316,10 +316,10 @@ def recover_full(
        it (the manifest's stored config is authoritative; ``config`` is
        only used when no checkpoint exists). The manifest's
        ``next_seqno`` is the high-water mark the checkpoint *covers*.
-    2. Replay every WAL segment in ``wal_dir``, re-journaling into a
-       fresh segment and skipping entries the checkpoint already covers
-       — so replaying segments an interrupted prune left behind is
-       idempotent.
+    2. Replay every WAL segment in ``wal_dir``, re-journaling group by
+       group into a fresh segment and skipping entries the checkpoint
+       already covers — so replaying segments an interrupted prune left
+       behind is idempotent.
 
     Old segments are not deleted here; the next :func:`checkpoint` prunes
     them once its manifest covers their entries. Recovery itself is
@@ -343,7 +343,8 @@ def recover_full(
     )
     tree.attach_wal_dir(wal_dir)
     for name in segments:
-        for entry in WriteAheadLog.replay(os.path.join(wal_dir, name)):
-            if entry.seqno >= covered:
-                tree._ingest_recovered(entry)
+        for group in WriteAheadLog.replay_groups(os.path.join(wal_dir, name)):
+            tree.apply_replicated(
+                [entry for entry in group if entry.seqno >= covered]
+            )
     return tree

@@ -71,13 +71,13 @@ class TestRegistry:
         plan = FaultPlan(root=str(tmp_path))
         with fault_plan(plan):
             path = os.path.join(str(tmp_path), "wal", "seg.log")
-            fault_point("wal.append.start", path=path)
-            fault_point("wal.append.start", path=path)
+            fault_point("wal.batch.start", path=path)
+            fault_point("wal.batch.start", path=path)
             fault_point("wal.sync", path=path)
             fault_point("flush.build", scope="rot-0")
         assert plan.crossings == [
-            "wal.append.start@wal/seg.log#0",
-            "wal.append.start@wal/seg.log#1",
+            "wal.batch.start@wal/seg.log#0",
+            "wal.batch.start@wal/seg.log#1",
             "wal.sync@wal/seg.log#0",
             "flush.build@rot-0#0",
         ]
@@ -108,13 +108,13 @@ class TestRegistry:
         victim.write_bytes(b"committed\n" + b"in-flight-tail")
         plan = FaultPlan(
             root=str(tmp_path),
-            crash_at="wal.append.written@seg.log#0",
+            crash_at="wal.batch.written@seg.log#0",
             crash_mode="torn",
         )
         with fault_plan(plan):
             with pytest.raises(InjectedCrash):
                 fault_point(
-                    "wal.append.written", path=str(victim), tail_bytes=14
+                    "wal.batch.written", path=str(victim), tail_bytes=14
                 )
         survived = victim.read_bytes()
         assert survived.startswith(b"committed\n")
@@ -126,13 +126,13 @@ class TestRegistry:
         victim.write_bytes(original)
         plan = FaultPlan(
             root=str(tmp_path),
-            crash_at="wal.append.written@seg.log#0",
+            crash_at="wal.batch.written@seg.log#0",
             crash_mode="bitflip",
         )
         with fault_plan(plan):
             with pytest.raises(InjectedCrash):
                 fault_point(
-                    "wal.append.written", path=str(victim), tail_bytes=14
+                    "wal.batch.written", path=str(victim), tail_bytes=14
                 )
         survived = victim.read_bytes()
         assert len(survived) == len(original)
@@ -655,7 +655,6 @@ class TestSweep:
         assert report.total_crossings >= 100
         names = set(report.distinct_names)
         for required in (
-            "wal.append.written",
             "wal.batch.written",
             "wal.sync",
             "wal.fsync",

@@ -5,9 +5,9 @@ The hot-path pass replaced per-entry encode/decode loops with batched
 codecs in three places: ``pack_entries``/``unpack_entries`` (checkpoint
 entry blocks, format v3), the WAL's single-line commit-group record, and
 the pre-packed protocol reply frames. These tests pin the roundtrips,
-the error paths, that per-entry WAL lines still replay beside group
-records, and that the retired formats nobody has files for (v2 SSTables,
-WAL ``{"b":N}`` batch headers) are refused as corruption.
+the error paths, that groups of one replay beside larger groups, and
+that the retired formats nobody has files for (v2 SSTables, WAL
+``{"b":N}`` batch headers) are refused as corruption.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ from repro.core.entry import (
     pack_entries,
     unpack_entries,
 )
-from repro.core.wal import (
-    WriteAheadLog,
-    _encode,
-    _encode_group,
-)
+from repro.core.wal import WriteAheadLog, _encode_group
 from repro.errors import CorruptionError
 from repro.storage.disk import SimulatedDisk
 from repro.storage.persistence import _decode_table, _encode_table
@@ -186,7 +182,7 @@ class TestWalGroupRecords:
         assert list(WriteAheadLog.replay(path)) == self._entries()
 
     def test_legacy_batch_header_is_rejected(self, tmp_path):
-        # The retired format: per-entry records behind a checksummed
+        # The retired format: one record per entry behind a checksummed
         # {"b": N} header line. The header is no record this log knows,
         # and valid records follow it, so it is corruption, not a tear.
         path = str(tmp_path / "wal.log")
@@ -195,7 +191,7 @@ class TestWalGroupRecords:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(f"{zlib.crc32(header.encode()):08x},{header}\n")
             for item in entries:
-                handle.write(_encode(item))
+                handle.write(_encode_group([item]))
         with pytest.raises(CorruptionError, match="failed to decode"):
             list(WriteAheadLog.replay(path))
 
@@ -203,15 +199,16 @@ class TestWalGroupRecords:
         path = str(tmp_path / "wal.log")
         survivor = entry("keep", "me")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_encode(survivor))
+            handle.write(_encode_group([survivor]))
             handle.write(_encode_group(self._entries())[:-20])  # torn
         assert list(WriteAheadLog.replay(path)) == [survivor]
 
     def test_mixed_single_and_group_records(self, tmp_path):
+        # A single write is a group of one: same record kind, same file.
         path = str(tmp_path / "wal.log")
         wal = WriteAheadLog(SimulatedDisk(), path=path)
         first = entry("single", "1")
-        wal.append(first)
+        wal.append_batch([first])
         wal.append_batch(self._entries())
         wal.close()
         assert list(WriteAheadLog.replay(path)) == [first] + self._entries()

@@ -1,5 +1,8 @@
 """Unit tests for the write-ahead log and its recovery contract."""
 
+import random
+import zlib
+
 import pytest
 
 from repro.core.entry import put, tombstone
@@ -8,43 +11,81 @@ from repro.core.wal import (
     TXN_COMMIT,
     TxnDecisionLog,
     WriteAheadLog,
-    _decode,
-    _encode,
 )
 from repro.errors import ClosedError, CorruptionError
+from repro.storage.disk import SimulatedDisk
+
+
+def _roundtrip(disk, tmp_path, entries):
+    """One group through the public codec: append_batch, then replay."""
+    path = str(tmp_path / "wal.log")
+    wal = WriteAheadLog(disk, path)
+    wal.append_batch(entries)
+    wal.close()
+    return path, list(WriteAheadLog.replay(path))
+
+
+def _rewrite_only_line(path, edit):
+    with open(path, "r", encoding="utf-8") as handle:
+        (line,) = handle.readlines()
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(edit(line))
+        # A valid record after the damage: corruption, not a crash tail.
+        handle.write(line)
 
 
 class TestCodec:
-    def test_roundtrip_put(self):
+    def test_roundtrip_put(self, disk, tmp_path):
         entry = put("key", "value", 42, stamp_us=17.5)
-        assert _decode(_encode(entry)) == entry
+        assert _roundtrip(disk, tmp_path, [entry])[1] == [entry]
 
-    def test_roundtrip_tombstone(self):
+    def test_roundtrip_tombstone(self, disk, tmp_path):
         entry = tombstone("key", 1)
-        decoded = _decode(_encode(entry))
+        (decoded,) = _roundtrip(disk, tmp_path, [entry])[1]
         assert decoded == entry
         assert decoded.is_tombstone
 
-    def test_detects_corruption(self):
-        line = _encode(put("k", "v", 0))
-        corrupted = line.replace("v", "x", 1)
-        with pytest.raises(CorruptionError):
-            _decode(corrupted)
+    def test_detects_corruption(self, disk, tmp_path):
+        path, _ = _roundtrip(disk, tmp_path, [put("k", "v", 0)])
+        _rewrite_only_line(path, lambda line: line.replace("v", "x", 1))
+        with pytest.raises(CorruptionError, match="failed checksum") as info:
+            list(WriteAheadLog.replay(path))
+        assert info.value.path == path
+        assert info.value.record_index == 0
+        assert info.value.expected_crc != info.value.actual_crc
 
-    def test_detects_missing_separator(self):
-        with pytest.raises(CorruptionError):
-            _decode("deadbeef\n")
+    def test_detects_missing_separator(self, disk, tmp_path):
+        path, _ = _roundtrip(disk, tmp_path, [put("k", "v", 0)])
+        _rewrite_only_line(path, lambda line: "deadbeef\n")
+        with pytest.raises(CorruptionError, match="missing checksum separator"):
+            list(WriteAheadLog.replay(path))
 
-    def test_detects_bad_checksum_format(self):
-        with pytest.raises(CorruptionError):
-            _decode('zzzz,{"k":"a"}\n')
+    def test_detects_bad_checksum_format(self, disk, tmp_path):
+        path, _ = _roundtrip(disk, tmp_path, [put("k", "v", 0)])
+        _rewrite_only_line(
+            path, lambda line: "zzzz," + line.partition(",")[2]
+        )
+        with pytest.raises(CorruptionError, match="malformed checksum"):
+            list(WriteAheadLog.replay(path))
+
+    def test_single_entry_record_is_refused(self, disk, tmp_path):
+        # The retired format: one checksummed {"k":...} line per entry.
+        # It is no record this log knows, and a valid group follows it.
+        path, _ = _roundtrip(disk, tmp_path, [put("k", "v", 0)])
+        payload = '{"k":"a","v":"1","s":0,"t":0,"u":0.0}'
+        _rewrite_only_line(
+            path,
+            lambda line: f"{zlib.crc32(payload.encode()):08x},{payload}\n",
+        )
+        with pytest.raises(CorruptionError, match="failed to decode"):
+            list(WriteAheadLog.replay(path))
 
 
 class TestCommitHook:
     def test_hook_fires_once_per_commit_group(self, disk):
         groups = []
         wal = WriteAheadLog(disk, on_commit=groups.append)
-        wal.append(put("a", "1", 0))
+        wal.append_batch([put("a", "1", 0)])
         batch = [put("b", "2", 1), tombstone("a", 2)]
         wal.append_batch(batch)
         assert [len(group) for group in groups] == [1, 2]
@@ -59,7 +100,7 @@ class TestCommitHook:
         wal.on_commit = explode
         entry = put("k", "v", 0)
         with pytest.raises(RuntimeError):
-            wal.append(entry)
+            wal.append_batch([entry])
         # The record was journaled before the hook ran: it is pending
         # (and durable) despite the hook's failure.
         assert wal.pending_entries == [entry]
@@ -76,12 +117,12 @@ class TestInMemoryWal:
         wal = WriteAheadLog(disk)
         entries = [put(f"k{i}", "v", i) for i in range(5)]
         for entry in entries:
-            wal.append(entry)
+            wal.append_batch([entry])
         assert wal.pending_entries == entries
 
     def test_reset_clears(self, disk):
         wal = WriteAheadLog(disk)
-        wal.append(put("k", "v", 0))
+        wal.append_batch([put("k", "v", 0)])
         wal.reset()
         assert wal.pending_entries == []
 
@@ -89,27 +130,36 @@ class TestInMemoryWal:
         wal = WriteAheadLog(disk)
         # Each record is ~60 bytes; a 4096-byte page fills after ~70.
         for index in range(200):
-            wal.append(put(f"key{index:06d}", "some-value-payload", index))
+            wal.append_batch([put(f"key{index:06d}", "some-value-payload", index)])
         assert disk.counters.writes_by_cause.get("wal", 0) >= 1
 
     def test_closed_wal_rejects_appends(self, disk):
         wal = WriteAheadLog(disk)
         wal.close()
         with pytest.raises(ClosedError):
-            wal.append(put("k", "v", 0))
+            wal.append_batch([put("k", "v", 0)])
         with pytest.raises(ClosedError):
             wal.reset()
 
 
 class TestAppendBatch:
-    def test_batch_matches_sequential_appends(self, disk):
+    def test_batch_matches_sequential_appends(self, disk, tmp_path):
+        """A group of N replays equal to N groups of one."""
         entries = [put(f"k{i}", f"v{i}", i) for i in range(8)]
-        batched = WriteAheadLog(disk)
+        batched = WriteAheadLog(disk, str(tmp_path / "n.log"))
         batched.append_batch(entries)
-        sequential = WriteAheadLog(disk)
+        sequential = WriteAheadLog(disk, str(tmp_path / "1.log"))
         for entry in entries:
-            sequential.append(entry)
+            sequential.append_batch([entry])
         assert batched.pending_entries == sequential.pending_entries
+        assert (batched.sync_count, sequential.sync_count) == (1, 8)
+        for wal in (batched, sequential):
+            wal.close()
+        assert (
+            list(WriteAheadLog.replay(str(tmp_path / "n.log")))
+            == list(WriteAheadLog.replay(str(tmp_path / "1.log")))
+            == entries
+        )
 
     def test_single_sync_for_whole_batch(self, disk, tmp_path):
         """The group-commit contract: N entries, one log sync."""
@@ -118,9 +168,9 @@ class TestAppendBatch:
         assert wal.sync_count == 0
         wal.append_batch([put(f"k{i}", "v", i) for i in range(50)])
         assert wal.sync_count == 1
-        # The per-entry path pays one sync each — what batching amortizes.
+        # A group of one pays one sync each — what batching amortizes.
         for index in range(5):
-            wal.append(put(f"x{index}", "v", 100 + index))
+            wal.append_batch([put(f"x{index}", "v", 100 + index)])
         assert wal.sync_count == 6
 
     def test_batch_is_replayable(self, disk, tmp_path):
@@ -166,7 +216,7 @@ class TestFileWal:
         wal = WriteAheadLog(disk, path)
         entries = [put(f"k{i}", f"v{i}", i) for i in range(10)]
         for entry in entries:
-            wal.append(entry)
+            wal.append_batch([entry])
         wal.close()
         assert list(WriteAheadLog.replay(path)) == entries
 
@@ -177,7 +227,7 @@ class TestFileWal:
         path = str(tmp_path / "wal.log")
         wal = WriteAheadLog(disk, path)
         for index in range(5):
-            wal.append(put(f"k{index}", "v", index))
+            wal.append_batch([put(f"k{index}", "v", index)])
         wal.close()
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("0badc0de,{\"truncat")  # simulated crash mid-write
@@ -188,7 +238,7 @@ class TestFileWal:
         path = str(tmp_path / "wal.log")
         wal = WriteAheadLog(disk, path)
         for index in range(5):
-            wal.append(put(f"k{index}", "v", index))
+            wal.append_batch([put(f"k{index}", "v", index)])
         wal.close()
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -201,9 +251,9 @@ class TestFileWal:
     def test_reset_truncates_file(self, disk, tmp_path):
         path = str(tmp_path / "wal.log")
         wal = WriteAheadLog(disk, path)
-        wal.append(put("k", "v", 0))
+        wal.append_batch([put("k", "v", 0)])
         wal.reset()
-        wal.append(put("k2", "v2", 1))
+        wal.append_batch([put("k2", "v2", 1)])
         wal.close()
         assert [entry.key for entry in WriteAheadLog.replay(path)] == ["k2"]
 
@@ -262,9 +312,9 @@ class TestPreparedGroups:
         before = put("before", "v", 0)
         group = [put("txn-a", "1", 1), put("txn-b", "2", 2)]
         after = put("after", "v", 3)
-        wal.append(before)
+        wal.append_batch([before])
         wal.append_prepare(5, group)
-        wal.append(after)
+        wal.append_batch([after])
         wal.close()
         # Rolled forward, the group replays in file order between its
         # neighbors — seqnos stay monotone.
@@ -279,7 +329,7 @@ class TestPreparedGroups:
     def test_torn_prepare_tail_is_tolerated(self, disk, tmp_path):
         path = str(tmp_path / "wal.log")
         wal = WriteAheadLog(disk, path)
-        wal.append(put("k", "v", 0))
+        wal.append_batch([put("k", "v", 0)])
         wal.append_prepare(9, [put("torn", "v", 1)])
         wal.close()
         with open(path, "r", encoding="utf-8") as handle:
@@ -377,3 +427,75 @@ class TestTxnDecisionLog:
         log.close()  # idempotent
         with pytest.raises(ClosedError):
             log.append(1, TXN_COMMIT)
+
+
+# -- bytes that are not UTF-8 are damage to one record ----------------------
+
+
+def _wal_log(path):
+    """Three groups of three; replay flattens to a list of entries."""
+    groups = [
+        [put(f"k{3 * g + i}", f"v{g}", 3 * g + i) for i in range(3)]
+        for g in range(3)
+    ]
+    wal = WriteAheadLog(SimulatedDisk(), path)
+    for group in groups:
+        wal.append_batch(group)
+    wal.close()
+    prefixes = [sum(groups[:count], []) for count in range(4)]
+    return prefixes, lambda: list(WriteAheadLog.replay(path))
+
+
+def _decision_log(path):
+    log = TxnDecisionLog(path)
+    verdicts = [(1, TXN_COMMIT), (2, TXN_ABORT), (3, TXN_COMMIT)]
+    for txn_id, verdict in verdicts:
+        log.append(txn_id, verdict)
+    log.close()
+    prefixes = [dict(verdicts[:count]) for count in range(4)]
+    return prefixes, lambda: TxnDecisionLog.replay(path)
+
+
+def _flip_high_bit(line, _rng):
+    middle = len(line) // 2
+    return line[:middle] + bytes([line[middle] ^ 0x80]) + line[middle + 1 :]
+
+
+def _tear_then_garbage(line, rng):
+    garbage = bytes(rng.randrange(0x80, 0x100) for _ in range(16))
+    return line[: len(line) // 2] + garbage + b"\n"
+
+
+@pytest.mark.parametrize("damage", [_flip_high_bit, _tear_then_garbage])
+@pytest.mark.parametrize("build", [_wal_log, _decision_log])
+class TestNonUtf8Damage:
+    """Both logs read bytes and check the CRC over the raw payload, so a
+    byte >= 0x80 damages one record; it never crashes the reader."""
+
+    def _damage(self, path, index, damage):
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+        lines[index] = damage(lines[index], random.Random(19))
+        with open(path, "wb") as handle:
+            handle.writelines(lines)
+        return sum(len(line) for line in lines[:index])
+
+    def test_damaged_tail_is_dropped(self, tmp_path, build, damage):
+        path = str(tmp_path / "log")
+        prefixes, replay = build(path)
+        self._damage(path, 2, damage)
+        assert replay() == prefixes[2]
+
+    def test_damage_mid_file_is_refused(self, tmp_path, build, damage):
+        path = str(tmp_path / "log")
+        _prefixes, replay = build(path)
+        offset = self._damage(path, 1, damage)
+        with pytest.raises(CorruptionError) as info:
+            replay()
+        error = info.value
+        assert error.path == path
+        assert error.record_index == 1
+        assert error.byte_offset == offset
+        # Both damages leave the checksum field readable.
+        assert error.expected_crc is not None
+        assert error.expected_crc != error.actual_crc
