@@ -35,7 +35,7 @@ import tempfile
 import time
 from typing import Dict, List
 
-from repro.cluster import ClusterClient, ClusterMap, ClusterNode, NodeInfo, NodeStore
+from repro.cluster import ClusterClient, local_cluster
 from repro.core.config import LSMConfig
 from repro.server import KVClient
 
@@ -209,30 +209,9 @@ async def _ingest_single(wal_dir: str) -> Dict[str, float]:
 
 async def _migration_timeline(tmp_dir: str) -> Dict[str, object]:
     """Part B: continuous writes with a live migration mid-stream."""
-    boot = ClusterMap.even(
-        4, [NodeInfo(n, "127.0.0.1", 0) for n in ("a", "b")]
-    )
-    config = LSMConfig(buffer_size_bytes=64 * 1024)
-    stores = [
-        NodeStore(n, boot, config, wal_dir=os.path.join(tmp_dir, n))
-        for n in ("a", "b")
-    ]
-    servers = [
-        ClusterNode(store, host="127.0.0.1", port=0) for store in stores
-    ]
-    for server in servers:
-        await server.start()
-    live = ClusterMap.even(
-        4,
-        [
-            NodeInfo(n, "127.0.0.1", server.port)
-            for n, server in zip("ab", servers)
-        ],
-        epoch=1,
-    )
-    for store in stores:
-        store.install_map(live)
-    try:
+    async with local_cluster(
+        tmp_dir, config=LSMConfig(buffer_size_bytes=64 * 1024)
+    ) as (servers, stores, _live):
         client = await ClusterClient.connect("127.0.0.1", servers[0].port)
         async with client:
             for index in range(50):
@@ -290,9 +269,6 @@ async def _migration_timeline(tmp_dir: str) -> Dict[str, object]:
                 "moved_redirects": client.moved_redirects,
                 "epoch": stores[1].map.epoch,
             }
-    finally:
-        for server in servers:
-            await server.stop()
 
 
 def test_e27_cluster(benchmark):

@@ -23,12 +23,11 @@ the ack timeline. Headline metrics:
 from __future__ import annotations
 
 import asyncio
-import os
 import tempfile
 import time
 from typing import List
 
-from repro.cluster import ClusterClient, ClusterMap, ClusterNode, NodeInfo, NodeStore
+from repro.cluster import ClusterClient, local_cluster
 from repro.core.config import LSMConfig
 
 from common import QUICK, save_and_print
@@ -42,55 +41,14 @@ WRITES_AFTER = 60 if QUICK else 240
 VALUE = "v" * 64
 
 
-async def _wait_until(condition, message: str, deadline_s: float = 15.0):
-    started = time.monotonic()
-    while not condition():
-        if time.monotonic() - started > deadline_s:
-            raise TimeoutError(message)
-        await asyncio.sleep(0.02)
-
-
 async def _failover_timeline(tmp_dir: str) -> dict:
-    boot = ClusterMap.even(
-        NUM_SHARDS, [NodeInfo(n, "127.0.0.1", 0) for n in ("a", "b")]
-    )
-    config = LSMConfig(buffer_size_bytes=64 * 1024)
-    stores = [
-        NodeStore(n, boot, config, wal_dir=os.path.join(tmp_dir, n))
-        for n in ("a", "b")
-    ]
-    servers = [
-        ClusterNode(
-            store,
-            host="127.0.0.1",
-            port=0,
-            heartbeat_interval_s=HEARTBEAT_S,
-            lease_timeout_s=LEASE_S,
-        )
-        for store in stores
-    ]
-    for server in servers:
-        await server.start()
-    live = ClusterMap.even(
-        NUM_SHARDS,
-        [
-            NodeInfo(n, "127.0.0.1", server.port)
-            for n, server in zip("ab", servers)
-        ],
-        epoch=1,
-        replicated=True,
-    )
-    for store in stores:
-        store.install_map(live)
-    for server in servers:
-        server._reconcile_replication()
-    for store in stores:
-        await _wait_until(
-            lambda store=store: store.promotable_shards()
-            == live.replicas_of(store.node_id),
-            f"node {store.node_id} never seeded its standbys",
-        )
-    try:
+    async with local_cluster(
+        tmp_dir,
+        shape="replicated",
+        config=LSMConfig(buffer_size_bytes=64 * 1024),
+        heartbeat_interval_s=HEARTBEAT_S,
+        lease_timeout_s=LEASE_S,
+    ) as (servers, stores, live):
         # bootstrap from the *survivor* so the seed connection outlives
         # the kill; the dead node's shards still route via the map
         client = await ClusterClient.connect(
@@ -163,9 +121,6 @@ async def _failover_timeline(tmp_dir: str) -> dict:
                 "epoch": stores[1].map.epoch,
                 "owned_after": sorted(stores[1].owned_shards()),
             }
-    finally:
-        for server in servers:
-            await server.stop()
 
 
 def test_e28_failover(benchmark):

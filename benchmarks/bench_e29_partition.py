@@ -39,14 +39,13 @@ Headline metrics:
 from __future__ import annotations
 
 import asyncio
-import os
 import tempfile
 import time
 from typing import List
 
-from repro.cluster import ClusterClient, ClusterMap, ClusterNode, NodeInfo, NodeStore
+from repro.cluster import ClusterClient, local_cluster, wait_until
 from repro.core.config import LSMConfig
-from repro.faults import NetFaultPlan, NetProxy
+from repro.faults import NetFaultPlan
 from repro.server import KVClient
 from repro.server.client import BusyError, ServerError
 
@@ -61,74 +60,18 @@ WRITES_AFTER = 60 if QUICK else 240
 VALUE = "v" * 64
 
 
-async def _wait_until(condition, message: str, deadline_s: float = 15.0):
-    started = time.monotonic()
-    while not condition():
-        if time.monotonic() - started > deadline_s:
-            raise TimeoutError(message)
-        await asyncio.sleep(0.02)
-
-
 async def _partition_timeline(tmp_dir: str) -> dict:
-    boot = ClusterMap(
-        ["a"] * NUM_SHARDS,
-        [NodeInfo(n, "127.0.0.1", 0) for n in ("a", "b")],
-        replicas=["b"] * NUM_SHARDS,
-    )
-    config = LSMConfig(buffer_size_bytes=64 * 1024)
-    stores = [
-        NodeStore(n, boot, config, wal_dir=os.path.join(tmp_dir, n))
-        for n in ("a", "b")
-    ]
-    servers = [
-        ClusterNode(
-            store,
-            host="127.0.0.1",
-            port=0,
-            heartbeat_interval_s=HEARTBEAT_S,
-            lease_timeout_s=LEASE_S,
-            repl_timeout_s=0.5,
-            self_fence=True,
-        )
-        for store in stores
-    ]
-    for server in servers:
-        await server.start()
     plan = NetFaultPlan(seed=29)
-    proxies = [
-        await NetProxy(
-            "127.0.0.1", servers[1].port, src="a", dst="b", plan=plan
-        ).start(),
-        await NetProxy(
-            "127.0.0.1", servers[0].port, src="b", dst="a", plan=plan
-        ).start(),
-    ]
-    servers[0].dial_overrides["b"] = ("127.0.0.1", proxies[0].port)
-    servers[1].dial_overrides["a"] = ("127.0.0.1", proxies[1].port)
-    live = ClusterMap(
-        ["a"] * NUM_SHARDS,
-        [
-            NodeInfo(n, "127.0.0.1", server.port)
-            for n, server in zip("ab", servers)
-        ],
-        epoch=1,
-        replicas=["b"] * NUM_SHARDS,
-    )
-    for store in stores:
-        store.install_map(live)
-    for server in servers:
-        server._reconcile_replication()
-    await _wait_until(
-        lambda: stores[1].promotable_shards() == list(range(NUM_SHARDS)),
-        "standby never seeded",
-    )
-    await _wait_until(
-        lambda: all(
-            shipper.streaming for shipper in servers[0]._shippers.values()
-        ),
-        "primary never reached streaming",
-    )
-    try:
+    async with local_cluster(
+        tmp_dir,
+        shape="standby",
+        config=LSMConfig(buffer_size_bytes=64 * 1024),
+        net_plan=plan,
+        heartbeat_interval_s=HEARTBEAT_S,
+        lease_timeout_s=LEASE_S,
+        repl_timeout_s=0.5,
+        self_fence=True,
+    ) as (servers, stores, live):
         # bootstrap from the standby so the seed connection outlives the
         # owner flip; writes still route to a via the map
         client = await ClusterClient.connect(
@@ -203,7 +146,7 @@ async def _partition_timeline(tmp_dir: str) -> dict:
             # sees a alive. Nobody may promote; a must stop acking.
             plan.blackhole("a", "b")
             cut = time.perf_counter()
-            await _wait_until(
+            await wait_until(
                 lambda: a_refusals[0] > 0,
                 "partitioned primary never answered BUSY",
                 deadline_s=4.0 * LEASE_S,
@@ -230,9 +173,10 @@ async def _partition_timeline(tmp_dir: str) -> dict:
 
             # Heal: a hears the bumped epoch and demotes, unprompted.
             plan.clear()
-            await _wait_until(
+            await wait_until(
                 lambda: stores[0].map.epoch >= stores[1].map.epoch,
                 "healed primary never adopted the promoted epoch",
+                deadline_s=15.0,
             )
             healed_demote_s = time.perf_counter() - promoted
             stop.set()
@@ -270,11 +214,6 @@ async def _partition_timeline(tmp_dir: str) -> dict:
                 "owned_after_a": sorted(stores[0].owned_shards()),
                 "owned_after_b": sorted(stores[1].owned_shards()),
             }
-    finally:
-        for server in servers:
-            await server.stop()
-        for proxy in proxies:
-            await proxy.stop()
 
 
 def test_e29_partition(benchmark):

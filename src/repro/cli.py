@@ -26,17 +26,27 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import json
+import os
 import signal
 import sys
 from typing import List, Optional
 
+from .api import KVStore
 from .bench.harness import Harness
 from .bench.report import format_table
+from .cluster import ClusterMap, ClusterNode, NodeInfo, NodeStore
 from .core.config import LAYOUT_KINDS, PICKER_KINDS, LSMConfig
 from .core.tree import LSMTree
 from .cost.model import SystemEnv, WorkloadMix
 from .cost.navigator import Navigator
 from .cost.robust import RobustTuner
+from .errors import ConfigError
+from .faults.registry import FAILPOINTS, failpoint_kinds
+from .replication import ReplicatedStore
+from .server import KVServer
+from .server.client import KVClient
+from .shard import ShardedStore, hash_shard_index
 from .workload.generator import PRESETS
 
 
@@ -74,6 +84,59 @@ def _mix_from(args: argparse.Namespace) -> WorkloadMix:
         short_scans=args.scans,
         writes=args.writes,
     )
+
+
+def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """The engine flags ``serve`` and ``cluster serve`` share."""
+    parser.add_argument(
+        "--background",
+        action="store_true",
+        help="run flush/compaction on worker threads (recommended)",
+    )
+    parser.add_argument("--num-buffers", type=int, default=4)
+    parser.add_argument("--buffer-bytes", type=int, default=64 * 1024)
+    parser.add_argument("--flush-threads", type=int, default=2)
+    parser.add_argument("--compaction-threads", type=int, default=2)
+    parser.add_argument(
+        "--wal-fsync",
+        action="store_true",
+        help="fsync the WAL on every commit (serve: needs --wal-dir)",
+    )
+
+
+def _engine_config(args: argparse.Namespace) -> LSMConfig:
+    return LSMConfig(
+        background_mode=args.background,
+        num_buffers=args.num_buffers,
+        buffer_size_bytes=args.buffer_bytes,
+        flush_threads=args.flush_threads,
+        compaction_threads=args.compaction_threads,
+        wal_fsync=args.wal_fsync,
+    )
+
+
+def _serve_until_signal(server: KVServer, who: str, details: str) -> None:
+    """Start ``server``, announce where it listens (port 0 resolves
+    only then), serve until SIGINT/SIGTERM, stop it cleanly."""
+
+    async def run() -> None:
+        await server.start()
+        print(
+            f"{who} listening on {server.host}:{server.port} ({details})",
+            flush=True,
+        )
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            with contextlib.suppress(NotImplementedError):
+                loop.add_signal_handler(signum, stop.set)
+        try:
+            await stop.wait()
+        finally:
+            print(f"{who} shutting down", flush=True)
+            await server.stop()
+
+    asyncio.run(run())
 
 
 def command_workload(args: argparse.Namespace) -> int:
@@ -210,31 +273,13 @@ def command_layouts(args: argparse.Namespace) -> int:
 
 def command_serve(args: argparse.Namespace) -> int:
     """Run the asyncio KV server until SIGINT/SIGTERM (clean shutdown)."""
-    from .api import KVStore
-    from .core.config import LSMConfig
-    from .server import KVServer, maybe_install_uvloop
-    from .shard import ShardedStore
-
     if args.shards < 1:
         raise SystemExit("--shards must be at least 1")
-    if maybe_install_uvloop(True if args.uvloop else None):
-        print("repro-server: uvloop event loop enabled", flush=True)
-    elif args.uvloop:
-        raise SystemExit("--uvloop requested but uvloop is not installed")
-    config = LSMConfig(
-        background_mode=args.background,
-        num_buffers=args.num_buffers,
-        buffer_size_bytes=args.buffer_bytes,
-        flush_threads=args.flush_threads,
-        compaction_threads=args.compaction_threads,
-        wal_fsync=args.wal_fsync,
-    )
+    config = _engine_config(args)
     store: KVStore
     if args.replication != "off":
         if args.wal_dir is None:
             raise SystemExit("--replication needs --wal-dir")
-        from .replication import ReplicatedStore
-
         store = ReplicatedStore(
             args.shards,
             config,
@@ -254,28 +299,13 @@ def command_serve(args: argparse.Namespace) -> int:
         group_commit=not args.no_group_commit,
         owns_tree=True,
     )
-
-    async def run() -> None:
-        await server.start()
-        print(
-            f"repro-server listening on {server.host}:{server.port} "
-            f"(group_commit={server.group_commit}, "
-            f"shards={args.shards}, background={args.background}, "
-            f"replication={args.replication})",
-            flush=True,
-        )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(signum, stop.set)
-        try:
-            await stop.wait()
-        finally:
-            print("repro-server shutting down", flush=True)
-            await server.stop()
-
-    asyncio.run(run())
+    _serve_until_signal(
+        server,
+        "repro-server",
+        f"group_commit={server.group_commit}, "
+        f"shards={args.shards}, background={args.background}, "
+        f"replication={args.replication}",
+    )
     return 0
 
 
@@ -283,13 +313,8 @@ def command_bench_serve(args: argparse.Namespace) -> int:
     """Closed-loop server benchmark: group commit on vs. off."""
     import tempfile
 
-    from .server import maybe_install_uvloop
     from .server.loadgen import measure_server
 
-    if maybe_install_uvloop(True if args.uvloop else None):
-        print("bench-serve: uvloop event loop enabled", flush=True)
-    elif args.uvloop:
-        raise SystemExit("--uvloop requested but uvloop is not installed")
     rows = []
     for group_commit in (False, True):
         with tempfile.TemporaryDirectory(prefix="repro-serve-") as wal_dir:
@@ -338,12 +363,7 @@ def command_txn_demo(args: argparse.Namespace) -> int:
     (two-phase commit under the hood), and shows the same keys read at
     the snapshot versus at latest.
     """
-    import asyncio
     import tempfile
-
-    from .server import KVServer
-    from .server.client import KVClient
-    from .shard import ShardedStore, hash_shard_index
 
     async def demo() -> None:
         with tempfile.TemporaryDirectory(prefix="repro-txn-") as wal_dir:
@@ -401,13 +421,9 @@ def command_txn_demo(args: argparse.Namespace) -> int:
 
 def command_fault_sweep(args: argparse.Namespace) -> int:
     """Run the crash-consistency sweep; non-zero exit on any violation."""
-    import os
-
     from .faults.sweep import run_sweep
 
     if args.list:
-        from .faults.registry import FAILPOINTS, failpoint_kinds
-
         print(
             format_table(
                 ["failpoint", "site", "kinds", "description"],
@@ -439,8 +455,6 @@ def command_fault_sweep(args: argparse.Namespace) -> int:
 
 def _parse_node_specs(specs: List[str]):
     """``ID=HOST:PORT`` specs → NodeInfo list (SystemExit on bad input)."""
-    from .cluster import NodeInfo
-
     nodes = []
     for spec in specs:
         try:
@@ -458,10 +472,6 @@ def _parse_node_specs(specs: List[str]):
 
 def command_cluster_init(args: argparse.Namespace) -> int:
     """Lay out a fresh cluster: one directory + map copy per node."""
-    import os
-
-    from .cluster import ClusterMap
-
     nodes = _parse_node_specs(args.node)
     if not nodes:
         raise SystemExit("cluster init needs at least one --node ID=HOST:PORT")
@@ -506,11 +516,6 @@ def _cluster_join(args: argparse.Namespace, node_dir: str) -> None:
     result locally so the ordinary recovery path can take over. Shards
     arrive later via ``cluster rebalance``.
     """
-    import os
-
-    from .cluster import ClusterMap, NodeInfo
-    from .server.client import KVClient
-
     join_host, _, join_port = args.join.rpartition(":")
     if not (join_host and join_port):
         raise SystemExit(f"--join wants HOST:PORT, got {args.join!r}")
@@ -554,27 +559,10 @@ def _cluster_join(args: argparse.Namespace, node_dir: str) -> None:
 
 def command_cluster_serve(args: argparse.Namespace) -> int:
     """Run one cluster node until SIGINT/SIGTERM (clean shutdown)."""
-    import os
-
-    from .cluster import ClusterNode, NodeStore
-    from .server import maybe_install_uvloop
-
-    if maybe_install_uvloop(True if args.uvloop else None):
-        print("repro-cluster: uvloop event loop enabled", flush=True)
-    elif args.uvloop:
-        raise SystemExit("--uvloop requested but uvloop is not installed")
-    config = LSMConfig(
-        background_mode=args.background,
-        num_buffers=args.num_buffers,
-        buffer_size_bytes=args.buffer_bytes,
-        flush_threads=args.flush_threads,
-        compaction_threads=args.compaction_threads,
-        wal_fsync=args.wal_fsync,
-    )
     node_dir = os.path.join(args.data_dir, args.node_id)
     if args.join:
         _cluster_join(args, node_dir)
-    store = NodeStore.recover(args.node_id, config, node_dir)
+    store = NodeStore.recover(args.node_id, _engine_config(args), node_dir)
     options = {
         "max_connections": args.max_connections,
         "executor_threads": args.executor_threads,
@@ -598,28 +586,11 @@ def command_cluster_serve(args: argparse.Namespace) -> int:
     if args.port is not None:
         options["port"] = args.port
     server = ClusterNode(store, **options)
-
-    async def run() -> None:
-        await server.start()
-        print(
-            f"repro-cluster node {store.node_id} listening on "
-            f"{server.host}:{server.port} (epoch {store.map.epoch}, "
-            f"shards {store.owned_shards()})",
-            flush=True,
-        )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(signum, stop.set)
-        try:
-            await stop.wait()
-        finally:
-            print(f"repro-cluster node {store.node_id} shutting down",
-                  flush=True)
-            await server.stop()
-
-    asyncio.run(run())
+    _serve_until_signal(
+        server,
+        f"repro-cluster node {store.node_id}",
+        f"epoch {store.map.epoch}, shards {store.owned_shards()}",
+    )
     return 0
 
 
@@ -632,11 +603,6 @@ def command_cluster_status(args: argparse.Namespace) -> int:
     liveness (the freshest heartbeat age any peer reports for the node)
     and a per-shard table with the primary's replication lag.
     """
-    import json
-
-    from .cluster import ClusterMap
-    from .server.client import KVClient
-
     timeout = args.timeout
 
     async def fetch_health(node) -> dict:
@@ -769,10 +735,6 @@ def command_cluster_status(args: argparse.Namespace) -> int:
 
 def command_cluster_migrate(args: argparse.Namespace) -> int:
     """Ask the contacted node to live-migrate one shard it owns."""
-    import json
-
-    from .server.client import KVClient
-
     async def run() -> int:
         client = await KVClient.connect(args.host, args.port)
         try:
@@ -796,11 +758,6 @@ def command_cluster_migrate(args: argparse.Namespace) -> int:
 
 def command_cluster_rebalance(args: argparse.Namespace) -> int:
     """Plan (and unless --dry-run, execute) moves onto a target membership."""
-    import json
-
-    from .cluster import ClusterMap
-    from .server.client import KVClient
-
     async def run() -> int:
         seed = await KVClient.connect(args.host, args.port)
         try:
@@ -934,22 +891,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7379)
-    serve.add_argument(
-        "--background",
-        action="store_true",
-        help="run flush/compaction on worker threads (recommended)",
-    )
-    serve.add_argument("--num-buffers", type=int, default=4)
-    serve.add_argument("--buffer-bytes", type=int, default=64 * 1024)
-    serve.add_argument("--flush-threads", type=int, default=2)
-    serve.add_argument("--compaction-threads", type=int, default=2)
+    _add_engine_arguments(serve)
     serve.add_argument(
         "--wal-dir", default=None, help="directory for durable WAL segments"
-    )
-    serve.add_argument(
-        "--wal-fsync",
-        action="store_true",
-        help="fsync the WAL on every commit (needs --wal-dir)",
     )
     serve.add_argument("--max-connections", type=int, default=128)
     serve.add_argument(
@@ -977,12 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="commit every request separately (benchmark baseline)",
     )
-    serve.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="run on uvloop (fails if uvloop is not installed; "
-        "REPRO_UVLOOP=1 requests it opportunistically instead)",
-    )
     serve.set_defaults(func=command_serve)
 
     bench_serve = subparsers.add_parser(
@@ -1000,12 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="back the server with N hash-routed shards",
-    )
-    bench_serve.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="run on uvloop (fails if uvloop is not installed; "
-        "REPRO_UVLOOP=1 requests it opportunistically instead)",
     )
     bench_serve.set_defaults(func=command_bench_serve)
 
@@ -1079,18 +1011,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="bootstrap by joining via an existing member (a new node "
         "also needs --host/--port; give it shards with rebalance)",
     )
-    cluster_serve.add_argument("--background", action="store_true")
-    cluster_serve.add_argument("--num-buffers", type=int, default=4)
-    cluster_serve.add_argument("--buffer-bytes", type=int, default=64 * 1024)
-    cluster_serve.add_argument("--flush-threads", type=int, default=2)
-    cluster_serve.add_argument("--compaction-threads", type=int, default=2)
-    cluster_serve.add_argument("--wal-fsync", action="store_true")
+    _add_engine_arguments(cluster_serve)
     cluster_serve.add_argument("--max-connections", type=int, default=128)
     cluster_serve.add_argument(
         "--executor-threads", type=int, default=None
     )
     cluster_serve.add_argument("--no-group-commit", action="store_true")
-    cluster_serve.add_argument("--uvloop", action="store_true")
     cluster_serve.add_argument(
         "--heartbeat-interval", type=float, default=1.0, metavar="SECONDS",
         help="peer heartbeat cadence (jittered; default 1.0)",
@@ -1181,7 +1107,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,9 +22,15 @@ call and that the crash-consistency sweep crashes at every crossing
 (both against a second in-process :class:`NodeStore`).
 :func:`replicate_local` is the small in-process twin of the long-lived
 cross-node replication shipper, built for the same sweep.
+:func:`local_cluster` is *the* in-process bootstrap — two nodes on real
+sockets, port 0 resolved into an epoch-1 map, optional per-link fault
+proxies, standbys seeded, everything torn down on exit — that the wire
+tests, the sweep's partition runs and the e27–e29 benchmarks all start
+from; :func:`wait_until` is the poll they share.
 """
 
 from .client import ClusterClient, ClusterError
+from .local import local_cluster, wait_until
 from .map import CLUSTER_MANIFEST, ClusterMap, NodeInfo
 from .node import ClusterNode
 from .store import SNAPSHOT_CHUNK, NodeStore, migrate_shard, replicate_local
@@ -38,6 +44,8 @@ __all__ = [
     "ClusterNode",
     "NodeInfo",
     "NodeStore",
+    "local_cluster",
     "migrate_shard",
     "replicate_local",
+    "wait_until",
 ]

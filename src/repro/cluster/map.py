@@ -285,24 +285,6 @@ class ClusterMap:
             replicas=replicas,
         )
 
-    def with_replica(
-        self, shard: int, node_id: Optional[str]
-    ) -> "ClusterMap":
-        """A new map (epoch + 1) with ``shard``'s replica set (or cleared
-        with ``None``). The node must already be in the directory."""
-        if not 0 <= shard < len(self.assignments):
-            raise ValueError(f"shard {shard} out of range")
-        replicas = list(self.replicas)
-        replicas[shard] = node_id
-        return ClusterMap(
-            list(self.assignments),
-            list(self.nodes.values()),
-            epoch=self.epoch + 1,
-            routing=self.routing,
-            boundaries=self.boundaries or None,
-            replicas=replicas,
-        )
-
     def with_failover(
         self, shards: Sequence[int], new_primary: str
     ) -> "ClusterMap":

@@ -47,7 +47,7 @@ class BackgroundWorkerPool:
     The pool is deliberately policy-free: *what* a worker does (and in
     which priority order) lives in the step callables the coordinator
     provides. The pool owns thread lifecycle — spawn, park/wake, pause for
-    tests, drain-friendly idleness tracking, and join on stop.
+    tests, and join on stop.
     """
 
     def __init__(self, name: str = "lsm-bg") -> None:
@@ -56,7 +56,6 @@ class BackgroundWorkerPool:
         self._cv = threading.Condition()
         self._stopped = False
         self._paused = False
-        self._active_workers = 0
         #: Bumped by every :meth:`kick`; see rule 2 in the module docstring.
         self._generation = 0
         #: The first failure only: a persistently failing step is retried
@@ -121,11 +120,6 @@ class BackgroundWorkerPool:
             self._paused = False
             self._cv.notify_all()
 
-    def quiescent(self) -> bool:
-        """Whether no worker is currently inside a step."""
-        with self._cv:
-            return self._active_workers == 0
-
     @property
     def first_error(self) -> Optional[BaseException]:
         """The first exception captured from any worker, if any."""
@@ -146,7 +140,6 @@ class BackgroundWorkerPool:
                     self._cv.wait()
                 if self._stopped:
                     return
-                self._active_workers += 1
                 generation = self._generation
             did_work = False
             try:
@@ -154,7 +147,6 @@ class BackgroundWorkerPool:
             except BaseException as exc:  # surfaced via first_error
                 self._record_failure(exc)
             with self._cv:
-                self._active_workers -= 1
                 if (
                     not did_work
                     and self._generation == generation

@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional, Sequence
 
 from ..filters.bloom import Digest
 from .entry import Entry
-from .range_tombstone import RangeTombstone, dedupe, max_covering_seqno
+from .range_tombstone import RangeTombstone, dedupe
 from .sstable import ReadContext, SSTable
 
 
@@ -130,10 +130,6 @@ class SortedRun:
         if table is None:
             return None
         return table.probe(key, ctx, digest)
-
-    def covering_tombstone_seqno(self, key: str) -> int:
-        """Newest run-level range tombstone covering ``key`` (-1 if none)."""
-        return max_covering_seqno(self.range_tombstones, key)
 
     def overlapping_tables(self, lo: str, hi: str) -> List[SSTable]:
         """Files whose key range intersects ``[lo, hi]`` (inclusive)."""

@@ -24,7 +24,7 @@ from ..storage.block_cache import BlockCache, HeatTracker
 from ..storage.disk import SimulatedDisk
 from .entry import Entry
 from .fence import BlockBounds, FenceIndex
-from .range_tombstone import RangeTombstone, max_covering_seqno
+from .range_tombstone import RangeTombstone
 from .stats import TreeStats
 
 _table_ids = itertools.count(1)
@@ -326,13 +326,6 @@ class SSTable:
         return self.key_range_overlaps(
             other.effective_min_key, other.effective_max_key
         )
-
-    def covering_tombstone_seqno(self, key: str) -> int:
-        """Newest attached range tombstone covering ``key`` (-1 if none).
-
-        An in-memory metadata check — like filter probes, it costs no I/O.
-        """
-        return max_covering_seqno(self.range_tombstones, key)
 
     def get(
         self, key: str, ctx: ReadContext, digest: Optional[Digest] = None

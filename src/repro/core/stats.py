@@ -154,10 +154,6 @@ class TreeStats:
         """Record the latency of one external write."""
         self.add_sample("write_latencies_us", micros)
 
-    def record_read_latency(self, micros: float) -> None:
-        """Record the latency of one external read."""
-        self.add_sample("read_latencies_us", micros)
-
     @classmethod
     def merged(cls, parts: List["TreeStats"]) -> "TreeStats":
         """A rollup: every counter summed, every sample list concatenated.
@@ -191,12 +187,6 @@ class TreeStats:
         if self.user_bytes_written == 0:
             return 0.0
         return device_bytes_written / self.user_bytes_written
-
-    def read_amplification(self, device_pages_read: int) -> float:
-        """Device pages read per point lookup."""
-        if self.gets == 0:
-            return 0.0
-        return device_pages_read / self.gets
 
     @property
     def filter_skip_rate(self) -> float:

@@ -624,11 +624,6 @@ def fault_plan(plan: FaultPlan) -> Iterator[FaultPlan]:
         _ACTIVE = None
 
 
-def active_plan() -> Optional[FaultPlan]:
-    """The currently armed plan, if any (introspection/tests)."""
-    return _ACTIVE
-
-
 def inject_worker_death(tree, reason: str = "injected worker death") -> None:
     """Kill a tree's background workers, as a hardware fault would.
 

@@ -135,11 +135,6 @@ class BloomFilter(PointFilter):
         return self._num_hashes
 
     @property
-    def num_added(self) -> int:
-        """Keys inserted so far."""
-        return self._num_added
-
-    @property
     def memory_bits(self) -> int:
         return self._num_bits
 

@@ -106,10 +106,6 @@ class WiscKeyStore:
             return 0.0
         return self.disk.counters.bytes_written / self.user_bytes_written
 
-    def space_bytes(self) -> int:
-        """Physical bytes held by the tree and the live log region."""
-        return self.tree.total_disk_bytes() + self.vlog.physical_bytes
-
     # -- garbage collection ----------------------------------------------------
 
     def _maybe_collect(self) -> None:

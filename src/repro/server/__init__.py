@@ -43,7 +43,7 @@ from .protocol import (
     encode_message,
     encode_messages,
 )
-from .server import KVServer, maybe_install_uvloop
+from .server import KVServer
 
 __all__ = [
     "KVServer",
@@ -62,5 +62,4 @@ __all__ = [
     "decode_batch",
     "ServerMetrics",
     "LatencyHistogram",
-    "maybe_install_uvloop",
 ]

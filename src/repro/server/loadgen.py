@@ -25,7 +25,7 @@ from ..core.stats import percentile
 from ..core.tree import LSMTree
 from ..shard import ShardedStore
 from .client import KVClient
-from .server import KVServer, maybe_install_uvloop
+from .server import KVServer
 
 
 async def _client_worker(
@@ -148,10 +148,8 @@ def measure_server(
     runs on one fresh event loop, so callers — benchmarks, the CLI —
     need no asyncio plumbing of their own. ``shards`` > 1 backs the
     server with a hash-routed :class:`~repro.shard.ShardedStore` whose
-    per-shard group committers run in parallel. Setting ``REPRO_UVLOOP=1``
-    runs the measurement on uvloop when it is installed.
+    per-shard group committers run in parallel.
     """
-    maybe_install_uvloop()
 
     async def measurement() -> Dict[str, float]:
         engine_config = config or LSMConfig(

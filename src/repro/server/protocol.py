@@ -108,24 +108,9 @@ from ..errors import ReproError
 #: Default ceiling on one frame's payload; the server may lower/raise it.
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
-#: Request verbs the server dispatches (``CLUSTER``/``MIGRATE``/``MIG.*``
-#: /``REPL.*`` only on cluster nodes).
-REQUEST_VERBS = (
-    "PING", "GET", "PUT", "DELETE", "SCAN", "BATCH", "INFO", "HEALTH",
-    "HELLO", "SNAP", "SNAP.END", "MULTI",
-    "CLUSTER", "MIGRATE", "MIG.BEGIN", "MIG.APPLY", "MIG.SEAL",
-    "REPL.SYNC", "REPL.SHIP", "REPL.SEEDED", "REPL.PING",
-)
-
 #: Highest protocol version this codebase speaks (see the module
 #: docstring's version-negotiation section).
 PROTOCOL_VERSION = 2
-
-#: Reply statuses a client must understand.
-REPLY_STATUSES = (
-    "PONG", "OK", "VALUE", "NONE", "PAIRS", "INFO", "HEALTH", "CLUSTER",
-    "HELLO", "SNAP", "BUSY", "ERR",
-)
 
 _U32 = struct.Struct(">I")
 _U32x2 = struct.Struct(">II")

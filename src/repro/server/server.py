@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import socket
 import time
 from collections import deque
@@ -92,10 +91,6 @@ from .protocol import (
 #: reach the engine as one ``write_batch`` call, never split across
 #: per-shard committers.
 _WRITE_VERBS = ("PUT", "DELETE", "BATCH")
-
-#: Verbs (and the ``AT`` read suffix) gated behind a ``HELLO`` handshake
-#: negotiating protocol version >= 2.
-_V2_VERBS = ("SNAP", "SNAP.END", "MULTI")
 
 #: Ceiling on snapshots held open per connection: each pins engine-side
 #: versions, so an unbounded registry would let one client pin memory
@@ -135,28 +130,6 @@ _WRITE_BUFFER_HIGH = 256 * 1024
 #: window: plain GETs never suspend, so a 64 KiB chunk of them would
 #: otherwise hold every other connection for its whole length.
 _LOOP_HOLD_REQUESTS = 128
-
-
-def maybe_install_uvloop(force: Optional[bool] = None) -> bool:
-    """Install uvloop's event-loop policy when opted in and available.
-
-    Opt-in because uvloop is an optional dependency: ``force=True`` (the
-    ``--uvloop`` CLI flag) or ``REPRO_UVLOOP=1`` requests it; when the
-    import fails the stock asyncio loop is silently kept, so the fast
-    path degrades instead of breaking environments without the wheel.
-    Returns whether uvloop is now the active policy. Call before the
-    event loop is created (e.g. before ``asyncio.run``).
-    """
-    if force is None:
-        force = os.environ.get("REPRO_UVLOOP", "") not in ("", "0")
-    if not force:
-        return False
-    try:
-        import uvloop
-    except ImportError:
-        return False
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    return True
 
 
 def tune_transport(writer: asyncio.StreamWriter) -> None:
@@ -359,11 +332,6 @@ class KVServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Set[asyncio.StreamWriter] = set()
         self._started_at = time.time()
-
-    @property
-    def tree(self) -> KVStore:
-        """Backward-compatible alias for :attr:`store`."""
-        return self.store
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -144,6 +144,22 @@ def hash_shard_index(key: str, num_shards: int) -> int:
     return zlib.crc32(key.encode("utf-8")) % num_shards
 
 
+def keys_for_shard(
+    shard: int, count: int, num_shards: int, prefix: str, width: int = 4
+) -> List[str]:
+    """The first ``count`` keys ``prefix0000``, ``prefix0001``, … (the
+    index zero-padded to ``width``) that hash-route to ``shard``: how
+    tests, benchmarks and the fault sweep aim a write at one shard."""
+    keys: List[str] = []
+    index = 0
+    while len(keys) < count:
+        key = f"{prefix}{index:0{width}d}"
+        if hash_shard_index(key, num_shards) == shard:
+            keys.append(key)
+        index += 1
+    return keys
+
+
 def range_boundaries(key_count: int, num_shards: int) -> List[str]:
     """Evenly spaced shard boundaries for the canonical key format.
 

@@ -16,7 +16,6 @@ implements them with O(1) sampling:
 from __future__ import annotations
 
 import abc
-import math
 import random
 
 #: Default zero-padded key format used across the library's experiments.
@@ -176,24 +175,3 @@ def estimate_theta_for_hot_share(
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-def harmonic_mean(values: list) -> float:
-    """Harmonic mean, guarding zeros (throughput aggregation helper)."""
-    positives = [value for value in values if value > 0]
-    if not positives:
-        return 0.0
-    return len(positives) / sum(1.0 / value for value in positives)
-
-
-def log_spaced(start: float, stop: float, count: int) -> list:
-    """``count`` log-spaced values from start to stop inclusive."""
-    if count < 2:
-        return [start]
-    ratio = (stop / start) ** (1.0 / (count - 1))
-    return [start * ratio**index for index in range(count)]
-
-
-def round_to_pages(nbytes: int, page_size: int = 4096) -> int:
-    """Round a byte count up to whole pages (sweep-parameter helper)."""
-    return int(math.ceil(nbytes / page_size)) * page_size

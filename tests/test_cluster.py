@@ -1,10 +1,9 @@
 """Tests for the cluster layer: map, node store, migration, wire, client.
 
 Wire tests follow the server-suite conventions: ``asyncio.run`` inside
-synchronous tests, every node bound to port 0 on localhost, teardown in
-``finally``. Because each NodeStore persists its boot map at
-construction, the port-0 pattern installs a *successor* map (epoch 1)
-built from the resolved ports once the servers are listening.
+synchronous tests, every node bound to port 0 on localhost — the
+cluster comes from :func:`repro.cluster.local_cluster`, which installs
+the real-port successor map (epoch 1) and tears everything down on exit.
 """
 
 from __future__ import annotations
@@ -13,7 +12,8 @@ import asyncio
 import sys
 import threading
 import time
-from typing import List, Optional, Sequence, Tuple
+from contextlib import AsyncExitStack
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -24,36 +24,25 @@ from repro.cluster import (
     ClusterNode,
     NodeInfo,
     NodeStore,
+    local_cluster,
     migrate_shard,
 )
 from repro.cluster.node import _WirePeer
 from repro.core.config import LSMConfig
 from repro.errors import (
+    ClosedError,
     ConfigError,
     ShardFencedError,
     ShardMovedError,
     SnapshotExpiredError,
 )
-from repro.faults import inject_worker_death
+from repro.faults import NetFaultPlan, inject_worker_death
 from repro.server.client import KVClient, MovedError, ServerError
-from repro.shard.store import hash_shard_index
+from repro.shard import hash_shard_index, keys_for_shard
 
 
 def _nodes(*specs: Tuple[str, int]) -> List[NodeInfo]:
     return [NodeInfo(node_id, "127.0.0.1", port) for node_id, port in specs]
-
-
-def _keys_for_shard(
-    shard: int, count: int, num_shards: int, prefix: str = "tk"
-) -> List[str]:
-    keys = []
-    index = 0
-    while len(keys) < count:
-        key = f"{prefix}{index:04d}"
-        if hash_shard_index(key, num_shards) == shard:
-            keys.append(key)
-        index += 1
-    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +183,8 @@ class TestNodeStore:
     def test_serves_owned_shards_only(self, tmp_path):
         store_a, store_b = _two_node_stores(tmp_path)
         try:
-            key0 = _keys_for_shard(0, 1, NUM_SHARDS)[0]
-            key1 = _keys_for_shard(1, 1, NUM_SHARDS)[0]
+            key0 = keys_for_shard(0, 1, NUM_SHARDS, "tk")[0]
+            key1 = keys_for_shard(1, 1, NUM_SHARDS, "tk")[0]
             store_a.put(key0, "v0")
             assert store_a.get(key0) == "v0"
             with pytest.raises(ShardMovedError) as excinfo:
@@ -222,8 +211,8 @@ class TestNodeStore:
     def test_batch_split_across_owned_shards(self, tmp_path):
         store_a, _unused = _two_node_stores(tmp_path)
         try:
-            keys = _keys_for_shard(0, 2, NUM_SHARDS) + _keys_for_shard(
-                2, 2, NUM_SHARDS
+            keys = keys_for_shard(0, 2, NUM_SHARDS, "tk") + keys_for_shard(
+                2, 2, NUM_SHARDS, "tk"
             )
             store_a.write_batch([("put", key, "v") for key in keys])
             assert all(store_a.get(key) == "v" for key in keys)
@@ -234,8 +223,8 @@ class TestNodeStore:
     def test_batch_touching_moved_shard_writes_nothing(self, tmp_path):
         store_a, store_b = _two_node_stores(tmp_path)
         try:
-            mine = _keys_for_shard(0, 1, NUM_SHARDS)[0]
-            theirs = _keys_for_shard(1, 1, NUM_SHARDS)[0]
+            mine = keys_for_shard(0, 1, NUM_SHARDS, "tk")[0]
+            theirs = keys_for_shard(1, 1, NUM_SHARDS, "tk")[0]
             with pytest.raises(ShardMovedError):
                 store_a.write_batch(
                     [("put", mine, "v"), ("put", theirs, "v")]
@@ -248,7 +237,7 @@ class TestNodeStore:
     def test_fenced_shard_rejects_writes_still_reads(self, tmp_path):
         store_a, store_b = _two_node_stores(tmp_path)
         try:
-            key = _keys_for_shard(0, 1, NUM_SHARDS)[0]
+            key = keys_for_shard(0, 1, NUM_SHARDS, "tk")[0]
             store_a.put(key, "v")
             store_a.fence(0)
             with pytest.raises(ShardFencedError):
@@ -269,7 +258,7 @@ class TestNodeStore:
         store_a, store_b = _two_node_stores(tmp_path, config)
         try:
             for shard in (0, 2):
-                for key in _keys_for_shard(shard, 3, NUM_SHARDS):
+                for key in keys_for_shard(shard, 3, NUM_SHARDS, "tk"):
                     store_a.put(key, "v")
             inject_worker_death(store_a.trees[2], "test: dead worker")
             store_a.flush()
@@ -290,8 +279,8 @@ class TestNodeStore:
         # write lock alone for fences. Race all three: nothing may hang,
         # and no snapshot may see half of a cross-shard batch.
         store_a, store_b = _two_node_stores(tmp_path)
-        key0 = _keys_for_shard(0, 1, NUM_SHARDS)[0]
-        key2 = _keys_for_shard(2, 1, NUM_SHARDS)[0]
+        key0 = keys_for_shard(0, 1, NUM_SHARDS, "tk")[0]
+        key2 = keys_for_shard(2, 1, NUM_SHARDS, "tk")[0]
         store_a.write_batch([("put", key0, "0"), ("put", key2, "0")])
         stop = threading.Event()
         torn: List[Tuple[Optional[str], Optional[str]]] = []
@@ -359,7 +348,7 @@ class TestNodeStore:
         try:
             for shard in range(NUM_SHARDS):
                 target = store_a if shard in (0, 2) else store_b
-                for key in _keys_for_shard(shard, 3, NUM_SHARDS):
+                for key in keys_for_shard(shard, 3, NUM_SHARDS, "tk"):
                     target.put(key, f"s{shard}")
             seen = {value for _, value in store_a.scan("tk", "tl")}
             assert seen == {"s0", "s2"}
@@ -419,7 +408,7 @@ class TestNodeStore:
     def test_recover_reopens_owned_shards(self, tmp_path):
         config = LSMConfig(wal_fsync=False)
         store_a, store_b = _two_node_stores(tmp_path, config)
-        keys = _keys_for_shard(0, 4, NUM_SHARDS)
+        keys = keys_for_shard(0, 4, NUM_SHARDS, "tk")
         for key in keys:
             store_a.put(key, "durable")
         store_a.close()
@@ -441,7 +430,7 @@ class TestMigrateLocal:
     def test_moves_data_and_flips_ownership(self, tmp_path):
         store_a, store_b = _two_node_stores(tmp_path)
         try:
-            keys = _keys_for_shard(0, 10, NUM_SHARDS)
+            keys = keys_for_shard(0, 10, NUM_SHARDS, "tk")
             for key in keys:
                 store_a.put(key, "v")
             stats = migrate_shard(store_a, store_b, 0, chunk=3)
@@ -459,7 +448,7 @@ class TestMigrateLocal:
     def test_tail_captures_writes_during_migration(self, tmp_path):
         store_a, store_b = _two_node_stores(tmp_path)
         try:
-            keys = _keys_for_shard(0, 8, NUM_SHARDS)
+            keys = keys_for_shard(0, 8, NUM_SHARDS, "tk")
             for key in keys:
                 store_a.put(key, "old")
 
@@ -481,7 +470,7 @@ class TestMigrateLocal:
     def test_migrate_back_round_trip(self, tmp_path):
         store_a, store_b = _two_node_stores(tmp_path)
         try:
-            key = _keys_for_shard(0, 1, NUM_SHARDS)[0]
+            key = keys_for_shard(0, 1, NUM_SHARDS, "tk")[0]
             store_a.put(key, "v1")
             migrate_shard(store_a, store_b, 0)
             store_b.put(key, "v2")
@@ -530,7 +519,7 @@ class TestMigrateLocal:
         resume serving a shard the destination now owns."""
         store_a, store_b = _two_node_stores(tmp_path)
         try:
-            key = _keys_for_shard(0, 1, NUM_SHARDS)[0]
+            key = keys_for_shard(0, 1, NUM_SHARDS, "tk")[0]
             store_a.put(key, "v")
             migrate_shard(store_a, store_b, 0)
             sealed = store_b.map
@@ -547,7 +536,7 @@ class TestMigrateLocal:
     def test_failed_migration_leaves_source_serving(self, tmp_path):
         store_a, store_b = _two_node_stores(tmp_path)
         try:
-            key = _keys_for_shard(0, 1, NUM_SHARDS)[0]
+            key = keys_for_shard(0, 1, NUM_SHARDS, "tk")[0]
             store_a.put(key, "v")
             store_b.close()  # destination dies before the flip
             with pytest.raises(Exception):
@@ -564,54 +553,83 @@ class TestMigrateLocal:
 # ---------------------------------------------------------------------------
 
 
-async def _start_wire_cluster(
-    tmp_path, num_shards: int = 4, node_ids: Sequence[str] = ("a", "b")
-):
-    """Port-0 bootstrap: boot map at epoch 0, real-address map at 1."""
-    boot = ClusterMap.even(
-        num_shards,
-        [NodeInfo(node_id, "127.0.0.1", 0) for node_id in node_ids],
-    )
-    stores = [
-        NodeStore(
-            node_id,
-            boot,
-            LSMConfig(),
-            wal_dir=str(tmp_path / node_id),
-        )
-        for node_id in node_ids
-    ]
-    servers = [
-        ClusterNode(store, host="127.0.0.1", port=0) for store in stores
-    ]
-    for server in servers:
-        await server.start()
-    live = ClusterMap.even(
-        num_shards,
+class TestLocalCluster:
+    """:func:`local_cluster` — the bootstrap every wire test, partition
+    run and availability bench starts from."""
+
+    @pytest.mark.parametrize(
+        "shape, owners, replicas",
         [
-            NodeInfo(node_id, "127.0.0.1", server.port)
-            for node_id, server in zip(node_ids, servers)
+            ("even", ["a", "b", "a", "b"], [None] * 4),
+            ("replicated", ["a", "b", "a", "b"], ["b", "a", "b", "a"]),
+            ("standby", ["a"] * 4, ["b"] * 4),
         ],
-        epoch=1,
+        ids=["even", "replicated", "standby"],
     )
-    for store in stores:
-        store.install_map(live)
-    return servers, stores, live
+    def test_yields_a_seeded_epoch_one_cluster_on_real_ports(
+        self, tmp_path, shape, owners, replicas
+    ):
+        async def scenario():
+            async with local_cluster(
+                tmp_path, shape=shape, heartbeat_interval_s=0.1
+            ) as (servers, stores, live):
+                assert live.epoch == 1
+                shards = range(NUM_SHARDS)
+                assert [live.owner_id(shard) for shard in shards] == owners
+                assert [live.replica_id(shard) for shard in shards] == replicas
+                for server, store in zip(servers, stores):
+                    node_id = store.node_id
+                    assert server.dial_overrides == {}
+                    assert store.map == live
+                    assert live.nodes[node_id].port == server.port != 0
+                    # every standby promotable, every shipper streaming
+                    assert store.promotable_shards() == live.replicas_of(
+                        node_id
+                    )
+                    assert sorted(server._shippers) == [
+                        shard
+                        for shard in live.shards_of(node_id)
+                        if replicas[shard] is not None
+                    ]
+                    assert all(
+                        shipper.streaming
+                        for shipper in server._shippers.values()
+                    )
 
+        asyncio.run(scenario())
 
-async def _stop_all(servers) -> None:
-    for server in servers:
-        try:
-            await server.stop()
-        except Exception:
-            pass
+    def test_exit_stops_nodes_and_proxies_when_the_body_raises(
+        self, tmp_path
+    ):
+        async def scenario():
+            with pytest.raises(RuntimeError, match="harness bug"):
+                async with local_cluster(
+                    tmp_path,
+                    shape="standby",
+                    net_plan=NetFaultPlan(seed=1),
+                    heartbeat_interval_s=0.1,
+                ) as (servers, stores, _live):
+                    # every directed link dials through its own relay
+                    ports = [server.port for server in servers]
+                    for server, peer in zip(servers, "ba"):
+                        assert list(server.dial_overrides) == [peer]
+                        ports.append(server.dial_overrides[peer][1])
+                    assert len(set(ports)) == 4
+                    raise RuntimeError("harness bug")
+            for port in ports:
+                with pytest.raises(ConnectionRefusedError):
+                    await asyncio.open_connection("127.0.0.1", port)
+            for store in stores:
+                with pytest.raises(ClosedError):
+                    store.get("any")
+
+        asyncio.run(scenario())
 
 
 class TestClusterWire:
     def test_client_routes_and_scans_across_nodes(self, tmp_path):
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(tmp_path)
-            try:
+            async with local_cluster(tmp_path) as (servers, stores, live):
                 client = await ClusterClient.connect(
                     "127.0.0.1", servers[0].port
                 )
@@ -635,15 +653,12 @@ class TestClusterWire:
                         assert store.owned_shards() == live.shards_of(
                             store.node_id
                         )
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
     def test_direct_client_gets_moved_with_owner_address(self, tmp_path):
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(tmp_path)
-            try:
+            async with local_cluster(tmp_path) as (servers, stores, live):
                 key = next(
                     f"mk{i}"
                     for i in range(100)
@@ -661,15 +676,12 @@ class TestClusterWire:
                     assert moved.epoch == 1
                 finally:
                     await raw.close()
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
     def test_wire_migration_under_load_loses_nothing(self, tmp_path):
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(tmp_path)
-            try:
+            async with local_cluster(tmp_path) as (servers, stores, live):
                 client = await ClusterClient.connect(
                     "127.0.0.1", servers[0].port
                 )
@@ -712,18 +724,15 @@ class TestClusterWire:
                         assert (
                             await client.get(f"lk{index:03d}") == "before"
                         )
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
     def test_stale_client_follows_moved_and_refreshes(self, tmp_path):
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(tmp_path)
-            try:
+            async with local_cluster(tmp_path) as (servers, stores, live):
                 stale = ClusterClient(live)  # keeps the pre-flip map
                 moving = stores[0].owned_shards()[0]
-                key = _keys_for_shard(moving, 1, live.num_shards)[0]
+                key = keys_for_shard(moving, 1, live.num_shards, "tk")[0]
                 await stale.put(key, "v1")
                 admin = await KVClient.connect(
                     "127.0.0.1", servers[0].port
@@ -738,23 +747,20 @@ class TestClusterWire:
                 await stale.put(key, "v2")  # routed straight to b now
                 assert stores[1].get(key) == "v2"
                 await stale.close()
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
     def test_surviving_shards_serve_after_node_death(self, tmp_path):
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(tmp_path)
-            try:
+            async with local_cluster(tmp_path) as (servers, stores, live):
                 client = await ClusterClient.connect(
                     "127.0.0.1", servers[0].port
                 )
-                key_a = _keys_for_shard(
-                    stores[0].owned_shards()[0], 1, live.num_shards
+                key_a = keys_for_shard(
+                    stores[0].owned_shards()[0], 1, live.num_shards, "tk"
                 )[0]
-                key_b = _keys_for_shard(
-                    stores[1].owned_shards()[0], 1, live.num_shards
+                key_b = keys_for_shard(
+                    stores[1].owned_shards()[0], 1, live.num_shards, "tk"
                 )[0]
                 await client.put(key_a, "va")
                 await client.put(key_b, "vb")
@@ -763,15 +769,12 @@ class TestClusterWire:
                 with pytest.raises((ConnectionError, OSError)):
                     await client.get(key_b)
                 await client.close()
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
     def test_cluster_fetch_and_push(self, tmp_path):
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(tmp_path)
-            try:
+            async with local_cluster(tmp_path) as (servers, stores, live):
                 raw = await KVClient.connect(
                     "127.0.0.1", servers[0].port
                 )
@@ -796,8 +799,6 @@ class TestClusterWire:
                     assert reply == ["OK", "ignored"]  # not newer
                 finally:
                     await raw.close()
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
@@ -805,8 +806,7 @@ class TestClusterWire:
         self, tmp_path
     ):
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(tmp_path)
-            try:
+            async with local_cluster(tmp_path) as (servers, stores, live):
                 # A map lying about ownership: every shard "owned" by a,
                 # so b-shard requests MOVED forever (a's real map keeps
                 # saying b, and refresh keeps fetching the truth — but
@@ -817,15 +817,13 @@ class TestClusterWire:
                     epoch=99,
                 )
                 client = ClusterClient(lying, max_redirects=2)
-                key = _keys_for_shard(
-                    stores[1].owned_shards()[0], 1, live.num_shards
+                key = keys_for_shard(
+                    stores[1].owned_shards()[0], 1, live.num_shards, "tk"
                 )[0]
                 with pytest.raises(ClusterError):
                     await client.put(key, "v")
                 assert client.moved_redirects == 3  # budget + 1 tries
                 await client.close()
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
@@ -835,9 +833,7 @@ class TestClusterWire:
         per-node epoch probes force a refresh and a full retry."""
 
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(tmp_path)
-            extra_servers: List[ClusterNode] = []
-            try:
+            async with local_cluster(tmp_path) as (servers, stores, live):
                 client = ClusterClient(live)  # pins the pre-join map
                 for index in range(40):
                     await client.put(f"jk{index:03d}", "v")
@@ -855,8 +851,8 @@ class TestClusterWire:
                     wal_dir=str(tmp_path / "c"),
                 )
                 server_c = ClusterNode(store_c, host="127.0.0.1", port=0)
+                servers.append(server_c)  # stopped with the cluster
                 await server_c.start()
-                extra_servers.append(server_c)
                 grown = ClusterMap(
                     live.assignments,
                     list(live.nodes.values())
@@ -886,8 +882,6 @@ class TestClusterWire:
                 assert client.map.epoch == grown.epoch + 1
                 assert "c" in client.map.nodes
                 await client.close()
-            finally:
-                await _stop_all(servers + extra_servers)
 
         asyncio.run(scenario())
 
@@ -896,8 +890,7 @@ class TestClusterWire:
         close() ran must not insert a fresh connection afterwards."""
 
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(tmp_path)
-            try:
+            async with local_cluster(tmp_path) as (servers, stores, live):
                 client = ClusterClient(live)
                 await client._pool_lock.acquire()  # a mid-flight caller
                 closing = asyncio.create_task(client.close())
@@ -912,8 +905,6 @@ class TestClusterWire:
                 with pytest.raises(ConnectionError):
                     await fetch  # re-check under the lock sees _closed
                 assert client._pool == {}
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
@@ -957,7 +948,7 @@ class TestMigrationDriverPeers:
         ``MIGRATE`` drives it against the wire peer. Same shard, same
         chunking, same mid-migration batch: the destination store must
         see the identical call sequence either way."""
-        keys = _keys_for_shard(0, 11, NUM_SHARDS)
+        keys = keys_for_shard(0, 11, NUM_SHARDS, "tk")
         preload, fresh = keys[:10], keys[10]
 
         def load(store):
@@ -1000,10 +991,7 @@ class TestMigrationDriverPeers:
             local_b.close()
 
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(
-                tmp_path / "wire"
-            )
-            try:
+            async with local_cluster(tmp_path / "wire") as (servers, stores, live):
                 load(stores[0])
                 calls = _record_inbound(stores[1])
                 async with servers[0]._dial(live.nodes["b"]) as client:
@@ -1022,10 +1010,6 @@ class TestMigrationDriverPeers:
                 assert stores[1].get(preload[1]) is None
                 assert stores[1].get(fresh) == "fresh"
                 return calls, stats
-            finally:
-                await _stop_all(servers)
-                for store in stores:
-                    store.close()
 
         wire_calls, wire_stats = asyncio.run(scenario())
         assert wire_calls == local_calls
@@ -1042,11 +1026,14 @@ class TestMigrationDriverPeers:
         driver thread must leave through its abort path: the source
         still owns the shard, unfenced, with no tail attached."""
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(tmp_path)
             gate = threading.Event()
-            try:
+            async with AsyncExitStack() as stack:
+                servers, stores, live = await stack.enter_async_context(
+                    local_cluster(tmp_path)
+                )
+                stack.callback(gate.set)  # runs before the cluster stops
                 moving = stores[0].owned_shards()[0]
-                keys = _keys_for_shard(moving, 6, live.num_shards)
+                keys = keys_for_shard(moving, 6, live.num_shards, "tk")
                 for key in keys[:5]:
                     stores[0].put(key, "v")
                 parked = threading.Event()
@@ -1081,11 +1068,6 @@ class TestMigrationDriverPeers:
                 assert stores[0].migrating_shards() == []
                 stores[0].put(keys[5], "after-stop")  # not fenced
                 assert stores[0].get(keys[0]) == "v"
-            finally:
-                gate.set()
-                await _stop_all(servers)
-                for store in stores:
-                    store.close()
 
         asyncio.run(scenario())
 
@@ -1111,13 +1093,12 @@ class TestSealFailureRecovery:
                 return reply
 
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(tmp_path)
-            try:
+            async with local_cluster(tmp_path) as (servers, stores, live):
                 monkeypatch.setattr(
                     "repro.cluster.node.KVClient", LostReplyClient
                 )
                 moving = stores[0].owned_shards()[0]
-                key = _keys_for_shard(moving, 1, live.num_shards)[0]
+                key = keys_for_shard(moving, 1, live.num_shards, "tk")[0]
                 admin = await KVClient.connect(
                     "127.0.0.1", servers[0].port
                 )
@@ -1135,8 +1116,6 @@ class TestSealFailureRecovery:
                 assert stores[1].get(key) == "v"
                 with pytest.raises(ShardMovedError):
                     stores[0].get(key)  # exactly one owner
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
@@ -1153,13 +1132,12 @@ class TestSealFailureRecovery:
                 return await super().command(fields)
 
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(tmp_path)
-            try:
+            async with local_cluster(tmp_path) as (servers, stores, live):
                 monkeypatch.setattr(
                     "repro.cluster.node.KVClient", DropSealClient
                 )
                 moving = stores[0].owned_shards()[0]
-                key = _keys_for_shard(moving, 1, live.num_shards)[0]
+                key = keys_for_shard(moving, 1, live.num_shards, "tk")[0]
                 admin = await KVClient.connect(
                     "127.0.0.1", servers[0].port
                 )
@@ -1176,8 +1154,6 @@ class TestSealFailureRecovery:
                 assert moving not in stores[1].owned_shards()
                 assert stores[0].map.epoch == 1
                 assert stores[0].get(key) == "v2"
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
@@ -1195,10 +1171,9 @@ class TestSealFailureRecovery:
                 return await super().command(fields)
 
         async def scenario():
-            servers, stores, live = await _start_wire_cluster(tmp_path)
-            try:
+            async with local_cluster(tmp_path) as (servers, stores, live):
                 moving = stores[0].owned_shards()[0]
-                key = _keys_for_shard(moving, 1, live.num_shards)[0]
+                key = keys_for_shard(moving, 1, live.num_shards, "tk")[0]
                 admin = await KVClient.connect(
                     "127.0.0.1", servers[0].port
                 )
@@ -1238,7 +1213,5 @@ class TestSealFailureRecovery:
                 assert reply[0] == "OK"
                 assert moving in stores[1].owned_shards()
                 assert stores[1].get(key) == "v"
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())

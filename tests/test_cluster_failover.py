@@ -2,10 +2,9 @@
 
 Local tests drive the :class:`NodeStore` replication primitives and
 :func:`replicate_local` directly; wire tests follow the cluster-suite
-conventions (``asyncio.run`` inside synchronous tests, port-0 bootstrap
-with a successor map once the servers are listening) and use short
-heartbeat intervals / lease timeouts so detection-and-promotion finishes
-in test time.
+conventions (``asyncio.run`` inside synchronous tests, the cluster from
+:func:`repro.cluster.local_cluster`) and use short heartbeat intervals /
+lease timeouts so detection-and-promotion finishes in test time.
 """
 
 from __future__ import annotations
@@ -13,7 +12,8 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from typing import List, Optional, Sequence, Tuple
+from contextlib import AsyncExitStack
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -23,33 +23,24 @@ from repro.cluster import (
     ClusterNode,
     NodeInfo,
     NodeStore,
+    local_cluster,
     migrate_shard,
     replicate_local,
+    wait_until,
 )
 from repro.cluster.store import MIGRATION, REPLICA
 from repro.core.config import LSMConfig
 from repro.errors import ConfigError, ShardMovedError
 from repro.server.client import KVClient, MovedError
-from repro.shard.store import hash_shard_index
+from repro.shard import hash_shard_index, keys_for_shard
 
 NUM_SHARDS = 4
+#: Wire tests: detection-and-promotion in well under a second.
+FAST = {"heartbeat_interval_s": 0.1, "lease_timeout_s": 0.6}
 
 
 def _nodes(*specs: Tuple[str, int]) -> List[NodeInfo]:
     return [NodeInfo(node_id, "127.0.0.1", port) for node_id, port in specs]
-
-
-def _keys_for_shard(
-    shard: int, count: int, num_shards: int = NUM_SHARDS, prefix: str = "fk"
-) -> List[str]:
-    keys = []
-    index = 0
-    while len(keys) < count:
-        key = f"{prefix}{index:04d}"
-        if hash_shard_index(key, num_shards) == shard:
-            keys.append(key)
-        index += 1
-    return keys
 
 
 def _replicated_stores(tmp_path, config: Optional[LSMConfig] = None):
@@ -169,7 +160,7 @@ class TestNodeStoreReplication:
         cluster_map, stores = _replicated_stores(tmp_path)
         a, b = stores["a"], stores["b"]
         try:
-            s0 = _keys_for_shard(0, 4)
+            s0 = keys_for_shard(0, 4, NUM_SHARDS, "fk")
             a.put(s0[0], "seed-0")
             a.put(s0[1], "seed-1")
             replicate_local(a, b, 0)
@@ -206,7 +197,7 @@ class TestNodeStoreReplication:
         _, stores = _replicated_stores(tmp_path)
         a, b = stores["a"], stores["b"]
         try:
-            s0 = _keys_for_shard(0, 1)
+            s0 = keys_for_shard(0, 1, NUM_SHARDS, "fk")
             a.put(s0[0], "v1")
             replicate_local(a, b, 0)
             flipped = b.map.with_failover([0], "b")
@@ -228,7 +219,7 @@ class TestNodeStoreReplication:
         second failover moves the shard home again."""
         _, stores = _replicated_stores(tmp_path)
         a, b = stores["a"], stores["b"]
-        s0 = _keys_for_shard(0, 3)
+        s0 = keys_for_shard(0, 3, NUM_SHARDS, "fk")
         try:
             a.put(s0[0], "v1")
             replicate_local(a, b, 0)
@@ -258,7 +249,7 @@ class TestNodeStoreReplication:
         _, stores = _replicated_stores(tmp_path)
         a, b = stores["a"], stores["b"]
         try:
-            a.put(_keys_for_shard(0, 1)[0], "v")
+            a.put(keys_for_shard(0, 1, NUM_SHARDS, "fk")[0], "v")
             replicate_local(a, b, 0)
             health = b.check_health()
             assert health["replica_shards"] == [0]
@@ -283,7 +274,7 @@ class TestOneInboundSlot:
         config = LSMConfig(wal_preserve_segments=True)
         _, stores = _replicated_stores(tmp_path, config)
         a, b = stores["a"], stores["b"]
-        keys = _keys_for_shard(0, 51)
+        keys = keys_for_shard(0, 51, NUM_SHARDS, "fk")
         preload, post = keys[:50], keys[50]
         one_tree = _track_open_trees(b, 0)
         try:
@@ -341,96 +332,18 @@ class TestOneInboundSlot:
 # ---------------------------------------------------------------------------
 
 
-async def _start_replicated_cluster(
-    tmp_path,
-    *,
-    heartbeat_interval_s: float = 0.1,
-    lease_timeout_s: float = 0.6,
-    node_ids: Sequence[str] = ("a", "b"),
-    config: Optional[LSMConfig] = None,
-    **node_options,
-):
-    """Port-0 bootstrap, then a replicated successor map at epoch 1.
-
-    Waits until every node has seeded the warm standbys its map asks of
-    it, so tests start from a promotable cluster. ``node_options`` go to
-    every :class:`ClusterNode`.
-    """
-    boot = ClusterMap.even(
-        NUM_SHARDS,
-        [NodeInfo(node_id, "127.0.0.1", 0) for node_id in node_ids],
-    )
-    stores = [
-        NodeStore(
-            node_id,
-            boot,
-            config or LSMConfig(),
-            wal_dir=str(tmp_path / node_id),
-        )
-        for node_id in node_ids
-    ]
-    servers = [
-        ClusterNode(
-            store,
-            host="127.0.0.1",
-            port=0,
-            heartbeat_interval_s=heartbeat_interval_s,
-            lease_timeout_s=lease_timeout_s,
-            **node_options,
-        )
-        for store in stores
-    ]
-    for server in servers:
-        await server.start()
-    live = ClusterMap.even(
-        NUM_SHARDS,
-        [
-            NodeInfo(node_id, "127.0.0.1", server.port)
-            for node_id, server in zip(node_ids, servers)
-        ],
-        epoch=1,
-        replicated=True,
-    )
-    for store in stores:
-        store.install_map(live)
-    for server in servers:
-        server._reconcile_replication()
-    for store in stores:
-        await _wait_until(
-            lambda store=store: store.promotable_shards()
-            == live.replicas_of(store.node_id),
-            f"node {store.node_id} never finished seeding its standbys",
-        )
-    return servers, stores, live
-
-
-async def _stop_all(servers) -> None:
-    for server in servers:
-        try:
-            await server.stop()
-        except Exception:
-            pass
-
-
-async def _wait_until(condition, message: str, deadline_s: float = 10.0):
-    start = time.monotonic()
-    while not condition():
-        if time.monotonic() - start > deadline_s:
-            raise AssertionError(message)
-        await asyncio.sleep(0.02)
-
-
 class TestWireFailover:
     def test_auto_failover_keeps_dead_nodes_shards_writable(self, tmp_path):
         async def scenario():
-            servers, stores, live = await _start_replicated_cluster(tmp_path)
-            try:
+            async with local_cluster(
+                tmp_path, shape="replicated", **FAST
+            ) as (servers, stores, live):
                 client = await ClusterClient.connect(
                     "127.0.0.1", servers[1].port, failover_grace_s=8.0
                 )
                 async with client:
                     keys = {
-                        shard: _keys_for_shard(shard, 2)
+                        shard: keys_for_shard(shard, 2, NUM_SHARDS, "fk")
                         for shard in range(NUM_SHARDS)
                     }
                     for shard, shard_keys in keys.items():
@@ -460,16 +373,15 @@ class TestWireFailover:
                     # generous wire-test bound; the bench asserts the
                     # 2-lease-interval target properly
                     assert promoted < 8.0
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
     def test_round_trip_rejoin_and_fail_back(self, tmp_path):
         async def scenario():
-            servers, stores, live = await _start_replicated_cluster(tmp_path)
-            try:
-                s0 = _keys_for_shard(0, 3)
+            async with local_cluster(
+                tmp_path, shape="replicated", **FAST
+            ) as (servers, stores, live):
+                s0 = keys_for_shard(0, 3, NUM_SHARDS, "fk")
                 port_a = servers[0].port
                 # write through the wire: the engine op runs on the
                 # executor, so the loop stays free to ship the commit
@@ -482,7 +394,7 @@ class TestWireFailover:
                 # --- failover 1: a dies, b promotes its shards ---------
                 await servers[0].stop()
                 stores[0].kill()
-                await _wait_until(
+                await wait_until(
                     lambda: sorted(stores[1].owned_shards()) == [0, 1, 2, 3],
                     "b never promoted a's shards",
                 )
@@ -506,14 +418,14 @@ class TestWireFailover:
                 servers.append(server_a2)
                 # heartbeat gossip teaches a the newer epoch; b's
                 # shippers reseed it as a warm replica of its old shards
-                await _wait_until(
+                await wait_until(
                     lambda: rejoined.map.epoch == stores[1].map.epoch
                     and rejoined.owned_shards() == [],
                     "rejoined node never demoted to the newer map",
                 )
                 # b replicates *all* its shards (now all four) onto a,
                 # so the reseed leaves a warm for everything
-                await _wait_until(
+                await wait_until(
                     lambda: rejoined.promotable_shards() == [0, 1, 2, 3],
                     "rejoined node never re-seeded as a replica",
                 )
@@ -527,7 +439,7 @@ class TestWireFailover:
                 # --- failover 2: b dies, a takes everything back -------
                 await servers[1].stop()
                 stores[1].kill()
-                await _wait_until(
+                await wait_until(
                     lambda: sorted(rejoined.owned_shards()) == [0, 1, 2, 3],
                     "a never promoted b's shards after the second kill",
                 )
@@ -535,8 +447,6 @@ class TestWireFailover:
                 assert rejoined.get(s0[1]) == "v2-on-b"
                 rejoined.put(s0[2], "v3-home-again")
                 assert rejoined.get(s0[2]) == "v3-home-again"
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
@@ -551,19 +461,28 @@ class TestWireFailover:
         applies have threads of their own, so a pool of one suffices."""
 
         async def scenario():
-            servers, stores, live = await _start_replicated_cluster(
-                tmp_path,
-                lease_timeout_s=30.0,
-                executor_threads=1,
-                repl_timeout_s=2.0,
-            )
-            clients = [
-                await KVClient.connect("127.0.0.1", server.port)
-                for server in servers
-            ]
-            try:
+            async with AsyncExitStack() as stack:
+                servers, stores, live = await stack.enter_async_context(
+                    local_cluster(
+                        tmp_path,
+                        shape="replicated",
+                        heartbeat_interval_s=0.1,
+                        lease_timeout_s=30.0,
+                        executor_threads=1,
+                        repl_timeout_s=2.0,
+                    )
+                )
+                clients = [
+                    await stack.enter_async_context(
+                        await KVClient.connect("127.0.0.1", server.port)
+                    )
+                    for server in servers
+                ]
                 # One key on a shard each node owns (a: 0, b: 1).
-                keys = [_keys_for_shard(shard, 1)[0] for shard in (0, 1)]
+                keys = [
+                    keys_for_shard(shard, 1, NUM_SHARDS, "fk")[0]
+                    for shard in (0, 1)
+                ]
                 for round_no in range(20):
                     started = time.monotonic()
                     await asyncio.gather(
@@ -582,18 +501,15 @@ class TestWireFailover:
                 for store, key in zip(reversed(stores), keys):
                     shard = hash_shard_index(key, NUM_SHARDS)
                     assert store._inbound[shard].tree.get(key) == "round-19"
-            finally:
-                for client in clients:
-                    await client.close()
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
     def test_health_exposes_peers_and_replication_lag(self, tmp_path):
         async def scenario():
-            servers, stores, live = await _start_replicated_cluster(tmp_path)
-            try:
-                await _wait_until(
+            async with local_cluster(
+                tmp_path, shape="replicated", **FAST
+            ) as (servers, stores, live):
+                await wait_until(
                     lambda: "a" in servers[1].health().get("peers", {}),
                     "b never heard a heartbeat from a",
                 )
@@ -605,8 +521,6 @@ class TestWireFailover:
                     assert summary["target"] == "a"
                     assert summary["state"] == "streaming"
                     assert summary["lag_records"] == 0
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 
@@ -619,14 +533,13 @@ class TestWireMigrationOntoReplica:
         REPL.SYNC — wipe — the destination under the migration."""
         config = LSMConfig(wal_preserve_segments=True)
         moving = 0
-        keys = _keys_for_shard(moving, 201)
+        keys = keys_for_shard(moving, 201, NUM_SHARDS, "fk")
         preload, post = keys[:200], keys[200]
 
         async def scenario():
-            servers, stores, live = await _start_replicated_cluster(
-                tmp_path, config=config
-            )
-            try:
+            async with local_cluster(
+                tmp_path, shape="replicated", config=config, **FAST
+            ) as (servers, stores, live):
                 assert live.owner_id(moving) == "a"
                 assert live.replica_id(moving) == "b"
                 raw_a = await KVClient.connect("127.0.0.1", servers[0].port)
@@ -666,7 +579,7 @@ class TestWireMigrationOntoReplica:
                     migrate = asyncio.create_task(
                         raw_a.command(["MIGRATE", str(moving), "b"])
                     )
-                    await _wait_until(
+                    await wait_until(
                         lambda: "retrying" in rounds
                         and len(rounds) > rounds.index("retrying") + 1,
                         "the shipper never failed and came round again",
@@ -694,8 +607,6 @@ class TestWireMigrationOntoReplica:
                     await raw_b.put(post, "post-flip")
                 finally:
                     await raw_b.close()
-            finally:
-                await _stop_all(servers)
             stores[0].kill()
             stores[1].kill()
             recovered = NodeStore.recover("b", config, str(tmp_path / "b"))
@@ -719,41 +630,15 @@ class TestClientRobustness:
     def test_circuit_breaker_fast_fails_repeat_connects(self, tmp_path):
         async def scenario():
             # unreplicated map: owner loss surfaces as ConnectionError
-            boot = ClusterMap.even(NUM_SHARDS, _nodes(("a", 0), ("b", 0)))
-            stores = [
-                NodeStore(
-                    node_id,
-                    boot,
-                    LSMConfig(),
-                    wal_dir=str(tmp_path / node_id),
-                )
-                for node_id in ("a", "b")
-            ]
-            servers = [
-                ClusterNode(store, host="127.0.0.1", port=0)
-                for store in stores
-            ]
-            for server in servers:
-                await server.start()
-            live = ClusterMap.even(
-                NUM_SHARDS,
-                [
-                    NodeInfo(node_id, "127.0.0.1", server.port)
-                    for node_id, server in zip(("a", "b"), servers)
-                ],
-                epoch=1,
-            )
-            for store in stores:
-                store.install_map(live)
-            try:
+            async with local_cluster(tmp_path) as (servers, stores, live):
                 client = await ClusterClient.connect(
                     "127.0.0.1",
                     servers[0].port,
                     breaker_backoff_s=30.0,  # stays open for the test
                 )
                 async with client:
-                    key_b = _keys_for_shard(
-                        live.shards_of("b")[0], 1
+                    key_b = keys_for_shard(
+                        live.shards_of("b")[0], 1, NUM_SHARDS, "fk"
                     )[0]
                     await client.put(key_b, "v")
                     await servers[1].stop()  # node b dies, no replica
@@ -770,8 +655,6 @@ class TestClientRobustness:
                         await client.put(key_b, "v3")
                     assert time.monotonic() - start < 0.5
                     assert client.breaker_rejections >= 1
-            finally:
-                await _stop_all(servers)
 
         asyncio.run(scenario())
 

@@ -32,8 +32,9 @@ from repro.faults import (
 )
 from repro.faults.registry import TEARABLE
 from repro.faults.sweep import (
-    SingleTreeScenario,
+    SCENARIOS,
     WorkloadTracker,
+    apply_op,
     check_invariants,
     run_sweep,
 )
@@ -740,7 +741,7 @@ class TestSweep:
         # crosses only catalogued failpoints.
         import tempfile
 
-        scenario = SingleTreeScenario()
+        scenario = SCENARIOS["single-tree"]
         with tempfile.TemporaryDirectory() as root:
             plan = FaultPlan(root=root)
             tracker = WorkloadTracker()
@@ -750,9 +751,9 @@ class TestSweep:
                     from repro.faults.sweep import _effects
 
                     tracker.begin(_effects(op))
-                    scenario.apply(ctx, op, root)
+                    apply_op(scenario, ctx, op, root)
                     tracker.commit()
-                scenario.close(ctx)
+                ctx.close()
             assert all(
                 crossing.split("@", 1)[0] in FAILPOINTS
                 for crossing in plan.crossings
@@ -762,3 +763,204 @@ class TestSweep:
                 tracker, recovered.get, scenario.unit_of
             )
             recovered.kill()
+
+    def test_partition_run_that_raises_leaks_no_listener(self, monkeypatch):
+        """A partition script that raises is a recorded violation, and
+        the pair it ran against — both node listeners, every link's
+        proxy — is down before the next run starts."""
+        import socket
+
+        from repro.faults import sweep
+
+        ports = []
+
+        async def raising_script(run):
+            for server in run.servers.values():
+                ports.append(server.port)
+                ports.extend(
+                    port for _host, port in server.dial_overrides.values()
+                )
+            raise RuntimeError("script bug")
+
+        monkeypatch.setitem(sweep._PARTITION_SCRIPTS, "raising", raising_script)
+        report = sweep.SweepReport()
+        sweep._partition_run("raising", 7, report, quick=True)
+        assert len(report.violations) == 1, report.violations
+        assert "scenario crashed" in report.violations[0]
+        assert "script bug" in report.violations[0]
+        assert len(ports) == 4  # two nodes, one proxy per directed link
+        for port in ports:
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port), timeout=1.0)
+
+
+# ---------------------------------------------------------------------------
+# The oracles bite
+# ---------------------------------------------------------------------------
+
+
+def _scenario(name: str):
+    return SCENARIOS[name]
+
+
+def _lose_migration_tail(monkeypatch):
+    from repro.cluster.store import _TailBuffer
+
+    monkeypatch.setattr(_TailBuffer, "drain", lambda self: [])
+
+
+def _ship_async_under_sync_mode(monkeypatch):
+    from repro.replication.store import ShardReplicator
+
+    real_init = ShardReplicator.__init__
+
+    def init(self, index, replica, *, sync, capacity=1024):
+        real_init(self, index, replica, sync=False, capacity=capacity)
+
+    monkeypatch.setattr(ShardReplicator, "__init__", init)
+
+
+def _forget_txn_decisions(monkeypatch):
+    from repro.core.wal import TxnDecisionLog
+
+    monkeypatch.setattr(TxnDecisionLog, "replay", staticmethod(lambda path: {}))
+
+
+def _drop_last_replayed_group(monkeypatch):
+    from repro.core.wal import WriteAheadLog
+
+    real_replay = WriteAheadLog.replay_groups
+
+    def replay_groups(path, committed_txns=None):
+        return iter(list(real_replay(path, committed_txns))[:-1])
+
+    monkeypatch.setattr(
+        WriteAheadLog, "replay_groups", staticmethod(replay_groups)
+    )
+
+
+def _drop_single_op_replica_groups(monkeypatch):
+    from repro.cluster import NodeStore
+
+    real_apply = NodeStore.replica_apply
+
+    def replica_apply(self, shard, ops):
+        if len(ops) != 1:
+            real_apply(self, shard, ops)
+
+    monkeypatch.setattr(NodeStore, "replica_apply", replica_apply)
+
+
+class TestOraclesBite:
+    """One planted defect per sweep scenario; every crossing crashed.
+
+    A sweep that reports zero violations proves recovery only if its
+    oracles would have reported the violations of a broken engine. Each
+    row plants one defect on the path its scenario exists to check,
+    enumerates the scenario *with the defect in place*, crashes every
+    crossing once (crash mode, seed 7 — what full mode does) and
+    requires at least one violation.
+
+    Written against the five scenario classes and run there first
+    (the parent of the scenario-row change; only ``_scenario`` differed);
+    runs / violations, equal on both sides of that change:
+
+    ===============  ============================================  ====  =======
+    scenario         defect                                        runs  viol.
+    ===============  ============================================  ====  =======
+    cluster          migration tail drained as empty                 92       54
+    replicated-sync  sync store ships asynchronously                131  160–195
+    sharded          2PC decisions forgotten at recovery            115     1215
+    single-tree      WAL replay drops each file's last group        101       67
+    failover         standby drops one-op commit groups             128      178
+    ===============  ============================================  ====  =======
+
+    (``replicated-sync`` varies from run to run on both sides: the
+    planted defect *is* an applier thread racing the crash.)
+    """
+
+    @pytest.mark.parametrize(
+        "name, plant",
+        [
+            ("cluster", _lose_migration_tail),
+            ("replicated-sync", _ship_async_under_sync_mode),
+            ("sharded", _forget_txn_decisions),
+            ("single-tree", _drop_last_replayed_group),
+            ("failover", _drop_single_op_replica_groups),
+        ],
+    )
+    def test_planted_defect_is_caught(self, monkeypatch, name, plant):
+        from repro.faults.sweep import SweepReport, _crash_run, _enumerate
+
+        plant(monkeypatch)
+        scenario = _scenario(name)
+        report = SweepReport()
+        for crossing in _enumerate(scenario, 7):
+            _crash_run(scenario, crossing, "crash", 7, report)
+        print(f"{name}: {report.runs} runs / {len(report.violations)} violations")
+        assert report.runs > 0
+        assert report.violations, f"{name}: the planted defect went unnoticed"
+
+
+class TestAckHistoryChecker:
+    """``_check_ack_history`` — the partition runs' oracle — judged on
+    synthetic ack records against one fake converged owner."""
+
+    @staticmethod
+    def _violations(records, readable):
+        from types import SimpleNamespace
+
+        from repro.faults.sweep import SweepReport, _check_ack_history
+
+        owner = SimpleNamespace(
+            map=SimpleNamespace(epoch=2, owner_id=lambda shard: "b"),
+            get=readable.get,
+        )
+        stale = SimpleNamespace(
+            map=SimpleNamespace(epoch=1, owner_id=lambda shard: "a"),
+            get={}.get,
+        )
+        report = SweepReport()
+        _check_ack_history(
+            "synthetic", records, {"a": stale, "b": owner}, report
+        )
+        return report.violations
+
+    @staticmethod
+    def _ack(key, value, node, epoch, t_start, t_end):
+        from repro.faults.sweep import _AckRecord
+
+        return _AckRecord(key, value, node, epoch, t_start, t_end)
+
+    def test_handover_history_is_clean(self):
+        records = [
+            self._ack("k1", "a#1", "a", 1, 0.0, 0.1),
+            self._ack("k1", "b#1", "b", 2, 0.2, 0.3),
+            self._ack("k2", "b#2", "b", 2, 0.4, 0.5),
+        ]
+        assert self._violations(records, {"k1": "b#1", "k2": "b#2"}) == []
+
+    def test_overlapping_acks_from_two_nodes_are_a_dual_ack(self):
+        records = [
+            self._ack("k1", "a#1", "a", 1, 0.0, 0.3),
+            self._ack("k2", "b#1", "b", 2, 0.2, 0.4),
+        ]
+        violations = self._violations(records, {"k1": "a#1", "k2": "b#1"})
+        assert len(violations) == 1 and "dual ack" in violations[0]
+
+    def test_later_ack_at_an_older_epoch_is_stale(self):
+        records = [
+            self._ack("k1", "b#1", "b", 2, 0.0, 0.1),
+            self._ack("k2", "a#1", "a", 1, 0.2, 0.3),
+        ]
+        violations = self._violations(records, {"k1": "b#1", "k2": "a#1"})
+        assert len(violations) == 1 and "stale-epoch ack" in violations[0]
+
+    def test_unreadable_last_acked_value_is_a_lost_write(self):
+        records = [
+            self._ack("k1", "a#1", "a", 1, 0.0, 0.1),
+            self._ack("k1", "a#2", "a", 1, 0.2, 0.3),
+        ]
+        violations = self._violations(records, {"k1": "a#1"})
+        assert len(violations) == 1 and "acked write lost" in violations[0]
+        assert "'a#2'" in violations[0]

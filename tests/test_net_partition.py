@@ -18,44 +18,26 @@ import asyncio
 import socket
 import struct
 import time
-from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.cluster import (
-    ClusterClient,
-    ClusterMap,
-    ClusterNode,
-    NodeInfo,
-    NodeStore,
-)
+from repro.cluster import ClusterClient, local_cluster, wait_until
 from repro.core.config import LSMConfig
 from repro.faults import NetFaultPlan, NetProxy, net_fault_plan
 from repro.server.client import BusyError, KVClient
 from repro.server.server import KVServer
-from repro.shard.store import ShardedStore, hash_shard_index
+from repro.shard import ShardedStore, keys_for_shard
 
 NUM_SHARDS = 4
+#: Partition tests: a self-fencing pair that detects in test time.
+FENCING = {
+    "heartbeat_interval_s": 0.1,
+    "lease_timeout_s": 0.6,
+    "repl_timeout_s": 0.5,
+    "self_fence": True,
+}
 
 _U32 = struct.Struct(">I")
-
-
-def _keys_for_shard(shard: int, count: int, prefix: str = "nk") -> List[str]:
-    keys, index = [], 0
-    while len(keys) < count:
-        key = f"{prefix}{index:04d}"
-        if hash_shard_index(key, NUM_SHARDS) == shard:
-            keys.append(key)
-        index += 1
-    return keys
-
-
-async def _wait_until(condition, message: str, deadline_s: float = 10.0):
-    start = time.monotonic()
-    while not condition():
-        if time.monotonic() - start > deadline_s:
-            raise AssertionError(message)
-        await asyncio.sleep(0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -390,111 +372,16 @@ class TestConnectTimeout:
 # ---------------------------------------------------------------------------
 
 
-async def _start_partitionable_cluster(
-    tmp_path,
-    plan: NetFaultPlan,
-    *,
-    heartbeat_interval_s: float = 0.1,
-    lease_timeout_s: float = 0.6,
-    self_fence: bool = True,
-):
-    """Two nodes, ``a`` owning every shard and ``b`` a pure standby,
-    with both node-to-node directed links routed through proxies driven
-    by ``plan``. Returns (servers, stores, proxies, live_map)."""
-    node_ids = ("a", "b")
-    boot = ClusterMap(
-        ["a"] * NUM_SHARDS,
-        [NodeInfo(node_id, "127.0.0.1", 0) for node_id in node_ids],
-    )
-    stores = [
-        NodeStore(
-            node_id, boot, LSMConfig(), wal_dir=str(tmp_path / node_id)
-        )
-        for node_id in node_ids
-    ]
-    servers = [
-        ClusterNode(
-            store,
-            host="127.0.0.1",
-            port=0,
-            heartbeat_interval_s=heartbeat_interval_s,
-            lease_timeout_s=lease_timeout_s,
-            repl_timeout_s=0.5,
-            self_fence=self_fence,
-        )
-        for store in stores
-    ]
-    for server in servers:
-        await server.start()
-    addresses = {
-        node_id: ("127.0.0.1", server.port)
-        for node_id, server in zip(node_ids, servers)
-    }
-    proxies: Dict[Tuple[str, str], NetProxy] = {}
-    for src in node_ids:
-        for dst in node_ids:
-            if src == dst:
-                continue
-            proxy = NetProxy(
-                *addresses[dst], src=src, dst=dst, plan=plan
-            )
-            await proxy.start()
-            proxies[(src, dst)] = proxy
-    for server, node_id in zip(servers, node_ids):
-        for other in node_ids:
-            if other != node_id:
-                server.dial_overrides[other] = (
-                    "127.0.0.1",
-                    proxies[(node_id, other)].port,
-                )
-    live = ClusterMap(
-        ["a"] * NUM_SHARDS,
-        [
-            NodeInfo(node_id, *addresses[node_id])
-            for node_id in node_ids
-        ],
-        epoch=1,
-        replicas=["b"] * NUM_SHARDS,
-    )
-    for store in stores:
-        store.install_map(live)
-    for server in servers:
-        server._reconcile_replication()
-    await _wait_until(
-        lambda: stores[1].promotable_shards() == list(range(NUM_SHARDS))
-        and all(
-            shipper.streaming
-            for shipper in servers[0]._shippers.values()
-        ),
-        "standbys never seeded through the proxies",
-    )
-    return servers, stores, proxies, live
-
-
-async def _teardown(servers, proxies):
-    for server in servers:
-        try:
-            await server.stop()
-        except Exception:
-            pass
-    for proxy in proxies.values():
-        try:
-            await proxy.stop()
-        except Exception:
-            pass
-
-
 class TestPartitionFailover:
     def test_symmetric_partition_fences_then_promotes_then_heals(
         self, tmp_path
     ):
         async def scenario():
             plan = NetFaultPlan(seed=3)
-            servers, stores, proxies, live = (
-                await _start_partitionable_cluster(tmp_path, plan)
-            )
-            try:
-                keys = _keys_for_shard(0, 3)
+            async with local_cluster(
+                tmp_path, shape="standby", net_plan=plan, **FENCING
+            ) as (servers, stores, live):
+                keys = keys_for_shard(0, 3, NUM_SHARDS, "nk")
                 client = await ClusterClient.connect(
                     "127.0.0.1", servers[0].port, failover_grace_s=6.0
                 )
@@ -512,12 +399,12 @@ class TestPartitionFailover:
                     # two are waited on independently — exactly-one-
                     # acking-owner is enforced by the ack-time fence
                     # and asserted behaviorally below).
-                    await _wait_until(
+                    await wait_until(
                         lambda: bool(servers[1].promotions),
                         "standby never promoted",
                         10.0,
                     )
-                    await _wait_until(
+                    await wait_until(
                         lambda: bool(stores[0].repl_fenced_shards()),
                         "primary never self-fenced",
                         10.0,
@@ -548,15 +435,13 @@ class TestPartitionFailover:
 
                     # Heal: the old primary demotes and reseeds.
                     plan.clear()
-                    await _wait_until(
+                    await wait_until(
                         lambda: stores[0].map.epoch == stores[1].map.epoch
                         and not stores[0].owned_shards(),
                         "old primary never demoted after heal",
                     )
                     assert not stores[0].repl_fenced_shards()
                     assert await client.get(keys[1]) == "post"
-            finally:
-                await _teardown(servers, proxies)
 
         asyncio.run(scenario())
 
@@ -568,11 +453,10 @@ class TestPartitionFailover:
 
         async def scenario():
             plan = NetFaultPlan(seed=4)
-            servers, stores, proxies, live = (
-                await _start_partitionable_cluster(tmp_path, plan)
-            )
-            try:
-                keys = _keys_for_shard(1, 3)
+            async with local_cluster(
+                tmp_path, shape="standby", net_plan=plan, **FENCING
+            ) as (servers, stores, live):
+                keys = keys_for_shard(1, 3, NUM_SHARDS, "nk")
                 client = await KVClient.connect(
                     "127.0.0.1",
                     servers[0].port,
@@ -583,7 +467,7 @@ class TestPartitionFailover:
                     await client.command(["PUT", keys[0], "pre"])
                     plan.blackhole("a", "b")
                     # Wait out the stream's degrade.
-                    await _wait_until(
+                    await wait_until(
                         lambda: not servers[0]
                         ._shippers[1]
                         .streaming,
@@ -599,7 +483,7 @@ class TestPartitionFailover:
                     assert stores[1].map.epoch == live.epoch
 
                     plan.heal("a", "b")
-                    await _wait_until(
+                    await wait_until(
                         lambda: servers[0]._shippers[1].streaming,
                         "stream never re-established after heal",
                     )
@@ -608,8 +492,6 @@ class TestPartitionFailover:
                     assert (
                         await client.command(["GET", keys[2]])
                     )[1] == "post"
-            finally:
-                await _teardown(servers, proxies)
 
         asyncio.run(scenario())
 
@@ -623,13 +505,12 @@ class TestPartitionFailover:
 
         async def scenario():
             plan = NetFaultPlan(seed=6)
-            servers, stores, proxies, live = (
-                await _start_partitionable_cluster(tmp_path, plan)
-            )
-            try:
+            async with local_cluster(
+                tmp_path, shape="standby", net_plan=plan, **FENCING
+            ) as (servers, stores, live):
                 # Full cut: b promotes every shard.
                 plan.partition(["a"], ["b"])
-                await _wait_until(
+                await wait_until(
                     lambda: bool(servers[1].promotions),
                     "standby never promoted",
                 )
@@ -641,7 +522,7 @@ class TestPartitionFailover:
                 # path and its ship stream stay dead), but b's pings now
                 # reach it again.
                 plan.heal("b", "a")
-                await _wait_until(
+                await wait_until(
                     lambda: stores[0].map.epoch == promoted_epoch,
                     "stale primary never heard the newer epoch",
                 )
@@ -650,7 +531,5 @@ class TestPartitionFailover:
                 assert sorted(stores[1].owned_shards()) == list(
                     range(NUM_SHARDS)
                 )
-            finally:
-                await _teardown(servers, proxies)
 
         asyncio.run(scenario())

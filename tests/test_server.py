@@ -309,7 +309,7 @@ class TestServerRoundTrip:
             kv = await KVClient.connect("127.0.0.1", server.port)
             await kv.put("k", "v")
             await server.stop()
-            assert server.tree._closed
+            assert server.store._closed
             with pytest.raises((ConnectionError, asyncio.TimeoutError)):
                 await kv.put("k2", "v2")
             await kv.close()
