@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
-import json
 import os
 import signal
 import sys
@@ -35,7 +34,14 @@ from typing import List, Optional
 from .api import KVStore
 from .bench.harness import Harness
 from .bench.report import format_table
-from .cluster import ClusterMap, ClusterNode, NodeInfo, NodeStore
+from .cluster import (
+    ClusterClient,
+    ClusterMap,
+    ClusterNode,
+    NodeInfo,
+    NodeStore,
+    admin,
+)
 from .core.config import LAYOUT_KINDS, PICKER_KINDS, LSMConfig
 from .core.tree import LSMTree
 from .cost.model import SystemEnv, WorkloadMix
@@ -507,61 +513,39 @@ def command_cluster_init(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_join(args: argparse.Namespace, node_dir: str) -> None:
-    """Bootstrap ``node_dir`` by joining via an existing member.
+def _cluster_admin(host: str, port: int, call, **client_options):
+    """Run ``call(client)`` — a :mod:`repro.cluster.admin` coroutine —
+    on a :class:`ClusterClient` bootstrapped from ``host:port`` (closed
+    afterwards); returns its result."""
 
-    Fetches the member's map; when this node is not yet in the directory
-    it publishes a membership-only successor map (epoch + 1) naming the
-    node at ``--host:--port`` to every current member, then saves the
-    result locally so the ordinary recovery path can take over. Shards
-    arrive later via ``cluster rebalance``.
-    """
-    join_host, _, join_port = args.join.rpartition(":")
-    if not (join_host and join_port):
-        raise SystemExit(f"--join wants HOST:PORT, got {args.join!r}")
+    async def run():
+        async with await ClusterClient.connect(
+            host, port, **client_options
+        ) as client:
+            return await call(client)
 
-    async def run() -> None:
-        seed = await KVClient.connect(join_host, int(join_port))
-        try:
-            cluster_map = ClusterMap.from_json(
-                (await seed.command(["CLUSTER"]))[1]
-            )
-        finally:
-            await seed.close()
-        if args.node_id not in cluster_map.nodes:
-            if args.host is None or args.port is None:
-                raise SystemExit(
-                    "--join for a new node needs --host and --port "
-                    "(the address other members will reach it at)"
-                )
-            cluster_map = ClusterMap(
-                cluster_map.assignments,
-                list(cluster_map.nodes.values())
-                + [NodeInfo(args.node_id, args.host, args.port)],
-                epoch=cluster_map.epoch + 1,
-                routing=cluster_map.routing,
-                boundaries=cluster_map.boundaries or None,
-            )
-            payload = cluster_map.to_json()
-            for node in cluster_map.nodes.values():
-                if node.node_id == args.node_id:
-                    continue
-                member = await KVClient.connect(node.host, node.port)
-                try:
-                    await member.command(["CLUSTER", payload])
-                finally:
-                    await member.close()
-        os.makedirs(node_dir, exist_ok=True)
-        cluster_map.save(node_dir)
-
-    asyncio.run(run())
+    return asyncio.run(run())
 
 
 def command_cluster_serve(args: argparse.Namespace) -> int:
     """Run one cluster node until SIGINT/SIGTERM (clean shutdown)."""
     node_dir = os.path.join(args.data_dir, args.node_id)
     if args.join:
-        _cluster_join(args, node_dir)
+        # Bootstrap by joining via an existing member: the map it hands
+        # back (published to every member first when this node is new)
+        # is saved locally so the ordinary recovery path takes over.
+        join_host, _, join_port = args.join.rpartition(":")
+        if not (join_host and join_port):
+            raise SystemExit(f"--join wants HOST:PORT, got {args.join!r}")
+        joined = _cluster_admin(
+            join_host,
+            int(join_port),
+            lambda client: admin.join(
+                client, args.node_id, args.host, args.port
+            ),
+        )
+        os.makedirs(node_dir, exist_ok=True)
+        joined.save(node_dir)
     store = NodeStore.recover(args.node_id, _engine_config(args), node_dir)
     options = {
         "max_connections": args.max_connections,
@@ -570,12 +554,9 @@ def command_cluster_serve(args: argparse.Namespace) -> int:
         "owns_tree": True,
         "heartbeat_interval_s": args.heartbeat_interval,
         "lease_timeout_s": args.lease_timeout,
-        "repl_sync": not args.repl_async,
         "repl_timeout_s": args.repl_timeout,
         "self_fence": args.self_fence,
     }
-    if args.fence_timeout is not None:
-        options["fence_timeout_s"] = args.fence_timeout
     if args.peer_proxy:
         options["dial_overrides"] = {
             node.node_id: (node.host, node.port)
@@ -595,250 +576,100 @@ def command_cluster_serve(args: argparse.Namespace) -> int:
 
 
 def command_cluster_status(args: argparse.Namespace) -> int:
-    """Fetch the map from one node, then poll every member's HEALTH.
-
-    Every wire interaction (the map fetch and each member's HEALTH) is
-    bounded by ``--timeout`` so one hung node can't wedge the whole
-    status report. With replication in the map the report adds per-node
-    liveness (the freshest heartbeat age any peer reports for the node)
-    and a per-shard table with the primary's replication lag.
-    """
-    timeout = args.timeout
-
-    async def fetch_health(node) -> dict:
-        client = await asyncio.wait_for(
-            KVClient.connect(node.host, node.port, timeout_s=timeout),
-            timeout,
+    """Print the map one node serves under and every member's HEALTH:
+    per-node liveness and, with replication in the map, a per-shard
+    table with each primary's replication lag. Every wire interaction
+    is bounded by ``--timeout`` (:func:`repro.cluster.admin.status`)."""
+    # Connects share the client's pool one at a time, so they get half
+    # the budget: one blackholed member cannot use up the others' share.
+    cluster_map, node_rows, shard_rows = _cluster_admin(
+        args.host,
+        args.port,
+        lambda client: admin.status(client, args.timeout),
+        timeout_s=args.timeout,
+        connect_timeout_s=args.timeout / 2.0,
+    )
+    print(
+        format_table(
+            ["node", "address", "shards", "replica-of", "health",
+             "epoch", "heartbeat"],
+            node_rows,
+            title=(
+                f"cluster status via {args.host}:{args.port} "
+                f"(epoch {cluster_map.epoch}, "
+                f"{cluster_map.num_shards} shards, "
+                f"{cluster_map.routing} routing)"
+            ),
         )
-        try:
-            return json.loads(
-                (await asyncio.wait_for(client.command(["HEALTH"]), timeout))[
-                    1
-                ]
-            )
-        finally:
-            await client.close()
-
-    async def run() -> int:
-        seed = await asyncio.wait_for(
-            KVClient.connect(args.host, args.port, timeout_s=timeout),
-            timeout,
-        )
-        try:
-            reply = await asyncio.wait_for(seed.command(["CLUSTER"]), timeout)
-            cluster_map = ClusterMap.from_json(reply[1])
-        finally:
-            await seed.close()
-        healths: dict = {}
-        errors: dict = {}
-
-        # All members probed concurrently: a hung or partitioned node
-        # costs one --timeout total, not one per node ahead of it in
-        # the roster. Each probe is individually bounded, and the
-        # gather is bounded once more so the whole poll phase can never
-        # exceed --timeout either.
-        async def probe(node_id, node) -> None:
-            try:
-                healths[node_id] = await fetch_health(node)
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-                errors[node_id] = str(exc) or type(exc).__name__
-
-        members = sorted(cluster_map.nodes.items())
-        try:
-            await asyncio.wait_for(
-                asyncio.gather(
-                    *(probe(node_id, node) for node_id, node in members)
-                ),
-                timeout,
-            )
-        except asyncio.TimeoutError:
-            pass
-        for node_id, _node in members:
-            if node_id not in healths and node_id not in errors:
-                errors[node_id] = "status poll timed out"
-        rows = []
-        for node_id, node in sorted(cluster_map.nodes.items()):
-            shards = ",".join(map(str, cluster_map.shards_of(node_id)))
-            replicas = (
-                ",".join(map(str, cluster_map.replicas_of(node_id))) or "-"
-            )
-            # Liveness as the freshest heartbeat age any *peer* reports:
-            # a node can answer HEALTH yet be partitioned from the ring.
-            ages = [
-                peer_health["peers"][node_id]
-                for peer_id, peer_health in healths.items()
-                if peer_id != node_id
-                and node_id in peer_health.get("peers", {})
-            ]
-            seen = f"{min(ages):.1f}s ago" if ages else "-"
-            if node_id in healths:
-                health = healths[node_id]
-                rows.append(
-                    (node_id, node.address, shards, replicas,
-                     health.get("state", "?"), health.get("epoch", "?"),
-                     seen)
-                )
-            else:
-                rows.append(
-                    (node_id, node.address, shards, replicas,
-                     f"unreachable ({errors[node_id]})", "-", seen)
-                )
+    )
+    if shard_rows:
+        print()
         print(
             format_table(
-                ["node", "address", "shards", "replica-of", "health",
-                 "epoch", "heartbeat"],
-                rows,
-                title=(
-                    f"cluster status via {args.host}:{args.port} "
-                    f"(epoch {cluster_map.epoch}, "
-                    f"{cluster_map.num_shards} shards, "
-                    f"{cluster_map.routing} routing)"
-                ),
+                ["shard", "primary", "replica", "state", "lag-records",
+                 "lag-bytes", "missed"],
+                shard_rows,
+                title="replication (as reported by each primary)",
             )
         )
-        repl_rows = []
-        for shard in range(cluster_map.num_shards):
-            replica_id = cluster_map.replica_id(shard)
-            if replica_id is None:
-                continue
-            owner_id = cluster_map.owner_id(shard)
-            ship = (
-                healths.get(owner_id, {})
-                .get("replication", {})
-                .get(str(shard), {})
-            )
-            repl_rows.append(
-                (
-                    shard,
-                    owner_id,
-                    replica_id,
-                    ship.get("state", "?"),
-                    ship.get("lag_records", "?"),
-                    ship.get("lag_bytes", "?"),
-                    ship.get("missed_records", "?"),
-                )
-            )
-        if repl_rows:
-            print()
-            print(
-                format_table(
-                    ["shard", "primary", "replica", "state", "lag-records",
-                     "lag-bytes", "missed"],
-                    repl_rows,
-                    title="replication (as reported by each primary)",
-                )
-            )
-        return 0
-
-    return asyncio.run(run())
+    return 0
 
 
 def command_cluster_migrate(args: argparse.Namespace) -> int:
-    """Ask the contacted node to live-migrate one shard it owns."""
-    async def run() -> int:
-        client = await KVClient.connect(args.host, args.port)
-        try:
-            reply = await client.command(
-                ["MIGRATE", str(args.shard), args.to]
-            )
-        finally:
-            await client.close()
-        stats = json.loads(reply[1])
-        print(
-            format_table(
-                ["stat", "value"],
-                sorted(stats.items()),
-                title=f"migrated shard {args.shard} -> {args.to}",
-            )
+    """Ask the shard's owner to live-migrate it to another node."""
+    stats = _cluster_admin(
+        args.host,
+        args.port,
+        lambda client: admin.migrate(client, args.shard, args.to),
+    )
+    print(
+        format_table(
+            ["stat", "value"],
+            sorted(stats.items()),
+            title=f"migrated shard {args.shard} -> {args.to}",
         )
-        return 0
-
-    return asyncio.run(run())
+    )
+    return 0
 
 
 def command_cluster_rebalance(args: argparse.Namespace) -> int:
     """Plan (and unless --dry-run, execute) moves onto a target membership."""
-    async def run() -> int:
-        seed = await KVClient.connect(args.host, args.port)
-        try:
-            cluster_map = ClusterMap.from_json(
-                (await seed.command(["CLUSTER"]))[1]
+
+    plan, stats = _cluster_admin(
+        args.host,
+        args.port,
+        lambda client: admin.rebalance(
+            client, _parse_node_specs(args.node), dry_run=args.dry_run
+        ),
+    )
+    if not plan:
+        print("cluster already balanced; nothing to move")
+    elif args.dry_run:
+        print(
+            format_table(
+                ["shard", "from", "to"],
+                plan,
+                title=f"rebalance plan ({len(plan)} moves, dry run)",
             )
-        finally:
-            await seed.close()
-        desired = (
-            _parse_node_specs(args.node)
-            if args.node
-            else sorted(cluster_map.nodes.values(), key=lambda n: n.node_id)
         )
-        moves = cluster_map.plan_moves(desired)
-        if not moves:
-            print("cluster already balanced; nothing to move")
-            return 0
-        if args.dry_run:
-            print(
-                format_table(
-                    ["shard", "from", "to"],
-                    [
-                        (shard, cluster_map.owner_id(shard), dest)
-                        for shard, dest in moves
-                    ],
-                    title=f"rebalance plan ({len(moves)} moves, dry run)",
-                )
-            )
-            return 0
-        joining = [n for n in desired if n.node_id not in cluster_map.nodes]
-        if joining:
-            # Joining nodes must be in the directory before MIGRATE can
-            # target them: publish a membership-only map (epoch + 1) to
-            # every member, old and new.
-            cluster_map = ClusterMap(
-                cluster_map.assignments,
-                list(cluster_map.nodes.values()) + joining,
-                epoch=cluster_map.epoch + 1,
-                routing=cluster_map.routing,
-                boundaries=cluster_map.boundaries or None,
-            )
-            payload = cluster_map.to_json()
-            for node in cluster_map.nodes.values():
-                client = await KVClient.connect(node.host, node.port)
-                try:
-                    await client.command(["CLUSTER", payload])
-                finally:
-                    await client.close()
-        rows = []
-        for shard, dest in moves:
-            owner = cluster_map.owner(shard)
-            client = await KVClient.connect(owner.host, owner.port)
-            try:
-                reply = await client.command(
-                    ["MIGRATE", str(shard), dest]
-                )
-                cluster_map = ClusterMap.from_json(
-                    (await client.command(["CLUSTER"]))[1]
-                )
-            finally:
-                await client.close()
-            stats = json.loads(reply[1])
-            rows.append(
-                (shard, owner.node_id, dest,
-                 stats["snapshot_pairs"], stats["tail_ops"],
-                 f"{stats['fence_ms']:.1f}")
-            )
+    else:
         print(
             format_table(
                 ["shard", "from", "to", "snapshot pairs", "tail ops",
                  "fence (ms)"],
-                rows,
+                [
+                    (move["shard"], move["from"], move["to"],
+                     move["snapshot_pairs"], move["tail_ops"],
+                     f"{move['fence_ms']:.1f}")
+                    for move in stats
+                ],
                 title=(
-                    f"rebalanced {len(moves)} shards "
-                    f"(map now epoch {cluster_map.epoch})"
+                    f"rebalanced {len(plan)} shards "
+                    f"(map now epoch {stats[-1]['epoch']})"
                 ),
             )
         )
-        return 0
-
-    return asyncio.run(run())
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1027,26 +858,16 @@ def build_parser() -> argparse.ArgumentParser:
         "promotes (default: 4x heartbeat interval)",
     )
     cluster_serve.add_argument(
-        "--repl-async", action="store_true",
-        help="ack writes without waiting for the replica (a failover "
-        "may then lose the in-flight window)",
-    )
-    cluster_serve.add_argument(
         "--repl-timeout", type=float, default=5.0, metavar="SECONDS",
         help="per-request bound on replication wire calls (default 5.0)",
     )
     cluster_serve.add_argument(
         "--self-fence", action="store_true",
-        help="stop acking sync-replicated writes (retryable BUSY) when "
-        "the standby has been silent past the fence window — closes "
+        help="stop acking replicated writes (retryable BUSY) when the "
+        "standby has been silent past the fence window (lease timeout "
+        "minus two heartbeat intervals) — closes "
         "the split-brain window under partitions at the cost of write "
         "availability while fenced",
-    )
-    cluster_serve.add_argument(
-        "--fence-timeout", type=float, default=None, metavar="SECONDS",
-        help="standby silence before the primary self-fences (default: "
-        "lease timeout minus two heartbeat intervals — strictly inside "
-        "the window in which the standby could promote)",
     )
     cluster_serve.add_argument(
         "--peer-proxy", action="append", default=[],

@@ -27,8 +27,11 @@ sockets, port 0 resolved into an epoch-1 map, optional per-link fault
 proxies, standbys seeded, everything torn down on exit — that the wire
 tests, the sweep's partition runs and the e27–e29 benchmarks all start
 from; :func:`wait_until` is the poll they share.
+:mod:`~repro.cluster.admin` is the control plane: join, rebalance and
+status as coroutines over a :class:`ClusterClient`.
 """
 
+from . import admin
 from .client import ClusterClient, ClusterError
 from .local import local_cluster, wait_until
 from .map import CLUSTER_MANIFEST, ClusterMap, NodeInfo
@@ -44,6 +47,7 @@ __all__ = [
     "ClusterNode",
     "NodeInfo",
     "NodeStore",
+    "admin",
     "local_cluster",
     "migrate_shard",
     "replicate_local",

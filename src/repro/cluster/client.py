@@ -12,7 +12,7 @@ Staleness is handled Redis-Cluster-style: a request landing on the wrong
 node answers ``ERR MOVED <shard> <host>:<port> <epoch>``, the client
 refreshes its map from the redirect target (which, being the node the
 *newer* map names, always has a map at least that new) and retries —
-bounded by ``max_redirects`` hops. A live migration is therefore
+bounded by :data:`MAX_REDIRECTS` hops. A live migration is therefore
 invisible end-to-end: writes during the fence answer BUSY (absorbed by
 the per-node client), the first post-flip request answers MOVED, the map
 refreshes once, and traffic continues on the new owner.
@@ -48,6 +48,42 @@ from ..server.protocol import BatchOp
 from .map import ClusterMap, NodeInfo
 
 T = TypeVar("T")
+
+#: MOVED hops absorbed per operation (and map changes per scan /
+#: snapshot fan-out) before :class:`ClusterError` — more than one or two
+#: means the map is churning faster than the client can chase it.
+MAX_REDIRECTS = 5
+
+#: Bound on one ``CLUSTER`` map fetch (connect included): a hung node
+#: must delay a map refresh by at most this, not the full TCP timeout.
+MAP_TIMEOUT_S = 5.0
+
+#: Per-node circuit breaker window. After a failed connect the node's
+#: circuit opens (further attempts fail instantly) for a jittered,
+#: exponentially growing interval between these two, so an unreachable
+#: node costs a scan fan-out or MOVED chase microseconds, not a connect
+#: timeout per call.
+BREAKER_BACKOFF_S = 0.2
+BREAKER_MAX_BACKOFF_S = 5.0
+
+
+async def fetch_map(conn: KVClient) -> ClusterMap:
+    """The map ``conn``'s node serves under — the one ``CLUSTER`` fetch."""
+    reply = await conn.command(["CLUSTER"])
+    if reply[0] != "CLUSTER" or len(reply) < 2:
+        raise ConfigError(
+            f"not a cluster node (CLUSTER answered {reply[0]!r})"
+        )
+    return ClusterMap.from_json(reply[1])
+
+
+async def push_map(conn: KVClient, cluster_map: ClusterMap) -> bool:
+    """Offer ``cluster_map`` to ``conn``'s node — the one ``CLUSTER
+    <map>`` push; returns whether the node installed it (``False``: it
+    already holds that epoch or a newer one). A map that would grant the
+    node shards is refused with a :class:`~repro.server.client.ServerError`."""
+    reply = await conn.command(["CLUSTER", cluster_map.to_json()])
+    return reply[1:2] == ["installed"]
 
 
 class ClusterError(ReproError):
@@ -89,12 +125,6 @@ class ClusterClient:
     Args:
         cluster_map: The routing map to start from (normally fetched by
             :meth:`connect`).
-        max_redirects: MOVED hops absorbed per operation before
-            :class:`ClusterError` — more than one or two means the map
-            is churning faster than the client can chase it.
-        map_timeout_s: Explicit bound on one ``CLUSTER`` map fetch
-            (connect included): a hung node must delay a map refresh by
-            at most this, not the full TCP timeout.
         failover_grace_s: On a connect failure to a shard's owner,
             *when the map assigns that shard a replica*, keep retrying —
             refreshing the map from surviving nodes — for up to this
@@ -102,12 +132,6 @@ class ClusterClient:
             expiry plus promotion, so an automatic failover is invisible
             beyond latency. Shards without a replica fail immediately,
             as before.
-        breaker_backoff_s / breaker_max_backoff_s: Per-node circuit
-            breaker window. After a failed connect the node's circuit
-            opens (further attempts fail instantly) for a jittered,
-            exponentially growing interval, so an unreachable node costs
-            a scan fan-out or MOVED chase microseconds, not a connect
-            timeout per call.
         client_options: Forwarded to every pooled
             :class:`~repro.server.KVClient` (timeouts, retry budgets).
     """
@@ -116,19 +140,11 @@ class ClusterClient:
         self,
         cluster_map: ClusterMap,
         *,
-        max_redirects: int = 5,
-        map_timeout_s: float = 5.0,
         failover_grace_s: float = 10.0,
-        breaker_backoff_s: float = 0.2,
-        breaker_max_backoff_s: float = 5.0,
         **client_options: object,
     ) -> None:
         self.map = cluster_map
-        self.max_redirects = max_redirects
-        self.map_timeout_s = map_timeout_s
         self.failover_grace_s = failover_grace_s
-        self.breaker_backoff_s = breaker_backoff_s
-        self.breaker_max_backoff_s = breaker_max_backoff_s
         self._client_options = client_options
         self._pool: Dict[Tuple[str, int], KVClient] = {}
         self._pool_lock = asyncio.Lock()
@@ -151,38 +167,20 @@ class ClusterClient:
         host: str,
         port: int,
         *,
-        max_redirects: int = 5,
-        map_timeout_s: float = 5.0,
         failover_grace_s: float = 10.0,
-        breaker_backoff_s: float = 0.2,
-        breaker_max_backoff_s: float = 5.0,
         **client_options: object,
     ) -> "ClusterClient":
         """Bootstrap from any one cluster node's ``CLUSTER`` reply."""
         seed = await asyncio.wait_for(
-            KVClient.connect(host, port, **client_options), map_timeout_s
+            KVClient.connect(host, port, **client_options), MAP_TIMEOUT_S
         )
         try:
-            reply = await asyncio.wait_for(
-                seed.command(["CLUSTER"]), map_timeout_s
-            )
-            if reply[0] != "CLUSTER" or len(reply) < 2:
-                raise ConfigError(
-                    f"{host}:{port} is not a cluster node "
-                    f"(CLUSTER answered {reply[0]!r})"
-                )
-            cluster_map = ClusterMap.from_json(reply[1])
+            cluster_map = await asyncio.wait_for(fetch_map(seed), MAP_TIMEOUT_S)
         except BaseException:
             await seed.close()
             raise
         client = cls(
-            cluster_map,
-            max_redirects=max_redirects,
-            map_timeout_s=map_timeout_s,
-            failover_grace_s=failover_grace_s,
-            breaker_backoff_s=breaker_backoff_s,
-            breaker_max_backoff_s=breaker_max_backoff_s,
-            **client_options,
+            cluster_map, failover_grace_s=failover_grace_s, **client_options
         )
         client._pool[(host, port)] = seed
         return client
@@ -274,7 +272,7 @@ class ClusterClient:
         """
         remaining = list(ops)
         applied = 0
-        for _ in range(self.max_redirects + 1):
+        for _ in range(MAX_REDIRECTS + 1):
             groups: Dict[Tuple[str, int], List[BatchOp]] = {}
             for op in remaining:
                 owner = self.map.owner(self.map.shard_index(op[1]))
@@ -320,7 +318,7 @@ class ClusterClient:
             remaining = retry
         raise ClusterError(
             f"{len(remaining)} ops still MOVED after "
-            f"{self.max_redirects} redirects"
+            f"{MAX_REDIRECTS} redirects"
         )
 
     async def snapshot(self) -> ClusterSnapshot:
@@ -331,11 +329,11 @@ class ClusterClient:
         client may have missed a member entirely (its shards would be
         silently absent from the snapshot), so the just-taken tokens are
         released and the fan-out retried on the newer map — bounded by
-        ``max_redirects`` map changes. Release with :meth:`end_snapshot`;
+        :data:`MAX_REDIRECTS` map changes. Release with :meth:`end_snapshot`;
         the servers also release a connection's snapshots when it
         closes.
         """
-        for _ in range(self.max_redirects + 1):
+        for _ in range(MAX_REDIRECTS + 1):
             nodes = list(self.map.nodes.values())
             results = await asyncio.gather(
                 *(self._snap_node(node) for node in nodes)
@@ -360,7 +358,7 @@ class ClusterClient:
                     seqnos.setdefault(unit, seq)
             return ClusterSnapshot(Snapshot(seqnos).token, per_node)
         raise ClusterError(
-            f"cluster map changed {self.max_redirects + 1} times while "
+            f"cluster map changed {MAX_REDIRECTS + 1} times while "
             "taking a snapshot; giving up"
         )
 
@@ -369,15 +367,10 @@ class ClusterClient:
     ) -> Tuple[ClusterMap, Tuple[str, int], str]:
         """One node's snapshot token plus its current map (pipelined)."""
         client = await self._client_for(node.host, node.port)
-        map_reply, token = await asyncio.gather(
-            client.command(["CLUSTER"]),
-            client.snapshot(),
+        node_map, token = await asyncio.gather(
+            fetch_map(client), client.snapshot()
         )
-        return (
-            ClusterMap.from_json(map_reply[1]),
-            (node.host, node.port),
-            token,
-        )
+        return node_map, (node.host, node.port), token
 
     async def end_snapshot(self, snapshot: ClusterSnapshot) -> None:
         """Release every node's share of a :meth:`snapshot` (idempotent)."""
@@ -414,7 +407,7 @@ class ClusterClient:
         round-trip); a node reporting a newer map means this client's
         fan-out may have missed a member entirely, so the newer map is
         installed and the whole scan retried — bounded, like MOVED
-        chasing, by ``max_redirects`` map changes per call.
+        chasing, by :data:`MAX_REDIRECTS` map changes per call.
 
         ``at=`` scans as of a snapshot (see :meth:`snapshot`).
         ``allow_partial=True`` turns a node that cannot answer — its
@@ -425,7 +418,7 @@ class ClusterClient:
         lost, not just the failing shard).
         """
         token = None if at is None else KVClient.at_token(at)
-        for _ in range(self.max_redirects + 1):
+        for _ in range(MAX_REDIRECTS + 1):
             nodes = list(self.map.nodes.values())
             results = await asyncio.gather(
                 *(
@@ -452,7 +445,7 @@ class ClusterClient:
                 return PartialScanResult(pairs, sorted(set(skipped)))
             return pairs
         raise ClusterError(
-            f"cluster map changed {self.max_redirects + 1} times during "
+            f"cluster map changed {MAX_REDIRECTS + 1} times during "
             "one scan; giving up"
         )
 
@@ -480,19 +473,17 @@ class ClusterClient:
                 return None, [], node
             raise
         try:
-            map_reply, fragment = await asyncio.gather(
-                client.command(["CLUSTER"]),
-                client.scan(lo, hi, limit, at=at),
+            node_map, fragment = await asyncio.gather(
+                fetch_map(client), client.scan(lo, hi, limit, at=at)
             )
         except (UnavailableError, ConnectionError, OSError):
             if not allow_partial:
                 raise
             try:
-                map_reply = await client.command(["CLUSTER"])
+                return await fetch_map(client), [], node
             except (ReproError, ConnectionError, OSError):
                 return None, [], node
-            return ClusterMap.from_json(map_reply[1]), [], node
-        return ClusterMap.from_json(map_reply[1]), fragment, None
+        return node_map, fragment, None
 
     async def refresh(
         self, host: Optional[str] = None, port: Optional[int] = None
@@ -513,12 +504,11 @@ class ClusterClient:
             try:
                 client = await asyncio.wait_for(
                     self._client_for(candidate_host, candidate_port),
-                    self.map_timeout_s,
+                    MAP_TIMEOUT_S,
                 )
-                reply = await asyncio.wait_for(
-                    client.command(["CLUSTER"]), self.map_timeout_s
+                fetched = await asyncio.wait_for(
+                    fetch_map(client), MAP_TIMEOUT_S
                 )
-                fetched = ClusterMap.from_json(reply[1])
             except (
                 asyncio.TimeoutError,
                 ConnectionError,
@@ -534,6 +524,18 @@ class ClusterClient:
         raise ClusterError(
             f"no cluster node reachable for a map refresh: {last_error}"
         )
+
+    async def node(self, node_id: str) -> KVClient:
+        """The pooled connection to member ``node_id``: where the verbs
+        that are not routed by key go (``MIGRATE``, ``HEALTH``, a map
+        push) — see :mod:`repro.cluster.admin`."""
+        info = self.map.nodes.get(node_id)
+        if info is None:
+            raise ConfigError(
+                f"node {node_id!r} is not in the cluster map "
+                f"({sorted(self.map.nodes)})"
+            )
+        return await self._client_for(info.host, info.port)
 
     # -- plumbing -------------------------------------------------------------
 
@@ -569,10 +571,10 @@ class ClusterClient:
                 self.moved_redirects += 1
                 last_moved = moved
                 redirects += 1
-                if redirects > self.max_redirects:
+                if redirects > MAX_REDIRECTS:
                     raise ClusterError(
                         f"shard {shard} still MOVED after "
-                        f"{self.max_redirects} redirects: {last_moved}"
+                        f"{MAX_REDIRECTS} redirects: {last_moved}"
                     )
                 # The redirect target is (as of the replying node's map)
                 # the owner — its own map is at least that new, so
@@ -672,8 +674,8 @@ class ClusterClient:
                         self._breaker.get(key, (0, 0.0))[0] + 1
                     )
                     backoff = min(
-                        self.breaker_backoff_s * (2 ** (failures - 1)),
-                        self.breaker_max_backoff_s,
+                        BREAKER_BACKOFF_S * (2 ** (failures - 1)),
+                        BREAKER_MAX_BACKOFF_S,
                     ) * (0.5 + random.random() * 0.5)
                     self._breaker[key] = (
                         failures,

@@ -125,7 +125,7 @@ async def local_cluster(
         ports = [server.port for server in servers]
         live = _shaped_map(shape, ports, live=True)
         for store in stores:
-            store.install_map(live)
+            store.adopt_map(live)
         for server in servers:
             server._reconcile_replication()
         await wait_until(

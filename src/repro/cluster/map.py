@@ -246,6 +246,25 @@ class ClusterMap:
 
     # -- derivation -----------------------------------------------------------
 
+    def _successor(
+        self,
+        *,
+        assignments: Optional[Sequence[str]] = None,
+        nodes: Optional[Sequence[NodeInfo]] = None,
+        replicas: Optional[Sequence[Optional[str]]] = None,
+    ) -> "ClusterMap":
+        """The next epoch's map: whatever a derivation does not name is
+        carried — which is what keeps a membership change from dropping
+        replica placement, or a move from dropping the boundaries."""
+        return ClusterMap(
+            self.assignments if assignments is None else assignments,
+            list(self.nodes.values()) if nodes is None else nodes,
+            epoch=self.epoch + 1,
+            routing=self.routing,
+            boundaries=self.boundaries or None,
+            replicas=self.replicas if replicas is None else replicas,
+        )
+
     def with_assignment(
         self,
         shard: int,
@@ -276,14 +295,20 @@ class ClusterMap:
             # The shard migrated onto its own replica; a self-replica is
             # meaningless, so the slot clears (re-placed by the operator).
             replicas[shard] = None
-        return ClusterMap(
-            assignments,
-            list(nodes.values()),
-            epoch=self.epoch + 1,
-            routing=self.routing,
-            boundaries=self.boundaries or None,
+        return self._successor(
+            assignments=assignments,
+            nodes=list(nodes.values()),
             replicas=replicas,
         )
+
+    def with_members(self, nodes: Sequence[NodeInfo]) -> "ClusterMap":
+        """A new map (epoch + 1) whose node directory is ``nodes`` — the
+        only membership successor: assignments, replicas, routing and
+        boundaries are carried, so a join (or a member's new address)
+        changes who is reachable and nothing about who holds what. A
+        node that still owns or replicates a shard cannot be left out
+        (:class:`~repro.errors.ConfigError`): its shards move first."""
+        return self._successor(nodes=nodes)
 
     def with_failover(
         self, shards: Sequence[int], new_primary: str
@@ -313,14 +338,7 @@ class ClusterMap:
                 new_primary,
                 assignments[shard],
             )
-        return ClusterMap(
-            assignments,
-            list(self.nodes.values()),
-            epoch=self.epoch + 1,
-            routing=self.routing,
-            boundaries=self.boundaries or None,
-            replicas=replicas,
-        )
+        return self._successor(assignments=assignments, replicas=replicas)
 
     def plan_moves(
         self, nodes: Sequence[NodeInfo]

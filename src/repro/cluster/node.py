@@ -13,8 +13,10 @@ top of that, this subclass:
   milliseconds from flipping, so the client's ordinary BUSY backoff
   absorbs the handoff invisibly);
 * serves ``CLUSTER`` — fetch the node's epoch'd map, or push a newer map
-  (membership changes ride this; ownership changes are rejected unless
-  they come through the migration protocol);
+  (:meth:`~repro.cluster.NodeStore.adopt_map`: membership changes ride
+  this, a map that takes shards away demotes, one that grants shards is
+  refused — ownership is gained through the migration protocol or a
+  promotion only);
 * serves the two inbound streams that fill a shard's one slot
   (:meth:`~repro.cluster.NodeStore.inbound_begin`) — ``MIG.BEGIN`` /
   ``MIG.APPLY`` / ``MIG.SEAL`` for a migration, ``REPL.SYNC`` /
@@ -38,9 +40,9 @@ shard a replica node, the owning ClusterNode runs a
 plus the snapshot pager's batches, then forwards every WAL commit group
 over ``REPL.SHIP`` on the same ordered connection (the migration tail's
 last-arrival-wins argument applies verbatim) — except while the shard
-is migrating off this node, when it opens no new session. In sync mode (the
-default) a commit is held until the replica acknowledged the group, so
-an acked write is on both nodes; when the replica becomes unreachable
+is migrating off this node, when it opens no new session. A commit is
+held until the replica acknowledged the group, so an acked write is on
+both nodes; when the replica becomes unreachable
 the shipper *degrades* — waiters release, writes keep committing
 locally, and the standby is wiped and reseeded on reconnect. Every node
 with replication configured also runs a jittered heartbeat loop
@@ -61,7 +63,7 @@ failure: under an asymmetric partition the old primary is alive,
 reachable by clients, and cut off from its standby — the classic
 split-brain window. With ``self_fence`` enabled the primary closes it
 from its own side: once the standby has shown no sign of life for
-``fence_timeout_s`` (strictly inside the lease window, with inbound ship
+``fence_timeout_s`` (derived: strictly inside the lease window, with inbound ship
 traffic feeding both ends' contact clocks so they cannot drift apart by
 more than a frame), the shard stops *acking* writes — admission answers
 BUSY via :meth:`~repro.cluster.NodeStore.repl_fence`, and the exact
@@ -108,8 +110,9 @@ from ..replication.store import entries_to_batch_ops
 from ..server.client import KVClient
 from ..server.protocol import BatchOp, ProtocolError, decode_batch, encode_batch
 from ..server.server import KVServer
+from .client import fetch_map, push_map
 from .map import ClusterMap, NodeInfo
-from .store import MIGRATION, REPLICA, NodeStore, migrate_shard
+from .store import MIGRATION, REPLICA, NodeStore, migrate_shard, migration_stats
 
 #: Verbs this subclass dispatches ahead of the base server.
 _CLUSTER_VERBS = (
@@ -132,26 +135,27 @@ class ClusterNode(KVServer):
             does not ping in lockstep).
         lease_timeout_s: Silence after which a peer is declared dead and
             its shards considered for promotion. Defaults to four
-            heartbeat intervals.
-        repl_sync: When true (default) a commit on a replicated shard
-            is held until the replica acknowledged the shipped group —
-            the zero-loss mode; when false shipping is fire-and-forget
-            with a bounded loss window on failover.
+            heartbeat intervals. Every other window is derived from
+            these two (:attr:`fence_timeout_s`, :attr:`promotion_slack_s`,
+            :attr:`ping_budget_s`, :attr:`ship_backoff_cap_s`).
+        repl_timeout_s: Per-request bound on replication wire calls
+            (the ship stream, a failover map broadcast).
         self_fence: Opt-in split-brain protection for partitions. When
             true, a primary whose standby has been silent past
-            ``fence_timeout_s`` stops *acking* writes to the replicated
-            shard (retryable BUSY, mirroring the migration fence) until
-            the ship stream re-establishes or a newer map demotes it —
-            so under an asymmetric partition the stale primary goes
-            write-unavailable *before* the standby's lease can expire,
-            and "one node acks writes per shard at every instant"
-            holds. Off by default because it trades availability: with
-            a 2-node shard, the death of the *standby* also fences the
-            primary until contact resumes.
-        fence_timeout_s: Standby silence after which a self-fencing
-            primary fences. Must undercut ``lease_timeout_s`` by enough
-            slack for one heartbeat round; defaults to
-            ``lease_timeout_s - 2 * heartbeat_interval_s``.
+            :attr:`fence_timeout_s` stops *acking* writes to the
+            replicated shard (retryable BUSY, mirroring the migration
+            fence) until the ship stream re-establishes or a newer map
+            demotes it — so under an asymmetric partition the stale
+            primary goes write-unavailable *before* the standby's lease
+            can expire, and "one node acks writes per shard at every
+            instant" holds. It stays an option, off by default, because
+            it trades availability and both settings have a caller: with
+            a 2-node shard the death of the *standby* also fences the
+            primary until contact resumes, which is what the ledger's
+            ``cluster_repl`` workload (two nodes, no partitions injected)
+            must not pay, while the partition experiment (e29) and the
+            sweep's partition runs turn it on to prove the split-brain
+            window closed.
         dial_overrides: Peer node id → ``(host, port)`` to dial instead
             of the map address — the hook the deterministic network
             fault layer (:mod:`repro.faults.net`) uses to route every
@@ -165,10 +169,8 @@ class ClusterNode(KVServer):
         *,
         heartbeat_interval_s: float = 1.0,
         lease_timeout_s: Optional[float] = None,
-        repl_sync: bool = True,
         repl_timeout_s: float = 5.0,
         self_fence: bool = False,
-        fence_timeout_s: Optional[float] = None,
         dial_overrides: Optional[Dict[str, Tuple[str, int]]] = None,
         **options: object,
     ) -> None:
@@ -183,21 +185,8 @@ class ClusterNode(KVServer):
             if lease_timeout_s is not None
             else 4.0 * self.heartbeat_interval_s
         )
-        self.repl_sync = repl_sync
         self.repl_timeout_s = float(repl_timeout_s)
         self.self_fence = bool(self_fence)
-        if fence_timeout_s is not None:
-            self.fence_timeout_s = float(fence_timeout_s)
-        else:
-            # Strictly inside the lease window: the primary must fence
-            # before any standby's lease on it can expire, with slack
-            # for one jittered heartbeat round of detection latency.
-            margin = 2.0 * self.heartbeat_interval_s
-            self.fence_timeout_s = (
-                self.lease_timeout_s - margin
-                if self.lease_timeout_s > margin
-                else self.lease_timeout_s / 2.0
-            )
         self.dial_overrides: Dict[str, Tuple[str, int]] = dict(
             dial_overrides or {}
         )
@@ -250,10 +239,42 @@ class ClusterNode(KVServer):
         self._hb_task: Optional[asyncio.Task] = None
         self._closing = False
 
-    def peer_address(self, node_id: str, info: NodeInfo) -> Tuple[str, int]:
-        """Where to dial ``node_id``: its map address, unless a
+    # -- timing: two settings, four derived windows ---------------------------
+
+    @property
+    def fence_timeout_s(self) -> float:
+        """Standby silence after which a self-fencing primary fences.
+        Strictly inside the lease window — the primary must fence before
+        any standby's lease on it can expire, with slack for one
+        jittered heartbeat round of detection latency — which is why it
+        is derived and not settable: a value at or past the lease would
+        silently void that argument."""
+        margin = 2.0 * self.heartbeat_interval_s
+        if self.lease_timeout_s > margin:
+            return self.lease_timeout_s - margin
+        return self.lease_timeout_s / 2.0
+
+    @property
+    def promotion_slack_s(self) -> float:
+        """How long before its primary's last sign of life a standby's
+        ship stream may have gone quiet and still be promoted (an idle
+        stream's keepalive runs once a heartbeat)."""
+        return 2.0 * self.heartbeat_interval_s + 0.05
+
+    @property
+    def ping_budget_s(self) -> float:
+        """Bound on one heartbeat exchange, connect included."""
+        return max(self.lease_timeout_s / 2.0, 0.05)
+
+    @property
+    def ship_backoff_cap_s(self) -> float:
+        """Ceiling of a shipper's doubling retry backoff."""
+        return 2.0 * self.lease_timeout_s
+
+    def peer_address(self, info: NodeInfo) -> Tuple[str, int]:
+        """Where to dial ``info``'s node: its map address, unless a
         ``dial_overrides`` entry routes the link through a relay."""
-        return self.dial_overrides.get(node_id, (info.host, info.port))
+        return self.dial_overrides.get(info.node_id, (info.host, info.port))
 
     @asynccontextmanager
     async def _dial(
@@ -272,7 +293,7 @@ class ClusterNode(KVServer):
                 reconnect_retries=0,
             )
         peer = await asyncio.wait_for(
-            KVClient.connect(*self.peer_address(info.node_id, info), **options),
+            KVClient.connect(*self.peer_address(info), **options),
             budget_s,
         )
         try:
@@ -354,13 +375,12 @@ class ClusterNode(KVServer):
             if len(request) == 1:
                 return ["CLUSTER", store.map.to_json()]
             if len(request) == 2:
-                pushed = ClusterMap.from_json(request[1])
-                # adopt_map, not install_map: a pushed map may *demote*
-                # this node (a failover happened while it was away);
-                # granting it shards is still rejected.
-                changed = await self._run_engine(store.adopt_map, pushed)
-                if changed:
-                    self._reconcile_replication()
+                # A pushed map may *demote* this node (a failover
+                # happened while it was away); granting it shards is
+                # rejected.
+                changed = await self._adopt_remote_map(
+                    ClusterMap.from_json(request[1])
+                )
                 return ["OK", "installed" if changed else "ignored"]
             raise ProtocolError("CLUSTER takes at most a map payload")
         if verb == "MIGRATE":
@@ -534,16 +554,9 @@ class ClusterNode(KVServer):
             return None
         await self._run_engine(store.release_shard, shard, flip_map)
         self._reconcile_replication()
-        stats: Dict[str, object] = {
-            "shard": shard,
-            "from": store.node_id,
-            "to": dest_id,
-            "epoch": store.map.epoch,
-            "snapshot_pairs": 0,
-            "tail_ops": 0,
-            "fence_ms": 0.0,
-            "resolved_earlier_flip": True,
-        }
+        stats = migration_stats(
+            store, shard, dest_id, resolved_earlier_flip=True
+        )
         self.migrations.append(stats)
         return stats
 
@@ -575,8 +588,7 @@ class ClusterNode(KVServer):
                 await asyncio.sleep(0.05 * (2 ** (attempt - 1)))
             try:
                 async with self._dial(dest) as probe:
-                    reply = await probe.command(["CLUSTER"])
-                dest_map = ClusterMap.from_json(reply[1])
+                    dest_map = await fetch_map(probe)
             except (
                 ConnectionError,
                 OSError,
@@ -653,26 +665,22 @@ class ClusterNode(KVServer):
                 *(self._ping_peer(info) for info in peers),
                 return_exceptions=True,
             )
-            await self._check_leases()
-            await self._update_fences()
+            now = time.monotonic()
+            await self._check_leases(now)
+            await self._update_fences(now)
 
     async def _ping_peer(self, info: NodeInfo) -> None:
         """One REPL.PING exchange; records liveness, pulls newer maps."""
         store = self.node_store
         try:
-            async with self._dial(
-                info, max(self.lease_timeout_s / 2.0, 0.05)
-            ) as peer:
+            async with self._dial(info, self.ping_budget_s) as peer:
                 reply = await peer.command(
                     ["REPL.PING", store.node_id, str(store.map.epoch)]
                 )
                 self._last_seen[info.node_id] = time.monotonic()
                 peer_epoch = int(reply[2])
                 if peer_epoch > store.map.epoch:
-                    fetched = await peer.command(["CLUSTER"])
-                    await self._adopt_remote_map(
-                        ClusterMap.from_json(fetched[1])
-                    )
+                    await self._adopt_remote_map(await fetch_map(peer))
                 elif peer_epoch < store.map.epoch:
                     # Gossip *push*: under a lopsided partition the
                     # stale peer may be unable to dial anyone (its pull
@@ -680,22 +688,22 @@ class ClusterNode(KVServer):
                     # connections — this reply-path push is the only way
                     # a newer epoch reaches it, and the stale primary's
                     # adopt_map demotion rides on it.
-                    await peer.command(["CLUSTER", store.map.to_json()])
+                    await push_map(peer, store.map)
         except Exception:
             return  # unreachable or refused: the lease clock decides
 
-    async def _adopt_remote_map(self, new_map: ClusterMap) -> None:
-        """Adopt a newer map learned from a peer (gossip pull)."""
-        store = self.node_store
-        if new_map.epoch <= store.map.epoch:
-            return
-        await self._run_engine(store.adopt_map, new_map)
-        self._reconcile_replication()
+    async def _adopt_remote_map(self, new_map: ClusterMap) -> bool:
+        """Adopt a map learned from outside (a push, gossip, a peer's
+        reply) and re-match the shippers; whether anything changed."""
+        changed = await self._run_engine(self.node_store.adopt_map, new_map)
+        if changed:
+            self._reconcile_replication()
+        return changed
 
-    async def _check_leases(self) -> None:
-        """Promote shards whose primary's lease expired."""
+    async def _check_leases(self, now: float) -> None:
+        """Promote shards whose primary's lease expired as of ``now``
+        (the heartbeat loop's ``time.monotonic()``)."""
         store = self.node_store
-        now = time.monotonic()
         for peer_id in list(store.map.nodes):
             if peer_id == store.node_id:
                 continue
@@ -725,7 +733,7 @@ class ClusterNode(KVServer):
         possibly stale standby beats serving wrong data."""
         store = self.node_store
         fresh = set(store.promotable_shards())
-        slack = 2.0 * self.heartbeat_interval_s + 0.05
+        slack = self.promotion_slack_s
         shards: List[int] = []
         for shard in store.map.shards_of(peer_id):
             if store.map.replica_id(shard) != store.node_id:
@@ -760,8 +768,8 @@ class ClusterNode(KVServer):
         self._reconcile_replication()
         await self._broadcast_map(new_map, exclude=(peer_id,))
 
-    async def _update_fences(self) -> None:
-        """Primary self-fencing (opt-in via ``self_fence``).
+    async def _update_fences(self, now: float) -> None:
+        """Primary self-fencing (opt-in via ``self_fence``), as of ``now``.
 
         Fence: an owned replicated shard whose standby has shown no sign
         of life for ``fence_timeout_s`` stops acking writes — before any
@@ -779,7 +787,6 @@ class ClusterNode(KVServer):
         if not self.self_fence:
             return
         store = self.node_store
-        now = time.monotonic()
         for shard, shipper in list(self._shippers.items()):
             if shard not in self._standby_armed:
                 # An unarmed standby (never seeded this tenure) cannot
@@ -816,7 +823,7 @@ class ClusterNode(KVServer):
                 continue
             try:
                 async with self._dial(info, self.repl_timeout_s) as peer:
-                    await peer.command(["CLUSTER", new_map.to_json()])
+                    await push_map(peer, new_map)
             except Exception:
                 continue
 
@@ -993,7 +1000,7 @@ class _ShardShipper:
         waiter: Optional[_Waiter] = None
         with self._lock:
             if self._accepting:
-                if self.node.repl_sync and self._streaming:
+                if self._streaming:
                     waiter = _Waiter()
                 self._buffer.append((ops, waiter))
                 self._pending_records += len(ops)
@@ -1003,7 +1010,7 @@ class _ShardShipper:
         self._loop.call_soon_threadsafe(self._wake.set)
         acked = False
         if waiter is not None:
-            # Sync mode: hold the commit until the replica acked the
+            # Hold the commit until the replica acked the
             # group (or the stream degraded and released everyone).
             # Bounded — a hung replica must not wedge the primary's
             # write path past the lease it would be declared dead by.
@@ -1011,7 +1018,6 @@ class _ShardShipper:
             acked = done and waiter.acked
         if (
             self.node.self_fence
-            and self.node.repl_sync
             and not acked
             and self.shard in self.node._standby_armed
         ):
@@ -1093,9 +1099,7 @@ class _ShardShipper:
                 except Exception:
                     self._release_all("retrying")
                     delay = backoff * (0.5 + random.random() * 0.5)
-                    backoff = min(
-                        backoff * 2.0, self.node.lease_timeout_s * 2.0
-                    )
+                    backoff = min(backoff * 2.0, self.node.ship_backoff_cap_s)
                     await asyncio.sleep(delay)
         finally:
             self._release_all("stopped")

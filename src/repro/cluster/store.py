@@ -828,19 +828,19 @@ class NodeStore:
             fault_point("repl.node.promote.done", scope=self.node_id)
 
     def adopt_map(self, new_map: ClusterMap) -> bool:
-        """Install a newer map, demoting this node where ownership moved
-        away from it; returns whether anything changed.
+        """Install a newer map — the one way a map learned from outside
+        (a ``CLUSTER`` push, gossip, a peer's reply, a bootstrap) enters
+        this node; returns whether anything changed.
 
-        The failover-aware superset of :meth:`install_map`: a shard the
-        new map assigns to another node is *demoted* — our stale tree
-        stops serving (later writes answer MOVED; racing ones are
-        fenced) — which is exactly the safe-rejoin step for a restarted
-        old primary observing the promotion epoch. The stale directory
-        is kept until the new primary's ``REPL.SYNC`` wipes and reseeds
-        it, as the operator's backstop for an async-mode loss window. A
-        map that would *grant* us shards is still rejected: ownership is
-        gained only through a migration seal or a promotion, never a
-        push.
+        An epoch not newer than ours is ignored. A membership-only
+        change just installs. A shard the new map assigns to another
+        node is *demoted* — our stale tree stops serving (later writes
+        answer MOVED; racing ones are fenced) — which is exactly the
+        safe-rejoin step for a restarted old primary observing the
+        promotion epoch; the stale directory is kept until the new
+        primary's ``REPL.SYNC`` wipes and reseeds it. A map that would
+        *grant* us shards is rejected: ownership is gained only through
+        a migration seal or a promotion, never a push.
         """
         self._check_open()
         with self._transition_lock:
@@ -874,38 +874,6 @@ class NodeStore:
             for shard in self._inbound_shards(REPLICA):
                 if new_map.replica_id(shard) != self.node_id:
                     self._inbound.pop(shard).tree.close()
-            return True
-
-    # -- map installation -----------------------------------------------------
-
-    def install_map(self, new_map: ClusterMap) -> bool:
-        """Adopt a pushed map when it is newer and consistent; returns
-        whether anything changed.
-
-        Guard: the pushed map must assign this node exactly the shards
-        it is actually serving — a map that would orphan a live tree (or
-        claim a tree we don't have) is rejected, because ownership
-        changes must go through the migration protocol, not a push.
-        """
-        self._check_open()
-        with self._transition_lock:
-            if new_map.epoch <= self.map.epoch:
-                return False
-            if self.node_id not in new_map.nodes:
-                raise ConfigError(
-                    f"pushed map (epoch {new_map.epoch}) drops node "
-                    f"{self.node_id!r} while it is serving"
-                )
-            if set(new_map.shards_of(self.node_id)) != set(self.trees):
-                raise ConfigError(
-                    f"pushed map (epoch {new_map.epoch}) assigns "
-                    f"{new_map.shards_of(self.node_id)} to "
-                    f"{self.node_id!r} which serves "
-                    f"{sorted(self.trees)}; ownership changes require "
-                    "migration"
-                )
-            new_map.save(self._wal_dir)
-            self.map = new_map
             return True
 
     # -- lifecycle ------------------------------------------------------------
@@ -1034,7 +1002,7 @@ def migrate_shard(
         # missed; every change to *our* shards goes through us, so it
         # can only differ in other nodes' placements — installable).
         # Adopt it so the flip epoch exceeds both maps.
-        source.install_map(dest.map)
+        source.adopt_map(dest.map)
     tail = source.migration_attach_tail(shard)
     scope = source._scope(shard)
 
@@ -1069,14 +1037,31 @@ def migrate_shard(
         if not source._closed and shard in source.trees:
             source.abort_migration(shard)
         raise
+    return migration_stats(
+        source,
+        shard,
+        dest.node_id,
+        snapshot_pairs=snapshot_pairs,
+        tail_ops=tail.total_ops,
+        fence_ms=(time.monotonic() - fence_started) * 1000.0,
+    )
+
+
+def migration_stats(
+    source: NodeStore, shard: int, dest_id: str, **moved: object
+) -> Dict[str, object]:
+    """What ``MIGRATE`` answers, built after the release (``epoch`` is
+    the flip's). Without ``moved`` counts it reports a move that shipped
+    nothing: an earlier flip found sealed."""
     return {
         "shard": shard,
         "from": source.node_id,
-        "to": dest.node_id,
+        "to": dest_id,
         "epoch": source.map.epoch,
-        "snapshot_pairs": snapshot_pairs,
-        "tail_ops": tail.total_ops,
-        "fence_ms": (time.monotonic() - fence_started) * 1000.0,
+        "snapshot_pairs": 0,
+        "tail_ops": 0,
+        "fence_ms": 0.0,
+        **moved,
     }
 
 
@@ -1107,7 +1092,7 @@ def replicate_local(
     """
     dest.inbound_begin(shard, REPLICA, source.map)
     if dest.map.epoch > source.map.epoch:
-        source.install_map(dest.map)
+        source.adopt_map(dest.map)
 
     def ship(entries: List[Entry]) -> None:
         dest.replica_apply(

@@ -227,14 +227,3 @@ class TreeStats:
             }
         scalars["filter_skip_rate"] = self.filter_skip_rate
         return scalars
-
-    def latency_summary(self) -> Dict[str, float]:
-        """p50/p99/p999 of the recorded write and read latencies."""
-        return {
-            "write_p50_us": percentile(self.write_latencies_us, 0.50),
-            "write_p99_us": percentile(self.write_latencies_us, 0.99),
-            "write_p999_us": percentile(self.write_latencies_us, 0.999),
-            "read_p50_us": percentile(self.read_latencies_us, 0.50),
-            "read_p99_us": percentile(self.read_latencies_us, 0.99),
-            "read_p999_us": percentile(self.read_latencies_us, 0.999),
-        }

@@ -92,6 +92,12 @@ MODES = ("sync", "async")
 PRIMARY_DIR = "primary"
 REPLICA_DIR = "replica"
 
+#: Per-shard replication queue bound, in *records*: shippers block
+#: (backpressure) once this many are queued. It is the async mode's
+#: documented lag window — a crash loses at most the queued records
+#: (plus the group being applied).
+QUEUE_CAPACITY = 1024
+
 #: Per-shard replication states beyond the configured mode.
 PROMOTED = "promoted"
 REPLICA_LOST = "replica-lost"
@@ -150,9 +156,6 @@ class ShardReplicator:
         replica: The standby tree groups are applied to.
         sync: Whether ``ship`` blocks until the group is applied
             (replica-WAL durable) before returning.
-        capacity: Maximum *records* queued before shippers block. This
-            is the async mode's documented lag window: a crash loses at
-            most the queued records (plus the group being applied).
     """
 
     def __init__(
@@ -161,14 +164,10 @@ class ShardReplicator:
         replica: LSMTree,
         *,
         sync: bool,
-        capacity: int = 1024,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1 record")
         self.index = index
         self.replica = replica
         self.sync = sync
-        self.capacity = capacity
         self._scope = f"shard-{index:02d}"
         self._queue: Deque[_Group] = deque()
         self._queued_records = 0
@@ -204,7 +203,7 @@ class ShardReplicator:
         group = _Group(entries, threading.Event() if self.sync else None)
         with self._cond:
             while (
-                self._queued_records >= self.capacity
+                self._queued_records >= QUEUE_CAPACITY
                 and not self._stopped
                 and self._error is None
             ):
@@ -334,8 +333,7 @@ class ReplicatedStore(ShardedStore):
             logs to ship).
         mode: ``"sync"`` (default — acked implies replica-durable) or
             ``"async"`` (acked implies locally durable; replica lags by
-            at most ``queue_capacity`` records).
-        queue_capacity: Per-shard replication queue bound, in records.
+            at most :data:`QUEUE_CAPACITY` records).
     """
 
     def __init__(
@@ -348,7 +346,6 @@ class ReplicatedStore(ShardedStore):
         boundaries: Optional[Sequence[str]] = None,
         wal_dir: Optional[str] = None,
         merge_operator: Optional[MergeOperator] = None,
-        queue_capacity: int = 1024,
         _recover: bool = False,
     ) -> None:
         if mode not in MODES:
@@ -401,12 +398,7 @@ class ReplicatedStore(ShardedStore):
                 for path in replica_paths
             ]
         self._replicators = [
-            ShardReplicator(
-                index,
-                replica,
-                sync=(mode == "sync"),
-                capacity=queue_capacity,
-            )
+            ShardReplicator(index, replica, sync=(mode == "sync"))
             for index, replica in enumerate(self.replicas)
         ]
         for index, shard in self.shards.items():
@@ -628,7 +620,6 @@ class ReplicatedStore(ShardedStore):
         *,
         mode: str = "sync",
         merge_operator: Optional[MergeOperator] = None,
-        queue_capacity: int = 1024,
     ) -> "ReplicatedStore":
         """Rebuild primaries *and* replicas from their own WALs.
 
@@ -659,6 +650,5 @@ class ReplicatedStore(ShardedStore):
             boundaries=manifest["boundaries"] or None,
             wal_dir=wal_dir,
             merge_operator=merge_operator,
-            queue_capacity=queue_capacity,
             _recover=True,
         )

@@ -16,14 +16,13 @@ Failure handling, from transient to terminal:
   backoff.
 * A connection reset or EOF — including mid-pipeline, where every
   in-flight request fails with ``ConnectionError`` — triggers a bounded
-  reconnect loop (``reconnect_retries`` attempts with jittered backoff)
+  reconnect loop (``reconnect_retries`` attempts with jittered,
+  doubling backoff from :data:`RECONNECT_BACKOFF_S`)
   when the client was built via :meth:`connect`, after which the failed
   call is resent. **At-least-once caveat:** a write whose reply was lost
   to the reset may have committed before the crash; resending it applies
   it again. That is idempotent for PUT/DELETE but double-applies
   merge-style batches.
-* ``retry_deadline_s`` bounds the *total* time one call spends across
-  BUSY retries and reconnects; past it the last error surfaces.
 * ``ERR UNAVAILABLE <shard>`` (a quarantined shard in degraded mode)
   raises :class:`UnavailableError` immediately — it is retryable *by the
   application* once the operator restores the shard, but the client does
@@ -47,13 +46,22 @@ from ..errors import SnapshotExpiredError as _EngineSnapshotExpiredError
 from ..errors import TxnConflictError as _EngineTxnConflictError
 from .protocol import (
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
     BatchOp,
     FrameParser,
     ProtocolError,
     encode_batch,
     encode_message,
 )
+
+
+#: BUSY retry backoff window: the first delay, doubled per BUSY reply up
+#: to the cap (each jittered).
+BUSY_BACKOFF_BASE_S = 0.005
+BUSY_BACKOFF_MAX_S = 0.25
+
+#: Delay before the first reconnect attempt (jittered, doubled per
+#: attempt).
+RECONNECT_BACKOFF_S = 0.05
 
 
 async def _open_connection(
@@ -168,13 +176,10 @@ class KVClient:
             connection (reply ordering is lost past a missing reply).
         max_busy_retries: BUSY replies absorbed per call before
             :class:`BusyError`.
-        backoff_base_s / backoff_max_s: BUSY retry backoff window.
         reconnect_retries: Reconnect attempts per call after a
             connection reset/EOF (0 disables; reconnection also requires
             the client to have been built via :meth:`connect`, which
             records the address).
-        reconnect_backoff_s: Base delay between reconnect attempts
-            (jittered, doubled per attempt).
         connect_timeout_s: Bound on establishing the TCP connection, in
             :meth:`connect` and every reconnect. Without it a blackholed
             address (a partitioned node, a dropped SYN) hangs the
@@ -182,9 +187,6 @@ class KVClient:
             reply timeout never arms because no request was ever sent;
             with it the caller (and the cluster client's circuit
             breaker) sees a fast ``ConnectionError`` instead.
-        retry_deadline_s: Wall-clock bound on one call's total retrying
-            (BUSY + reconnect); ``None`` means bounded only by the retry
-            counts.
         protocol_version: Wire protocol version to request via the
             ``HELLO`` handshake at connect time. The default ``1`` sends
             no handshake at all — the byte stream is identical to older
@@ -202,12 +204,8 @@ class KVClient:
         *,
         timeout_s: float = 10.0,
         max_busy_retries: int = 8,
-        backoff_base_s: float = 0.005,
-        backoff_max_s: float = 0.25,
         reconnect_retries: int = 3,
-        reconnect_backoff_s: float = 0.05,
         connect_timeout_s: float = 5.0,
-        retry_deadline_s: Optional[float] = None,
         protocol_version: int = 1,
     ) -> None:
         self._reader = reader
@@ -217,12 +215,8 @@ class KVClient:
         self._requested_version = protocol_version
         self.timeout_s = timeout_s
         self.max_busy_retries = max_busy_retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
         self.reconnect_retries = reconnect_retries
-        self.reconnect_backoff_s = reconnect_backoff_s
         self.connect_timeout_s = connect_timeout_s
-        self.retry_deadline_s = retry_deadline_s
         #: BUSY replies absorbed by the retry loop (observability).
         self.busy_retries = 0
         #: Successful reconnects performed by the retry loop.
@@ -326,45 +320,21 @@ class KVClient:
         """Delete one key (retried on BUSY)."""
         await self._call(["DELETE", key])
 
-    def request_nowait(self, fields: List[str]) -> "asyncio.Future":
-        """Issue one raw request on the pipeline; return its reply future.
-
-        The hot-path issue API: a plain synchronous call that queues the
-        encoded frame on the write cork and registers a reply future — no
-        per-request coroutine, task, or flow-control await. A window of
-        these rides one transport write and one gather::
-
-            futures = [client.request_nowait(["PUT", k, v]) for k, v in kvs]
-            replies = await asyncio.gather(*futures)
-
-        The future resolves with the raw reply fields (``["OK"]``,
-        ``["BUSY", ...]``, ``["ERR", ...]``, ...) — unlike :meth:`put` /
-        :meth:`get`, nothing is retried or raised for error replies, and
-        transport backpressure is not awaited; callers that need those
-        guarantees use the coroutine API. Raises the poisoning error
-        immediately if the connection is already broken.
-        """
-        if self._broken is not None:
-            raise self._broken
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._pending.append((future, loop.time() + self.timeout_s, 1, None))
-        if self._timeout_handle is None:
-            self._arm_timeout()
-        self._send_frame(encode_message(fields))
-        return future
-
     def request_many(self, requests: List[List[str]]) -> "asyncio.Future":
         """Issue a whole pipelined window; one future for all its replies.
 
-        The window-granular sibling of :meth:`request_nowait`: N requests
+        The hot-path issue API: a plain synchronous call — no
+        per-request coroutine, task, or flow-control await. N requests
         ride one encoded buffer, one pending-queue entry, and one reply
         future that resolves to the N raw replies in request order. This
         is the cheapest way to drive a deep pipeline — per *window* cost
         replaces per *request* cost for the future, the timeout
         accounting, and the gather bookkeeping the caller no longer
-        needs. Same contract as :meth:`request_nowait` otherwise: raw
-        replies (BUSY/ERR included), no retries, no flow-control await.
+        needs. The replies are raw (``["OK"]``, ``["BUSY", ...]``,
+        ``["ERR", ...]``, ...): unlike :meth:`put` / :meth:`get`,
+        nothing is retried or raised for error replies; callers that
+        need those guarantees use the coroutine API. Raises the
+        poisoning error immediately if the connection is already broken.
         """
         if self._broken is not None:
             raise self._broken
@@ -414,21 +384,6 @@ class KVClient:
         return int(reply[1]) if len(reply) > 1 else 0
 
     # -- transactional / snapshot operations (protocol v2) -------------------
-
-    async def hello(self, version: int = PROTOCOL_VERSION) -> int:
-        """Negotiate the wire protocol version; returns the result.
-
-        Usually implicit: ``connect(..., protocol_version=2)`` performs
-        the handshake (and repeats it after every reconnect). Calling it
-        directly upgrades a client built around an existing transport.
-        """
-        reply = await self._call(["HELLO", str(version)])
-        if reply[0] != "HELLO" or len(reply) != 2:
-            raise ProtocolError(f"unexpected HELLO reply {reply!r}")
-        negotiated = int(reply[1])
-        self.protocol_version = negotiated
-        self._requested_version = max(self._requested_version, version)
-        return negotiated
 
     async def snapshot(self) -> str:
         """Open a server-side snapshot; returns its token.
@@ -524,18 +479,11 @@ class KVClient:
         """Send a request; absorb BUSY and connection resets; raise ERR.
 
         One loop, two retry budgets: ``max_busy_retries`` BUSY replies
-        and ``reconnect_retries`` reconnects, both additionally bounded
-        by ``retry_deadline_s`` of total wall-clock time.
+        and ``reconnect_retries`` reconnects.
         """
-        loop = asyncio.get_running_loop()
-        deadline = (
-            loop.time() + self.retry_deadline_s
-            if self.retry_deadline_s is not None
-            else None
-        )
         busy_attempts = 0
         reconnect_attempts = 0
-        busy_delay = self.backoff_base_s
+        busy_delay = BUSY_BACKOFF_BASE_S
         while True:
             try:
                 reply = await self._request(fields)
@@ -557,10 +505,10 @@ class KVClient:
                     ):
                         raise
                     reconnect_attempts += 1
-                    delay = self.reconnect_backoff_s * (
+                    delay = RECONNECT_BACKOFF_S * (
                         2 ** (reconnect_attempts - 1)
                     )
-                    await self._backoff(delay, deadline, exc)
+                    await self._backoff(delay)
                     try:
                         await self._reconnect()
                     except (ConnectionError, OSError) as retry_exc:
@@ -574,8 +522,8 @@ class KVClient:
                 message = reply[1] if len(reply) > 1 else "busy"
                 if busy_attempts > self.max_busy_retries:
                     raise BusyError(message)
-                await self._backoff(busy_delay, deadline, BusyError(message))
-                busy_delay = min(busy_delay * 2, self.backoff_max_s)
+                await self._backoff(busy_delay)
+                busy_delay = min(busy_delay * 2, BUSY_BACKOFF_MAX_S)
                 continue
             if reply[0] == "ERR":
                 code = reply[1] if len(reply) > 1 else "UNKNOWN"
@@ -615,13 +563,8 @@ class KVClient:
         )
 
     @staticmethod
-    async def _backoff(
-        delay: float, deadline: Optional[float], error: Exception
-    ) -> None:
-        """Sleep ``delay`` plus jitter, or raise ``error`` past deadline."""
-        loop = asyncio.get_running_loop()
-        if deadline is not None and loop.time() + delay >= deadline:
-            raise error
+    async def _backoff(delay: float) -> None:
+        """Sleep ``delay`` plus jitter."""
         await asyncio.sleep(delay + random.uniform(0, delay))
 
     async def _reconnect(self) -> None:

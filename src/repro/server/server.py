@@ -121,6 +121,13 @@ class _ConnState:
                 pass  # a dying engine's pins die with it
         self.snapshots.clear()
 
+#: Cap on client ops folded into one group commit.
+_GROUP_COMMIT_MAX_OPS = 512
+
+#: Reply delay applied per write run while the engine reports the
+#: *slowdown* state.
+_SLOWDOWN_DELAY_S = 0.002
+
 #: Transport write-buffer high-water mark. Raised above asyncio's 64 KiB
 #: default so a burst of coalesced pipelined replies does not flap the
 #: flow-control pause/resume machinery.
@@ -175,12 +182,10 @@ class _GroupCommitter:
         store: KVStore,
         executor: ThreadPoolExecutor,
         metrics: ServerMetrics,
-        max_ops_per_commit: int,
     ) -> None:
         self._store = store
         self._executor = executor
         self._metrics = metrics
-        self._max_ops = max_ops_per_commit
         self._queue: Deque[Tuple[List[BatchOp], asyncio.Future]] = deque()
         self._wakeup = asyncio.Event()
         self._task: Optional[asyncio.Task] = None
@@ -215,10 +220,6 @@ class _GroupCommitter:
         self._wakeup.set()
         return future
 
-    async def submit(self, ops: List[BatchOp]) -> None:
-        """Queue ``ops`` for the next commit; resolves when durable."""
-        await self.submit_nowait(ops)
-
     async def _drain(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
@@ -227,7 +228,7 @@ class _GroupCommitter:
             while self._queue:
                 batch: List[Tuple[List[BatchOp], asyncio.Future]] = []
                 ops: List[BatchOp] = []
-                while self._queue and len(ops) < self._max_ops:
+                while self._queue and len(ops) < _GROUP_COMMIT_MAX_OPS:
                     sub_ops, future = self._queue.popleft()
                     batch.append((sub_ops, future))
                     ops.extend(sub_ops)
@@ -261,19 +262,16 @@ class KVServer:
         host / port: Bind address; ``port=0`` picks a free port, readable
             from :attr:`port` after :meth:`start`.
         max_connections: Connections beyond this are answered with one
-            ``ERR MAXCONN`` frame and closed immediately.
-        max_request_bytes: Per-request frame-size ceiling; an oversized
-            frame gets ``ERR PROTOCOL`` and the connection is closed
-            (framing cannot be trusted past that point).
+            ``ERR MAXCONN`` frame and closed immediately. (A frame
+            larger than :data:`~repro.server.protocol.MAX_FRAME_BYTES`
+            gets ``ERR PROTOCOL`` and the connection is closed too:
+            framing cannot be trusted past that point.)
         executor_threads: Bound on concurrent engine calls. ``None``
             (default) sizes it to ``max(4, num_shards)`` so every shard's
             commit can be in flight at once.
         group_commit: Coalesce concurrent writes into shared engine
             commits (on by default; off = one engine call per request,
             the contrast ``bench_e22`` measures).
-        group_commit_max_ops: Cap on client ops folded into one commit.
-        slowdown_delay_s: Reply delay applied per write while the engine
-            reports the *slowdown* state.
         owns_tree: Close the store on :meth:`stop`.
     """
 
@@ -284,20 +282,15 @@ class KVServer:
         port: int = 0,
         *,
         max_connections: int = 128,
-        max_request_bytes: int = MAX_FRAME_BYTES,
         executor_threads: Optional[int] = None,
         group_commit: bool = True,
-        group_commit_max_ops: int = 512,
-        slowdown_delay_s: float = 0.002,
         owns_tree: bool = False,
     ) -> None:
         self.store = store
         self.host = host
         self.port = port
         self.max_connections = max_connections
-        self.max_request_bytes = max_request_bytes
         self.group_commit = group_commit
-        self.slowdown_delay_s = slowdown_delay_s
         self.metrics = ServerMetrics()
         self._owns_tree = owns_tree
         #: One committer per shard when the store routes by shard; a
@@ -316,9 +309,7 @@ class KVServer:
             max_workers=executor_threads, thread_name_prefix="kv-engine"
         )
         self._committers = [
-            _GroupCommitter(
-                store, self._executor, self.metrics, group_commit_max_ops
-            )
+            _GroupCommitter(store, self._executor, self.metrics)
             for _ in range(num_committers)
         ]
         #: Verbs a window defers into its write run. One committer makes
@@ -387,7 +378,7 @@ class KVServer:
         self._writers.add(writer)
         self.metrics.connection_opened()
         tune_transport(writer)
-        parser = FrameParser(self.max_request_bytes)
+        parser = FrameParser(MAX_FRAME_BYTES)
         conn = _ConnState()
         try:
             while True:
@@ -623,8 +614,8 @@ class KVServer:
                 f"(level0_runs={state['level0_runs']}, "
                 f"immutable_buffers={state['immutable_buffers']}); retry",
             ]
-        if state["state"] == "slowdown" and self.slowdown_delay_s > 0:
-            await asyncio.sleep(self.slowdown_delay_s)
+        if state["state"] == "slowdown":
+            await asyncio.sleep(_SLOWDOWN_DELAY_S)
             self.metrics.slowdown_delays += requests
         return None
 

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import asyncio
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cluster import local_cluster
 
 
 class TestParser:
@@ -227,6 +231,79 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith("repro: error: ")
         assert "Traceback" not in captured.err and not captured.out
+
+
+def _tables(output: str):
+    """``(title, headers)`` of every table in ``output`` — a table is
+    the two lines above a dashes row."""
+    lines = output.splitlines()
+    return [
+        (lines[index - 2], re.split(r"\s{2,}", lines[index - 1].strip()))
+        for index, line in enumerate(lines)
+        if index >= 2 and line.strip() and set(line.strip()) <= {"-", " "}
+    ]
+
+
+class TestClusterAdminTables:
+    """Titles and column headers of ``cluster status`` / ``cluster
+    rebalance``, pinned before their handlers moved out of ``cli.py``
+    (``main`` runs on a thread: it owns an event loop of its own)."""
+
+    def test_status_and_rebalance_tables_are_unchanged(self, capsys, tmp_path):
+        async def scenario():
+            async with local_cluster(
+                tmp_path,
+                shape="replicated",
+                heartbeat_interval_s=0.1,
+                lease_timeout_s=0.6,
+            ) as (servers, stores, live):
+                port = str(servers[0].port)
+                members = [
+                    f"--node={node.node_id}={node.address}"
+                    for node in live.nodes.values()
+                ]
+
+                async def run(*argv):
+                    capsys.readouterr()
+                    code = await asyncio.to_thread(main, ["cluster", *argv])
+                    assert code == 0
+                    return capsys.readouterr().out
+
+                out = await run("status", "--port", port)
+                assert _tables(out) == [
+                    (
+                        f"cluster status via 127.0.0.1:{port} (epoch 1, "
+                        "4 shards, hash routing)",
+                        ["node", "address", "shards", "replica-of", "health",
+                         "epoch", "heartbeat"],
+                    ),
+                    (
+                        "replication (as reported by each primary)",
+                        ["shard", "primary", "replica", "state",
+                         "lag-records", "lag-bytes", "missed"],
+                    ),
+                ]
+                out = await run("rebalance", "--port", port)
+                assert out == "cluster already balanced; nothing to move\n"
+                out = await run(
+                    "rebalance", "--port", port, "--dry-run", *members,
+                    "--node=c=127.0.0.1:7613",
+                )
+                assert _tables(out) == [
+                    ("rebalance plan (1 moves, dry run)", ["shard", "from", "to"])
+                ]
+                assert stores[0].map.epoch == 1  # a dry run publishes nothing
+                out = await run("rebalance", "--port", port, members[0])
+                assert _tables(out) == [
+                    (
+                        "rebalanced 2 shards (map now epoch 3)",
+                        ["shard", "from", "to", "snapshot pairs", "tail ops",
+                         "fence (ms)"],
+                    )
+                ]
+                assert stores[0].owned_shards() == [0, 1, 2, 3]
+
+        asyncio.run(scenario())
 
 
 def _surface(parser) -> str:

@@ -359,14 +359,11 @@ class TestNodeStore:
     def test_install_map_requires_newer_epoch(self, tmp_path):
         store_a, store_b = _two_node_stores(tmp_path)
         try:
-            assert store_a.install_map(store_a.map) is False
-            grown = ClusterMap(
-                store_a.map.assignments,
-                list(store_a.map.nodes.values())
-                + [NodeInfo("c", "127.0.0.1", 7613)],
-                epoch=1,
+            assert store_a.adopt_map(store_a.map) is False
+            grown = store_a.map.with_members(
+                [*store_a.map.nodes.values(), NodeInfo("c", "127.0.0.1", 7613)]
             )
-            assert store_a.install_map(grown) is True
+            assert store_a.adopt_map(grown) is True
             assert store_a.map.epoch == 1
         finally:
             store_a.close()
@@ -377,7 +374,47 @@ class TestNodeStore:
         try:
             stolen = store_a.map.with_assignment(0, "b")
             with pytest.raises(ConfigError):
-                store_a.install_map(stolen)
+                store_b.adopt_map(stolen)  # a push never grants a shard
+        finally:
+            store_a.close()
+            store_b.close()
+
+    @pytest.mark.parametrize(
+        "row", ["older-epoch", "membership-only", "grants-shards", "takes-shards-away"]
+    )
+    def test_map_entry_point_table(self, tmp_path, row):
+        """The one map entry point, decided row by row. Written against
+        both ``install_map`` and ``adopt_map`` before they merged: they
+        agreed on the first three rows and differed on the last, where
+        ``install_map`` refused in-process what ``CLUSTER <map>`` on the
+        wire (``adopt_map``) already did — demote."""
+        store_a, store_b = _two_node_stores(tmp_path)
+        enter = store_a.adopt_map
+        try:
+            current = store_a.map
+            if row == "older-epoch":
+                assert enter(current) is False
+                assert store_a.map is current
+            elif row == "membership-only":
+                grown = current.with_members(
+                    [*current.nodes.values(), NodeInfo("c", "127.0.0.1", 7613)]
+                )
+                assert enter(grown) is True
+                assert store_a.map == grown
+                assert ClusterMap.load(str(tmp_path / "a")) == grown
+                assert store_a.owned_shards() == [0, 2]
+            elif row == "grants-shards":
+                with pytest.raises(ConfigError, match="grants|assigns"):
+                    enter(current.with_assignment(1, "a"))
+                assert store_a.map is current
+                assert store_a.owned_shards() == [0, 2]
+            else:
+                taken = current.with_assignment(0, "b")
+                assert enter(taken) is True
+                assert store_a.map == taken
+                assert store_a.owned_shards() == [2]
+                with pytest.raises(ShardMovedError):
+                    store_a.put(keys_for_shard(0, 1, NUM_SHARDS, "tk")[0], "v")
         finally:
             store_a.close()
             store_b.close()
@@ -782,11 +819,8 @@ class TestClusterWire:
                     reply = await raw.command(["CLUSTER"])
                     assert reply[0] == "CLUSTER"
                     assert ClusterMap.from_json(reply[1]) == live
-                    grown = ClusterMap(
-                        live.assignments,
-                        list(live.nodes.values())
-                        + [NodeInfo("c", "127.0.0.1", 1)],
-                        epoch=live.epoch + 1,
+                    grown = live.with_members(
+                        [*live.nodes.values(), NodeInfo("c", "127.0.0.1", 1)]
                     )
                     reply = await raw.command(
                         ["CLUSTER", grown.to_json()]
@@ -803,8 +837,10 @@ class TestClusterWire:
         asyncio.run(scenario())
 
     def test_redirect_budget_exhaustion_raises_cluster_error(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr("repro.cluster.client.MAX_REDIRECTS", 2)
+
         async def scenario():
             async with local_cluster(tmp_path) as (servers, stores, live):
                 # A map lying about ownership: every shard "owned" by a,
@@ -816,7 +852,7 @@ class TestClusterWire:
                     list(live.nodes.values()),
                     epoch=99,
                 )
-                client = ClusterClient(lying, max_redirects=2)
+                client = ClusterClient(lying)
                 key = keys_for_shard(
                     stores[1].owned_shards()[0], 1, live.num_shards, "tk"
                 )[0]
@@ -838,11 +874,8 @@ class TestClusterWire:
                 for index in range(40):
                     await client.put(f"jk{index:03d}", "v")
                 # node c joins: start it, publish the successor map
-                grown_boot = ClusterMap(
-                    live.assignments,
-                    list(live.nodes.values())
-                    + [NodeInfo("c", "127.0.0.1", 0)],
-                    epoch=live.epoch + 1,
+                grown_boot = live.with_members(
+                    [*live.nodes.values(), NodeInfo("c", "127.0.0.1", 0)]
                 )
                 store_c = NodeStore(
                     "c",
@@ -853,14 +886,14 @@ class TestClusterWire:
                 server_c = ClusterNode(store_c, host="127.0.0.1", port=0)
                 servers.append(server_c)  # stopped with the cluster
                 await server_c.start()
-                grown = ClusterMap(
-                    live.assignments,
-                    list(live.nodes.values())
-                    + [NodeInfo("c", "127.0.0.1", server_c.port)],
-                    epoch=live.epoch + 2,
+                grown = grown_boot.with_members(
+                    [
+                        *live.nodes.values(),
+                        NodeInfo("c", "127.0.0.1", server_c.port),
+                    ]
                 )
                 for store in [*stores, store_c]:
-                    store.install_map(grown)
+                    store.adopt_map(grown)
                 # move one of a's shards (and its keys) onto c
                 moving = stores[0].owned_shards()[0]
                 assert any(

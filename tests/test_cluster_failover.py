@@ -525,6 +525,169 @@ class TestWireFailover:
         asyncio.run(scenario())
 
 
+class TestTimingArithmetic:
+    """The four windows derived from heartbeat and lease, and the two
+    decisions that read them — driven at their boundaries by passing
+    ``now`` and setting the contact clocks by hand: nothing sleeps."""
+
+    #: A heartbeat loop that never comes round during the test.
+    SLOW = {"heartbeat_interval_s": 10.0, "lease_timeout_s": 50.0}
+
+    def test_derived_windows(self, tmp_path):
+        _, stores = _replicated_stores(tmp_path)
+        try:
+            def windows(**timing):
+                node = ClusterNode(stores["a"], port=0, **timing)
+                return (
+                    node.lease_timeout_s,
+                    node.fence_timeout_s,
+                    node.promotion_slack_s,
+                    node.ping_budget_s,
+                    node.ship_backoff_cap_s,
+                )
+
+            # lease defaults to four heartbeats; fence = lease − 2·hb
+            assert windows() == (4.0, 2.0, 2.05, 2.0, 8.0)
+            assert windows(**self.SLOW) == (50.0, 30.0, 20.05, 25.0, 100.0)
+            # a lease within two heartbeats: fence falls back to half
+            assert windows(heartbeat_interval_s=1.0, lease_timeout_s=2.0)[1] == 1.0
+            assert windows(heartbeat_interval_s=1.0, lease_timeout_s=1.5)[1] == 0.75
+            # the ping budget has a floor
+            assert windows(heartbeat_interval_s=0.01, lease_timeout_s=0.06)[3] == 0.05
+            with pytest.raises(TypeError):
+                ClusterNode(stores["a"], port=0, fence_timeout_s=60.0)
+        finally:
+            for store in stores.values():
+                store.kill()
+
+    def test_fence_at_the_fence_window_not_before(self, tmp_path):
+        async def scenario():
+            async with local_cluster(
+                tmp_path, shape="replicated", self_fence=True, **self.SLOW
+            ) as (servers, stores, live):
+                node, store = servers[0], stores[0]
+                assert node.fence_timeout_s == 30.0
+                assert node._standby_armed == {0, 2}
+                now = 1000.0
+                node._last_seen["b"] = now - 29.5  # fence − ε
+                await node._update_fences(now)
+                assert node.fence_events == []
+                assert store.repl_fenced_shards() == []
+                node._last_seen["b"] = now - 30.0  # fence
+                await node._update_fences(now)
+                assert node.fence_events == [
+                    (0, "fence", live.epoch), (2, "fence", live.epoch)
+                ]
+                assert store.repl_fenced_shards() == [0, 2]
+                # contact inside the window again, stream up: lifted
+                node._last_seen["b"] = now - 29.5
+                await node._update_fences(now)
+                assert store.repl_fenced_shards() == []
+                assert [event[1] for event in node.fence_events[2:]] == [
+                    "unfence", "unfence"
+                ]
+
+        asyncio.run(scenario())
+
+    def test_promotion_at_the_lease_not_before(self, tmp_path):
+        async def scenario():
+            async with local_cluster(
+                tmp_path, shape="replicated", **self.SLOW
+            ) as (servers, stores, live):
+                node, store = servers[1], stores[1]
+                now = 1000.0
+
+                def seen(silence: float, **stream_age: float) -> None:
+                    """a was last heard ``silence`` ago; each named
+                    shard's stream went quiet ``age`` before that."""
+                    node._last_seen["a"] = now - silence
+                    for shard, age in stream_age.items():
+                        node._ship_seen[int(shard[1:])] = now - silence - age
+
+                seen(49.5, s0=0.0, s2=0.0)  # lease − ε
+                await node._check_leases(now)
+                assert node.promotions == []
+                assert store.map.epoch == live.epoch
+                # at the lease: promote — but not the standby whose
+                # stream died more than the slack before its primary
+                seen(50.0, s0=node.promotion_slack_s + 0.01, s2=0.0)
+                await node._check_leases(now)
+                assert [p["shards"] for p in node.promotions] == [[2]]
+                assert store.owned_shards() == [1, 2, 3]
+                # past the lease, a stream quiet for just under the slack
+                seen(50.5, s0=node.promotion_slack_s - 0.01)
+                await node._check_leases(now)
+                assert [p["shards"] for p in node.promotions] == [[2], [0]]
+                assert store.owned_shards() == [0, 1, 2, 3]
+                assert store.map.epoch == live.epoch + 2
+
+        asyncio.run(scenario())
+
+
+class TestMembershipChange:
+    def test_join_map_does_not_de_replicate(self, tmp_path):
+        """Publishing the membership successor for a third node, the way
+        ``cluster serve --join`` / ``cluster rebalance`` do (``CLUSTER
+        <map>`` to every member), must leave replica placement alone.
+
+        Fails at the parent of the PR that added it: the successor both
+        commands hand-built omitted ``replicas=``, so every node answered
+        ``OK installed``, ``replicas`` went to all ``None``, both nodes
+        closed their standbys and stopped their shippers — every later
+        acked write lived on one node. The only line that differs from
+        the parent run is how ``grown`` is obtained.
+        """
+
+        async def scenario():
+            async with local_cluster(
+                tmp_path, shape="replicated", **FAST
+            ) as (servers, stores, live):
+                before = [
+                    (store.replica_shards(), store.promotable_shards())
+                    for store in stores
+                ]
+                grown = live.with_members(
+                    [*live.nodes.values(), NodeInfo("c", "127.0.0.1", 7613)]
+                )
+                for server in servers:
+                    member = await KVClient.connect("127.0.0.1", server.port)
+                    try:
+                        reply = await member.command(
+                            ["CLUSTER", grown.to_json()]
+                        )
+                    finally:
+                        await member.close()
+                    assert reply == ["OK", "installed"]
+                for store, was in zip(stores, before):
+                    assert store.map.epoch == live.epoch + 1
+                    assert "c" in store.map.nodes
+                    assert store.map.replicas == live.replicas
+                    assert (
+                        store.replica_shards(),
+                        store.promotable_shards(),
+                    ) == was
+                shippers = [
+                    shipper
+                    for server in servers
+                    for shipper in server._shippers.values()
+                ]
+                assert len(shippers) == NUM_SHARDS
+                assert all(shipper.streaming for shipper in shippers)
+                # an acked write still lands on the standby: promote it
+                # and read the key back from b's copy alone
+                shard = stores[0].owned_shards()[0]
+                key = keys_for_shard(shard, 1, NUM_SHARDS, "mk")[0]
+                async with ClusterClient(stores[0].map) as client:
+                    await client.put(key, "after-join")
+                await servers[0].stop()
+                stores[1].promote_shards(
+                    [shard], stores[1].map.with_failover([shard], "b")
+                )
+                assert stores[1].get(key) == "after-join"
+
+        asyncio.run(scenario())
+
+
 class TestWireMigrationOntoReplica:
     def test_migrate_onto_replica_node_under_shipper_retries(self, tmp_path):
         """MIGRATE a replicated shard onto its own replica node, held
@@ -627,14 +790,17 @@ class TestWireMigrationOntoReplica:
 
 
 class TestClientRobustness:
-    def test_circuit_breaker_fast_fails_repeat_connects(self, tmp_path):
+    def test_circuit_breaker_fast_fails_repeat_connects(
+        self, tmp_path, monkeypatch
+    ):
+        # stays open for the test (the cap bounds the first window too)
+        monkeypatch.setattr("repro.cluster.client.BREAKER_BACKOFF_S", 30.0)
+
         async def scenario():
             # unreplicated map: owner loss surfaces as ConnectionError
             async with local_cluster(tmp_path) as (servers, stores, live):
                 client = await ClusterClient.connect(
-                    "127.0.0.1",
-                    servers[0].port,
-                    breaker_backoff_s=30.0,  # stays open for the test
+                    "127.0.0.1", servers[0].port
                 )
                 async with client:
                     key_b = keys_for_shard(
@@ -658,7 +824,9 @@ class TestClientRobustness:
 
         asyncio.run(scenario())
 
-    def test_map_fetch_timeout_is_bounded(self):
+    def test_map_fetch_timeout_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.cluster.client.MAP_TIMEOUT_S", 0.3)
+
         async def scenario():
             async def silent(reader, writer):
                 await reader.read()  # never answer
@@ -668,9 +836,7 @@ class TestClientRobustness:
             try:
                 start = time.monotonic()
                 with pytest.raises(asyncio.TimeoutError):
-                    await ClusterClient.connect(
-                        "127.0.0.1", port, map_timeout_s=0.3
-                    )
+                    await ClusterClient.connect("127.0.0.1", port)
                 assert time.monotonic() - start < 2.0
             finally:
                 server.close()

@@ -814,8 +814,8 @@ def _ship_async_under_sync_mode(monkeypatch):
 
     real_init = ShardReplicator.__init__
 
-    def init(self, index, replica, *, sync, capacity=1024):
-        real_init(self, index, replica, sync=False, capacity=capacity)
+    def init(self, index, replica, *, sync):
+        real_init(self, index, replica, sync=False)
 
     monkeypatch.setattr(ShardReplicator, "__init__", init)
 

@@ -248,7 +248,6 @@ class TestNetProxyWire:
                     "127.0.0.1",
                     proxy.port,
                     reconnect_retries=3,
-                    reconnect_backoff_s=0.02,
                 )
                 async with client:
                     await client.put("torn", "value")
@@ -420,7 +419,6 @@ class TestPartitionFailover:
                         "127.0.0.1",
                         servers[0].port,
                         max_busy_retries=2,
-                        backoff_base_s=0.02,
                     )
                     async with direct:
                         with pytest.raises(BusyError):
@@ -461,7 +459,6 @@ class TestPartitionFailover:
                     "127.0.0.1",
                     servers[0].port,
                     max_busy_retries=2,
-                    backoff_base_s=0.02,
                 )
                 async with client:
                     await client.command(["PUT", keys[0], "pre"])

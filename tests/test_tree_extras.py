@@ -165,8 +165,10 @@ class TestPercentileEdges:
         tree = LSMTree(config_with())
         tree.put("a", "1")
         tree.get("a")
-        summary = tree.stats.latency_summary()
-        assert {"write_p50_us", "read_p99_us"} <= set(summary)
+        summary = tree.stats.to_dict()
+        for side in ("write_latencies_summary_us", "read_latencies_summary_us"):
+            assert {"count", "p50", "p99", "p999", "max"} == set(summary[side])
+            assert summary[side]["count"] == 1
 
 
 class TestConfigValidate:
