@@ -27,7 +27,7 @@ from ..core.level import Level
 from ..core.merge_operator import MergeOperator
 from ..core.range_tombstone import RangeTombstone, dedupe, max_covering_seqno
 from ..core.run import SortedRun
-from ..core.sstable import SSTable
+from ..core.sstable import SSTable, split_by_size
 from ..core.stats import TreeStats
 from ..errors import CompactionError
 from ..faults.registry import fault_point
@@ -302,29 +302,34 @@ class CompactionExecutor:
             for tombstone in table.range_tombstones
         )
 
+        # Counted locally and added to the shared stats once per job.
+        garbage_total = 0
+        dropped_total = 0
         survivors: List[Entry] = []
         for key, versions in iter_all_versions(sources):
-            cover_seqno = max_covering_seqno(job_tombstones, key)
-            if cover_seqno >= 0:
-                live = [v for v in versions if v.seqno > cover_seqno]
-                self.stats.incr(
-                    "entries_garbage_collected", len(versions) - len(live)
-                )
-                versions = live
-                if not versions:
-                    continue
+            if job_tombstones:
+                cover_seqno = max_covering_seqno(job_tombstones, key)
+                if cover_seqno >= 0:
+                    live = [v for v in versions if v.seqno > cover_seqno]
+                    garbage_total += len(versions) - len(live)
+                    versions = live
+                    if not versions:
+                        continue
             survivor, garbage, dropped = reconcile(
                 versions, bottommost, self.merge_operator
             )
-            self.stats.incr("entries_garbage_collected", garbage)
+            garbage_total += garbage
             if dropped:
-                self.stats.incr("tombstones_dropped", dropped)
+                dropped_total += dropped
                 self.stats.add_sample(
                     "tombstone_drop_ages_us",
                     self.disk.now_us - versions[0].stamp_us,
                 )
             if survivor is not None:
                 survivors.append(survivor)
+        self.stats.incr("entries_garbage_collected", garbage_total)
+        if dropped_total:
+            self.stats.incr("tombstones_dropped", dropped_total)
 
         if bottommost and job_tombstones:
             self.stats.incr("range_tombstones_dropped", len(job_tombstones))
@@ -367,23 +372,17 @@ class CompactionExecutor:
         one tombstone-only carrier file is emitted.
         """
         tombstones = list(range_tombstones or [])
-        chunks: List[List[Entry]] = []
-        chunk: List[Entry] = []
-        chunk_bytes = 0
-        for entry in entries:
-            if chunk and chunk_bytes + entry.size > self.config.target_file_bytes:
-                chunks.append(chunk)
-                chunk = []
-                chunk_bytes = 0
-            chunk.append(entry)
-            chunk_bytes += entry.size
-        if chunk:
-            chunks.append(chunk)
+        # Each entry's size is computed once, here, and handed to the
+        # table builder with its chunk.
+        sizes = [entry.size for entry in entries]
+        bounds = split_by_size(sizes, self.config.target_file_bytes)
+        chunks = [entries[start:stop] for start, stop, _ in bounds]
+        chunk_sizes = [sizes[start:stop] for start, stop, _ in bounds]
 
         if not tombstones:
             return [
-                self._build_one(part, cause, level_index, None)
-                for part in chunks
+                self._build_one(part, part_sizes, cause, level_index, None)
+                for part, part_sizes in zip(chunks, chunk_sizes)
             ]
 
         # Output-slice boundaries spanning the full effective range.
@@ -394,7 +393,7 @@ class CompactionExecutor:
             span_hi = max(span_hi, chunks[-1][-1].key + "\x00")
         if not chunks:
             return [
-                self._build_one([], cause, level_index, tombstones)
+                self._build_one([], [], cause, level_index, tombstones)
             ]
         boundaries = [span_lo]
         boundaries += [part[0].key for part in chunks[1:]]
@@ -414,13 +413,20 @@ class CompactionExecutor:
                         )
                     )
             outputs.append(
-                self._build_one(part, cause, level_index, fragments or None)
+                self._build_one(
+                    part,
+                    chunk_sizes[index],
+                    cause,
+                    level_index,
+                    fragments or None,
+                )
             )
         return outputs
 
     def _build_one(
         self,
         entries: List[Entry],
+        sizes: List[int],
         cause: str,
         level_index: int,
         range_tombstones: Optional[List[RangeTombstone]] = None,
@@ -437,6 +443,7 @@ class CompactionExecutor:
             filter_bits_per_key=bits_per_key,
             cause=cause,
             range_tombstones=range_tombstones,
+            sizes=sizes,
         )
 
     def _trivial_move(self, job: CompactionJob, levels: List[Level]) -> None:

@@ -51,6 +51,15 @@ class FilePicker(abc.ABC):
             raise ValueError(f"level {level.index} holds no files to pick")
         return files
 
+    @staticmethod
+    def _overlap_ratio(table: SSTable, next_level: Optional[Level]) -> float:
+        """Next-level bytes overlapping ``table``'s key range, per byte
+        the table would move (0 when there is no next level)."""
+        if next_level is None:
+            return 0.0
+        overlap = next_level.overlapping_run_bytes(table.min_key, table.max_key)
+        return overlap / table.data_bytes
+
 
 class RoundRobinPicker(FilePicker):
     """Cycle through the key space with one cursor per level."""
@@ -77,16 +86,13 @@ class LeastOverlapPicker(FilePicker):
 
     def pick(self, level: Level, next_level: Optional[Level]) -> SSTable:
         files = self._files_of(level)
-
-        def overlap_ratio(table: SSTable) -> float:
-            if next_level is None:
-                return 0.0
-            overlap = next_level.overlapping_run_bytes(
-                table.min_key, table.max_key
-            )
-            return overlap / table.data_bytes
-
-        return min(files, key=lambda table: (overlap_ratio(table), table.min_key))
+        return min(
+            files,
+            key=lambda table: (
+                self._overlap_ratio(table, next_level),
+                table.min_key,
+            ),
+        )
 
 
 class MostTombstonesPicker(FilePicker):
@@ -105,12 +111,7 @@ class MostTombstonesPicker(FilePicker):
 
         def score(table: SSTable):
             density = table.tombstone_count / max(1, table.entry_count)
-            if next_level is None:
-                overlap = 0.0
-            else:
-                overlap = next_level.overlapping_run_bytes(
-                    table.min_key, table.max_key
-                ) / table.data_bytes
+            overlap = self._overlap_ratio(table, next_level)
             return (-density, overlap, table.min_key)
 
         return min(files, key=score)

@@ -54,6 +54,13 @@ class EntryKind(enum.IntEnum):
     RANGE_DELETE = 4
 
 
+#: The kinds that logically invalidate older versions (see
+#: :attr:`Entry.is_tombstone`); a set, for loops that test many entries.
+TOMBSTONE_KINDS = frozenset(
+    (EntryKind.DELETE, EntryKind.SINGLE_DELETE, EntryKind.RANGE_DELETE)
+)
+
+
 @dataclass(frozen=True, slots=True)
 class Entry:
     """One immutable key-value record.
@@ -93,11 +100,7 @@ class Entry:
     @property
     def is_tombstone(self) -> bool:
         """Whether this entry logically invalidates older versions."""
-        return self.kind in (
-            EntryKind.DELETE,
-            EntryKind.SINGLE_DELETE,
-            EntryKind.RANGE_DELETE,
-        )
+        return self.kind in TOMBSTONE_KINDS
 
     @property
     def size(self) -> int:

@@ -20,7 +20,8 @@ from .sstable import ReadContext, SSTable
 
 
 class SortedRun:
-    """An ordered collection of key-disjoint SSTables.
+    """An immutable, ordered collection of key-disjoint SSTables
+    (:meth:`replace_tables` returns a new run).
 
     Args:
         tables: Files sorted by ``min_key`` with non-overlapping ranges.
@@ -38,7 +39,25 @@ class SortedRun:
                     "files within a sorted run must be key-disjoint"
                 )
         self.tables: List[SSTable] = list(ordered)
+        # Point ranges are disjoint, so both bound arrays are sorted.
         self._min_keys = [table.min_key for table in self.tables]
+        self._max_keys = [table.max_key for table in self.tables]
+        #: Positions of the files whose tombstone spans reach past their
+        #: point range: the only ones bisection over point bounds can miss.
+        self._widened = [
+            index
+            for index, table in enumerate(self.tables)
+            if table.effective_min_key < table.min_key
+            or table.effective_max_key > table.max_key
+        ]
+        #: Smallest and largest key the run affects, including tombstone
+        #: spans ("" for an empty run).
+        self.effective_min_key = min(
+            (table.effective_min_key for table in self.tables), default=""
+        )
+        self.effective_max_key = max(
+            (table.effective_max_key for table in self.tables), default=""
+        )
         #: Deduplicated range tombstones across the run's files (copies of
         #: one tombstone replicate per file; identity is (lo, hi, seqno)).
         self.range_tombstones: List[RangeTombstone] = dedupe(
@@ -81,28 +100,6 @@ class SortedRun:
         """Largest point key in the run."""
         return self.tables[-1].max_key if self.tables else ""
 
-    @property
-    def effective_min_key(self) -> str:
-        """Smallest key the run affects, including tombstone spans."""
-        return min(
-            (table.effective_min_key for table in self.tables), default=""
-        )
-
-    @property
-    def effective_max_key(self) -> str:
-        """Largest key the run affects, including tombstone spans."""
-        return max(
-            (table.effective_max_key for table in self.tables), default=""
-        )
-
-    @property
-    def max_seqno(self) -> int:
-        """Largest sequence number in the run (its recency)."""
-        return max(
-            (entry.seqno for table in self.tables for entry in table.iter_entries()),
-            default=-1,
-        )
-
     def table_for(self, key: str) -> Optional[SSTable]:
         """The single file that may contain ``key``, if any."""
         pos = bisect.bisect_right(self._min_keys, key) - 1
@@ -132,10 +129,25 @@ class SortedRun:
         return table.probe(key, ctx, digest)
 
     def overlapping_tables(self, lo: str, hi: str) -> List[SSTable]:
-        """Files whose key range intersects ``[lo, hi]`` (inclusive)."""
-        return [
-            table for table in self.tables if table.key_range_overlaps(lo, hi)
+        """Files whose effective key range intersects ``[lo, hi]``
+        (inclusive; :meth:`SSTable.key_range_overlaps`), in run order.
+
+        The files whose *point* range meets the query are one slice, found
+        by bisection; a file widened by tombstone spans may meet it outside
+        that slice too, and is tested on its own.
+        """
+        tables = self.tables
+        start = bisect.bisect_left(self._max_keys, lo)
+        stop = bisect.bisect_right(self._min_keys, hi)
+        extra = [
+            index
+            for index in self._widened
+            if not start <= index < stop
+            and tables[index].key_range_overlaps(lo, hi)
         ]
+        if not extra:
+            return tables[start:stop]
+        return [tables[i] for i in sorted(extra + list(range(start, stop)))]
 
     def iter_range(self, lo: str, hi: str, ctx: ReadContext) -> Iterator[Entry]:
         """Sorted entries with ``lo <= key < hi``, charging block I/O

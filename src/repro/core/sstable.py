@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..filters.bloom import BloomFilter, Digest, key_digest
 from ..storage.block_cache import BlockCache, HeatTracker
 from ..storage.disk import SimulatedDisk
-from .entry import Entry
+from .entry import TOMBSTONE_KINDS, Entry
 from .fence import BlockBounds, FenceIndex
 from .range_tombstone import RangeTombstone
 from .stats import TreeStats
@@ -118,6 +118,27 @@ class ReadContext:
         table.last_access_us = self.disk.now_us
 
 
+def split_by_size(
+    sizes: Sequence[int], limit: int
+) -> List[Tuple[int, int, int]]:
+    """Cut a sequence of item sizes greedily into ``(start, stop, nbytes)``
+    slices of at most ``limit`` bytes; an item larger than ``limit`` gets
+    a slice of its own. Blocks within a table and tables within a
+    compaction's output are both cut this way."""
+    slices: List[Tuple[int, int, int]] = []
+    start = 0
+    nbytes = 0
+    for index, size in enumerate(sizes):
+        if index > start and nbytes + size > limit:
+            slices.append((start, index, nbytes))
+            start = index
+            nbytes = 0
+        nbytes += size
+    if start < len(sizes):
+        slices.append((start, len(sizes), nbytes))
+    return slices
+
+
 class Block:
     """One data block: a contiguous, sorted slice of a table's entries."""
 
@@ -174,8 +195,12 @@ class SSTable:
         fence: Optional[FenceIndex],
         bloom: Optional[BloomFilter],
         created_us: float,
-        range_tombstones: Optional[List[RangeTombstone]] = None,
+        range_tombstones: Optional[List[RangeTombstone]],
+        tombstone_stamps: List[float],
     ) -> None:
+        """``tombstone_stamps`` holds the creation stamp of every point
+        tombstone among the blocks' entries (gathered by :meth:`build` in
+        its one pass over them)."""
         if not blocks and not range_tombstones:
             raise ValueError(
                 "an SSTable holds at least one block or range tombstone"
@@ -200,28 +225,26 @@ class SSTable:
             # A tombstone-only carrier file: its key range is its spans'.
             self.min_key = min(t.lo for t in self.range_tombstones)
             self.max_key = max(t.hi for t in self.range_tombstones)
+        #: Smallest and largest key the table *affects*: point data plus
+        #: tombstone spans. Compaction overlap uses effective ranges so a
+        #: newer range tombstone can never sink below older data it covers.
+        self.effective_min_key = min(
+            [self.min_key] + [t.lo for t in self.range_tombstones]
+        )
+        self.effective_max_key = max(
+            [self.max_key] + [t.hi for t in self.range_tombstones]
+        )
         self.entry_count = sum(len(block.entries) for block in blocks)
         self.data_bytes = sum(block.nbytes for block in blocks) + sum(
             tombstone.size for tombstone in self.range_tombstones
         )
-        self.tombstone_count = sum(
-            1
-            for block in blocks
-            for entry in block.entries
-            if entry.is_tombstone
-        )
-        tombstone_stamps = [
-            entry.stamp_us
-            for block in blocks
-            for entry in block.entries
-            if entry.is_tombstone
-        ]
-        tombstone_stamps.extend(t.stamp_us for t in self.range_tombstones)
+        self.tombstone_count = len(tombstone_stamps)
+        stamps = tombstone_stamps + [t.stamp_us for t in self.range_tombstones]
         #: Creation stamp of the oldest (point or range) tombstone still in
         #: this file, or ``None`` when it holds none (drives Lethe TTL —
         #: the TTL therefore bounds range-delete persistence too, §2.3.3).
         self.oldest_tombstone_us: Optional[float] = (
-            min(tombstone_stamps) if tombstone_stamps else None
+            min(stamps) if stamps else None
         )
 
     @classmethod
@@ -235,13 +258,17 @@ class SSTable:
         cause: str = "flush",
         charge_io: bool = True,
         range_tombstones: Optional[List[RangeTombstone]] = None,
+        sizes: Optional[Sequence[int]] = None,
     ) -> "SSTable":
         """Materialize a table from sorted, key-unique entries.
 
         Charges the device with one sequential write of the table's payload
         under the given ``cause`` tag (``flush`` or ``compaction``), unless
         ``charge_io`` is false (used when *restoring* already-persistent
-        tables from a checkpoint).
+        tables from a checkpoint). ``sizes`` are the entries' charged
+        sizes when the caller already has them (the output splitter of
+        :meth:`~repro.compaction.executor.CompactionExecutor.build_tables`
+        does).
 
         Raises:
             ValueError: If ``entries`` is unsorted or has duplicate keys —
@@ -250,32 +277,25 @@ class SSTable:
         """
         if not entries and not range_tombstones:
             raise ValueError("cannot build an empty SSTable")
-        # One pass each for keys and charged sizes; the block splitter,
-        # the Block constructors, the fence index, and the Bloom filter
-        # all reuse them instead of re-deriving per entry.
-        keys = [entry.key for entry in entries]
+        # One pass over the entries collects the keys and the point
+        # tombstones' stamps; the block splitter, the Block constructors,
+        # the fence index, and the Bloom filter all reuse the keys and the
+        # charged sizes instead of re-deriving them per entry.
+        keys: List[str] = []
+        tombstone_stamps: List[float] = []
+        for entry in entries:
+            keys.append(entry.key)
+            if entry.kind in TOMBSTONE_KINDS:
+                tombstone_stamps.append(entry.stamp_us)
         for left, right in zip(keys, keys[1:]):
             if left >= right:
                 raise ValueError("entries must be strictly sorted by key")
-        sizes = [entry.size for entry in entries]
-
-        blocks: List[Block] = []
-        start = 0
-        current_bytes = 0
-        for index, size in enumerate(sizes):
-            if index > start and current_bytes + size > block_bytes:
-                blocks.append(
-                    Block(
-                        entries[start:index],
-                        current_bytes,
-                        keys[start:index],
-                    )
-                )
-                start = index
-                current_bytes = 0
-            current_bytes += size
-        if start < len(sizes):
-            blocks.append(Block(entries[start:], current_bytes, keys[start:]))
+        if sizes is None:
+            sizes = [entry.size for entry in entries]
+        blocks = [
+            Block(entries[start:stop], nbytes, keys[start:stop])
+            for start, stop, nbytes in split_by_size(sizes, block_bytes)
+        ]
 
         fence = None
         if fence_pointers:
@@ -289,6 +309,7 @@ class SSTable:
             bloom,
             created_us=disk.now_us,
             range_tombstones=range_tombstones,
+            tombstone_stamps=tombstone_stamps,
         )
         if charge_io:
             disk.write(table.data_bytes, cause)
@@ -302,20 +323,6 @@ class SSTable:
             f"SSTable(id={self.table_id}, [{self.min_key!r}..{self.max_key!r}], "
             f"entries={self.entry_count}, bytes={self.data_bytes})"
         )
-
-    @property
-    def effective_min_key(self) -> str:
-        """Smallest key the table *affects*: point data plus tombstone
-        spans. Compaction overlap uses effective ranges so a newer range
-        tombstone can never sink below older data it covers."""
-        candidates = [self.min_key] + [t.lo for t in self.range_tombstones]
-        return min(candidates)
-
-    @property
-    def effective_max_key(self) -> str:
-        """Largest key the table affects (see :attr:`effective_min_key`)."""
-        candidates = [self.max_key] + [t.hi for t in self.range_tombstones]
-        return max(candidates)
 
     def key_range_overlaps(self, lo: str, hi: str) -> bool:
         """Whether the table's *effective* range intersects ``[lo, hi]``."""

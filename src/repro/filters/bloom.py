@@ -151,6 +151,26 @@ class BloomFilter(PointFilter):
             probe += stride
         self._num_added += 1
 
+    def add_all(self, keys: Iterable[str]) -> None:
+        """Bulk insert: sets exactly the bits :meth:`add` would, key by
+        key, with :func:`key_digest` and the probe loop inlined (the table
+        builder's path, one call per built table)."""
+        bits, num_bits = self._bits, self._num_bits
+        probes = range(self._num_hashes)
+        blake2b, from_bytes, mask = hashlib.blake2b, int.from_bytes, _MASK64
+        added = 0
+        for key in keys:
+            both = from_bytes(
+                blake2b(key.encode("utf-8"), digest_size=16).digest(), "little"
+            )
+            probe, stride = both & mask, (both >> 64) | 1
+            for _ in probes:
+                pos = (probe & mask) % num_bits
+                bits[pos >> 3] |= 1 << (pos & 7)
+                probe += stride
+            added += 1
+        self._num_added += added
+
     def may_contain(self, key: str) -> bool:
         return self.may_contain_digest(key_digest(key))
 

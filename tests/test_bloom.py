@@ -63,6 +63,26 @@ class TestBitLayout:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "bits_per_key", [0.5, 1.0, 2.0, 4.5, 10.0, 13.5, 24.0]
+    )
+    def test_bulk_add_sets_exactly_the_bits_of_add(self, bits_per_key):
+        keys = [f"key{i:05d}" for i in range(0, 900, 3)]
+        keys += ["", "ключ", "鍵", "key00003"]  # empty, non-ASCII, repeat
+        num_bits = max(8, int(bits_per_key * len(keys)))
+        num_hashes = optimal_num_hashes(bits_per_key)
+        bulk = BloomFilter(num_bits, num_hashes)
+        bulk.add_all(iter(keys))  # any iterable, consumed once
+        one_by_one = BloomFilter(num_bits, num_hashes)
+        for key in keys:
+            one_by_one.add(key)
+        assert bulk._bits == one_by_one._bits
+        assert bulk._num_added == one_by_one._num_added == len(keys)
+        empty = BloomFilter(num_bits, num_hashes)
+        empty.add_all([])
+        assert empty._bits == bytearray(len(empty._bits))
+        assert empty._num_added == 0
+
     def test_key_digest_lanes(self):
         raw = hashlib.blake2b(b"user42", digest_size=16).digest()
         assert key_digest("user42") == (
