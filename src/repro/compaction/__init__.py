@@ -1,7 +1,7 @@
 """Compaction machinery: the four primitives and their realizations (§2.2)."""
 
 from .dictionary import DICTIONARY, DictionaryEntry, entries_for_system, lookup
-from .executor import CompactionExecutor, iter_all_versions, reconcile
+from .executor import CompactionExecutor, merge_order, reconcile
 from .layouts import (
     BushLayout,
     HybridLayout,
@@ -35,7 +35,7 @@ __all__ = [
     "lookup",
     "entries_for_system",
     "CompactionExecutor",
-    "iter_all_versions",
+    "merge_order",
     "reconcile",
     "LayoutPolicy",
     "LevelingLayout",

@@ -6,10 +6,12 @@ executor takes a planned :class:`~repro.compaction.primitives.CompactionJob`
 and:
 
 1. charges the device one sequential read of every input byte,
-2. merges the inputs keeping only the latest version per key (§2.1.2),
+2. merges the inputs with one stable sort, keeping only the latest
+   version per key (§2.1.2),
 3. garbage-collects shadowed versions, annihilates single-delete pairs, and
    drops tombstones that have reached the bottommost overlapping level,
 4. writes the merged output as new SSTables split at the target file size,
+   carrying the inputs' key digests so no output filter hashes a key,
 5. splices the level structure and invalidates/prefetches the block cache.
 
 Trivial moves (no overlap in the target) relink the file with no I/O at
@@ -18,8 +20,9 @@ all, as LevelDB and RocksDB do.
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Iterator, List, Optional, Tuple
+from itertools import compress, count, islice
+from operator import attrgetter, eq
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.config import LSMConfig
 from ..core.entry import Entry, EntryKind
@@ -31,47 +34,61 @@ from ..core.sstable import SSTable, split_by_size
 from ..core.stats import TreeStats
 from ..errors import CompactionError
 from ..faults.registry import fault_point
+from ..filters.bloom import DIGEST_BYTES
 from ..storage.block_cache import BlockCache, HeatTracker
 from ..storage.disk import SimulatedDisk
 from .primitives import CompactionJob
 
+Span = Tuple[int, int]
 
-def iter_all_versions(
-    sources: List[Iterator[Entry]],
-) -> Iterator[Tuple[str, List[Entry]]]:
-    """Group every version of every key across sorted input streams.
+#: By ``bottommost``: the kinds :func:`reconcile` changes when they are a
+#: key's only version. At the bottom every tombstone drops; above it a
+#: lone tombstone survives as it is, and only MERGE operands fold.
+_CHANGED_ALONE = {
+    True: frozenset(EntryKind) - {EntryKind.PUT},
+    False: frozenset({EntryKind.MERGE}),
+}
 
-    Yields ``(key, versions)`` in ascending key order with versions sorted
-    newest-first. Streams must each be sorted by key; across streams keys
-    may repeat (that is the point of compaction).
+
+def merge_order(
+    keys: Sequence[str], entries: Sequence[Entry]
+) -> Tuple[List[int], List[Span]]:
+    """Order the merge's inputs with one sort.
+
+    ``keys`` / ``entries`` are the input streams laid end to end in source
+    order (newest source first); each stream is sorted and key-unique, and
+    across streams keys may repeat (that is the point of compaction).
+
+    Returns ``(order, groups)``: ``order`` lists input positions by
+    ascending key, each key's versions newest first, equal seqnos in
+    source order; ``groups`` lists, in key order, the ``(start, stop)``
+    spans of ``order`` holding a key with more than one version. The sort
+    is stable, so a span is already in source order, which the LSM
+    invariant makes newest first; only a span where an older version
+    precedes a newer one is re-sorted by seqno.
     """
-    heap: List[Tuple[str, int, int, Entry, Iterator[Entry]]] = []
-    for order, source in enumerate(sources):
-        iterator = iter(source)
-        first = next(iterator, None)
-        if first is not None:
-            heapq.heappush(
-                heap, (first.key, -first.seqno, order, first, iterator)
-            )
-    current_key: Optional[str] = None
-    group: List[Entry] = []
-    while heap:
-        key, _neg, order, entry, iterator = heap[0]
-        successor = next(iterator, None)
-        if successor is None:
-            heapq.heappop(heap)
+    key_at = keys.__getitem__
+    order = sorted(range(len(keys)), key=key_at)
+    groups: List[Span] = []
+    misordered = set()
+    # Index i repeats when ordered key i equals key i + 1 (compared
+    # lazily: no list of ordered keys is built).
+    following = map(key_at, islice(order, 1, None))
+    for index in compress(count(), map(eq, map(key_at, order), following)):
+        if groups and groups[-1][1] == index + 1:
+            groups[-1] = (groups[-1][0], index + 2)
         else:
-            heapq.heapreplace(
-                heap, (successor.key, -successor.seqno, order, successor, iterator)
+            groups.append((index, index + 2))
+        if entries[order[index]].seqno < entries[order[index + 1]].seqno:
+            misordered.add(groups[-1][0])
+    for start, stop in groups:
+        if start in misordered:
+            order[start:stop] = sorted(
+                order[start:stop],
+                key=lambda position: entries[position].seqno,
+                reverse=True,  # stable: equal seqnos keep source order
             )
-        if key != current_key:
-            if current_key is not None:
-                yield current_key, group
-            current_key = key
-            group = []
-        group.append(entry)
-    if current_key is not None:
-        yield current_key, group
+    return order, groups
 
 
 def reconcile(
@@ -281,17 +298,21 @@ class CompactionExecutor:
         self.disk.read(job.input_bytes, cause="compaction")
         self.stats.incr("compaction_bytes_read", job.input_bytes)
 
-        sources: List[Iterator[Entry]] = []
-        input_tables: List[SSTable] = list(job.source_tables) + list(
-            job.target_tables
-        )
-        for run in job.source_runs:
-            sources.append(run.iter_entries())
-            input_tables.extend(run.tables)
-        for table in job.source_tables:
-            sources.append(table.iter_entries())
-        for table in job.target_tables:
-            sources.append(table.iter_entries())
+        # The inputs laid end to end in source order: source runs, source
+        # tables, target tables. Their blocks' key and entry lists are
+        # concatenated as they are (and, for the outputs, their packed
+        # digests likewise).
+        input_tables = [
+            table for run in job.source_runs for table in run.tables
+        ]
+        input_tables += job.source_tables
+        input_tables += job.target_tables
+        keys: List[str] = []
+        entries: List[Entry] = []
+        for table in input_tables:
+            for block in table.blocks:
+                keys += block.keys
+                entries += block.entries
 
         # Range tombstones travelling with the inputs (§2.3.3): they shadow
         # strictly older covered versions during the merge, and either move
@@ -302,13 +323,49 @@ class CompactionExecutor:
             for tombstone in table.range_tombstones
         )
 
+        # Each per-input list is dropped once its successor exists: the
+        # merge's transient lists set each worker thread's heap high-water
+        # mark, which stays resident.
+        order, groups = merge_order(keys, entries)
+        del keys
+        ordered = list(map(entries.__getitem__, order))
+        del entries
+        # The spans reconcile must see, in key order: every multi-version
+        # key and every lone version reconcile may change — or, under
+        # range tombstones, every key, since any may be covered. Any
+        # other version survives as it is.
+        if job_tombstones:
+            singles: Iterable[int] = range(len(ordered))
+        else:
+            changes_alone = _CHANGED_ALONE[bottommost].__contains__
+            singles = compress(
+                count(),
+                map(changes_alone, map(attrgetter("kind"), ordered)),
+            )
+        grouped = {
+            index for start, stop in groups for index in range(start, stop)
+        }
+        spans = sorted(
+            groups
+            + [(index, index + 1) for index in singles if index not in grouped]
+        )
+
+        # Survivors carry their input position, which locates their digest.
         # Counted locally and added to the shared stats once per job.
+        survivors: List[Entry] = []
+        positions: List[int] = []
         garbage_total = 0
         dropped_total = 0
-        survivors: List[Entry] = []
-        for key, versions in iter_all_versions(sources):
+        done = 0
+        for start, stop in spans:
+            survivors += ordered[done:start]
+            positions += order[done:start]
+            done = stop
+            versions = ordered[start:stop]
             if job_tombstones:
-                cover_seqno = max_covering_seqno(job_tombstones, key)
+                cover_seqno = max_covering_seqno(
+                    job_tombstones, versions[0].key
+                )
                 if cover_seqno >= 0:
                     live = [v for v in versions if v.seqno > cover_seqno]
                     garbage_total += len(versions) - len(live)
@@ -327,6 +384,10 @@ class CompactionExecutor:
                 )
             if survivor is not None:
                 survivors.append(survivor)
+                positions.append(order[start])
+        survivors += ordered[done:]
+        positions += order[done:]
+        del ordered, order
         self.stats.incr("entries_garbage_collected", garbage_total)
         if dropped_total:
             self.stats.incr("tombstones_dropped", dropped_total)
@@ -347,6 +408,8 @@ class CompactionExecutor:
             cause="compaction",
             level_index=job.target_level,
             range_tombstones=carried_tombstones,
+            digests=b"".join([table.digests for table in input_tables]),
+            positions=positions,
         )
         self.stats.incr(
             "compaction_bytes_written",
@@ -360,8 +423,15 @@ class CompactionExecutor:
         cause: str = "compaction",
         level_index: int = 0,
         range_tombstones: Optional[List[RangeTombstone]] = None,
+        digests: Optional[bytes] = None,
+        positions: Optional[List[int]] = None,
     ) -> List[SSTable]:
         """Split merged entries into SSTables of about the target file size.
+
+        A compaction passes its inputs' packed ``digests`` and, per entry,
+        the ``positions`` of its digest there: each output table's digests
+        are gathered from them, so no key is hashed again. Without them
+        (a flush) every table hashes its keys.
 
         Range tombstones are *fragmented* at the output file boundaries
         (RocksDB's approach): consecutive files own consecutive key slices
@@ -372,17 +442,28 @@ class CompactionExecutor:
         one tombstone-only carrier file is emitted.
         """
         tombstones = list(range_tombstones or [])
-        # Each entry's size is computed once, here, and handed to the
-        # table builder with its chunk.
         sizes = [entry.size for entry in entries]
         bounds = split_by_size(sizes, self.config.target_file_bytes)
         chunks = [entries[start:stop] for start, stop, _ in bounds]
         chunk_sizes = [sizes[start:stop] for start, stop, _ in bounds]
+        chunk_digests: List[Optional[bytes]] = [None] * len(bounds)
+        if digests is not None and positions is not None:
+            width = DIGEST_BYTES
+            chunk_digests = [
+                b"".join([
+                    digests[width * position:width * (position + 1)]
+                    for position in positions[start:stop]
+                ])
+                for start, stop, _ in bounds
+            ]
 
         if not tombstones:
             return [
-                self._build_one(part, part_sizes, cause, level_index, None)
-                for part, part_sizes in zip(chunks, chunk_sizes)
+                self._build_one(part, part_sizes, cause, level_index, None,
+                                part_digests)
+                for part, part_sizes, part_digests in zip(
+                    chunks, chunk_sizes, chunk_digests
+                )
             ]
 
         # Output-slice boundaries spanning the full effective range.
@@ -419,6 +500,7 @@ class CompactionExecutor:
                     cause,
                     level_index,
                     fragments or None,
+                    chunk_digests[index],
                 )
             )
         return outputs
@@ -430,6 +512,7 @@ class CompactionExecutor:
         cause: str,
         level_index: int,
         range_tombstones: Optional[List[RangeTombstone]] = None,
+        digests: Optional[bytes] = None,
     ) -> SSTable:
         if self.bits_for_level is not None:
             bits_per_key = self.bits_for_level(level_index)
@@ -444,6 +527,7 @@ class CompactionExecutor:
             cause=cause,
             range_tombstones=range_tombstones,
             sizes=sizes,
+            digests=digests,
         )
 
     def _trivial_move(self, job: CompactionJob, levels: List[Level]) -> None:

@@ -60,6 +60,11 @@ TOMBSTONE_KINDS = frozenset(
     (EntryKind.DELETE, EntryKind.SINGLE_DELETE, EntryKind.RANGE_DELETE)
 )
 
+# Members bound once: looking one up on the enum class is an attribute
+# access through the enum machinery, too slow for every constructed entry.
+_VALUE_KINDS = (EntryKind.PUT, EntryKind.MERGE)
+_RANGE_DELETE = EntryKind.RANGE_DELETE
+
 
 @dataclass(frozen=True, slots=True)
 class Entry:
@@ -75,6 +80,9 @@ class Entry:
         stamp_us: Simulated-clock time at which the entry was created.
             Excluded from equality; used by Lethe-style tombstone-TTL
             triggers (§2.3.3) to measure how long a tombstone has lingered.
+        size: Charged on-disk footprint of the entry in bytes, set once
+            at construction (not a constructor argument; excluded from
+            equality and repr).
     """
 
     key: str
@@ -82,33 +90,31 @@ class Entry:
     seqno: int
     kind: EntryKind = EntryKind.PUT
     stamp_us: float = field(default=0.0, compare=False)
+    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind in (EntryKind.PUT, EntryKind.MERGE):
-            if self.value is None:
+        kind, value = self.kind, self.value
+        if kind in _VALUE_KINDS:
+            if value is None:
                 raise ValueError("PUT and MERGE entries require a value")
-        elif self.kind is EntryKind.RANGE_DELETE:
-            if self.value is None or self.value <= self.key:
+        elif kind is _RANGE_DELETE:
+            if value is None or value <= self.key:
                 raise ValueError(
                     "RANGE_DELETE needs an end key greater than its start"
                 )
-        elif self.value is not None:
+        elif value is not None:
             raise ValueError("tombstones must not carry a value")
         if self.seqno < 0:
             raise ValueError("sequence numbers are non-negative")
+        value_bytes = TOMBSTONE_VALUE_BYTES if value is None else len(value)
+        object.__setattr__(
+            self, "size", len(self.key) + value_bytes + ENTRY_OVERHEAD_BYTES
+        )
 
     @property
     def is_tombstone(self) -> bool:
         """Whether this entry logically invalidates older versions."""
         return self.kind in TOMBSTONE_KINDS
-
-    @property
-    def size(self) -> int:
-        """Charged on-disk footprint of the entry in bytes."""
-        value_bytes = (
-            TOMBSTONE_VALUE_BYTES if self.value is None else len(self.value)
-        )
-        return len(self.key) + value_bytes + ENTRY_OVERHEAD_BYTES
 
     def shadows(self, other: "Entry") -> bool:
         """Whether this entry supersedes ``other`` during a merge.

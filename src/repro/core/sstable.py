@@ -19,7 +19,7 @@ import bisect
 import itertools
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..filters.bloom import BloomFilter, Digest, key_digest
+from ..filters.bloom import BloomFilter, Digest, key_digest, key_digests
 from ..storage.block_cache import BlockCache, HeatTracker
 from ..storage.disk import SimulatedDisk
 from .entry import TOMBSTONE_KINDS, Entry
@@ -121,28 +121,30 @@ class ReadContext:
 def split_by_size(
     sizes: Sequence[int], limit: int
 ) -> List[Tuple[int, int, int]]:
-    """Cut a sequence of item sizes greedily into ``(start, stop, nbytes)``
-    slices of at most ``limit`` bytes; an item larger than ``limit`` gets
-    a slice of its own. Blocks within a table and tables within a
-    compaction's output are both cut this way."""
+    """Cut a sequence of non-negative item sizes greedily into ``(start,
+    stop, nbytes)`` slices of at most ``limit`` bytes; an item larger than
+    ``limit`` gets a slice of its own. Blocks within a table and tables
+    within a compaction's output are both cut this way.
+
+    Each slice is one bisection over the prefix sums: the longest run
+    from ``start`` whose bytes stay within ``limit``, at least one item.
+    """
+    ends = list(itertools.accumulate(sizes, initial=0))
     slices: List[Tuple[int, int, int]] = []
     start = 0
-    nbytes = 0
-    for index, size in enumerate(sizes):
-        if index > start and nbytes + size > limit:
-            slices.append((start, index, nbytes))
-            start = index
-            nbytes = 0
-        nbytes += size
-    if start < len(sizes):
-        slices.append((start, len(sizes), nbytes))
+    while start < len(sizes):
+        stop = bisect.bisect_right(ends, ends[start] + limit, start + 2) - 1
+        slices.append((start, stop, ends[stop] - ends[start]))
+        start = stop
     return slices
 
 
 class Block:
-    """One data block: a contiguous, sorted slice of a table's entries."""
+    """One data block: a contiguous, sorted slice of a table's entries
+    and, aligned with them, their keys (for bisection and for the
+    compaction merge's sort)."""
 
-    __slots__ = ("entries", "nbytes", "_keys")
+    __slots__ = ("entries", "nbytes", "keys")
 
     def __init__(
         self,
@@ -160,7 +162,7 @@ class Block:
             if nbytes is None
             else nbytes
         )
-        self._keys = (
+        self.keys = (
             [entry.key for entry in self.entries] if keys is None else keys
         )
 
@@ -176,8 +178,8 @@ class Block:
 
     def find(self, key: str) -> Optional[Entry]:
         """Binary-search the block for ``key``."""
-        pos = bisect.bisect_left(self._keys, key)
-        if pos < len(self._keys) and self._keys[pos] == key:
+        pos = bisect.bisect_left(self.keys, key)
+        if pos < len(self.keys) and self.keys[pos] == key:
             return self.entries[pos]
         return None
 
@@ -197,10 +199,12 @@ class SSTable:
         created_us: float,
         range_tombstones: Optional[List[RangeTombstone]],
         tombstone_stamps: List[float],
+        digests: bytes,
     ) -> None:
         """``tombstone_stamps`` holds the creation stamp of every point
         tombstone among the blocks' entries (gathered by :meth:`build` in
-        its one pass over them)."""
+        its one pass over them); ``digests`` their keys' packed
+        :func:`~repro.filters.bloom.key_digests`."""
         if not blocks and not range_tombstones:
             raise ValueError(
                 "an SSTable holds at least one block or range tombstone"
@@ -209,6 +213,10 @@ class SSTable:
         self.blocks = blocks
         self.fence = fence
         self.bloom = bloom
+        #: The entries' key digests, packed and in entry order: hashed once
+        #: when a key is flushed, then carried by every compaction that
+        #: rewrites it, so the output filters are built without hashing.
+        self.digests = digests
         #: Range-deletion metadata (the range-del block, §2.3.3): consulted
         #: before point data, replicated with the table through compactions.
         self.range_tombstones: List[RangeTombstone] = list(
@@ -259,6 +267,7 @@ class SSTable:
         charge_io: bool = True,
         range_tombstones: Optional[List[RangeTombstone]] = None,
         sizes: Optional[Sequence[int]] = None,
+        digests: Optional[bytes] = None,
     ) -> "SSTable":
         """Materialize a table from sorted, key-unique entries.
 
@@ -268,7 +277,9 @@ class SSTable:
         tables from a checkpoint). ``sizes`` are the entries' charged
         sizes when the caller already has them (the output splitter of
         :meth:`~repro.compaction.executor.CompactionExecutor.build_tables`
-        does).
+        does). ``digests`` are the keys' packed digests when the caller
+        carries them (a compaction does); otherwise they are computed
+        here, which is the one hash of a key's lifetime on the write path.
 
         Raises:
             ValueError: If ``entries`` is unsorted or has duplicate keys —
@@ -302,7 +313,9 @@ class SSTable:
             fence = FenceIndex(
                 [BlockBounds(blk.first_key, blk.last_key) for blk in blocks]
             )
-        bloom = BloomFilter.for_keys(keys, filter_bits_per_key)
+        if digests is None:
+            digests = key_digests(keys)
+        bloom = BloomFilter.for_keys(keys, filter_bits_per_key, digests)
         table = cls(
             blocks,
             fence,
@@ -310,6 +323,7 @@ class SSTable:
             created_us=disk.now_us,
             range_tombstones=range_tombstones,
             tombstone_stamps=tombstone_stamps,
+            digests=digests,
         )
         if charge_io:
             disk.write(table.data_bytes, cause)
@@ -414,7 +428,7 @@ class SSTable:
             start, stop = 0, len(self.blocks)
         for block_index in range(start, stop):
             block = self.blocks[block_index]
-            keys = block._keys
+            keys = block.keys
             if keys[-1] < lo:
                 continue
             if keys[0] >= hi:

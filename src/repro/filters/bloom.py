@@ -11,12 +11,18 @@ provides:
   single 128-bit digest per key that every filter in the tree re-uses via
   :meth:`BloomFilter.may_contain_digest`, so a lookup hashes the key once
   rather than once per level — the CPU optimization the tutorial highlights.
+  The write path shares it too: :func:`key_digests` packs many keys'
+  digests into one ``bytes``, a table keeps its keys' packed digests, and
+  :meth:`BloomFilter.add_digests` builds a filter from them, so a key is
+  hashed once when it is flushed and never again by compaction.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import sys
+from array import array
 from typing import Iterable, Optional, Tuple
 
 from ..errors import FilterError
@@ -27,6 +33,17 @@ from .base import PointFilter
 Digest = Tuple[int, int]
 
 _MASK64 = (1 << 64) - 1
+
+#: Bytes per key in a packed digest array (:func:`key_digests`).
+DIGEST_BYTES = 16
+
+#: One 128-bit lane of a packed array with only its lowest bit set.
+_ODD_BIT = b"\x01" + b"\x00" * 15
+
+#: Maps a one-byte-per-bit flag (0 or 1) to the digit ``int(..., 2)`` reads.
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+_BIG_ENDIAN_HOST = sys.byteorder == "big"
 
 
 def key_digest(key: str) -> Digest:
@@ -39,6 +56,16 @@ def key_digest(key: str) -> Digest:
         hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest(), "little"
     )
     return (both & _MASK64, (both >> 64) | 1)  # odd => full-period stride
+
+
+def key_digests(keys: Iterable[str]) -> bytes:
+    """:func:`key_digest` of every key, packed :data:`DIGEST_BYTES`
+    little-endian bytes per key: the low 8 bytes are the first lane, the
+    high 8 the second (whose odd bit is forced where it is used)."""
+    blake2b = hashlib.blake2b
+    return b"".join(
+        [blake2b(key.encode("utf-8"), digest_size=16).digest() for key in keys]
+    )
 
 
 def optimal_num_hashes(bits_per_key: float) -> int:
@@ -92,19 +119,27 @@ class BloomFilter(PointFilter):
 
     @classmethod
     def for_keys(
-        cls, keys: Iterable[str], bits_per_key: float
+        cls,
+        keys: Iterable[str],
+        bits_per_key: float,
+        digests: Optional[bytes] = None,
     ) -> Optional["BloomFilter"]:
         """Build a filter sized at ``bits_per_key`` over ``keys``.
+
+        ``digests`` is ``key_digests(keys)`` when the caller already has
+        it (a table keeps its keys'); ``keys`` is then not read.
 
         Returns ``None`` when ``bits_per_key`` is zero (filters disabled) —
         callers treat a missing filter as "always maybe".
         """
         if bits_per_key <= 0:
             return None
-        key_list = list(keys)
-        num_bits = max(8, math.ceil(bits_per_key * max(1, len(key_list))))
+        if digests is None:
+            digests = key_digests(keys)
+        count = len(digests) // DIGEST_BYTES
+        num_bits = max(8, math.ceil(bits_per_key * max(1, count)))
         bloom = cls(num_bits, optimal_num_hashes(bits_per_key))
-        bloom.add_all(key_list)
+        bloom.add_digests(digests)
         return bloom
 
     @classmethod
@@ -152,24 +187,55 @@ class BloomFilter(PointFilter):
         self._num_added += 1
 
     def add_all(self, keys: Iterable[str]) -> None:
-        """Bulk insert: sets exactly the bits :meth:`add` would, key by
-        key, with :func:`key_digest` and the probe loop inlined (the table
-        builder's path, one call per built table)."""
-        bits, num_bits = self._bits, self._num_bits
-        probes = range(self._num_hashes)
-        blake2b, from_bytes, mask = hashlib.blake2b, int.from_bytes, _MASK64
-        added = 0
-        for key in keys:
-            both = from_bytes(
-                blake2b(key.encode("utf-8"), digest_size=16).digest(), "little"
-            )
-            probe, stride = both & mask, (both >> 64) | 1
-            for _ in probes:
-                pos = (probe & mask) % num_bits
-                bits[pos >> 3] |= 1 << (pos & 7)
-                probe += stride
-            added += 1
-        self._num_added += added
+        """Bulk insert: :meth:`add_digests` of :func:`key_digests`."""
+        self.add_digests(key_digests(keys))
+
+    def add_digests(self, packed: bytes) -> None:
+        """Bulk insert of pre-hashed keys packed by :func:`key_digests`:
+        sets exactly the bits :meth:`add_digest` would, key by key (the
+        table builder's path, one call per built table).
+
+        Probe ``i`` of every key advances at once: the keys' probes are
+        the 128-bit lanes of one Python int and their strides those of
+        another, so the next probe is one big-int add, masked back to 64
+        bits per lane, and its positions one Barrett reduction modulo
+        ``num_bits`` over all lanes (no lane ever carries into the next).
+        Each probe's positions land in a one-byte-per-bit scratch array,
+        which one ``int(..., 2)`` packs into the bit set.
+        """
+        count = len(packed) // DIGEST_BYTES
+        if not count:
+            return
+        num_bits = self._num_bits
+        width = DIGEST_BYTES * count
+        odd = int.from_bytes(_ODD_BIT * count, "little")
+        low = odd * _MASK64  # each lane's low 64 bits
+        both = int.from_bytes(packed, "little")
+        probe = both & low
+        stride = (both >> 64) & low | odd
+        # x mod m for x < 2^64: q = (x * floor(2^64 / m)) >> 64 is the
+        # quotient or one less, so x - q * m is below 2 * m, and adding
+        # 2^64 - m carries into bit 64 exactly when one more m is due.
+        reciprocal = (1 << 64) // num_bits
+        complement = odd * ((1 << 64) - num_bits)
+        flags = bytearray(num_bits)
+        for probe_index in range(self._num_hashes):
+            if probe_index:
+                probe = (probe + stride) & low
+            rest = probe - ((probe * reciprocal >> 64) & low) * num_bits
+            rest -= ((rest + complement) >> 64 & odd) * num_bits
+            lanes = array("Q", rest.to_bytes(width, "little"))
+            if _BIG_ENDIAN_HOST:
+                lanes.byteswap()
+            # Even 64-bit words hold the positions, odd ones zeros.
+            for position in lanes[::2]:
+                flags[position] = 1
+        bits = self._bits
+        added = int(flags[::-1].translate(_FLAG_DIGITS), 2)
+        bits[:] = (int.from_bytes(bits, "little") | added).to_bytes(
+            len(bits), "little"
+        )
+        self._num_added += count
 
     def may_contain(self, key: str) -> bool:
         return self.may_contain_digest(key_digest(key))

@@ -92,8 +92,11 @@ class PrefixBloomFilter(RangeFilter):
         self._prefixes_added += 1
 
     def add_all(self, keys: Iterable[str]) -> None:
-        for key in keys:
-            self.add(key)
+        """Bulk insert through :meth:`BloomFilter.add_all`: the same bits
+        as :meth:`add` key by key."""
+        buckets = [self._bucket(key) for key in keys]
+        self._bloom.add_all(buckets)
+        self._prefixes_added += len(buckets)
 
     def may_contain_prefix(self, prefix: str) -> bool:
         """One-probe prefix query: "may any added key start with this?"

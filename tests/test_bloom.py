@@ -2,13 +2,16 @@
 
 import hashlib
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import FilterError
 from repro.filters.bloom import (
     BloomFilter,
     bits_for_fpr,
     key_digest,
+    key_digests,
     optimal_num_hashes,
     theoretical_fpr,
 )
@@ -89,6 +92,66 @@ class TestBitLayout:
             int.from_bytes(raw[:8], "little"),
             int.from_bytes(raw[8:], "little") | 1,
         )
+
+
+#: Any keys, non-ASCII included (the default alphabet has no surrogates,
+#: so every key encodes as UTF-8).
+some_keys = st.lists(st.text(max_size=12), max_size=40)
+
+
+class TestBulkDigests:
+    """The lane-parallel bulk path sets exactly the bits a loop of
+    :meth:`BloomFilter.add` sets, on empty and on non-empty filters."""
+
+    @given(
+        first=some_keys,
+        second=some_keys,
+        bits_per_key=st.integers(1, 20),
+        extra_bits=st.integers(0, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_two_bulk_calls_match_add(
+        self, first, second, bits_per_key, extra_bits
+    ):
+        # num_bits covers every residue mod 8, not only whole bytes.
+        count = max(1, len(first) + len(second))
+        num_bits = max(8, bits_per_key * count) + extra_bits
+        num_hashes = optimal_num_hashes(bits_per_key)
+        bulk = BloomFilter(num_bits, num_hashes)
+        bulk.add_digests(key_digests(first))
+        bulk.add_all(iter(second))  # any iterable, consumed once
+        one_by_one = BloomFilter(num_bits, num_hashes)
+        for key in first + second:
+            one_by_one.add(key)
+        assert bulk._bits == one_by_one._bits
+        assert bulk._num_added == one_by_one._num_added == len(first + second)
+
+    @given(keys=some_keys)
+    @settings(max_examples=100, deadline=None)
+    def test_packed_digests_are_key_digest(self, keys):
+        packed = key_digests(keys)
+        assert len(packed) == 16 * len(keys)
+        for index, key in enumerate(keys):
+            both = int.from_bytes(packed[16 * index:16 * index + 16], "little")
+            assert (both & ((1 << 64) - 1), (both >> 64) | 1) == key_digest(key)
+
+    @pytest.mark.parametrize("bits_per_key", [1.0, 7.5, 10.0])
+    def test_for_keys_with_digests_is_for_keys(self, bits_per_key):
+        keys = [f"key{i:05d}" for i in range(300)] + ["ключ", "鍵"]
+        fresh = BloomFilter.for_keys(keys, bits_per_key)
+        given_digests = BloomFilter.for_keys(
+            keys, bits_per_key, key_digests(keys)
+        )
+        assert given_digests._bits == fresh._bits
+        assert given_digests.num_bits == fresh.num_bits
+        assert given_digests._num_added == fresh._num_added == len(keys)
+
+    def test_empty_input_sets_nothing(self):
+        bloom = BloomFilter(77, 3)
+        bloom.add_digests(b"")
+        bloom.add_all([])
+        assert bloom._bits == bytearray(len(bloom._bits))
+        assert bloom._num_added == 0
 
 
 class TestSizing:

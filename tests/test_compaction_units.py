@@ -1,8 +1,10 @@
 """Unit tests for compaction primitives, layouts, pickers, and reconcile."""
 
+import itertools
+
 import pytest
 
-from repro.compaction.executor import iter_all_versions, reconcile
+from repro.compaction.executor import merge_order, reconcile
 from repro.compaction.layouts import (
     BushLayout,
     HybridLayout,
@@ -105,11 +107,23 @@ class TestReconcile:
         assert dropped == 1
 
 
+def all_versions(*sources):
+    """``(key, versions)`` groups of the sources laid end to end, in the
+    merge order :func:`merge_order` gives them."""
+    entries = [entry for source in sources for entry in source]
+    order, _groups = merge_order([e.key for e in entries], entries)
+    ordered = [entries[position] for position in order]
+    return [
+        (key, list(versions))
+        for key, versions in itertools.groupby(ordered, key=lambda e: e.key)
+    ]
+
+
 class TestIterAllVersions:
     def test_groups_by_key(self):
         s1 = [put("a", "new", 9), put("b", "b0", 1)]
         s2 = [put("a", "old", 2), put("c", "c0", 3)]
-        groups = dict(iter_all_versions([iter(s1), iter(s2)]))
+        groups = dict(all_versions(s1, s2))
         assert [e.value for e in groups["a"]] == ["new", "old"]
         assert list(groups) == ["a", "b", "c"]
 
@@ -117,8 +131,24 @@ class TestIterAllVersions:
         s1 = [put("k", "v1", 1)]
         s2 = [put("k", "v9", 9)]
         s3 = [put("k", "v5", 5)]
-        (_key, versions), = list(iter_all_versions([iter(s1), iter(s2), iter(s3)]))
+        (_key, versions), = all_versions(s1, s2, s3)
         assert [e.seqno for e in versions] == [9, 5, 1]
+
+    def test_multi_version_spans(self):
+        s1 = [put("a", "a1", 1), put("b", "b1", 1), put("d", "d1", 1)]
+        s2 = [put("b", "b2", 2), put("c", "c2", 2), put("d", "d2", 2)]
+        entries = s1 + s2
+        order, groups = merge_order([e.key for e in entries], entries)
+        # a | b2 b1 | c | d2 d1: the spans of order holding two versions.
+        assert order == [0, 3, 1, 4, 5, 2]
+        assert groups == [(1, 3), (4, 6)]
+
+    def test_equal_seqnos_keep_source_order(self):
+        s1 = [put("k", "first", 4)]
+        s2 = [put("k", "second", 4)]
+        s3 = [put("k", "newest", 7)]
+        (_key, versions), = all_versions(s1, s2, s3)
+        assert [e.value for e in versions] == ["newest", "first", "second"]
 
 
 def make_level_with_files(disk, index, ranges, seqno_base=0):

@@ -93,6 +93,16 @@ class TestPrefixBloom:
         pbf = self.make(["key001"], prefix_length=6)
         assert pbf.may_contain_range("a", "z")
 
+    def test_bulk_add_sets_exactly_the_bits_of_add(self):
+        keys = [f"key{i:05d}" for i in range(0, 700, 3)] + ["k", "ключ-1"]
+        bulk = PrefixBloomFilter(6, expected_keys=len(keys))
+        bulk.add_all(iter(keys))
+        one_by_one = PrefixBloomFilter(6, expected_keys=len(keys))
+        for key in keys:
+            one_by_one.add(key)
+        assert bulk._bloom._bits == one_by_one._bloom._bits
+        assert bulk._prefixes_added == one_by_one._prefixes_added == len(keys)
+
     def test_inverted_range_false(self):
         pbf = self.make(["key001"])
         assert not pbf.may_contain_range("z", "a")
