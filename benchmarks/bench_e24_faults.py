@@ -72,8 +72,7 @@ async def _serve_and_kill(shards: int) -> dict:
             "127.0.0.1",
             server.port,
             timeout_s=5.0,
-            max_busy_retries=2,
-            reconnect_retries=2,
+            retry_s=0.05,
         )
         try:
             for start in range(0, WARM_OPS, 32):

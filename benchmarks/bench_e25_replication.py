@@ -79,8 +79,7 @@ async def _serve_and_kill(replication: str) -> dict:
             "127.0.0.1",
             server.port,
             timeout_s=5.0,
-            max_busy_retries=2,
-            reconnect_retries=2,
+            retry_s=0.05,
         )
         try:
             warm_started = time.perf_counter()

@@ -54,7 +54,7 @@ async def _failover_timeline(tmp_dir: str) -> dict:
         client = await ClusterClient.connect(
             "127.0.0.1",
             servers[1].port,
-            failover_grace_s=4.0 * LEASE_S,
+            retry_s=4.0 * LEASE_S,
         )
         async with client:
             acks: List[float] = []

@@ -77,7 +77,7 @@ async def _partition_timeline(tmp_dir: str) -> dict:
         client = await ClusterClient.connect(
             "127.0.0.1",
             servers[1].port,
-            failover_grace_s=8.0 * LEASE_S,
+            retry_s=8.0 * LEASE_S,
         )
         async with client:
             acks: List[float] = []
@@ -111,8 +111,7 @@ async def _partition_timeline(tmp_dir: str) -> dict:
                     "127.0.0.1",
                     servers[0].port,
                     timeout_s=4.0,
-                    max_busy_retries=0,
-                    reconnect_retries=0,
+                    retry_s=0.0,
                 )
                 index = 0
                 try:

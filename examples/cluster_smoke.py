@@ -260,7 +260,7 @@ async def failover_drive(ports: list, processes: dict) -> None:
     # bootstrap from the survivor-to-be so the seed connection outlives
     # the kill; a's shards still route to a via the map
     async with await ClusterClient.connect(
-        "127.0.0.1", ports[1], failover_grace_s=8.0
+        "127.0.0.1", ports[1], retry_s=8.0
     ) as client:
         for port in ports:
             await _wait_streaming(port)
@@ -449,7 +449,7 @@ async def partition_drive(
         # bootstrap from the standby so the seed connection survives the
         # cut; writes still route to a (it owns every shard)
         async with await ClusterClient.connect(
-            "127.0.0.1", ports[1], failover_grace_s=10.0
+            "127.0.0.1", ports[1], retry_s=10.0
         ) as client:
             assert set(client.map.shards_of("a")) == set(range(4)), (
                 "partition drill expects the designated topology"
@@ -499,7 +499,7 @@ async def partition_drive(
             while True:
                 probe = await KVClient.connect(
                     "127.0.0.1", ports[0], timeout_s=2.0,
-                    max_busy_retries=0, reconnect_retries=0,
+                    retry_s=0.0,
                 )
                 try:
                     await probe.put("pt-fence-probe", "must-not-ack")

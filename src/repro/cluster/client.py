@@ -4,18 +4,19 @@
 :class:`~repro.server.KVClient` is to one server. It bootstraps its
 :class:`~repro.cluster.ClusterMap` from any seed node's ``CLUSTER``
 reply, routes each key to its owning node (identical shard placement to
-the servers), and keeps **one pooled, pipelined KVClient per node** — so
-per-node pipelining, BUSY absorption, and bounded reconnect all come for
-free from the underlying clients.
+the servers), and keeps **one pooled, pipelined KVClient per node**. The
+pooled clients make one attempt per call (``retry_s=0``): every retry of
+this stack happens in :meth:`ClusterClient._retrying`, under one
+deadline per call and one backoff schedule.
 
 Staleness is handled Redis-Cluster-style: a request landing on the wrong
 node answers ``ERR MOVED <shard> <host>:<port> <epoch>``, the client
 refreshes its map from the redirect target (which, being the node the
-*newer* map names, always has a map at least that new) and retries —
-bounded by :data:`MAX_REDIRECTS` hops. A live migration is therefore
-invisible end-to-end: writes during the fence answer BUSY (absorbed by
-the per-node client), the first post-flip request answers MOVED, the map
-refreshes once, and traffic continues on the new owner.
+*newer* map names, always has a map at least that new) and retries. A
+live migration is therefore invisible end-to-end: writes during the
+fence answer BUSY (backed off and retried), the first post-flip request
+answers MOVED, the map refreshes once, and traffic continues on the new
+owner.
 
 Scans fan out to every node in parallel — each node answers for exactly
 the shards it owns — and the fragments are merged by key. A node
@@ -32,39 +33,21 @@ makes both answers equal, so the race is harmless.
 from __future__ import annotations
 
 import asyncio
-import random
-import time
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Awaitable, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 from ..api import PartialScanResult, Snapshot
 from ..errors import ConfigError, ReproError
-from ..server.client import (
-    BusyError,
-    KVClient,
-    MovedError,
-    UnavailableError,
-)
+from ..server.client import FATAL, MOVED, TIMEOUT, TRANSPORT, KVClient, MovedError
+from ..server.client import UnavailableError, backoff_delays, classify
 from ..server.protocol import BatchOp
 from .map import ClusterMap, NodeInfo
 
 T = TypeVar("T")
-
-#: MOVED hops absorbed per operation (and map changes per scan /
-#: snapshot fan-out) before :class:`ClusterError` — more than one or two
-#: means the map is churning faster than the client can chase it.
-MAX_REDIRECTS = 5
+X = TypeVar("X")
 
 #: Bound on one ``CLUSTER`` map fetch (connect included): a hung node
 #: must delay a map refresh by at most this, not the full TCP timeout.
 MAP_TIMEOUT_S = 5.0
-
-#: Per-node circuit breaker window. After a failed connect the node's
-#: circuit opens (further attempts fail instantly) for a jittered,
-#: exponentially growing interval between these two, so an unreachable
-#: node costs a scan fan-out or MOVED chase microseconds, not a connect
-#: timeout per call.
-BREAKER_BACKOFF_S = 0.2
-BREAKER_MAX_BACKOFF_S = 5.0
 
 
 async def fetch_map(conn: KVClient) -> ClusterMap:
@@ -87,8 +70,8 @@ async def push_map(conn: KVClient, cluster_map: ClusterMap) -> bool:
 
 
 class ClusterError(ReproError):
-    """A cluster operation failed beyond per-node retry (e.g. the
-    redirect budget was exhausted while the map kept changing)."""
+    """A cluster operation failed beyond retry (e.g. MOVED redirects or
+    map changes kept coming until the call's deadline)."""
 
 
 class ClusterSnapshot:
@@ -125,40 +108,45 @@ class ClusterClient:
     Args:
         cluster_map: The routing map to start from (normally fetched by
             :meth:`connect`).
-        failover_grace_s: On a connect failure to a shard's owner,
-            *when the map assigns that shard a replica*, keep retrying —
-            refreshing the map from surviving nodes — for up to this
-            long before surfacing the error; long enough to cover lease
-            expiry plus promotion, so an automatic failover is invisible
-            beyond latency. Shards without a replica fail immediately,
-            as before.
+        retry_s: Each call's deadline, counted from its start: MOVED
+            chasing, BUSY / fence backoff and — on a shard the map gives
+            a replica — riding out an unreachable or silent owner all
+            retry until it passes (see :meth:`_retrying`). The default
+            covers lease expiry plus promotion, so an automatic failover
+            is invisible beyond latency.
         client_options: Forwarded to every pooled
-            :class:`~repro.server.KVClient` (timeouts, retry budgets).
+            :class:`~repro.server.KVClient` (timeouts, protocol
+            version); the pool is always built with ``retry_s=0``.
     """
 
     def __init__(
         self,
         cluster_map: ClusterMap,
         *,
-        failover_grace_s: float = 10.0,
+        retry_s: float = 10.0,
         **client_options: object,
     ) -> None:
         self.map = cluster_map
-        self.failover_grace_s = failover_grace_s
-        self._client_options = client_options
+        self.retry_s = retry_s
+        self._client_options = {**client_options, "retry_s": 0.0}
         self._pool: Dict[Tuple[str, int], KVClient] = {}
         self._pool_lock = asyncio.Lock()
+        #: The one dial in flight per address, shared by its callers.
+        self._dials: Dict[Tuple[str, int], "asyncio.Future[KVClient]"] = {}
         self._closed = False
-        #: Per-address breaker: (consecutive failures, open-until
-        #: monotonic instant). Present only while tripped.
-        self._breaker: Dict[Tuple[str, int], Tuple[int, float]] = {}
+        #: Per-address breaker: (consecutive failures, open-until loop
+        #: instant, the address's backoff schedule). Present only while
+        #: tripped.
+        self._breaker: Dict[
+            Tuple[str, int], Tuple[int, float, Iterator[float]]
+        ] = {}
         #: MOVED redirects followed (observability).
         self.moved_redirects = 0
         #: Map refreshes performed (observability).
         self.map_refreshes = 0
         #: Connect attempts rejected by an open circuit (observability).
         self.breaker_rejections = 0
-        #: Ops that rode out an owner failure to a promoted replica.
+        #: Retries after a BUSY, an unreachable or a silent owner.
         self.failover_retries = 0
 
     @classmethod
@@ -167,21 +155,20 @@ class ClusterClient:
         host: str,
         port: int,
         *,
-        failover_grace_s: float = 10.0,
+        retry_s: float = 10.0,
         **client_options: object,
     ) -> "ClusterClient":
         """Bootstrap from any one cluster node's ``CLUSTER`` reply."""
         seed = await asyncio.wait_for(
-            KVClient.connect(host, port, **client_options), MAP_TIMEOUT_S
+            KVClient.connect(host, port, **{**client_options, "retry_s": 0.0}),
+            MAP_TIMEOUT_S,
         )
         try:
             cluster_map = await asyncio.wait_for(fetch_map(seed), MAP_TIMEOUT_S)
         except BaseException:
             await seed.close()
             raise
-        client = cls(
-            cluster_map, failover_grace_s=failover_grace_s, **client_options
-        )
+        client = cls(cluster_map, retry_s=retry_s, **client_options)
         client._pool[(host, port)] = seed
         return client
 
@@ -268,109 +255,77 @@ class ClusterClient:
         failure can leave some nodes applied and others not — but never
         a torn group, because a node rejects a MULTI touching a moved or
         fenced shard before applying anything, which is also what makes
-        MOVED-chasing retries safe here.
+        MOVED and BUSY retries safe here. A retry resends only unapplied
+        groups, regrouped by the refreshed map; one lost to a transport
+        failure or timeout is resent (at-least-once).
         """
-        remaining = list(ops)
+        pending = list(ops)
         applied = 0
-        for _ in range(MAX_REDIRECTS + 1):
+
+        async def send(addr: Tuple[str, int], sub_ops: List[BatchOp]) -> int:
+            return await (await self._client_for(*addr)).multi(sub_ops)
+
+        async def attempt() -> int:
+            nonlocal pending, applied
             groups: Dict[Tuple[str, int], List[BatchOp]] = {}
-            for op in remaining:
+            for op in pending:
                 owner = self.map.owner(self.map.shard_index(op[1]))
                 groups.setdefault((owner.host, owner.port), []).append(op)
-
-            async def run_group(
-                addr: Tuple[str, int], sub_ops: List[BatchOp]
-            ) -> Tuple[Optional[int], Optional[MovedError]]:
-                client = await self._client_for(*addr)
-                try:
-                    return await client.multi(sub_ops), None
-                except MovedError as moved:
-                    return None, moved
-
             outcomes = await asyncio.gather(
-                *(
-                    run_group(addr, sub_ops)
-                    for addr, sub_ops in groups.items()
-                )
+                *(send(addr, sub_ops) for addr, sub_ops in groups.items()),
+                return_exceptions=True,
             )
-            retry: List[BatchOp] = []
-            last_moved: Optional[MovedError] = None
-            for (addr, sub_ops), (count, moved) in zip(
-                groups.items(), outcomes
-            ):
-                if moved is None:
-                    applied += count or 0
+            pending = []
+            errors: List[BaseException] = []
+            for sub_ops, outcome in zip(groups.values(), outcomes):
+                if isinstance(outcome, BaseException):
+                    errors.append(outcome)
+                    pending.extend(sub_ops)
                 else:
-                    last_moved = moved
-                    retry.extend(sub_ops)
-            if not retry:
-                return applied
-            self.moved_redirects += 1
-            assert last_moved is not None
-            await self.refresh(last_moved.host, last_moved.port)
-            if self.map.epoch < last_moved.epoch:
-                self.map = self.map.with_assignment(
-                    last_moved.shard,
-                    f"{last_moved.host}:{last_moved.port}",
-                    host=last_moved.host,
-                    port=last_moved.port,
+                    applied += outcome
+            if errors:
+                raise next(
+                    (exc for exc in errors if classify(exc) == FATAL),
+                    errors[0],
                 )
-            remaining = retry
-        raise ClusterError(
-            f"{len(remaining)} ops still MOVED after "
-            f"{MAX_REDIRECTS} redirects"
+            return applied
+
+        return await self._retrying(
+            attempt, lambda: self.map.shard_index(pending[0][1])
         )
 
     async def snapshot(self) -> ClusterSnapshot:
         """Open a snapshot on every node; returns the composite handle.
 
         Like :meth:`scan`, each per-node ``SNAP`` rides with a pipelined
-        ``CLUSTER`` epoch probe: if any node reports a newer map, this
-        client may have missed a member entirely (its shards would be
-        silently absent from the snapshot), so the just-taken tokens are
-        released and the fan-out retried on the newer map — bounded by
-        :data:`MAX_REDIRECTS` map changes. Release with :meth:`end_snapshot`;
-        the servers also release a connection's snapshots when it
-        closes.
+        ``CLUSTER`` epoch probe (see :meth:`_fan_out`): on a map change
+        the just-taken tokens are released and the fan-out retried on
+        the newer map. Release with :meth:`end_snapshot`; the servers
+        also release a connection's snapshots when it closes.
         """
-        for _ in range(MAX_REDIRECTS + 1):
-            nodes = list(self.map.nodes.values())
-            results = await asyncio.gather(
-                *(self._snap_node(node) for node in nodes)
-            )
-            newest = max(
-                (node_map for node_map, _, _ in results),
-                key=lambda node_map: node_map.epoch,
-            )
-            per_node = {addr: token for _, addr, token in results}
-            if newest.epoch > self.map.epoch:
-                await self._release_tokens(per_node)
-                self.map = newest
-                self.map_refreshes += 1
-                continue
-            seqnos: Dict[int, int] = {}
-            for _, addr, token in results:
-                # First owner wins on a duplicate shard: during the
-                # seal-to-release instant of a migration both ends may
-                # pin the moving shard, and zero-loss shipping makes
-                # either pin a consistent capture.
-                for unit, seq in Snapshot.from_token(token).seqnos.items():
-                    seqnos.setdefault(unit, seq)
-            return ClusterSnapshot(Snapshot(seqnos).token, per_node)
-        raise ClusterError(
-            f"cluster map changed {MAX_REDIRECTS + 1} times while "
-            "taking a snapshot; giving up"
+        results = await self._fan_out(
+            self._snap_node,
+            lambda taken: self._release_tokens(dict(taken)),
         )
+        seqnos: Dict[int, int] = {}
+        for _, token in results:
+            # First owner wins on a duplicate shard: during the
+            # seal-to-release instant of a migration both ends may pin
+            # the moving shard, and zero-loss shipping makes either pin
+            # a consistent capture.
+            for unit, seq in Snapshot.from_token(token).seqnos.items():
+                seqnos.setdefault(unit, seq)
+        return ClusterSnapshot(Snapshot(seqnos).token, dict(results))
 
     async def _snap_node(
         self, node: NodeInfo
-    ) -> Tuple[ClusterMap, Tuple[str, int], str]:
+    ) -> Tuple[ClusterMap, Tuple[Tuple[str, int], str]]:
         """One node's snapshot token plus its current map (pipelined)."""
         client = await self._client_for(node.host, node.port)
         node_map, token = await asyncio.gather(
             fetch_map(client), client.snapshot()
         )
-        return node_map, (node.host, node.port), token
+        return node_map, ((node.host, node.port), token)
 
     async def end_snapshot(self, snapshot: ClusterSnapshot) -> None:
         """Release every node's share of a :meth:`snapshot` (idempotent)."""
@@ -406,8 +361,8 @@ class ClusterClient:
         pipelined ``CLUSTER`` epoch probe (same connection, same
         round-trip); a node reporting a newer map means this client's
         fan-out may have missed a member entirely, so the newer map is
-        installed and the whole scan retried — bounded, like MOVED
-        chasing, by :data:`MAX_REDIRECTS` map changes per call.
+        installed and the whole scan retried, until the call's deadline
+        (see :meth:`_fan_out`).
 
         ``at=`` scans as of a snapshot (see :meth:`snapshot`).
         ``allow_partial=True`` turns a node that cannot answer — its
@@ -418,36 +373,23 @@ class ClusterClient:
         lost, not just the failing shard).
         """
         token = None if at is None else KVClient.at_token(at)
-        for _ in range(MAX_REDIRECTS + 1):
-            nodes = list(self.map.nodes.values())
-            results = await asyncio.gather(
-                *(
-                    self._scan_node(node, lo, hi, limit, token, allow_partial)
-                    for node in nodes
-                )
+        results = await self._fan_out(
+            lambda node: self._scan_node(
+                node, lo, hi, limit, token, allow_partial
             )
-            maps = [node_map for node_map, _, _ in results if node_map]
-            newest = max(maps, key=lambda m: m.epoch) if maps else self.map
-            if newest.epoch > self.map.epoch:
-                self.map = newest
-                self.map_refreshes += 1
-                continue  # the fan-out may have missed a node; redo
-            merged: Dict[str, str] = {}
-            skipped: List[int] = []
-            for _, fragment, failed_node in results:
-                if failed_node is not None:
-                    skipped.extend(self.map.shards_of(failed_node.node_id))
-                merged.update(fragment)
-            pairs = sorted(merged.items())
-            if limit is not None:
-                pairs = pairs[:limit]
-            if allow_partial:
-                return PartialScanResult(pairs, sorted(set(skipped)))
-            return pairs
-        raise ClusterError(
-            f"cluster map changed {MAX_REDIRECTS + 1} times during "
-            "one scan; giving up"
         )
+        merged: Dict[str, str] = {}
+        skipped: List[int] = []
+        for fragment, failed_node in results:
+            if failed_node is not None:
+                skipped.extend(self.map.shards_of(failed_node.node_id))
+            merged.update(fragment)
+        pairs = sorted(merged.items())
+        if limit is not None:
+            pairs = pairs[:limit]
+        if allow_partial:
+            return PartialScanResult(pairs, sorted(set(skipped)))
+        return pairs
 
     async def _scan_node(
         self,
@@ -458,19 +400,20 @@ class ClusterClient:
         at: Optional[str],
         allow_partial: bool,
     ) -> Tuple[
-        Optional[ClusterMap], List[Tuple[str, str]], Optional[NodeInfo]
+        Optional[ClusterMap],
+        Tuple[List[Tuple[str, str]], Optional[NodeInfo]],
     ]:
         """One node's scan fragment plus its current map (pipelined).
 
         With ``allow_partial`` a failure to answer — unreachable node or
-        unavailable shard — returns ``(map_or_None, [], node)`` so the
+        unavailable shard — returns ``(map_or_None, ([], node))`` so the
         caller records the gap; otherwise the error propagates.
         """
         try:
             client = await self._client_for(node.host, node.port)
         except (ConnectionError, OSError):
             if allow_partial:
-                return None, [], node
+                return None, ([], node)
             raise
         try:
             node_map, fragment = await asyncio.gather(
@@ -480,10 +423,45 @@ class ClusterClient:
             if not allow_partial:
                 raise
             try:
-                return await fetch_map(client), [], node
+                return await fetch_map(client), ([], node)
             except (ReproError, ConnectionError, OSError):
-                return None, [], node
-        return node_map, fragment, None
+                return None, ([], node)
+        return node_map, (fragment, None)
+
+    async def _fan_out(
+        self,
+        per_node: Callable[
+            [NodeInfo], Awaitable[Tuple[Optional[ClusterMap], X]]
+        ],
+        discard: Optional[Callable[[List[X]], Awaitable[None]]] = None,
+    ) -> List[X]:
+        """``per_node`` on every member at once; their answers.
+
+        Each answer rides with the member's map (``None``: unknown). A
+        newer map means the fan-out may have missed a member, so the
+        answers go to ``discard``, the map is installed, and the change
+        is raised as a MOVED for :meth:`_retrying` to retry.
+        """
+
+        async def attempt() -> List[X]:
+            nodes = list(self.map.nodes.values())
+            results = await asyncio.gather(*(per_node(n) for n in nodes))
+            answers = [answer for _, answer in results]
+            newest, source = max(
+                zip((node_map for node_map, _ in results), nodes),
+                key=lambda pair: -1 if pair[0] is None else pair[0].epoch,
+            )
+            if newest is None or newest.epoch <= self.map.epoch:
+                return answers
+            if discard is not None:
+                await discard(answers)
+            self.map = newest
+            raise MovedError(
+                -1, source.host, source.port, newest.epoch,
+                "the cluster map changed during a fan-out",
+            )
+
+        return await self._retrying(attempt, lambda: None)
 
     async def refresh(
         self, host: Optional[str] = None, port: Optional[int] = None
@@ -544,144 +522,134 @@ class ClusterClient:
         shard: int,
         op: Callable[[KVClient], Awaitable[T]],
     ) -> T:
-        """Run ``op`` against the shard's owner, chasing MOVED redirects.
+        """Run ``op`` against the shard's owner under :meth:`_retrying`."""
 
-        When the owner is unreachable *and the map gives the shard a
-        replica*, the failure is treated as a failover in progress: the
-        pooled connection is discarded, the map re-fetched from the
-        surviving nodes, and the op retried (jittered) until
-        ``failover_grace_s`` runs out — the promoted replica's
-        bumped-epoch map re-routes the shard within a lease timeout, so
-        the caller sees latency, not an error. A shard without a
-        replica keeps the old contract: the connection error surfaces
-        at once. A persistent ``BUSY`` (a fence held past the wire
-        client's own retry budget — a self-fenced partitioned primary)
-        gets the same grace treatment, with the map re-fetched from the
-        shard's standby.
-        """
-        last_moved: Optional[MovedError] = None
-        failover_deadline: Optional[float] = None
-        redirects = 0
-        while True:
+        async def attempt() -> T:
             owner = self.map.owner(shard)
-            try:
-                client = await self._client_for(owner.host, owner.port)
-                return await op(client)
-            except MovedError as moved:
-                self.moved_redirects += 1
-                last_moved = moved
-                redirects += 1
-                if redirects > MAX_REDIRECTS:
-                    raise ClusterError(
-                        f"shard {shard} still MOVED after "
-                        f"{MAX_REDIRECTS} redirects: {last_moved}"
-                    )
-                # The redirect target is (as of the replying node's map)
-                # the owner — its own map is at least that new, so
-                # refreshing from it both fixes this shard's route and
-                # picks up whatever else changed.
-                await self.refresh(moved.host, moved.port)
-                if self.map.epoch < moved.epoch:
-                    # Refresh could not reach a map as new as the
-                    # redirect claims; fall back to following it blindly
-                    # next loop by patching the route we were given.
-                    self.map = self.map.with_assignment(
-                        shard,
-                        f"{moved.host}:{moved.port}",
-                        host=moved.host,
-                        port=moved.port,
-                    )
-            except (ConnectionError, OSError):
-                if self._closed or self.map.replica_id(shard) is None:
-                    raise
-                now = time.monotonic()
-                if failover_deadline is None:
-                    failover_deadline = now + self.failover_grace_s
-                elif now >= failover_deadline:
-                    raise
-                self.failover_retries += 1
-                await self._discard_client(owner.host, owner.port)
-                try:
-                    await self.refresh()
-                except ClusterError:
-                    pass  # nobody reachable yet; back off and re-try
-                await asyncio.sleep(0.04 + random.random() * 0.04)
-            except BusyError:
-                # BUSY past the wire client's own retry budget on a
-                # replicated shard: a *fence* is holding — either a
-                # migration handoff or a self-fenced primary that lost
-                # its standby. Same failover-grace loop as a dead
-                # owner, but over the map: once the standby promotes,
-                # the refreshed (or gossiped) bumped-epoch map re-routes
-                # the shard and the op lands on the new primary. The
-                # connection itself is healthy — no discard.
-                replica_id = self.map.replica_id(shard)
-                if self._closed or replica_id is None:
-                    raise
-                now = time.monotonic()
-                if failover_deadline is None:
-                    failover_deadline = now + self.failover_grace_s
-                elif now >= failover_deadline:
-                    raise
-                self.failover_retries += 1
-                # Ask the *standby* for its map, not whoever answers
-                # first: under a symmetric partition the fenced owner
-                # still answers CLUSTER with its stale map, and only
-                # the (about-to-be-)promoted replica holds the bumped
-                # epoch that re-routes this shard.
-                replica = self.map.nodes[replica_id]
-                try:
-                    await self.refresh(replica.host, replica.port)
-                except ClusterError:
-                    pass
-                await asyncio.sleep(0.04 + random.random() * 0.04)
+            return await op(await self._client_for(owner.host, owner.port))
 
-    async def _discard_client(self, host: str, port: int) -> None:
-        """Drop a (presumed broken) pooled connection so the next use
-        goes through a fresh connect — and thus the circuit breaker."""
-        async with self._pool_lock:
-            client = self._pool.pop((host, port), None)
-        if client is not None:
-            await client.close()
+        return await self._retrying(attempt, lambda: shard)
+
+    async def _retrying(
+        self,
+        attempt: Callable[[], Awaitable[T]],
+        shard_of: Callable[[], Optional[int]],
+    ) -> T:
+        """The one retry loop of this client stack.
+
+        ``attempt`` routes by the current map and tries once;
+        ``shard_of`` names the shard its failure concerns (``None`` for
+        a fan-out). MOVED and BUSY (a fence or admission) retry on any
+        shard. A transport failure or reply timeout retries only when
+        the map gives the shard a replica — a failover may be in
+        progress — and otherwise surfaces at once; a retried timeout
+        resends a request whose reply was lost (at-least-once). A retry
+        refreshes the map from the redirect target, or from the shard's
+        replica when it has one (under a symmetric partition only the
+        promoted replica holds the map that re-routes the shard), then
+        backs off. The deadline is ``retry_s`` from the
+        call's start; a MOVED that outlives it becomes
+        :class:`ClusterError`, any other failure re-raises.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.retry_s
+        delays: Optional[Iterator[float]] = None
+        while True:
+            try:
+                return await attempt()
+            except Exception as exc:
+                kind = classify(exc)
+                shard = shard_of()
+                replica = None if shard is None else self.map.replica(shard)
+                if (
+                    self._closed
+                    or kind == FATAL
+                    or (kind in (TRANSPORT, TIMEOUT) and replica is None)
+                ):
+                    raise
+                now = loop.time()
+                if now >= deadline:
+                    if kind == MOVED:
+                        raise ClusterError(
+                            f"still redirected after {self.retry_s}s: {exc}"
+                        ) from exc
+                    raise
+                if isinstance(exc, MovedError):
+                    self.moved_redirects += 1
+                    source = (exc.host, exc.port)
+                else:
+                    self.failover_retries += 1
+                    source = (replica.host, replica.port) if replica else None
+                if source is not None:
+                    try:
+                        await asyncio.wait_for(
+                            self.refresh(*source), deadline - now
+                        )
+                    except (ClusterError, asyncio.TimeoutError):
+                        pass  # nobody reachable yet: back off and retry
+                if delays is None:
+                    delays = backoff_delays()
+                await asyncio.sleep(
+                    max(0.0, min(next(delays), deadline - loop.time()))
+                )
 
     async def _client_for(self, host: str, port: int) -> KVClient:
+        """The pooled connection to ``host:port``, dialled on first use.
+
+        A pooled connection already known broken (reset, EOF, poisoned
+        by a timeout) is never handed out: it is redialled through the
+        per-address circuit breaker, so the pool rides out a member's
+        restart. Each address has at most one dial in flight, shared by
+        all its callers: a hung connect stalls only that member's
+        callers, never another member's.
+        """
         if self._closed:
             raise ConnectionError("cluster client closed")
         key = (host, port)
         client = self._pool.get(key)
-        if client is not None:
+        if client is not None and client._broken is None:
             return client
-        tripped = self._breaker.get(key)
-        if tripped is not None and time.monotonic() < tripped[1]:
-            self.breaker_rejections += 1
-            raise ConnectionError(
-                f"circuit open to {host}:{port} (connect failed "
-                f"{tripped[0]}x; retrying after backoff)"
+        dial = self._dials.get(key)
+        if dial is None:
+            tripped = self._breaker.get(key)
+            if (
+                tripped is not None
+                and asyncio.get_running_loop().time() < tripped[1]
+            ):
+                self.breaker_rejections += 1
+                raise ConnectionError(
+                    f"circuit open to {host}:{port} (connect failed "
+                    f"{tripped[0]}x; retrying after backoff)"
+                )
+            dial = self._dials[key] = asyncio.ensure_future(self._dial(key))
+            dial.add_done_callback(lambda _: self._dials.pop(key, None))
+        return await asyncio.shield(dial)
+
+    async def _dial(self, key: Tuple[str, int]) -> KVClient:
+        """Connect to ``key`` and pool the connection; a failed connect
+        opens the address's circuit for its next backoff delay."""
+        try:
+            client = await KVClient.connect(*key, **self._client_options)
+        except (ConnectionError, OSError, asyncio.TimeoutError):
+            failures, _, delays = self._breaker.get(
+                key, (0, 0.0, backoff_delays())
             )
+            self._breaker[key] = (
+                failures + 1,
+                asyncio.get_running_loop().time() + next(delays),
+                delays,
+            )
+            raise
+        self._breaker.pop(key, None)
         async with self._pool_lock:
-            if self._closed:
-                # close() won the lock between our fast-path check and
-                # here; inserting now would leak a connection forever.
-                raise ConnectionError("cluster client closed")
-            client = self._pool.get(key)
-            if client is None:
-                try:
-                    client = await KVClient.connect(
-                        host, port, **self._client_options
-                    )
-                except (ConnectionError, OSError):
-                    failures = (
-                        self._breaker.get(key, (0, 0.0))[0] + 1
-                    )
-                    backoff = min(
-                        BREAKER_BACKOFF_S * (2 ** (failures - 1)),
-                        BREAKER_MAX_BACKOFF_S,
-                    ) * (0.5 + random.random() * 0.5)
-                    self._breaker[key] = (
-                        failures,
-                        time.monotonic() + backoff,
-                    )
-                    raise
-                self._breaker.pop(key, None)
+            # close() may have drained the pool while we dialled;
+            # inserting now would leak a connection forever.
+            stale = self._pool.pop(key, None)
+            if not self._closed:
                 self._pool[key] = client
-            return client
+        if stale is not None:
+            await stale.close()
+        if self._closed:
+            await client.close()
+            raise ConnectionError("cluster client closed")
+        return client

@@ -107,7 +107,7 @@ from ..errors import (
 )
 from ..faults.registry import fault_point
 from ..replication.store import entries_to_batch_ops
-from ..server.client import KVClient
+from ..server.client import KVClient, backoff_delays
 from ..server.protocol import BatchOp, ProtocolError, decode_batch, encode_batch
 from ..server.server import KVServer
 from .client import fetch_map, push_map
@@ -283,14 +283,13 @@ class ClusterNode(KVServer):
         """One connection to a peer, closed on exit — the only place
         this node dials another, so every link honors
         :meth:`peer_address`. With a ``budget_s`` the connect and every
-        request are bounded by it and nothing reconnects (a probe or a
-        session that must fail fast); without, the client's defaults."""
+        request are bounded by it and nothing is retried (a probe or a
+        session that must fail fast; cluster verbs skip admission, so a
+        peer never answers them BUSY); without, the client's defaults."""
         options: Dict[str, object] = {}
         if budget_s is not None:
             options = dict(
-                timeout_s=budget_s,
-                connect_timeout_s=budget_s,
-                reconnect_retries=0,
+                timeout_s=budget_s, connect_timeout_s=budget_s, retry_s=0.0
             )
         peer = await asyncio.wait_for(
             KVClient.connect(*self.peer_address(info), **options),
@@ -1072,7 +1071,9 @@ class _ShardShipper:
 
     async def _run(self) -> None:
         store = self.node.node_store
-        backoff = self.node.heartbeat_interval_s
+        delays = backoff_delays(
+            self.node.heartbeat_interval_s, self.node.ship_backoff_cap_s
+        )
         try:
             # The commit tap lives for the shipper's whole lifetime, not
             # per-session: between sessions (stream degraded, standby
@@ -1098,9 +1099,7 @@ class _ShardShipper:
                     raise
                 except Exception:
                     self._release_all("retrying")
-                    delay = backoff * (0.5 + random.random() * 0.5)
-                    backoff = min(backoff * 2.0, self.node.ship_backoff_cap_s)
-                    await asyncio.sleep(delay)
+                    await asyncio.sleep(next(delays))
         finally:
             self._release_all("stopped")
             if not store._closed:

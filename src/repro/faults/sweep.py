@@ -1178,8 +1178,7 @@ async def _partition_writer(
                         port,
                         timeout_s=2.0,
                         connect_timeout_s=0.5,
-                        max_busy_retries=0,
-                        reconnect_retries=0,
+                        retry_s=0.0,
                     )
                 except (ConnectionError, OSError):
                     await asyncio.sleep(0.05)
@@ -1298,8 +1297,7 @@ async def _probe_busy(
                 port,
                 timeout_s=2.0,
                 connect_timeout_s=0.5,
-                max_busy_retries=0,
-                reconnect_retries=0,
+                retry_s=0.0,
             )
             await client.put(key, "probe")
         except BusyError:

@@ -9,20 +9,23 @@ reply future, running many operations concurrently — for example with
     client = await KVClient.connect("127.0.0.1", port)
     await asyncio.gather(*(client.put(f"k{i}", "v") for i in range(64)))
 
-Failure handling, from transient to terminal:
+Failure handling, from transient to terminal (:func:`classify` names
+the class, for this client and the cluster client alike):
 
 * A ``BUSY`` reply (admission control shedding a write while the engine
-  is write-stopped) is retried transparently with jittered exponential
-  backoff.
+  is write-stopped, or a fenced shard) backs off and retries on the same
+  connection.
 * A connection reset or EOF — including mid-pipeline, where every
-  in-flight request fails with ``ConnectionError`` — triggers a bounded
-  reconnect loop (``reconnect_retries`` attempts with jittered,
-  doubling backoff from :data:`RECONNECT_BACKOFF_S`)
-  when the client was built via :meth:`connect`, after which the failed
-  call is resent. **At-least-once caveat:** a write whose reply was lost
-  to the reset may have committed before the crash; resending it applies
-  it again. That is idempotent for PUT/DELETE but double-applies
+  in-flight request fails with ``ConnectionError`` — redials the
+  recorded address (clients built via :meth:`connect`) and resends the
+  call. **At-least-once caveat:** a write whose reply was lost to the
+  reset may have committed before the crash; resending it applies it
+  again. That is idempotent for PUT/DELETE but double-applies
   merge-style batches.
+* Both spend one ``retry_s`` budget on one backoff schedule
+  (:func:`backoff_delays`), then the last error surfaces. A
+  :class:`~repro.cluster.ClusterClient` pools ``retry_s=0`` clients:
+  it owns the retry for its stack.
 * ``ERR UNAVAILABLE <shard>`` (a quarantined shard in degraded mode)
   raises :class:`UnavailableError` immediately — it is retryable *by the
   application* once the operator restores the shard, but the client does
@@ -39,7 +42,7 @@ import asyncio
 import json
 import random
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..errors import SnapshotExpiredError as _EngineSnapshotExpiredError
@@ -54,14 +57,28 @@ from .protocol import (
 )
 
 
-#: BUSY retry backoff window: the first delay, doubled per BUSY reply up
-#: to the cap (each jittered).
-BUSY_BACKOFF_BASE_S = 0.005
-BUSY_BACKOFF_MAX_S = 0.25
+#: The one backoff schedule's first delay and ceiling (both client
+#: layers, the cluster client's circuit breaker, the shard shipper).
+BACKOFF_BASE_S = 0.005
+BACKOFF_MAX_S = 0.25
 
-#: Delay before the first reconnect attempt (jittered, doubled per
-#: attempt).
-RECONNECT_BACKOFF_S = 0.05
+#: The failure classes :func:`classify` returns.
+MOVED, BUSY, TRANSPORT, TIMEOUT, FATAL = (
+    "moved", "busy", "transport", "timeout", "fatal"
+)
+
+
+def backoff_delays(
+    base: Optional[float] = None, cap: Optional[float] = None
+) -> Iterator[float]:
+    """The one retry schedule: doubling from ``base`` up to ``cap``
+    (default :data:`BACKOFF_BASE_S` / :data:`BACKOFF_MAX_S`, read at the
+    call), each delay drawn from the upper half of its step."""
+    cap = BACKOFF_MAX_S if cap is None else cap
+    delay = min(BACKOFF_BASE_S if base is None else base, cap)
+    while True:
+        yield random.uniform(delay / 2, delay)
+        delay = min(delay * 2, cap)
 
 
 async def _open_connection(
@@ -69,16 +86,14 @@ async def _open_connection(
 ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
     """``asyncio.open_connection`` bounded by ``timeout_s``.
 
-    A timed-out connect surfaces as :class:`ConnectionError` so every
-    caller's existing connect-failure handling (reconnect budgets, the
-    cluster client's failover grace and circuit breaker) applies to a
-    blackholed address exactly as it does to a refused one.
+    A timed-out connect surfaces as :class:`ConnectionError`: a
+    blackholed address is a ``transport`` failure, like a refused one.
     """
     try:
         return await asyncio.wait_for(
             asyncio.open_connection(host, port), timeout_s
         )
-    except asyncio.TimeoutError:
+    except (asyncio.TimeoutError, TimeoutError):
         raise ConnectionError(
             f"connect to {host}:{port} timed out after {timeout_s}s"
         ) from None
@@ -168,18 +183,31 @@ class TxnError(ServerError, _EngineTxnConflictError):
         super().__init__("TXN", message)
 
 
+def classify(exc: BaseException) -> str:
+    """The class both client layers retry a failed call by: moved,
+    busy, timeout, transport (reset, EOF, failed connect, open circuit)
+    or fatal. Timeouts go first: from Python 3.11 they are ``OSError``
+    too, and the order makes every version agree."""
+    if isinstance(exc, (asyncio.TimeoutError, TimeoutError)):
+        return TIMEOUT
+    if isinstance(exc, MovedError):
+        return MOVED
+    if isinstance(exc, BusyError):
+        return BUSY
+    if isinstance(exc, (ConnectionError, OSError)):
+        return TRANSPORT
+    return FATAL
+
+
 class KVClient:
     """One pipelined connection to a :class:`~repro.server.KVServer`.
 
     Args:
         timeout_s: Per-request reply timeout; expiry poisons the
             connection (reply ordering is lost past a missing reply).
-        max_busy_retries: BUSY replies absorbed per call before
-            :class:`BusyError`.
-        reconnect_retries: Reconnect attempts per call after a
-            connection reset/EOF (0 disables; reconnection also requires
-            the client to have been built via :meth:`connect`, which
-            records the address).
+        retry_s: Each call's budget for BUSY backoff and redials
+            (these need a client built via :meth:`connect`), from its
+            first failure; ``0`` makes every call one attempt.
         connect_timeout_s: Bound on establishing the TCP connection, in
             :meth:`connect` and every reconnect. Without it a blackholed
             address (a partitioned node, a dropped SYN) hangs the
@@ -203,8 +231,7 @@ class KVClient:
         writer: asyncio.StreamWriter,
         *,
         timeout_s: float = 10.0,
-        max_busy_retries: int = 8,
-        reconnect_retries: int = 3,
+        retry_s: float = 2.0,
         connect_timeout_s: float = 5.0,
         protocol_version: int = 1,
     ) -> None:
@@ -214,8 +241,7 @@ class KVClient:
         self.protocol_version = 1
         self._requested_version = protocol_version
         self.timeout_s = timeout_s
-        self.max_busy_retries = max_busy_retries
-        self.reconnect_retries = reconnect_retries
+        self.retry_s = retry_s
         self.connect_timeout_s = connect_timeout_s
         #: BUSY replies absorbed by the retry loop (observability).
         self.busy_retries = 0
@@ -478,94 +504,66 @@ class KVClient:
     async def _call(self, fields: List[str]) -> List[str]:
         """Send a request; absorb BUSY and connection resets; raise ERR.
 
-        One loop, two retry budgets: ``max_busy_retries`` BUSY replies
-        and ``reconnect_retries`` reconnects.
+        A BUSY backs off on its connection; a transport failure (a
+        failed redial included) redials and resends. The ``retry_s``
+        deadline is taken at the first failure, so the success path
+        reads no clock. A timed-out call is never resent here.
         """
-        busy_attempts = 0
-        reconnect_attempts = 0
-        busy_delay = BUSY_BACKOFF_BASE_S
+        delays: Optional[Iterator[float]] = None
+        deadline = 0.0
         while True:
             try:
+                if delays is not None and self._broken is not None:
+                    await self._reconnect()
                 reply = await self._request(fields)
-            except asyncio.TimeoutError:
-                raise  # connection poisoned; ordering lost, never resend
-            except (ConnectionError, OSError) as exc:
-                self._poison(exc)
-                # The reconnect attempt itself may fail — during a full
-                # server restart the listener is down, so open_connection
-                # raises too. Each such failure consumes one attempt from
-                # the same budget instead of aborting the call, so a
-                # client outlives a restart as long as the listener is
-                # back within its retry window.
-                while True:
-                    if (
-                        self._closed
-                        or self._address is None
-                        or reconnect_attempts >= self.reconnect_retries
-                    ):
+                if reply[0] != "BUSY" and reply[0] != "ERR":
+                    return reply
+                raise self._reply_error(reply)
+            except Exception as exc:
+                kind = classify(exc)
+                if kind == TRANSPORT:
+                    self._poison(exc)
+                    if self._closed or self._address is None:
                         raise
-                    reconnect_attempts += 1
-                    delay = RECONNECT_BACKOFF_S * (
-                        2 ** (reconnect_attempts - 1)
-                    )
-                    await self._backoff(delay)
-                    try:
-                        await self._reconnect()
-                    except (ConnectionError, OSError) as retry_exc:
-                        exc = retry_exc
-                        continue
-                    break
-                continue
-            if reply[0] == "BUSY":
-                self.busy_retries += 1
-                busy_attempts += 1
-                message = reply[1] if len(reply) > 1 else "busy"
-                if busy_attempts > self.max_busy_retries:
-                    raise BusyError(message)
-                await self._backoff(busy_delay)
-                busy_delay = min(busy_delay * 2, BUSY_BACKOFF_MAX_S)
-                continue
-            if reply[0] == "ERR":
-                code = reply[1] if len(reply) > 1 else "UNKNOWN"
+                elif kind != BUSY:
+                    raise
+                now = asyncio.get_running_loop().time()
+                if delays is None:
+                    delays = backoff_delays()
+                    deadline = now + self.retry_s
+                if now >= deadline:
+                    raise
+                if kind == BUSY:
+                    self.busy_retries += 1
+                await asyncio.sleep(min(next(delays), deadline - now))
+
+    @staticmethod
+    def _reply_error(reply: List[str]) -> ServerError:
+        """The structured error a ``BUSY`` or ``ERR`` reply stands for
+        (``ERR MOVED shard host:port epoch detail`` → :class:`MovedError`
+        when its fields parse)."""
+        if reply[0] == "BUSY":
+            return BusyError(reply[1] if len(reply) > 1 else "busy")
+        code = reply[1] if len(reply) > 1 else "UNKNOWN"
+        detail = reply[2] if len(reply) > 2 else ""
+        if code in ("UNAVAILABLE", "MOVED"):
+            try:
+                shard = int(reply[2])
+                if code == "UNAVAILABLE":
+                    return UnavailableError(shard, " ".join(reply[3:4]))
+                host, _, port = reply[3].rpartition(":")
+                return MovedError(
+                    shard, host, int(port), int(reply[4]), " ".join(reply[5:6])
+                )
+            except (ValueError, IndexError):
                 if code == "UNAVAILABLE" and len(reply) > 2:
-                    try:
-                        shard = int(reply[2])
-                    except ValueError:
-                        shard = -1
-                    raise UnavailableError(
-                        shard, reply[3] if len(reply) > 3 else ""
-                    )
-                if code == "MOVED" and len(reply) > 4:
-                    raise self._parse_moved(reply)
-                if code == "SNAPEXPIRED":
-                    raise SnapshotExpiredError(
-                        reply[2] if len(reply) > 2 else ""
-                    )
-                if code == "TXN":
-                    raise TxnError(reply[2] if len(reply) > 2 else "")
-                raise ServerError(code, reply[2] if len(reply) > 2 else "")
-            return reply
-
-    @staticmethod
-    def _parse_moved(reply: List[str]) -> ServerError:
-        """``["ERR","MOVED",shard,"host:port",epoch,detail...]`` →
-        :class:`MovedError` (or a generic ``ServerError`` when the reply
-        fields don't parse)."""
-        try:
-            shard = int(reply[2])
-            host, _, port_text = reply[3].rpartition(":")
-            port = int(port_text)
-            epoch = int(reply[4])
-        except (ValueError, IndexError):
-            return ServerError("MOVED", " ".join(reply[2:]))
-        return MovedError(
-            shard, host, port, epoch, reply[5] if len(reply) > 5 else ""
-        )
-
-    @staticmethod
-    async def _backoff(delay: float) -> None:
-        """Sleep ``delay`` plus jitter."""
-        await asyncio.sleep(delay + random.uniform(0, delay))
+                    return UnavailableError(-1, " ".join(reply[3:4]))
+                return ServerError(code, " ".join(reply[2:]))
+        if code == "SNAPEXPIRED":
+            return SnapshotExpiredError(detail)
+        if code == "TXN":
+            return TxnError(detail)
+        return ServerError(code, detail)
 
     async def _reconnect(self) -> None:
         """Replace the dead transport with a fresh connection.

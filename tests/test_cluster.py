@@ -836,11 +836,7 @@ class TestClusterWire:
 
         asyncio.run(scenario())
 
-    def test_redirect_budget_exhaustion_raises_cluster_error(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr("repro.cluster.client.MAX_REDIRECTS", 2)
-
+    def test_redirect_budget_exhaustion_raises_cluster_error(self, tmp_path):
         async def scenario():
             async with local_cluster(tmp_path) as (servers, stores, live):
                 # A map lying about ownership: every shard "owned" by a,
@@ -852,13 +848,23 @@ class TestClusterWire:
                     list(live.nodes.values()),
                     epoch=99,
                 )
-                client = ClusterClient(lying)
                 key = keys_for_shard(
                     stores[1].owned_shards()[0], 1, live.num_shards, "tk"
                 )[0]
+                # No budget: the first MOVED ends the call, unfollowed.
+                client = ClusterClient(lying, retry_s=0.0)
                 with pytest.raises(ClusterError):
                     await client.put(key, "v")
-                assert client.moved_redirects == 3  # budget + 1 tries
+                assert client.moved_redirects == 0
+                await client.close()
+                # A budget: redirects are followed until the deadline.
+                client = ClusterClient(lying, retry_s=0.3)
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                with pytest.raises(ClusterError):
+                    await client.put(key, "v")
+                assert loop.time() - started < 0.3 + 1.0
+                assert client.moved_redirects >= 2
                 await client.close()
 
         asyncio.run(scenario())
@@ -1079,7 +1085,7 @@ class TestMigrationDriverPeers:
 
                 stores[1].migration_apply = gated_apply
                 admin = await KVClient.connect(
-                    "127.0.0.1", servers[0].port, reconnect_retries=0
+                    "127.0.0.1", servers[0].port, retry_s=0.0
                 )
                 migrate = asyncio.create_task(
                     admin.command(["MIGRATE", str(moving), "b"])

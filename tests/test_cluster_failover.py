@@ -339,7 +339,7 @@ class TestWireFailover:
                 tmp_path, shape="replicated", **FAST
             ) as (servers, stores, live):
                 client = await ClusterClient.connect(
-                    "127.0.0.1", servers[1].port, failover_grace_s=8.0
+                    "127.0.0.1", servers[1].port, retry_s=8.0
                 )
                 async with client:
                     keys = {
@@ -794,7 +794,8 @@ class TestClientRobustness:
         self, tmp_path, monkeypatch
     ):
         # stays open for the test (the cap bounds the first window too)
-        monkeypatch.setattr("repro.cluster.client.BREAKER_BACKOFF_S", 30.0)
+        monkeypatch.setattr("repro.server.client.BACKOFF_BASE_S", 30.0)
+        monkeypatch.setattr("repro.server.client.BACKOFF_MAX_S", 30.0)
 
         async def scenario():
             # unreplicated map: owner loss surfaces as ConnectionError
@@ -809,11 +810,9 @@ class TestClientRobustness:
                     await client.put(key_b, "v")
                     await servers[1].stop()  # node b dies, no replica
                     stores[1].kill()
-                    # evict the pooled connection; the next op must
-                    # attempt a fresh connect, fail, and trip the breaker
-                    await client._discard_client(
-                        "127.0.0.1", servers[1].port
-                    )
+                    # close the pooled connection: the next op must
+                    # redial it, fail, and trip the breaker
+                    await (await client.node("b")).close()
                     with pytest.raises((ConnectionError, OSError)):
                         await client.put(key_b, "v2")
                     start = time.monotonic()

@@ -247,7 +247,7 @@ class TestNetProxyWire:
                 client = await KVClient.connect(
                     "127.0.0.1",
                     proxy.port,
-                    reconnect_retries=3,
+                    retry_s=2.0,
                 )
                 async with client:
                     await client.put("torn", "value")
@@ -282,7 +282,7 @@ class TestNetProxyWire:
                     "127.0.0.1",
                     proxy.port,
                     timeout_s=0.2,
-                    reconnect_retries=0,
+                    retry_s=0.0,
                 )
                 with pytest.raises((ConnectionError, OSError)):
                     await client.command(["PING"])
@@ -382,7 +382,7 @@ class TestPartitionFailover:
             ) as (servers, stores, live):
                 keys = keys_for_shard(0, 3, NUM_SHARDS, "nk")
                 client = await ClusterClient.connect(
-                    "127.0.0.1", servers[0].port, failover_grace_s=6.0
+                    "127.0.0.1", servers[0].port, retry_s=6.0
                 )
                 async with client:
                     await client.put(keys[0], "pre")
@@ -418,7 +418,7 @@ class TestPartitionFailover:
                     direct = await KVClient.connect(
                         "127.0.0.1",
                         servers[0].port,
-                        max_busy_retries=2,
+                        retry_s=0.05,
                     )
                     async with direct:
                         with pytest.raises(BusyError):
@@ -458,7 +458,7 @@ class TestPartitionFailover:
                 client = await KVClient.connect(
                     "127.0.0.1",
                     servers[0].port,
-                    max_busy_retries=2,
+                    retry_s=0.05,
                 )
                 async with client:
                     await client.command(["PUT", keys[0], "pre"])

@@ -437,7 +437,7 @@ class TestAdmissionControl:
                 async with await KVClient.connect(
                     "127.0.0.1",
                     server.port,
-                    max_busy_retries=2,
+                    retry_s=0.05,
                 ) as kv:
                     with pytest.raises(BusyError) as excinfo:
                         await kv.put("k", "v")
@@ -924,7 +924,7 @@ class TestClientReconnect:
     """Bounded reconnect-with-jitter on connection loss mid-stream."""
 
     def test_put_survives_a_server_restart(self, monkeypatch):
-        monkeypatch.setattr("repro.server.client.RECONNECT_BACKOFF_S", 0.01)
+        monkeypatch.setattr("repro.server.client.BACKOFF_BASE_S", 0.01)
 
         async def scenario():
             tree = LSMTree(bg_config())
@@ -935,7 +935,7 @@ class TestClientReconnect:
                 kv = await KVClient.connect(
                     "127.0.0.1",
                     port,
-                    reconnect_retries=5,
+                    retry_s=2.0,
                 )
                 try:
                     await kv.put("before", "v")
@@ -961,7 +961,7 @@ class TestClientReconnect:
         asyncio.run(scenario())
 
     def test_reconnect_gives_up_when_nobody_listens(self, monkeypatch):
-        monkeypatch.setattr("repro.server.client.RECONNECT_BACKOFF_S", 0.01)
+        monkeypatch.setattr("repro.server.client.BACKOFF_BASE_S", 0.01)
 
         async def scenario():
             tree = LSMTree(bg_config())
@@ -971,7 +971,7 @@ class TestClientReconnect:
                 kv = await KVClient.connect(
                     "127.0.0.1",
                     server.port,
-                    reconnect_retries=2,
+                    retry_s=0.1,
                 )
                 try:
                     await kv.put("k", "v")
@@ -1000,7 +1000,7 @@ class TestClientReconnect:
                 kv = await KVClient.connect(
                     "127.0.0.1",
                     port,
-                    reconnect_retries=20,
+                    retry_s=5.0,
                 )
                 restarted: List[KVServer] = []
                 try:
@@ -1042,7 +1042,7 @@ class TestClientReconnect:
                 server = KVServer(tree, owns_tree=False)
                 await server.start()
                 kv = await KVClient.connect(
-                    "127.0.0.1", server.port, reconnect_retries=5
+                    "127.0.0.1", server.port, retry_s=2.0
                 )
                 await kv.put("k", "v")
                 await kv.close()
@@ -1122,7 +1122,7 @@ class TestWindowIssueAPIs:
         async def scenario():
             async with serving() as server:
                 kv = await KVClient.connect(
-                    "127.0.0.1", server.port, reconnect_retries=0
+                    "127.0.0.1", server.port, retry_s=0.0
                 )
                 await kv.close()
                 with pytest.raises(ConnectionError):
