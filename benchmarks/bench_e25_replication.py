@@ -3,10 +3,12 @@
 Claim under reproduction: quarantine alone (E24) caps post-kill write
 availability at (N-1)/N — the dead shard's keys stay dark until an
 operator intervenes. Log-shipping replicas with automatic failover
-(``repro.replication``) recover the missing 1/N: when shard 0's workers
-die, the store promotes its warm standby in place and the very request
-that observed the failure is retried against the promoted replica, so
-clients see ~full availability with at most a promote-latency blip.
+(``repro.replication``: two in-process cluster nodes, one the standby
+of every shard) recover the missing 1/N: when shard 0's workers die,
+the store promotes its warm standby through the cluster's failover map
+and the very request that observed the failure is retried against the
+promoted replica, so clients see ~full availability with at most a
+promote-latency blip.
 
 Setup: the E24 kill scenario verbatim — asyncio TCP server, pipelined
 client, 4 background-mode shards, one shard's flush/compaction workers
@@ -166,7 +168,7 @@ def test_e25_replicated_failover(benchmark):
             "E25: write availability after shard 0's background workers "
             f"die mid-run ({NUM_SHARDS} shards). Without replicas the "
             "dead shard's keys stay dark (~0.75); with WAL-shipping "
-            "replicas the standby is promoted in place and availability "
+            "replicas the standby node is promoted and availability "
             "returns to ~1.0"
         ),
     )

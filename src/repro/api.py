@@ -2,10 +2,10 @@
 
 Every storage engine in this repository — the single
 :class:`~repro.core.tree.LSMTree`, the sharded forest
-(:class:`~repro.shard.ShardedStore`, hash- or range-routed), its
-replicated wrapper (:class:`~repro.replication.ReplicatedStore`), and
-the cluster node store (:class:`~repro.cluster.NodeStore`, which
-composes a forest) — exposes the same key-value
+(:class:`~repro.shard.ShardedStore`, hash- or range-routed), the
+cluster node store (:class:`~repro.cluster.NodeStore`, which composes a
+forest), and the in-process replicated pair of node stores
+(:class:`~repro.replication.ReplicatedStore`) — exposes the same key-value
 surface. :class:`KVStore` names that surface as a runtime-checkable
 :class:`typing.Protocol`, so serving layers, benchmarks, and tests can be
 written once against the protocol and run unmodified over any engine:

@@ -21,7 +21,9 @@ function that serves ``MIGRATE`` (against a wire peer), that the tests
 call and that the crash-consistency sweep crashes at every crossing
 (both against a second in-process :class:`NodeStore`).
 :func:`replicate_local` is the small in-process twin of the long-lived
-cross-node replication shipper, built for the same sweep.
+cross-node replication shipper, and :func:`promote_local` the one
+promotion sequence; the same sweep and
+:class:`~repro.replication.ReplicatedStore` build on both.
 :func:`local_cluster` is *the* in-process bootstrap — two nodes on real
 sockets, port 0 resolved into an epoch-1 map, optional per-link fault
 proxies, standbys seeded, everything torn down on exit — that the wire
@@ -36,7 +38,13 @@ from .client import ClusterClient, ClusterError
 from .local import local_cluster, wait_until
 from .map import CLUSTER_MANIFEST, ClusterMap, NodeInfo
 from .node import ClusterNode
-from .store import SNAPSHOT_CHUNK, NodeStore, migrate_shard, replicate_local
+from .store import (
+    SNAPSHOT_CHUNK,
+    NodeStore,
+    migrate_shard,
+    promote_local,
+    replicate_local,
+)
 
 __all__ = [
     "CLUSTER_MANIFEST",
@@ -50,6 +58,7 @@ __all__ = [
     "admin",
     "local_cluster",
     "migrate_shard",
+    "promote_local",
     "replicate_local",
     "wait_until",
 ]

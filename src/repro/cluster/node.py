@@ -106,13 +106,20 @@ from ..errors import (
     ShardMovedError,
 )
 from ..faults.registry import fault_point
-from ..replication.store import entries_to_batch_ops
 from ..server.client import KVClient, backoff_delays
 from ..server.protocol import BatchOp, ProtocolError, decode_batch, encode_batch
 from ..server.server import KVServer
 from .client import fetch_map, push_map
 from .map import ClusterMap, NodeInfo
-from .store import MIGRATION, REPLICA, NodeStore, migrate_shard, migration_stats
+from .store import (
+    MIGRATION,
+    REPLICA,
+    NodeStore,
+    entries_to_batch_ops,
+    migrate_shard,
+    migration_stats,
+    promote_local,
+)
 
 #: Verbs this subclass dispatches ahead of the base server.
 _CLUSTER_VERBS = (
@@ -749,10 +756,7 @@ class ClusterNode(KVServer):
         self, peer_id: str, shards: List[int], last_seen: float
     ) -> None:
         """Fenced failover: bump the epoch, persist, serve, publish."""
-        store = self.node_store
-        fault_point("repl.node.promote.start", scope=store.node_id)
-        new_map = store.map.with_failover(shards, store.node_id)
-        await self._run_engine(store.promote_shards, shards, new_map)
+        new_map = await self._run_engine(promote_local, self.node_store, shards)
         self.promotions.append(
             {
                 "from": peer_id,

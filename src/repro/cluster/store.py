@@ -44,9 +44,10 @@ tail the log — written once, in four parts:
    promotion (:meth:`~NodeStore.promote_shards`); a restarted old
    primary observes the newer map (:meth:`~NodeStore.adopt_map`) and
    demotes itself. Seal and promotion share one commit step — persist
-   the bumped-epoch map, *then* serve. The long-lived async shipper
-   lives in :mod:`repro.cluster.node`; :func:`replicate_local` is its
-   small in-process twin for the sweep.
+   the bumped-epoch map, *then* serve; :func:`promote_local` is the one
+   promotion sequence. The long-lived async shipper lives in
+   :mod:`repro.cluster.node`; :func:`replicate_local` is its small
+   in-process twin.
 
 One rule keeps the roles apart on the wire: a source opens no replica
 session for a shard it is migrating — its ``REPL.SYNC`` would supersede
@@ -80,7 +81,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 from ..api import Snapshot, SnapshotLike
 from ..core.config import LSMConfig
-from ..core.entry import Entry
+from ..core.entry import Entry, EntryKind
 from ..core.merge_operator import MergeOperator
 from ..core.stats import TreeStats
 from ..core.tree import LSMTree
@@ -91,7 +92,6 @@ from ..errors import (
     ShardMovedError,
 )
 from ..faults.registry import fault_point
-from ..replication.store import entries_to_batch_ops
 from ..shard.store import BatchOp, ShardedStore
 from .map import ClusterMap
 
@@ -116,6 +116,31 @@ _REFUSAL = {
     MIGRATION: "no migration in progress for shard {shard} on {node}",
     REPLICA: "node {node} holds no replica stream for shard {shard}",
 }
+
+
+def entries_to_batch_ops(
+    entries: Sequence[Entry], *, context: str = "replication"
+) -> List[BatchOp]:
+    """Convert committed WAL entries into wire-shippable batch ops.
+
+    The lingua franca between a WAL commit hook and any remote applier
+    (a replica or a migration destination): put/delete survive the
+    translation losslessly, while merge and range-delete entries are
+    refused — shipping a merge operand without its base (or a range
+    tombstone as point ops) would change its meaning on the other side.
+    """
+    converted: List[BatchOp] = []
+    for entry in entries:
+        if entry.kind is EntryKind.PUT:
+            converted.append(("put", entry.key, entry.value))
+        elif entry.kind in (EntryKind.DELETE, EntryKind.SINGLE_DELETE):
+            converted.append(("delete", entry.key, None))
+        else:
+            raise ConfigError(
+                f"{context} cannot ship {entry.kind.name} entries; "
+                "use put/delete workloads on shipped shards"
+            )
+    return converted
 
 
 @dataclass
@@ -307,14 +332,19 @@ class NodeStore:
         racing write that passed its ownership check before the flip
         answers FencedError (→ BUSY, retried) instead of committing to
         the closed tree; its retry re-routes and gets the MOVED
-        redirect."""
+        redirect. A tree whose background workers died is killed, not
+        closed: its close would only re-raise their failure, and its WAL
+        already holds every acknowledged group."""
         self._fenced.add(shard)
         self._repl_fenced.discard(shard)
         tree = self._forest._drop_slot(shard)
         self._write_locks.pop(shard, None)
         self._tails.pop(shard, None)
         self._ship_hooks.pop(shard, None)
-        tree.close()
+        if tree.background_error() is not None:
+            tree.kill()
+        else:
+            tree.close()
 
     # -- KVStore operations: a guard, then the forest -------------------------
 
@@ -840,7 +870,10 @@ class NodeStore:
         promotion epoch; the stale directory is kept until the new
         primary's ``REPL.SYNC`` wipes and reseeds it. A map that would
         *grant* us shards is rejected: ownership is gained only through
-        a migration seal or a promotion, never a push.
+        a migration seal or a promotion, never a push. Every demotion
+        and standby drop runs before a failure in one of them surfaces:
+        a half-applied demotion would leave a lost shard serving stale
+        data.
         """
         self._check_open()
         with self._transition_lock:
@@ -868,12 +901,18 @@ class NodeStore:
             # then stop serving the demoted shards.
             new_map.save(self._wal_dir)
             self.map = new_map
+            failure: Optional[Exception] = None
             for shard in lost:
-                self._drop(shard)
+                try:
+                    self._drop(shard)
+                except Exception as exc:
+                    failure = failure or exc
             # Standbys for shards we no longer replicate are dropped.
             for shard in self._inbound_shards(REPLICA):
                 if new_map.replica_id(shard) != self.node_id:
                     self._inbound.pop(shard).tree.close()
+            if failure is not None:
+                raise failure
             return True
 
     # -- lifecycle ------------------------------------------------------------
@@ -1071,6 +1110,7 @@ def replicate_local(
     shard: int,
     *,
     chunk: int = SNAPSHOT_CHUNK,
+    ship: Optional[Callable[[List[Entry]], None]] = None,
 ) -> Callable[[], None]:
     """Seed and then continuously ship ``shard`` between two in-process
     NodeStores; returns the callable that detaches the stream.
@@ -1080,21 +1120,24 @@ def replicate_local(
     (``_ShardShipper`` in :mod:`repro.cluster.node`) is a long-lived
     async task with a buffered window, and this is its small in-process
     twin — same begin, same pager loop, same ``repl.node.*`` failpoints
-    — for the crash-consistency sweep.
+    — for the crash-consistency sweep and
+    :class:`~repro.replication.ReplicatedStore`.
 
-    In-process shipping is synchronous by construction: the ship hook
-    applies each commit group to the standby on the committing thread,
-    so an acknowledged write is always on both copies — the invariant
-    the sweep's failover oracle checks. Callers must not write the
-    shard from *other* threads while the seeding scan runs (the sweep
-    and tests are single-threaded); the wire shipper orders concurrent
-    writers through one buffered stream instead.
+    ``ship`` is the step each live commit group takes to the standby,
+    called on the committing thread; it must end in
+    ``dest.replica_apply(shard, entries_to_batch_ops(entries))``. The
+    default takes that step inline, so an acknowledged write is always
+    on both copies — the invariant the sweep's failover oracle checks.
+    Callers must not write the shard from *other* threads while the
+    seeding scan runs (the sweep and tests are single-threaded, a
+    replicated store seeds before it serves); the wire shipper orders
+    concurrent writers through one buffered stream instead.
     """
     dest.inbound_begin(shard, REPLICA, source.map)
     if dest.map.epoch > source.map.epoch:
         source.adopt_map(dest.map)
 
-    def ship(entries: List[Entry]) -> None:
+    def apply(entries: List[Entry]) -> None:
         dest.replica_apply(
             shard, entries_to_batch_ops(entries, context="replication")
         )
@@ -1103,7 +1146,7 @@ def replicate_local(
         if not source._closed:
             source.detach_replication(shard)
 
-    source.attach_replication(shard, ship)
+    source.attach_replication(shard, ship or apply)
     try:
         for batch in source.snapshot_batches(shard, chunk):
             dest.replica_apply(shard, batch)
@@ -1112,3 +1155,26 @@ def replicate_local(
         detach()
         raise
     return detach
+
+
+def promote_local(
+    standby: NodeStore,
+    shards: Sequence[int],
+    primary: Optional[NodeStore] = None,
+) -> ClusterMap:
+    """Fail ``shards`` over onto ``standby``; returns the failover map.
+
+    The one promotion sequence — a live node's lease expiry
+    (``ClusterNode._promote_from``), the sweep and
+    :class:`~repro.replication.ReplicatedStore` all run it: one epoch
+    bump for every shard (:meth:`ClusterMap.with_failover`), then the
+    commit step (:meth:`NodeStore.promote_shards`). An in-process old
+    ``primary`` then adopts the map and demotes itself; a remote or dead
+    one learns it from the map broadcast or when it rejoins.
+    """
+    fault_point("repl.node.promote.start", scope=standby.node_id)
+    new_map = standby.map.with_failover(shards, standby.node_id)
+    standby.promote_shards(shards, new_map)
+    if primary is not None:
+        primary.adopt_map(new_map)
+    return new_map

@@ -208,48 +208,6 @@ FAILPOINTS: Dict[str, Failpoint] = {
             "before recovery rolls a committed prepared group forward",
         ),
         Failpoint(
-            "repl.ship",
-            "replication/store.py ship",
-            "commit group durable on the primary, before enqueueing it "
-            "for the replica",
-        ),
-        Failpoint(
-            "repl.apply",
-            "replication/store.py applier",
-            "group dequeued on the replica applier, before its "
-            "replica-WAL append",
-        ),
-        Failpoint(
-            "repl.applied",
-            "replication/store.py applier",
-            "group durable on the replica, before the primary's ack",
-        ),
-        Failpoint(
-            "repl.promote.start",
-            "replication/store.py promote",
-            "failover decided, before the replicator is detached",
-        ),
-        Failpoint(
-            "repl.promote.drain",
-            "replication/store.py promote",
-            "replicator stopped, before the replica swaps in as serving",
-        ),
-        Failpoint(
-            "repl.promote.done",
-            "replication/store.py promote",
-            "replica promoted and serving, before health is rewritten",
-        ),
-        Failpoint(
-            "repl.manifest.tmp",
-            "shard/store.py _write_manifest (replica side)",
-            "replica-side shards.json tmp written, before its rename",
-        ),
-        Failpoint(
-            "repl.manifest.done",
-            "shard/store.py _write_manifest (replica side)",
-            "after the replica-side shards.json rename",
-        ),
-        Failpoint(
             "cluster.map.tmp",
             "cluster/map.py save",
             "cluster.json tmp written, before the atomic rename",
@@ -316,8 +274,9 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "repl.node.promote.start",
-            "cluster/node.py _promote_from",
-            "peer lease expired, before the failover map is built",
+            "cluster/store.py promote_local",
+            "failover decided (lease expired, or quarantine in a "
+            "replicated store), before the failover map is built",
         ),
         Failpoint(
             "repl.node.promote.seal",

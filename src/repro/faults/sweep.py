@@ -49,6 +49,7 @@ from ..cluster import (
     NodeStore,
     local_cluster,
     migrate_shard,
+    promote_local,
     replicate_local,
     wait_until,
 )
@@ -433,19 +434,17 @@ def _replicated_script() -> List[_Op]:
     """Two sync-replicated shards; recovery reads the *replica* side only.
 
     This models total loss of the primary disk: every crossing — primary
-    WAL, shipping, replica apply, mid-promotion — crashes the process,
-    and the store is rebuilt from ``replica/`` alone via
-    ``ShardedStore.recover``. Sync mode's contract makes that sound:
+    WAL, the ``repl.node.*`` seed, ship and apply, mid-promotion — crashes
+    the process, and the store is rebuilt from ``replica/`` alone
+    (:func:`_standbys_alone`). Sync mode's contract makes that sound:
     every acked write reached the replica's WAL before its ack, so the
     standbys must reconstruct all acked state by themselves. The script
-    includes a scripted failover (``promote``) so the promotion
+    includes a scripted failover (``promote``) so the fence and promotion
     failpoints are enumerated, plus post-promotion writes and deletes
     (the promoted replica serves directly — its WAL keeps journaling).
 
-    Replica appliers run on their own threads, but crossings stay
-    deterministic: sync mode serializes each commit group's ship → apply
-    → ack before the next op starts, and per-``(name, discriminator)``
-    ordinals are interleaving-independent by construction.
+    Sync mode ships each commit group on the committing thread, so the
+    crossings are deterministic.
     """
     ops: List[_Op] = []
     for i in range(4):
@@ -475,6 +474,21 @@ def _replicated_script() -> List[_Op]:
     ops.append(("delete", "r02", None))
     ops.append(("put", "r01", "rv3-after-promote"))
     return ops
+
+
+def _standbys_alone(path: str) -> _Target:
+    """The replica node reopened as the owner of every shard: each shard
+    it does not own yet is failed over onto it first, as an operator
+    would after losing the primary disk."""
+    standby_map = ClusterMap.load(path)
+    lost = [
+        shard
+        for shard in range(standby_map.num_shards)
+        if standby_map.owner_id(shard) != "replica"
+    ]
+    if lost:
+        standby_map.with_failover(lost, "replica").save(path)
+    return _solo(NodeStore.recover("replica", _BIG_BUFFERS, path))
 
 
 # The cluster and failover scenarios: nodes ``a`` and ``b``, four shards.
@@ -719,13 +733,11 @@ def _failover(ctx: _ClusterCtx, op: _Op, _root: str) -> None:
     ctx.stores[dead_id].kill()
     survivor = ctx.stores[survivor_id]
     # The wire heartbeat loop doesn't run in-process; cross its
-    # failpoints here so the sweep crashes the survivor at the
-    # same protocol states the live node passes through between
-    # lease expiry and promotion.
+    # failpoint here so the sweep crashes the survivor at the same
+    # protocol states the live node passes through between lease
+    # expiry and promotion.
     fault_point("repl.node.heartbeat", scope=survivor_id)
-    fault_point("repl.node.promote.start", scope=survivor_id)
-    new_map = survivor.map.with_failover(shards, survivor_id)
-    survivor.promote_shards(shards, new_map)
+    promote_local(survivor, shards)
 
 
 def _rejoin(ctx: _ClusterCtx, op: _Op, root: str) -> None:
@@ -769,10 +781,8 @@ SCENARIOS: Dict[str, Scenario] = {
                     2, _BIG_BUFFERS, mode="sync", wal_dir=_made(root, "repl")
                 )
             ),
-            recover=lambda root: _solo(
-                ShardedStore.recover(
-                    _BIG_BUFFERS, os.path.join(root, "repl", "replica")
-                )
+            recover=lambda root: _standbys_alone(
+                os.path.join(root, "repl", "replica")
             ),
             unit_of=partial(hash_shard_index, num_shards=2),
             verbs={

@@ -1,101 +1,68 @@
-"""Per-shard primary→replica WAL shipping with automatic failover.
+"""Per-shard primary→standby replication with automatic failover.
 
-PR 4's degraded mode keeps N−1 shards serving after a worker death, but
-the dead shard's keys are simply gone until an operator intervenes —
-bench_e24 measures 0.75 post-kill write availability at 4 shards. Real
-LSM deployments close that gap with log-shipping replicas: the primary
-streams its committed WAL records to a warm standby, and failover
-promotes the standby when the primary dies. :class:`ReplicatedStore`
-implements exactly that, one replica per shard:
-
-* **Shipping.** Every shard's primary tree gets a post-commit WAL hook
-  (:meth:`~repro.core.tree.LSMTree.set_wal_commit_hook`): after a commit
-  group's records are written *and* synced — i.e. with exactly the
-  records the durability contract acknowledged — the hook hands the
-  group to that shard's :class:`ShardReplicator`, which enqueues it on a
-  bounded queue. A dedicated applier thread drains the queue into the
-  replica tree via
-  :meth:`~repro.core.tree.LSMTree.apply_replicated`, which journals the
-  whole group with one ``append_batch`` so the replica's own recovery
-  preserves the group's atomicity.
-
-* **Sync vs async.** In ``"sync"`` mode the shipping call blocks until
-  the group is durable in the *replica's* WAL, so every write the client
-  sees acknowledged survives on the standby — the guarantee the
-  crash-consistency sweep asserts. In ``"async"`` mode the ship returns
-  as soon as the group is enqueued; the replicator tracks the
-  acked-vs-applied watermark (``acked_seqno`` / ``applied_seqno`` plus
-  lag in records and bytes), and a crash loses at most the groups inside
-  that window. The queue bound is the documented cap on the window:
-  shippers block (backpressure) rather than let lag grow without limit.
-
-* **Failover.** When a shard is quarantined (its background workers
-  died), the store promotes the replica in place: detach the hook, drain
-  the replication queue into the standby, kill the old primary, and swap
-  the replica in as the shard's serving tree — readers and writers
-  re-route on their next operation because every shard-routed operation
-  re-reads ``self.shards[index]``. Promotion is triggered automatically
-  from the operation path (a routed op that finds its shard quarantined)
-  and from :meth:`check_health` (which the serving layer's ``HEALTH``
-  command polls), and is available manually via :meth:`promote` for
-  planned failover. The shard's :class:`~repro.shard.store.HealthState`
-  is reset to healthy, so availability returns to ~1.0 — the replica has
-  no replica, though: a *second* failure of the same shard degrades to
-  quarantine exactly as an unreplicated store would.
-
-* **Replica loss.** The mirror-image failure — the *replica* dies while
-  the primary is fine — must not take down a healthy shard. In sync
-  mode the write that observed the failure raises
-  :class:`~repro.errors.ReplicationError` (it is locally durable but not
-  replicated, and the caller must know); the store then detaches the
-  hook and serves primary-only (``"replica-lost"``). In async mode the
-  degradation is silent at the write path and surfaced through
-  :meth:`replication_summary` / ``INFO``.
-
-Failure-ordering note: the commit hook fires after the primary's WAL
-sync but *before* the memtable insert, so a write that dies in
-replication (sync mode) is journaled locally yet not readable until a
-restart replays the log. That is deliberate maybe-semantics — an
-errored write may surface later, like a timed-out write in any
-distributed store — and the sweep's tracker treats it exactly that way.
+Quarantine alone leaves a dead shard's keys dark (bench_e24: 0.75
+post-kill write availability at 4 shards). :class:`ReplicatedStore`
+closes that gap in one process with the cluster's replication model:
+two in-process :class:`~repro.cluster.NodeStore` nodes, ``primary`` and
+``replica``, under one :class:`~repro.cluster.ClusterMap` naming the
+primary the owner and the replica the standby of every shard.
+:func:`~repro.cluster.replicate_local` joins each shard (seed, commit
+tap, :meth:`~repro.cluster.NodeStore.replica_apply`); the modes differ
+only in the ship step — ``"sync"`` applies each commit group inline on
+the committing thread, ``"async"`` hands it to the shard's applier and
+tracks the acked / applied watermarks. A quarantined shard (its
+background workers died) fails over through
+:func:`~repro.cluster.promote_local`, the cluster's own promotion; a
+standby whose apply fails drops its shard to primary-only service
+(``"replica-lost"``, raising :class:`~repro.errors.ReplicationError`
+once in sync mode). Both sides are node directories, so a restart
+routes by the freshest persisted map and reseeds every standby.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, TypeVar
+from heapq import merge as heap_merge
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from ..core.config import LSMConfig
-from ..core.entry import Entry, EntryKind
-from ..core.merge_operator import MergeOperator
-from ..core.tree import LSMTree
-from ..errors import ConfigError, ReplicationError, ShardUnavailableError
-from ..faults.registry import fault_point
-from ..shard.store import (
-    HEALTHY,
-    MANIFEST_NAME,
-    BatchOp,
-    ShardedStore,
-    load_manifest,
+from ..api import PartialScanResult, Snapshot, SnapshotLike
+from ..cluster.map import CLUSTER_MANIFEST, ClusterMap, NodeInfo
+from ..cluster.store import (
+    NodeStore,
+    entries_to_batch_ops,
+    promote_local,
+    replicate_local,
 )
+from ..core.config import LSMConfig
+from ..core.entry import Entry
+from ..core.merge_operator import MergeOperator
+from ..core.stats import TreeStats
+from ..core.tree import LSMTree
+from ..errors import (
+    ClosedError,
+    ConfigError,
+    ReplicationError,
+    ShardFencedError,
+    ShardMovedError,
+    ShardUnavailableError,
+)
+from ..shard.store import BatchOp
 
 _T = TypeVar("_T")
+_Group = Tuple[List[Entry], List[BatchOp], int]
 
-#: Replication modes: ``sync`` acks after replica-WAL durability,
-#: ``async`` acks after local durability and tracks lag.
+#: ``sync`` acks after replica-WAL durability, ``async`` after local
+#: durability, with the replica lagging.
 MODES = ("sync", "async")
 
-#: Sub-directories of the store's ``wal_dir`` holding the two sides.
+#: The two node ids, which are also their sub-directories of ``wal_dir``.
 PRIMARY_DIR = "primary"
 REPLICA_DIR = "replica"
 
-#: Per-shard replication queue bound, in *records*: shippers block
-#: (backpressure) once this many are queued. It is the async mode's
-#: documented lag window — a crash loses at most the queued records
-#: (plus the group being applied).
+#: Async mode's lag bound, in records: shippers block (backpressure)
+#: while this many acked records are unapplied — the most a crash loses.
 QUEUE_CAPACITY = 1024
 
 #: Per-shard replication states beyond the configured mode.
@@ -103,133 +70,68 @@ PROMOTED = "promoted"
 REPLICA_LOST = "replica-lost"
 
 
-def entries_to_batch_ops(
-    entries: Sequence[Entry], *, context: str = "replication"
-) -> List[BatchOp]:
-    """Convert committed WAL entries into wire-shippable batch ops.
+class _Link:
+    """One shard's stream: the ship step handed to
+    :func:`~repro.cluster.replicate_local` (run on the committing
+    thread), its watermarks, and in async mode the applier — the one
+    thread this module starts."""
 
-    The lingua franca between a WAL commit hook and any remote applier
-    (a cluster replica or a migration destination): put/delete survive
-    the translation losslessly, while merge and range-delete entries are
-    refused — shipping a merge operand without its base (or a range
-    tombstone as point ops) would change its meaning on the other side.
-    """
-    converted: List[BatchOp] = []
-    for entry in entries:
-        if entry.kind is EntryKind.PUT:
-            converted.append(("put", entry.key, entry.value))
-        elif entry.kind in (EntryKind.DELETE, EntryKind.SINGLE_DELETE):
-            converted.append(("delete", entry.key, None))
-        else:
-            raise ConfigError(
-                f"{context} cannot ship {entry.kind.name} entries; "
-                "use put/delete workloads on shipped shards"
-            )
-    return converted
-
-
-class _Group:
-    """One shipped commit group in flight to the replica."""
-
-    __slots__ = ("entries", "waiter", "error")
-
-    def __init__(self, entries: List[Entry], waiter: Optional[threading.Event]):
-        self.entries = entries
-        self.waiter = waiter
-        self.error: Optional[BaseException] = None
-
-
-class ShardReplicator:
-    """Ships one shard's committed WAL groups to its replica tree.
-
-    A bounded queue of commit groups plus one applier thread. ``ship``
-    is called from the primary's post-commit hook (writer thread, under
-    the shard's write mutex); the applier drains groups into the replica
-    via :meth:`~repro.core.tree.LSMTree.apply_replicated`. All queue
-    state is guarded by one condition variable; the watermark counters
-    are read without it for introspection (single attribute reads are
-    atomic enough for monitoring).
-
-    Args:
-        index: Shard number — used only for failpoint scopes and the
-            applier thread name.
-        replica: The standby tree groups are applied to.
-        sync: Whether ``ship`` blocks until the group is applied
-            (replica-WAL durable) before returning.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        replica: LSMTree,
-        *,
-        sync: bool,
-    ) -> None:
-        self.index = index
-        self.replica = replica
-        self.sync = sync
-        self._scope = f"shard-{index:02d}"
-        self._queue: Deque[_Group] = deque()
-        self._queued_records = 0
+    def __init__(self, shard: int, standby: NodeStore, *, sync: bool) -> None:
+        self.shard = shard
+        self.standby = standby
+        self.state = "sync" if sync else "async"  # → PROMOTED / REPLICA_LOST
+        self.acked_seqno = self.applied_seqno = -1
+        self.lag_records = self.lag_bytes = 0
         self._cond = threading.Condition()
+        self._queue: Deque[_Group] = deque()
         self._stopped = False
-        self._error: Optional[BaseException] = None
-        #: Highest seqno the primary has acknowledged into replication.
-        self.acked_seqno = -1
-        #: Highest seqno durable in the replica's WAL.
-        self.applied_seqno = -1
-        self.shipped_records = 0
-        self.shipped_bytes = 0
-        self.applied_records = 0
-        self.applied_bytes = 0
-        self._thread = threading.Thread(
-            target=self._run, name=f"repl-{index:02d}", daemon=True
-        )
-        self._thread.start()
-
-    # -- primary side --------------------------------------------------------
+        self._thread: Optional[threading.Thread] = None
+        if not sync:
+            self._thread = threading.Thread(
+                target=self._run, name=f"repl-{shard:02d}", daemon=True
+            )
+            self._thread.start()
 
     def ship(self, entries: List[Entry]) -> None:
-        """Enqueue one committed group; in sync mode, wait for its apply.
-
-        Raises :class:`~repro.errors.ReplicationError` if the applier has
-        died or the replicator was stopped — in sync mode also if *this*
-        group's apply failed. The caller's local commit is already
-        durable either way.
-        """
-        if not entries:
+        if self.state == REPLICA_LOST:
             return
-        fault_point("repl.ship", scope=self._scope)
-        group = _Group(entries, threading.Event() if self.sync else None)
+        ops = entries_to_batch_ops(entries, context="replication")
+        group = (entries, ops, sum(entry.size for entry in entries))
         with self._cond:
-            while (
-                self._queued_records >= QUEUE_CAPACITY
-                and not self._stopped
-                and self._error is None
+            while self.lag_records >= QUEUE_CAPACITY and not (
+                self._stopped or self.state == REPLICA_LOST
             ):
                 self._cond.wait()
-            if self._error is not None:
-                raise ReplicationError(
-                    f"shard {self.index} replica applier died"
-                ) from self._error
-            if self._stopped:
-                raise ReplicationError(
-                    f"shard {self.index} replicator is stopped"
-                )
-            self._queue.append(group)
-            self._queued_records += len(entries)
-            self.shipped_records += len(entries)
-            self.shipped_bytes += sum(entry.size for entry in entries)
-            self.acked_seqno = max(self.acked_seqno, entries[-1].seqno)
-            self._cond.notify_all()
-        if group.waiter is not None:
-            group.waiter.wait()
-            if group.error is not None:
-                raise ReplicationError(
-                    f"shard {self.index} replica apply failed"
-                ) from group.error
+            self.lag_records += len(entries)
+            self.lag_bytes += group[2]
+            self.acked_seqno = entries[-1].seqno
+            if self._thread is not None:
+                if not self._stopped:
+                    self._queue.append(group)
+                    self._cond.notify_all()
+                return
+        try:
+            self._apply(group)
+        except Exception as exc:
+            self._lose()
+            raise ReplicationError(
+                f"shard {self.shard} replica apply failed"
+            ) from exc
 
-    # -- replica side --------------------------------------------------------
+    def _apply(self, group: _Group) -> None:
+        entries, ops, size = group
+        self.standby.replica_apply(self.shard, ops)
+        with self._cond:
+            self.lag_records -= len(entries)
+            self.lag_bytes -= size
+            self.applied_seqno = entries[-1].seqno
+            self._cond.notify_all()
+
+    def _lose(self) -> None:
+        with self._cond:
+            self.state = REPLICA_LOST
+            self._queue.clear()
+            self._cond.notify_all()  # no shipper waits on a dead applier
 
     def _run(self) -> None:
         while True:
@@ -237,103 +139,48 @@ class ShardReplicator:
                 while not self._queue and not self._stopped:
                     self._cond.wait()
                 if not self._queue:
-                    return  # stopped and fully drained
+                    return  # stopped and drained
                 group = self._queue.popleft()
-                self._queued_records -= len(group.entries)
-                self._cond.notify_all()
             try:
-                fault_point("repl.apply", scope=self._scope)
-                self.replica.apply_replicated(group.entries)
-                fault_point("repl.applied", scope=self._scope)
-            except BaseException as exc:  # noqa: BLE001 — InjectedCrash too
-                # The applier is this shard's stand-in for a replica
-                # process: anything that kills it (including an injected
-                # crash, a BaseException) must fail every waiter rather
-                # than leave sync writers blocked forever.
-                group.error = exc
-                with self._cond:
-                    self._error = exc
-                    failed = [group] + list(self._queue)
-                    self._queue.clear()
-                    self._queued_records = 0
-                    for pending in failed:
-                        pending.error = exc
-                        if pending.waiter is not None:
-                            pending.waiter.set()
-                    self._cond.notify_all()
+                self._apply(group)
+            except BaseException:  # noqa: BLE001 — an injected crash too
+                self._lose()
                 return
-            with self._cond:
-                self.applied_records += len(group.entries)
-                self.applied_bytes += sum(
-                    entry.size for entry in group.entries
-                )
-                self.applied_seqno = max(
-                    self.applied_seqno, group.entries[-1].seqno
-                )
-                if group.waiter is not None:
-                    group.waiter.set()
-
-    # -- lifecycle / introspection -------------------------------------------
 
     def stop(self, *, drain: bool) -> None:
-        """Stop the applier. ``drain=True`` applies queued groups first;
-        ``drain=False`` discards them (their sync waiters are failed so
-        no shipper hangs). Idempotent; safe after an applier death."""
+        """Stop the applier, applying what is queued first if ``drain``."""
         with self._cond:
             self._stopped = True
-            if not drain and self._queue:
-                error = ReplicationError(
-                    f"shard {self.index} replicator stopped without drain"
-                )
-                for pending in self._queue:
-                    pending.error = error
-                    if pending.waiter is not None:
-                        pending.waiter.set()
+            if not drain:
                 self._queue.clear()
-                self._queued_records = 0
             self._cond.notify_all()
-        self._thread.join(timeout=30.0)
+        if self._thread is not None:
+            self._thread.join(timeout=30.0)
 
-    @property
-    def failed(self) -> bool:
-        """Whether the applier has died (replica lost)."""
-        return self._error is not None
-
-    @property
-    def lag_records(self) -> int:
-        """Acked-but-not-yet-applied records (the async loss window)."""
-        return max(0, self.shipped_records - self.applied_records)
-
-    @property
-    def lag_bytes(self) -> int:
-        """Acked-but-not-yet-applied payload bytes."""
-        return max(0, self.shipped_bytes - self.applied_bytes)
+    def summary(self) -> Dict[str, object]:
+        names = ("shard", "state", "lag_records", "lag_bytes",
+                 "acked_seqno", "applied_seqno")
+        return {name: getattr(self, name) for name in names}
 
 
-class ReplicatedStore(ShardedStore):
-    """A :class:`ShardedStore` whose every shard has a warm standby.
+class ReplicatedStore:
+    """A sharded store whose every shard has a warm standby.
 
-    Layout under ``wal_dir``::
-
-        wal_dir/primary/shards.json      # the primaries' routing manifest
-        wal_dir/primary/shard-NN/        # each primary's WAL segments
-        wal_dir/replica/shards.json      # same manifest, replica side
-        wal_dir/replica/shard-NN/        # each replica's WAL segments
-
-    The replica side is itself a valid sharded WAL directory, so after
-    losing the primary disk entirely, ``ShardedStore.recover(config,
-    os.path.join(wal_dir, "replica"))`` rebuilds the store from the
-    standbys alone — that is the recovery path the crash-consistency
-    sweep exercises.
+    ``wal_dir/primary`` and ``wal_dir/replica`` are node directories
+    (``cluster.json`` plus ``shard-NN/``); each operation goes to its
+    shard's owner (a batch, to its first key's). Two rules arise only
+    after a promotion, when both nodes serve: a batch is atomic per
+    node, so the node's own ownership check refuses one spanning both
+    (:class:`~repro.errors.ShardMovedError`, nothing applied); scans
+    merge the nodes' sorted slices and snapshots join their per-node
+    tokens, as :class:`~repro.cluster.ClusterClient` does.
 
     Args:
         num_shards / config / routing / boundaries / merge_operator:
-            As for :class:`ShardedStore`.
-        wal_dir: Required (replication is meaningless without durable
-            logs to ship).
-        mode: ``"sync"`` (default — acked implies replica-durable) or
-            ``"async"`` (acked implies locally durable; replica lags by
-            at most :data:`QUEUE_CAPACITY` records).
+            As for :class:`~repro.shard.ShardedStore` (merge entries do
+            not ship).
+        wal_dir: Required (replication ships durable logs).
+        mode: ``"sync"`` (default) or ``"async"``; see :data:`MODES`.
     """
 
     def __init__(
@@ -352,268 +199,270 @@ class ReplicatedStore(ShardedStore):
             raise ConfigError(f"replication mode must be one of {MODES}")
         if wal_dir is None:
             raise ConfigError("ReplicatedStore requires a wal_dir")
-        primary_dir = os.path.join(wal_dir, PRIMARY_DIR)
-        replica_dir = os.path.join(wal_dir, REPLICA_DIR)
-        os.makedirs(primary_dir, exist_ok=True)
-        os.makedirs(replica_dir, exist_ok=True)
-        super().__init__(
-            num_shards,
-            config,
-            routing=routing,
-            boundaries=boundaries,
-            wal_dir=primary_dir,
-            merge_operator=merge_operator,
-            _recover=_recover,
-        )
+        if not _recover:
+            bootstrap = _bootstrap_map(wal_dir, num_shards, routing, boundaries)
         self.mode = mode
-        self._repl_wal_dir = wal_dir
-        self._replica_dir = replica_dir
-        #: Completed failovers (served through ``INFO`` and ``HEALTH``).
-        self.promotions = 0
-        #: Serializes promote/failover decisions. Never held while
-        #: acquiring a shard's write mutex (deadlock discipline: a sync
-        #: shipper blocked under the write mutex may be woken by a
-        #: promotion's drain).
+        self.promotions = 0  #: completed failovers (``INFO``, ``HEALTH``)
         self._failover_lock = threading.RLock()
-        #: Leaf lock for the per-shard replication state strings.
-        self._repl_lock = threading.Lock()
-        self._repl_state: List[str] = [mode] * self.num_shards
-        replica_paths = [
-            os.path.join(replica_dir, f"shard-{index:02d}")
-            for index in range(self.num_shards)
-        ]
-        for path in replica_paths:
-            os.makedirs(path, exist_ok=True)
-        # The same manifest, mirrored: the replica side is independently
-        # recoverable with identical key placement.
-        self._write_manifest(replica_dir, failpoint="repl.manifest")
-        if _recover:
-            self.replicas: List[LSMTree] = [
-                LSMTree.recover(config, path, merge_operator=merge_operator)
-                for path in replica_paths
-            ]
-        else:
-            self.replicas = [
-                LSMTree(config, wal_dir=path, merge_operator=merge_operator)
-                for path in replica_paths
-            ]
-        self._replicators = [
-            ShardReplicator(index, replica, sync=(mode == "sync"))
-            for index, replica in enumerate(self.replicas)
-        ]
-        for index, shard in self.shards.items():
-            shard.set_wal_commit_hook(self._make_ship_hook(index))
+        self._closed = False
+        self._nodes: Dict[str, NodeStore] = {}
+        self._links: List[_Link] = []
+        #: The tree each shard's standby stream fills; it serves once
+        #: that shard is promoted.
+        self.replicas: List[LSMTree] = []
+        try:
+            for side in (REPLICA_DIR, PRIMARY_DIR):  # a primary map ⇒ both
+                path = os.path.join(wal_dir, side)
+                self._nodes[side] = NodeStore(
+                    side,
+                    ClusterMap.load(path) if _recover else bootstrap,
+                    config,
+                    wal_dir=path,
+                    merge_operator=merge_operator,
+                    _recover=_recover,
+                )
+            # A crash can cut a promotion between its two map saves: the
+            # freshest map decides, and the other side adopts it.
+            self._map = self._freshest_map()
+            for node in self._nodes.values():
+                node.adopt_map(self._map)
+            for shard in range(self.num_shards):
+                standby = self._nodes[self._map.replica_id(shard)]
+                link = _Link(shard, standby, sync=mode == "sync")
+                self._links.append(link)
+                replicate_local(self._owner(shard), standby, shard, ship=link.ship)
+                self.replicas.append(standby._inbound[shard].tree)
+        except BaseException:
+            self.kill()
+            raise
 
-    # -- shipping ------------------------------------------------------------
+    def _freshest_map(self) -> ClusterMap:
+        return max((n.map for n in self._nodes.values()), key=lambda m: m.epoch)
 
-    def _make_ship_hook(self, index: int) -> Callable[[List[Entry]], None]:
-        def ship(entries: List[Entry]) -> None:
-            try:
-                self._replicators[index].ship(entries)
-            except ReplicationError:
-                self._replica_lost(index)
-                if self.mode == "sync":
-                    # The write is locally durable but not replicated;
-                    # sync callers must see that.
-                    raise
+    # -- routing -------------------------------------------------------------
 
-        return ship
+    @property
+    def num_shards(self) -> int:
+        return self._map.num_shards
 
-    def _replica_lost(self, index: int) -> None:
-        """Drop shard ``index`` to primary-only service. Idempotent.
+    def shard_index(self, key: str) -> int:
+        return self._map.shard_index(key)
 
-        Called on the writer thread that observed the failure (it holds
-        that shard's write mutex, so detaching the hook via
-        :meth:`LSMTree.set_wal_commit_hook` re-enters the same RLock).
-        A shard already promoted keeps its state — the old primary's
-        hook firing once more during a promotion race is harmless.
+    @property
+    def shards(self) -> Dict[int, LSMTree]:
+        """The serving tree of every shard, whichever node serves it."""
+        trees = {s: t for node in self._nodes.values() for s, t in node.trees.items()}
+        return dict(sorted(trees.items()))
+
+    def _owner(self, shard: int) -> NodeStore:
+        return self._nodes[self._map.owner_id(shard)]
+
+    def _serving(self) -> List[NodeStore]:
+        return [node for node in self._nodes.values() if node.trees]
+
+    def _shard_op(self, attempt: Callable[[], _T]) -> _T:
+        """Run a routed ``attempt``, retrying it once after a failover.
+
+        A quarantined shard is promoted first — what lifts post-kill
+        availability from N−1/N to ~1 — and an attempt that raced a
+        promotion (MOVED or fenced by the old owner) waits it out.
         """
-        with self._repl_lock:
-            if self._repl_state[index] != self.mode:
-                return
-            self._repl_state[index] = REPLICA_LOST
-        self.shards[index].set_wal_commit_hook(None)
-        self._replicators[index].stop(drain=False)
+        self._check_open()
+        try:
+            return attempt()
+        except ShardUnavailableError as exc:
+            if not self._failover(exc.shard):
+                raise
+        except (ShardMovedError, ShardFencedError):
+            with self._failover_lock:
+                pass  # the promotion that moved the shard has finished
+        return attempt()
+
+    # -- KVStore operations --------------------------------------------------
+
+    def put(self, key: str, value: str) -> None:
+        self.write_batch([("put", key, value)])
+
+    def delete(self, key: str) -> None:
+        self.write_batch([("delete", key, None)])
+
+    def get(self, key: str, at: Optional[SnapshotLike] = None) -> Optional[str]:
+        shard = self.shard_index(key)
+        return self._shard_op(lambda: self._owner(shard).get(key, at))
+
+    def write_batch(self, ops: Sequence[BatchOp]) -> None:
+        if ops:
+            shard = self.shard_index(ops[0][1])
+            self._shard_op(lambda: self._owner(shard).write_batch(ops))
+
+    def scan(
+        self,
+        lo: str,
+        hi: str,
+        limit: Optional[int] = None,
+        *,
+        at: Optional[SnapshotLike] = None,
+        allow_partial: bool = False,
+    ) -> List[Tuple[str, str]]:
+        def attempt() -> List[Tuple[str, str]]:
+            slices = [
+                node.scan(lo, hi, limit, at=at, allow_partial=allow_partial)
+                for node in self._serving()
+            ]
+            if len(slices) == 1:
+                return slices[0]
+            merged = list(heap_merge(*slices))[:limit]
+            if not allow_partial:
+                return merged
+            skipped = [shard for s in slices for shard in s.skipped_shards]
+            return PartialScanResult(merged, sorted(skipped))
+
+        return self._shard_op(attempt)
+
+    def snapshot(self) -> Snapshot:
+        self._check_open()
+        parts = [node.snapshot() for node in self._serving()]
+        if len(parts) == 1:
+            return parts[0]
+        seqnos = {unit: seq for p in parts for unit, seq in p.seqnos.items()}
+        return Snapshot(seqnos, release=lambda: [p.close() for p in parts])
+
+    def flush(self) -> None:
+        self._check_open()
+        for node in self._nodes.values():
+            node.flush()
 
     # -- failover ------------------------------------------------------------
 
     def promote(self, index: int, reason: str = "operator request") -> bool:
-        """Promote shard ``index``'s replica to serving primary.
+        """Promote shard ``index``'s standby to serving primary.
 
-        Detaches the shipping hook, drains queued groups into the
-        standby, kills the old primary, swaps the replica in as
-        ``self.shards[index]``, and resets the shard's health to
-        healthy. Returns ``True`` if this call performed the promotion,
-        ``False`` if the shard was already promoted. Raises
-        :class:`~repro.errors.ReplicationError` when there is no replica
-        left to promote (``replica-lost``).
-
-        Safe to call on a healthy shard for *planned* failover (e.g.
-        rolling maintenance): writes keep succeeding throughout, because
-        promotion swaps the serving tree between — never during — the
-        shard-routed operations, which re-read ``self.shards[index]``.
+        Fences the old primary's writes to the shard, drains the
+        applier, then runs :func:`~repro.cluster.promote_local`; a write
+        the fence turned away retries on the standby, so this is safe on
+        a healthy shard (planned failover). Returns whether this call
+        promoted; raises :class:`~repro.errors.ReplicationError` when no
+        standby is left.
         """
         self._check_open()
         if not 0 <= index < self.num_shards:
             raise ValueError(f"no shard {index}")
         with self._failover_lock:
-            with self._repl_lock:
-                state = self._repl_state[index]
-            if state == PROMOTED:
+            link, primary = self._links[index], self._owner(index)
+            if link.state == PROMOTED:
                 return False
-            if state == REPLICA_LOST:
+            if link.state != REPLICA_LOST:
+                # After the fence every write the primary admitted has
+                # shipped (sync) or is queued; the drain applies those.
+                primary.repl_fence(index)
+                link.stop(drain=True)
+            if link.state == REPLICA_LOST:  # before, or during the drain
+                primary.repl_unfence(index)
                 raise ReplicationError(
                     f"shard {index} has no replica to promote ({reason})"
                 )
-            scope = f"shard-{index:02d}"
-            fault_point("repl.promote.start", scope=scope)
-            old = self.shards[index]
-            # Detach by direct assignment, not set_wal_commit_hook: the
-            # setter takes the shard's write mutex, which a sync shipper
-            # blocked on this very promotion may hold. An in-flight
-            # writer can race one last ship; the stopped replicator
-            # fails it and _replica_lost sees the promoted state.
-            old._wal_commit_hook = None
-            old._active_wal.on_commit = None
-            replicator = self._replicators[index]
-            replicator.stop(drain=True)
-            fault_point("repl.promote.drain", scope=scope)
-            old.kill()
-            replica = self.replicas[index]
-            self.shards[index] = replica
-            with self._repl_lock:
-                self._repl_state[index] = PROMOTED
-            fault_point("repl.promote.done", scope=scope)
-            with self._health_lock:
-                health = self._health[index]
-                health.state = HEALTHY
-                health.reason = None
-                health.since_s = time.monotonic()
+            try:
+                promote_local(link.standby, [index], primary)
+            finally:
+                self._map = self._freshest_map()
+            link.state = PROMOTED
             self.promotions += 1
             return True
 
-    def _try_failover(self, index: int) -> bool:
-        """Attempt automatic failover of a quarantined shard.
-
-        Returns ``True`` when the shard is serving again (this call
-        promoted, or a concurrent one already had), ``False`` when no
-        standby is available.
-        """
+    def _failover(self, shard: int) -> bool:
+        """Promote a quarantined shard; whether it serves again."""
         with self._failover_lock:
-            if self._health[index].healthy:
-                return True
-            with self._repl_lock:
-                state = self._repl_state[index]
-            if state in (PROMOTED, REPLICA_LOST):
+            if shard not in self._owner(shard).quarantined_shards():
+                return True  # a concurrent call promoted it
+            if self._links[shard].state != self.mode:
                 return False
-            reason = self._health[index].reason or "quarantined"
-            self.promote(index, reason=f"failover: {reason}")
-            return True
-
-    def _check_available(self, index: int) -> None:
-        """Availability gate with failover: a quarantined shard gets one
-        promotion attempt before the error surfaces."""
-        if not self._health[index].healthy:
-            self._try_failover(index)
-        super()._check_available(index)
-
-    def _shard_op(self, index: int, op: Callable[[LSMTree], _T]) -> _T:
-        """Shard-routed op with failover retry.
-
-        The shard may die *mid-operation* (quarantined on the way out);
-        promoting and retrying once turns that into a served request —
-        this is what lifts post-kill availability from N−1/N to ~1.
-        Each attempt hands ``op`` the slot's current tree, so the retry
-        runs against the freshly promoted replica.
-        """
-        try:
-            return super()._shard_op(index, op)
-        except ShardUnavailableError:
-            if not self._try_failover(index):
-                raise
-            return super()._shard_op(index, op)
+            return self.promote(shard, reason="failover")
 
     def check_health(self) -> Dict[str, object]:
-        """Health rollup with failover: quarantined shards are promoted
-        before the verdict, and a ``replication`` section is added."""
+        """Health rollup after failing quarantined shards over, with a
+        ``replication`` section."""
         self._check_open()
-        self._poll_health()
-        for index in self.quarantined_shards():
-            self._try_failover(index)
-        payload = super().check_health()
-        payload["replication"] = self.replication_summary()
-        return payload
+        for node in self._serving():
+            for shard in node.check_health()["quarantined"]:
+                self._failover(shard)
+        rows = sorted(
+            (r for n in self._serving() for r in n.check_health()["shards"]),
+            key=lambda row: row["shard"],
+        )
+        quarantined = [r["shard"] for r in rows if r["state"] != "healthy"]
+        state = "degraded" if quarantined else "healthy"
+        return {
+            "state": "failed" if len(quarantined) == len(rows) else state,
+            "num_shards": self.num_shards,
+            "quarantined": quarantined,
+            "shards": rows,
+            "replication": self.replication_summary(),
+        }
 
     # -- introspection -------------------------------------------------------
 
     def replication_summary(self) -> Dict[str, object]:
         """Per-shard replication status for ``INFO`` and operators."""
-        with self._repl_lock:
-            states = list(self._repl_state)
         return {
             "mode": self.mode,
             "promotions": self.promotions,
-            "shards": [
-                {
-                    "shard": index,
-                    "state": states[index],
-                    "lag_records": replicator.lag_records,
-                    "lag_bytes": replicator.lag_bytes,
-                    "acked_seqno": replicator.acked_seqno,
-                    "applied_seqno": replicator.applied_seqno,
-                }
-                for index, replicator in enumerate(self._replicators)
-            ],
+            "shards": [link.summary() for link in self._links],
         }
+
+    @property
+    def stats(self) -> TreeStats:
+        return TreeStats.merged([node.stats for node in self._serving()])
+
+    def backpressure(self) -> Dict[str, object]:
+        """The worst serving node's admission snapshot."""
+        return max(
+            (node.backpressure() for node in self._serving()),
+            key=lambda payload: ("ok", "slowdown", "stop").index(payload["state"]),
+        )
+
+    def shard_summary(self) -> List[Dict[str, object]]:
+        rows = [row for node in self._serving() for row in node.shard_summary()]
+        return sorted(rows, key=lambda row: row["shard"])
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Close primaries, drain replicators, close standbys.
-
-        The replicators drain *after* the shards close: no new groups
-        can ship once the primaries are closed, so the drain is bounded,
-        and the standbys stay open until their appliers are joined.
-        """
+        """Drain the appliers, then close both nodes. Idempotent."""
         if self._closed:
             return
+        self._closed = True
+        for link in self._links:
+            link.stop(drain=True)
         failure: Optional[BaseException] = None
-        try:
-            super().close()
-        except BaseException as exc:  # noqa: BLE001 — close all sides
-            failure = exc
-        for replicator in self._replicators:
-            replicator.stop(drain=True)
-        with self._repl_lock:
-            states = list(self._repl_state)
-        for index, replica in enumerate(self.replicas):
-            if states[index] == PROMOTED:
-                continue  # promoted replicas closed as shards above
+        for node in self._nodes.values():
             try:
-                replica.close()
-            except BaseException as exc:  # noqa: BLE001
-                if failure is None:
-                    failure = exc
+                node.close()
+            except BaseException as exc:  # noqa: BLE001 — close both sides
+                failure = failure or exc
         if failure is not None:
             raise failure
 
     def kill(self) -> None:
         """Crash-abandon both sides: no drains, nothing persisted."""
-        if self._closed:
-            return
-        super().kill()
-        for replicator in self._replicators:
-            replicator.stop(drain=False)
-        with self._repl_lock:
-            states = list(self._repl_state)
-        for index, replica in enumerate(self.replicas):
-            if states[index] != PROMOTED:
-                replica.kill()
+        if not self._closed:
+            self._closed = True
+            for node in self._nodes.values():
+                node.kill()
+            for link in self._links:
+                link.stop(drain=False)
 
-    # -- recovery ------------------------------------------------------------
+    def __enter__(self) -> "ReplicatedStore":
+        return self
+
+    def __exit__(self, *_exc_info: object) -> None:
+        self.close()
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ClosedError("store is closed")
 
     @classmethod
-    def recover(  # type: ignore[override]
+    def recover(
         cls,
         config: Optional[LSMConfig],
         wal_dir: str,
@@ -621,34 +470,47 @@ class ReplicatedStore(ShardedStore):
         mode: str = "sync",
         merge_operator: Optional[MergeOperator] = None,
     ) -> "ReplicatedStore":
-        """Rebuild primaries *and* replicas from their own WALs.
-
-        Both sides replay independently from their ``shards.json`` +
-        ``shard-NN/`` directories; replication then resumes from the
-        live write stream (historical divergence between the sides —
-        e.g. an async window lost in the crash — is not back-filled;
-        promote the fresher side instead if that matters).
-
-        Two-phase-commit state lives entirely on the primary side: the
-        coordinator decision log (``primary/txn.log``) settles every
-        PREPARE record found in the primaries' WALs, and replicas never
-        see a prepare at all — groups ship only after commit, as plain
-        committed groups.
-        """
-        path = os.path.join(wal_dir, PRIMARY_DIR, MANIFEST_NAME)
-        if not os.path.exists(path):
+        """Recover both nodes from their directories, then reseed every
+        standby. The freshest map decides ownership, so a write acked
+        after a promotion is read back from the promoted side."""
+        if not os.path.exists(os.path.join(wal_dir, PRIMARY_DIR, CLUSTER_MANIFEST)):
             raise ConfigError(
-                f"no {PRIMARY_DIR}/{MANIFEST_NAME} in {wal_dir}; not a "
+                f"no {PRIMARY_DIR}/{CLUSTER_MANIFEST} in {wal_dir}; not a "
                 "replicated WAL directory"
             )
-        manifest = load_manifest(path)
         return cls(
-            manifest["num_shards"],
-            config,
-            mode=mode,
-            routing=manifest["routing"],
-            boundaries=manifest["boundaries"] or None,
-            wal_dir=wal_dir,
-            merge_operator=merge_operator,
-            _recover=True,
+            config=config, mode=mode, wal_dir=wal_dir,
+            merge_operator=merge_operator, _recover=True,
         )
+
+
+def _bootstrap_map(
+    wal_dir: str,
+    num_shards: Optional[int],
+    routing: str,
+    boundaries: Optional[Sequence[str]],
+) -> ClusterMap:
+    """Epoch 1 — the primary owns every shard, the replica stands by —
+    refused when ``wal_dir`` already records another sharding."""
+    if num_shards is None:
+        if boundaries is None:
+            raise ValueError("num_shards must be at least 1")
+        num_shards = len(boundaries) + 1
+    cluster_map = ClusterMap(
+        [PRIMARY_DIR] * num_shards,
+        [NodeInfo(side, "127.0.0.1", 0) for side in (PRIMARY_DIR, REPLICA_DIR)],
+        epoch=1,
+        replicas=[REPLICA_DIR] * num_shards,
+        routing=routing,
+        boundaries=boundaries,
+    )
+    primary_dir = os.path.join(wal_dir, PRIMARY_DIR)
+    if os.path.exists(os.path.join(primary_dir, CLUSTER_MANIFEST)):
+        old = ClusterMap.load(primary_dir)
+        if (old.num_shards, old.boundaries) != (num_shards, cluster_map.boundaries):
+            raise ConfigError(
+                f"{primary_dir} records a different sharding "
+                f"({old.num_shards} shards, {old.routing} routing); recover "
+                "with ReplicatedStore.recover or use a fresh directory"
+            )
+    return cluster_map

@@ -314,13 +314,10 @@ class ShardedStore:
             max_workers=num_shards, thread_name_prefix="shard"
         )
 
-    def _write_manifest(
-        self, wal_dir: str, failpoint: str = "shard.manifest"
-    ) -> None:
+    def _write_manifest(self, wal_dir: str) -> None:
         """Persist (or validate against) the routing manifest, atomically.
 
-        Crosses ``shard.manifest.tmp`` / ``shard.manifest.done`` — or, for
-        a replica side's mirror, ``repl.manifest.tmp`` / ``.done``.
+        Crosses ``shard.manifest.tmp`` / ``shard.manifest.done``.
         """
         manifest = {
             "num_shards": self._num_shards,
@@ -341,11 +338,9 @@ class ShardedStore:
         temporary = path + ".tmp"
         with open(temporary, "w", encoding="utf-8") as handle:
             handle.write(blob)
-        fault_point(
-            f"{failpoint}.tmp", path=temporary, tail_bytes=len(blob)
-        )
+        fault_point("shard.manifest.tmp", path=temporary, tail_bytes=len(blob))
         os.replace(temporary, path)  # atomic: readers never see a torn file
-        fault_point(f"{failpoint}.done", path=path)
+        fault_point("shard.manifest.done", path=path)
 
     # -- slots ---------------------------------------------------------------
 

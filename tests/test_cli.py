@@ -187,8 +187,8 @@ class TestCommands:
             "flush.install",
             "compact.install",
             "shard.commit",
-            "repl.ship",
-            "repl.promote.done",
+            "repl.node.ship",
+            "repl.node.promote.done",
         ]:
             assert name in output
         assert "crash" in output

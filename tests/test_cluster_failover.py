@@ -31,6 +31,7 @@ from repro.cluster import (
 from repro.cluster.store import MIGRATION, REPLICA
 from repro.core.config import LSMConfig
 from repro.errors import ConfigError, ShardMovedError
+from repro.faults import inject_worker_death
 from repro.server.client import KVClient, MovedError
 from repro.shard import hash_shard_index, keys_for_shard
 
@@ -241,6 +242,43 @@ class TestNodeStoreReplication:
             assert a.get(s0[0]) == "v1"
             assert a.get(s0[1]) == "v2"
             assert a.get(s0[2]) == "post-failover"
+        finally:
+            a.kill()
+            b.kill()
+
+    def test_adopt_map_finishes_every_demotion(self, tmp_path):
+        """A demotion must not stop halfway: shard 0's tree has dead
+        workers, so its close re-raises their failure — that once left
+        shard 1 serving on the old primary, unfenced, after its standby
+        had been promoted and written to."""
+        bg = LSMConfig(
+            background_mode=True, flush_threads=1, compaction_threads=1
+        )
+        nodes = _nodes(("a", 7411), ("b", 7412))
+        cluster_map = ClusterMap(
+            ["a"] * NUM_SHARDS, nodes, epoch=1, replicas=["b"] * NUM_SHARDS
+        )
+        a, b = (
+            NodeStore(node, cluster_map, bg, wal_dir=str(tmp_path / node))
+            for node in ("a", "b")
+        )
+        try:
+            key = keys_for_shard(1, 1, NUM_SHARDS, "fk")[0]
+            a.put(key, "v")
+            for shard in (0, 1):
+                replicate_local(a, b, shard)
+            inject_worker_death(a.trees[0], "test: dead worker")
+            flipped = b.map.with_failover([0, 1], "b")
+            b.promote_shards([0, 1], flipped)
+            assert a.adopt_map(flipped) is True
+            assert a.owned_shards() == [2, 3]
+            assert a.replica_shards() == []
+            b.put(key, "new-on-b")
+            with pytest.raises(ShardMovedError):
+                a.get(key)
+            with pytest.raises(ShardMovedError):
+                a.put(key, "stale-write")
+            assert b.get(key) == "new-on-b"
         finally:
             a.kill()
             b.kill()

@@ -667,18 +667,19 @@ class TestSweep:
             "compact.merge",
         ):
             assert required in names, required
-        # Replication acceptance: the replicated scenario crosses every
-        # ship/apply/promote site, >= 20 crossings total, zero sync-mode
-        # durability violations (covered by report.violations == []).
+        # Replication acceptance: the replicated scenarios cross every
+        # seed/ship/apply/fence/promote/demote site, >= 20 crossings
+        # total, zero sync-mode durability violations (covered by
+        # report.violations == []).
         for required in (
-            "repl.ship",
-            "repl.apply",
-            "repl.applied",
-            "repl.promote.start",
-            "repl.promote.drain",
-            "repl.promote.done",
-            "repl.manifest.tmp",
-            "repl.manifest.done",
+            "repl.node.sync",
+            "repl.node.ship",
+            "repl.node.apply",
+            "repl.node.fence",
+            "repl.node.promote.start",
+            "repl.node.promote.seal",
+            "repl.node.promote.done",
+            "repl.node.demote",
         ):
             assert required in names, required
         repl_crossings = [
@@ -810,14 +811,14 @@ def _lose_migration_tail(monkeypatch):
 
 
 def _ship_async_under_sync_mode(monkeypatch):
-    from repro.replication.store import ShardReplicator
+    from repro.replication.store import _Link
 
-    real_init = ShardReplicator.__init__
+    real_init = _Link.__init__
 
-    def init(self, index, replica, *, sync):
-        real_init(self, index, replica, sync=False)
+    def init(self, shard, standby, *, sync):
+        real_init(self, shard, standby, sync=False)
 
-    monkeypatch.setattr(ShardReplicator, "__init__", init)
+    monkeypatch.setattr(_Link, "__init__", init)
 
 
 def _forget_txn_decisions(monkeypatch):
@@ -869,14 +870,16 @@ class TestOraclesBite:
     scenario         defect                                        runs  viol.
     ===============  ============================================  ====  =======
     cluster          migration tail drained as empty                 92       54
-    replicated-sync  sync store ships asynchronously                131  160–195
+    replicated-sync  sync ships go through the async applier        136  222–382
     sharded          2PC decisions forgotten at recovery            115     1215
     single-tree      WAL replay drops each file's last group        101       67
     failover         standby drops one-op commit groups             128      178
     ===============  ============================================  ====  =======
 
-    (``replicated-sync`` varies from run to run on both sides: the
-    planted defect *is* an applier thread racing the crash.)
+    (``replicated-sync`` varies from run to run: the planted defect *is*
+    an applier thread racing the crash. Its row was re-planted when
+    :class:`~repro.replication.ReplicatedStore` became two cluster nodes;
+    before that it read 131 runs / 160–195 violations.)
     """
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ directory layout.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -18,12 +19,13 @@ from repro.core.tree import LSMTree
 from repro.errors import (
     ConfigError,
     ReplicationError,
+    ShardMovedError,
     ShardUnavailableError,
 )
 from repro.faults import inject_worker_death
 from repro.replication import ReplicatedStore
 from repro.replication.store import PROMOTED, REPLICA_LOST
-from repro.shard import ShardedStore
+from repro.shard import ShardedStore, hash_shard_index
 
 
 def small_config(**overrides) -> LSMConfig:
@@ -151,15 +153,22 @@ class TestShippingAndWatermarks:
             )
         )
         store.kill()  # primary-side crash, replicas' WALs survive
-        recovered = ShardedStore.recover(
-            small_config(), str(tmp_path / "replica")
-        )
+        # Each standby journals into its own shard directory; replaying
+        # those alone must rebuild every acknowledged write.
+        standbys = [
+            LSMTree.recover(
+                small_config(), str(tmp_path / "replica" / f"shard-{i:02d}")
+            )
+            for i in range(2)
+        ]
         try:
             for key in keys:
                 expected = None if key == keys[7] else f"v-{key}"
-                assert recovered.get(key) == expected
+                standby = standbys[hash_shard_index(key, 2)]
+                assert standby.get(key) == expected
         finally:
-            recovered.close()
+            for standby in standbys:
+                standby.close()
 
     def test_constructor_requires_wal_dir_and_valid_mode(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -264,6 +273,87 @@ class TestPromotion:
             store.kill()
 
 
+class TestBothNodesServing:
+    """After a promotion both nodes serve shards: batches are atomic per
+    node, scans and snapshots compose the two nodes' slices."""
+
+    def test_batches_scans_and_snapshots_span_the_promotion(self, tmp_path):
+        store = ReplicatedStore(
+            2, small_config(), mode="sync", wal_dir=str(tmp_path)
+        )
+        try:
+            keys = [f"key-{i:04d}" for i in range(20)]
+            for key in keys:
+                store.put(key, "v1")
+            store.promote(0)
+            on = {shard: key_on_shard(store, shard) for shard in (0, 1)}
+            with pytest.raises(ShardMovedError):
+                store.write_batch(
+                    [("put", on[0], "x"), ("put", on[1], "x")]
+                )
+            assert store.get(on[0]) is None and store.get(on[1]) is None
+            with store.snapshot() as snap:
+                assert sorted(snap.seqnos) == [0, 1]
+                for key in keys:
+                    store.put(key, "v2")
+                assert store.scan("key-", "key-~", at=snap) == [
+                    (key, "v1") for key in keys
+                ]
+            assert store.scan("key-", "key-~", 5) == [
+                (key, "v2") for key in keys[:5]
+            ]
+            partial = store.scan("key-", "key-~", allow_partial=True)
+            assert not partial.partial and len(partial) == len(keys)
+        finally:
+            store.close()
+
+    def test_planned_promotion_under_concurrent_writers(self, tmp_path):
+        """Writers racing a promotion are fenced, wait for it and retry
+        on the standby: no write fails, every acked value survives."""
+        store = ReplicatedStore(
+            2, small_config(), mode="async", wal_dir=str(tmp_path)
+        )
+        acked = {}
+        stop = threading.Event()
+
+        def writer(index: int) -> None:
+            sequence = 0
+            while not stop.is_set():
+                key = f"w{index}-{sequence % 8}"
+                store.put(key, f"{sequence}")
+                acked[key] = f"{sequence}"
+                sequence += 1
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [
+            threading.Thread(target=writer, args=(i,)) for i in range(6)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            wait_until(lambda: len(acked) >= 24)
+            assert store.promote(0) is True
+            wait_until(lambda: len(acked) >= 48)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10.0)
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        for key, value in acked.items():
+            assert store.get(key) == value
+        store.close()
+        recovered = ReplicatedStore.recover(
+            small_config(), str(tmp_path), mode="async"
+        )
+        try:
+            for key, value in acked.items():
+                assert recovered.get(key) == value
+        finally:
+            recovered.close()
+
+
 class TestReplicaLost:
     def test_sync_write_errors_then_degrades_to_primary_only(
         self, tmp_path
@@ -318,13 +408,14 @@ class TestSyncAckSemantics:
         )
         try:
             release = threading.Event()
-            real_apply = store.replicas[0].apply_replicated
+            # A shipped group lands on the standby as one write_batch.
+            real_apply = store.replicas[0].write_batch
 
-            def slow_apply(entries):
+            def slow_apply(ops):
                 release.wait(5.0)
-                real_apply(entries)
+                real_apply(ops)
 
-            store.replicas[0].apply_replicated = slow_apply
+            store.replicas[0].write_batch = slow_apply
             done = threading.Event()
 
             def writer():
@@ -366,6 +457,30 @@ class TestRecovery:
             index = recovered.shard_index("post-recovery")
             row = recovered.replication_summary()["shards"][index]
             assert row["acked_seqno"] == row["applied_seqno"]
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize("stop", ["close", "kill"])
+    def test_acked_write_after_promotion_survives_restart(
+        self, tmp_path, stop
+    ):
+        store = ReplicatedStore(
+            2, small_config(), mode="sync", wal_dir=str(tmp_path)
+        )
+        promoted_key = key_on_shard(store, 0)
+        other_key = key_on_shard(store, 1)
+        store.put(promoted_key, "before")
+        store.put(other_key, "unpromoted")
+        assert store.promote(0) is True
+        store.put(promoted_key, "after-promote")
+        getattr(store, stop)()
+
+        recovered = ReplicatedStore.recover(
+            small_config(), str(tmp_path), mode="sync"
+        )
+        try:
+            assert recovered.get(promoted_key) == "after-promote"
+            assert recovered.get(other_key) == "unpromoted"
         finally:
             recovered.close()
 
