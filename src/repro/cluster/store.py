@@ -28,19 +28,19 @@ tail the log — written once, in four parts:
 2. **One snapshot pager** (:meth:`NodeStore.snapshot_batches`): ``put``
    batches, each read from the live tree at the moment it is asked for.
 3. **One migration driver** (:func:`migrate_shard`): begin → attach the
-   WAL tail → ship each pager batch, then whatever the tail buffered
-   meanwhile → :meth:`~NodeStore.fence` (writes answer ``BUSY``) →
-   detach the tail, whose write-mutex barrier means every in-flight
-   commit has been observed → final tail → seal → release. Its
-   destination is duck-typed: an in-process :class:`NodeStore` *is* a
-   peer, and :mod:`repro.cluster.node` supplies one that speaks
-   ``MIG.*`` — so the function the crash-consistency sweep crashes at
-   every crossing is the function that serves ``MIGRATE``.
+   migration tap (:meth:`~NodeStore.set_tap`) → ship each pager batch,
+   then whatever the tap buffered meanwhile → :meth:`~NodeStore.fence`
+   (writes answer ``BUSY``) → detach the tap → final tail → seal →
+   release. Its destination is duck-typed: an in-process
+   :class:`NodeStore` *is* a peer, and :mod:`repro.cluster.node`
+   supplies one that speaks ``MIG.*`` — so the function the
+   crash-consistency sweep crashes at every crossing is the function
+   that serves ``MIGRATE``.
 4. **Two endings.** A *migration* stream ends in
    :meth:`~NodeStore.migration_seal`: ownership transfers, the source
    releases and answers ``MOVED``. A *replica* stream stays a standby:
-   once seeded it is kept warm by every WAL commit group forwarded
-   through :meth:`~NodeStore.attach_replication`, and failover is a
+   once seeded it is kept warm by every WAL commit group its replica tap
+   forwards (:meth:`~NodeStore.attach_replication`), and failover is a
    promotion (:meth:`~NodeStore.promote_shards`); a restarted old
    primary observes the newer map (:meth:`~NodeStore.adopt_map`) and
    demotes itself. Seal and promotion share one commit step — persist
@@ -48,6 +48,10 @@ tail the log — written once, in four parts:
    promotion sequence. The long-lived async shipper lives in
    :mod:`repro.cluster.node`; :func:`replicate_local` is its small
    in-process twin.
+
+A serving shard is **one record** (:class:`_ServingShard`): write lock,
+fences and commit taps by role, born in ``_adopt`` and fenced for good
+in ``_drop``; the tree's single WAL hook is its dispatcher.
 
 One rule keeps the roles apart on the wire: a source opens no replica
 session for a shard it is migrating — its ``REPL.SYNC`` would supersede
@@ -60,13 +64,15 @@ value at least as new as any tail group shipped before *t* (the pager
 reads the live tree when advanced), and every tail group shipped after
 it is a newer commit — so per key, the *last arrival wins* and applying
 everything in arrival order (duplicates included, applies are
-last-write-wins) reproduces the source's latest state. The fence plus
-the write-mutex barrier in the hook detach guarantee the final drain is
-complete. The destination seals *before* the source releases; a crash
-between the two leaves both nodes claiming the shard on disk, and the
-bumped epoch — higher wins — arbitrates to exactly one owner, with both
-claimants holding every acknowledged write. The slot rules are what
-make the channel single: one slot per shard, one stream per slot.
+last-write-wins) reproduces the source's latest state. The fence flips
+under the record's write lock, so the final drain is complete: every
+admitted write has fired the tap, every later one (even one holding a
+dropped record's lock) is refused. The destination seals *before* the
+source releases; a crash between the two leaves both nodes claiming the
+shard on disk, and the bumped epoch — higher wins — arbitrates to
+exactly one owner, with both claimants holding every acknowledged write.
+The slot rules are what make the channel single: one slot per shard,
+one stream per slot.
 """
 
 from __future__ import annotations
@@ -75,9 +81,10 @@ import os
 import shutil
 import threading
 import time
+from collections import deque
 from contextlib import ExitStack
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..api import Snapshot, SnapshotLike
 from ..core.config import LSMConfig
@@ -116,6 +123,9 @@ _REFUSAL = {
     MIGRATION: "no migration in progress for shard {shard} on {node}",
     REPLICA: "node {node} holds no replica stream for shard {shard}",
 }
+
+#: A commit tap: called with each acknowledged WAL commit group.
+CommitTap = Callable[[List[Entry]], None]
 
 
 def entries_to_batch_ops(
@@ -158,35 +168,41 @@ class _Inbound:
     seeded: bool = False
 
 
-class _TailBuffer:
-    """Thread-safe FIFO of batch ops tapped off a shard's WAL commits.
+@dataclass(eq=False)
+class _ServingShard:
+    """One serving shard's state, created on adopt and retired on drop.
 
-    The WAL commit hook fires on the committing thread, after the
-    group's sync, in commit order; the buffer just records that order so
-    the migration driver can drain and ship in the same order. Merge and
-    range-delete entries are refused — the serving layer only produces
-    put/delete, and shipping a merge operand without its base would
-    change its meaning on the destination.
+    The fence check and the commit it guards run under ``lock``, and
+    both fences flip under it. ``fenced`` (the migration fence) stays set
+    once the record is dropped; ``taps`` are keyed by stream role.
     """
 
-    def __init__(self, shard: int) -> None:
-        self.shard = shard
-        self._ops: List[BatchOp] = []
-        self._lock = threading.Lock()
-        #: Total ops ever buffered (driver observability).
-        self.total_ops = 0
+    shard: int
+    scope: str
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    fenced: bool = False
+    repl_fenced: bool = False
+    taps: Dict[str, CommitTap] = field(default_factory=dict)
+
+    def check_unfenced(self) -> None:
+        if self.fenced or self.repl_fenced:
+            raise ShardFencedError(self.shard)
 
     def on_commit(self, entries: List[Entry]) -> None:
-        converted = entries_to_batch_ops(entries, context="live migration")
-        with self._lock:
-            self._ops.extend(converted)
-            self.total_ops += len(converted)
+        """The tree's single WAL hook: the migration tap first, then the
+        replica ship behind its failpoint."""
+        migration = self.taps.get(MIGRATION)
+        if migration is not None:
+            migration(entries)
+        ship = self.taps.get(REPLICA)
+        if ship is not None:
+            fault_point("repl.node.ship", scope=self.scope)
+            ship(entries)
 
-    def drain(self) -> List[BatchOp]:
-        """Take everything buffered so far, in commit order."""
-        with self._lock:
-            ops, self._ops = self._ops, []
-            return ops
+    def install(self, tree: LSMTree) -> None:
+        """(Re)install the hook, or clear it when untapped; the setter's
+        write mutex orders every in-flight commit against the change."""
+        tree.set_wal_commit_hook(self.on_commit if self.taps else None)
 
 
 class NodeStore:
@@ -200,7 +216,8 @@ class NodeStore:
         wal_dir: Required — a cluster node is durable by definition.
             Each owned shard journals into ``shard-NN/`` underneath.
         merge_operator: Passed to every shard tree (note that *live
-            migration* refuses merge entries; see :class:`_TailBuffer`).
+            migration* refuses merge entries; see
+            :func:`entries_to_batch_ops`).
     """
 
     def __init__(
@@ -239,41 +256,17 @@ class NodeStore:
             _open_slots=cluster_map.shards_of(node_id),
             _scope=f"{node_id}/",
         )
-        #: Per-shard write serialization point: the fence check and the
-        #: commit it guards happen under this lock, and :meth:`fence`
-        #: sets its flag under the same lock — so once ``fence`` returns,
-        #: every admitted write has fully committed (and hence been
-        #: captured by the attached tail) and every later write raises.
-        #: Without it a write could pass the check, lose the CPU, and
-        #: commit *after* the tail detached: acknowledged yet never
-        #: shipped. The serving layer already runs one committer per
-        #: shard, so the lock is uncontended in the common case.
-        #:
-        #: Lock order, on every path: write locks (ascending shard
-        #: index) → the forest's transaction lock. :meth:`write_batch`
-        #: takes both in that order; :meth:`snapshot` takes only the
-        #: transaction lock; :meth:`fence` and :meth:`repl_fence` only
-        #: a write lock.
-        self._write_locks: Dict[int, threading.Lock] = {
-            shard: threading.Lock() for shard in self.trees
+        #: One record per serving shard. Lock order, on every path:
+        #: write locks (ascending shard index) → the forest's transaction
+        #: lock; :meth:`snapshot` takes only the latter, :meth:`fence`
+        #: and :meth:`repl_fence` only a write lock.
+        self._serving: Dict[int, _ServingShard] = {
+            shard: _ServingShard(shard, self._scope(shard))
+            for shard in self.trees
         }
         #: Trees a peer is filling (not serving): one slot per shard,
         #: whatever the stream's role — see :meth:`inbound_begin`.
         self._inbound: Dict[int, _Inbound] = {}
-        #: Source-side migration state: shards fenced for handoff, and
-        #: attached WAL-tail buffers.
-        self._fenced: Set[int] = set()
-        #: Shards write-fenced by the *replication* layer: the primary
-        #: lost contact with its standby past the fence window and stops
-        #: acking sync-replicated writes (self-fencing against
-        #: split-brain under partitions). Same ShardFencedError → BUSY
-        #: answer as the migration fence, but lifted by the node's
-        #: heartbeat loop (contact re-established) or a demotion, not by
-        #: a handoff.
-        self._repl_fenced: Set[int] = set()
-        self._tails: Dict[int, _TailBuffer] = {}
-        #: The primary-side taps forwarding commit groups to replicas.
-        self._ship_hooks: Dict[int, Callable[[List[Entry]], None]] = {}
         self._transition_lock = threading.Lock()
 
     def _scope(self, shard: int) -> str:
@@ -314,33 +307,32 @@ class NodeStore:
             )
         return tree
 
-    def _check_unfenced(self, shard: int) -> None:
-        if shard in self._fenced or shard in self._repl_fenced:
+    def _record(self, shard: int) -> _ServingShard:
+        """``shard``'s record; MOVED when it lives elsewhere, BUSY in the
+        instant between a tree's adoption or drop and its record's."""
+        self._owned_tree(shard)
+        record = self._serving.get(shard)
+        if record is None:
             raise ShardFencedError(shard)
+        return record
 
     def _adopt(self, shard: int, tree: LSMTree) -> None:
         """Start serving a warm ``tree`` as ``shard`` (seal, promote):
-        fresh write lock, fences lifted, healthy slot in the forest."""
-        self._write_locks[shard] = threading.Lock()
-        self._fenced.discard(shard)
-        self._repl_fenced.discard(shard)
+        healthy slot in the forest, then a fresh record — new write
+        lock, no fences, no taps."""
         self._forest._adopt_slot(shard, tree)
+        self._serving[shard] = _ServingShard(shard, self._scope(shard))
 
     def _drop(self, shard: int) -> None:
-        """Stop serving ``shard`` (release, demote) and close its tree;
-        its taps die with it. The migration fence is set (or kept): a
-        racing write that passed its ownership check before the flip
-        answers FencedError (→ BUSY, retried) instead of committing to
-        the closed tree; its retry re-routes and gets the MOVED
-        redirect. A tree whose background workers died is killed, not
-        closed: its close would only re-raise their failure, and its WAL
-        already holds every acknowledged group."""
-        self._fenced.add(shard)
-        self._repl_fenced.discard(shard)
+        """Stop serving ``shard`` (release, demote) and close its tree.
+        Its record, taps included, is fenced for good and removed: a
+        racing write — even one holding the record's lock — answers
+        FencedError (→ BUSY; its retry gets MOVED) instead of committing
+        to the closed tree. A tree whose background workers died is
+        killed, not closed: its close would only re-raise their failure,
+        and its WAL already holds every acknowledged group."""
+        self._serving.pop(shard).fenced = True
         tree = self._forest._drop_slot(shard)
-        self._write_locks.pop(shard, None)
-        self._tails.pop(shard, None)
-        self._ship_hooks.pop(shard, None)
         if tree.background_error() is not None:
             tree.kill()
         else:
@@ -381,11 +373,11 @@ class NodeStore:
         single-shard batch (the overwhelmingly common case: the serving
         layer runs one committer per shard) directly, a batch spanning
         several *owned* shards through its two-phase commit. The
-        involved shards' write locks are held through the commit, so
-        :meth:`fence` returning still means every admitted write has
-        fully committed. A batch spanning *nodes* is the cluster
-        client's job to split — each node only ever coordinates its own
-        shards.
+        involved shards' records are fence-checked again under their
+        write locks, held through the commit, so :meth:`fence` returning
+        still means every admitted write has fully committed. A batch
+        spanning *nodes* is the cluster client's job to split — each node
+        only ever coordinates its own shards.
         """
         self._check_open()
         shards = set()
@@ -404,18 +396,14 @@ class NodeStore:
         # retry the wrong node forever).
         for shard in involved:
             self._owned_tree(shard)
-        locks = []
-        for shard in involved:
-            self._check_unfenced(shard)
-            lock = self._write_locks.get(shard)
-            if lock is None:  # released between the check and here
-                raise ShardFencedError(shard)
-            locks.append(lock)
+        records = [self._record(shard) for shard in involved]
+        for record in records:
+            record.check_unfenced()
         with ExitStack() as held:
-            for lock in locks:  # ascending shard order: no deadlock
-                held.enter_context(lock)
-            for shard in involved:
-                self._check_unfenced(shard)
+            for record in records:  # ascending shard order: no deadlock
+                held.enter_context(record.lock)
+            for record in records:
+                record.check_unfenced()
             self._forest.write_batch(ops)
 
     def scan(
@@ -588,95 +576,49 @@ class NodeStore:
             )
             return new_map
 
-    # -- WAL commit tap (shared by migration tails and replication) -----------
+    # -- commit taps (migration and replica streams) -------------------------
 
-    def _commit_tap(self, shard: int) -> Callable[[List[Entry]], None]:
-        """One dispatcher for the tree's single WAL-hook slot.
+    def set_tap(self, shard: int, role: str, tap: Optional[CommitTap]) -> None:
+        """Attach ``tap`` as ``shard``'s ``role`` commit tap, or detach it
+        (``tap=None``; idempotent); MOVED when the shard lives elsewhere.
 
-        A shard can be tapped by a migration tail and a replication ship
-        hook *at the same time* (a replicated shard migrating off this
-        node keeps its standby warm throughout), so the hook slot holds
-        this dispatcher and the taps live in dicts. The dicts are read
-        on the committing thread under the tree's write mutex; attach
-        and detach mutate them and then re-install the hook, whose
-        setter takes the same mutex — the barrier that orders every
-        in-flight commit against the change.
-        """
-
-        def tap(entries: List[Entry]) -> None:
-            tail = self._tails.get(shard)
-            if tail is not None:
-                tail.on_commit(entries)
-            ship = self._ship_hooks.get(shard)
-            if ship is not None:
-                fault_point("repl.node.ship", scope=self._scope(shard))
-                ship(entries)
-
-        return tap
-
-    def _sync_tap(self, shard: int, tree: LSMTree) -> None:
-        """(Re)install or clear the dispatcher; the setter's write-mutex
-        acquisition is the attach/detach barrier."""
-        if shard in self._tails or shard in self._ship_hooks:
-            tree.set_wal_commit_hook(self._commit_tap(shard))
-        else:
-            tree.set_wal_commit_hook(None)
-
-    def attach_replication(
-        self, shard: int, ship: Callable[[List[Entry]], None]
-    ) -> None:
-        """Forward ``shard``'s committed WAL groups to ``ship``.
-
-        ``ship`` fires on the committing thread, under the shard's write
-        mutex, after the group's local WAL sync — with exactly the
-        entries the durability contract acknowledged. A synchronous
-        (blocking) ship therefore gives sync-replication semantics:
-        the client's ack implies the replica saw the group. Every group
-        committed after this returns is forwarded.
+        Taps fire on the committing thread, under the tree's write
+        mutex, after the group's WAL sync, with exactly the acknowledged
+        entries. Installing the hook takes that mutex: every group
+        committed after an attach returns is tapped, and no detached tap
+        fires after a detach returns.
         """
         self._check_open()
         with self._transition_lock:
-            if shard in self._ship_hooks:
+            tree = self._owned_tree(shard)
+            record = self._serving[shard]
+            if tap is None:
+                record.taps.pop(role, None)
+            elif role in record.taps:
                 raise ConfigError(
-                    f"shard {shard} already ships replication off "
+                    f"shard {shard} already ships a {role} stream off "
                     f"{self.node_id}"
                 )
-            tree = self._owned_tree(shard)
-            self._ship_hooks[shard] = ship
-            self._sync_tap(shard, tree)
+            else:
+                record.taps[role] = tap
+            record.install(tree)
+
+    def attach_replication(self, shard: int, ship: CommitTap) -> None:
+        """Forward ``shard``'s committed WAL groups to ``ship``, its
+        replica tap. A synchronous (blocking) ship gives
+        sync-replication semantics: the client's ack implies the replica
+        saw the group."""
+        self.set_tap(shard, REPLICA, ship)
 
     def detach_replication(self, shard: int) -> None:
-        """Stop forwarding ``shard``'s commits. Idempotent; the
-        write-mutex barrier in the hook setter guarantees no ship fires
-        after this returns."""
-        self._check_open()
-        with self._transition_lock:
-            if self._ship_hooks.pop(shard, None) is None:
-                return
-            tree = self.trees.get(shard)
-            if tree is not None:
-                self._sync_tap(shard, tree)
+        """Stop forwarding ``shard``'s commits. Idempotent, also once the
+        shard is no longer served here (its taps died with its record)."""
+        try:
+            self.set_tap(shard, REPLICA, None)
+        except ShardMovedError:
+            pass
 
     # -- migration primitives: source side ------------------------------------
-
-    def migration_attach_tail(self, shard: int) -> _TailBuffer:
-        """Tap ``shard``'s WAL commits into a buffer; returns the buffer.
-
-        Installing the hook takes the tree's write mutex, so every
-        commit group that completes after this returns is captured.
-        """
-        self._check_open()
-        with self._transition_lock:
-            if shard in self._tails:
-                raise ConfigError(
-                    f"shard {shard} is already migrating off "
-                    f"{self.node_id}"
-                )
-            tree = self._owned_tree(shard)
-            tail = _TailBuffer(shard)
-            self._tails[shard] = tail
-            self._sync_tap(shard, tree)
-        return tail
 
     def snapshot_batches(
         self, shard: int, chunk: int = SNAPSHOT_CHUNK
@@ -709,14 +651,14 @@ class NodeStore:
         Setting the flag under the shard's write lock is the handoff's
         linearization point: acquiring the lock waits out any write that
         already passed its fence check, so when this returns, every
-        acknowledged write has committed (and fired the attached tail
-        hook) and every later write raises.
+        acknowledged write has committed (and fired the attached taps)
+        and every later write raises.
         """
         self._check_open()
-        self._owned_tree(shard)
+        record = self._record(shard)
         fault_point("cluster.migrate.fence", scope=self._scope(shard))
-        with self._write_locks[shard]:
-            self._fenced.add(shard)
+        with record.lock:
+            record.fenced = True
 
     def repl_fence(self, shard: int) -> bool:
         """Self-fence ``shard``: stop acking writes because its standby
@@ -732,39 +674,27 @@ class NodeStore:
         shard (demotion/release), never by a timeout alone.
         """
         self._check_open()
-        if self.trees.get(shard) is None or shard in self._repl_fenced:
+        record = self._serving.get(shard)
+        if record is None or record.repl_fenced:
             return False
         fault_point("repl.node.fence", scope=self._scope(shard))
-        lock = self._write_locks.get(shard)
-        if lock is None:
-            return False
-        with lock:
-            self._repl_fenced.add(shard)
+        with record.lock:
+            record.repl_fenced = True
         return True
 
     def repl_unfence(self, shard: int) -> bool:
         """Lift a self-fence (standby contact re-established at a
         compatible epoch); returns whether the flag was set."""
         self._check_open()
-        if shard in self._repl_fenced:
-            self._repl_fenced.discard(shard)
-            return True
-        return False
+        record = self._serving.get(shard)
+        if record is None or not record.repl_fenced:
+            return False
+        record.repl_fenced = False
+        return True
 
     def repl_fenced_shards(self) -> List[int]:
         """Shards currently self-fenced by the replication layer."""
-        return sorted(self._repl_fenced)
-
-    def migration_detach_tail(self, shard: int) -> None:
-        """Remove the WAL tail tap (a replication ship hook, if any,
-        stays attached). Taking the write mutex inside
-        ``set_wal_commit_hook`` doubles as the drain barrier: when this
-        returns, every in-flight commit has already fired the hook."""
-        self._check_open()
-        tree = self._owned_tree(shard)
-        with self._transition_lock:
-            self._tails.pop(shard, None)
-            self._sync_tap(shard, tree)
+        return sorted(s for s, rec in list(self._serving.items()) if rec.repl_fenced)
 
     def release_shard(self, shard: int, new_map: ClusterMap) -> None:
         """Persist the flip and stop serving ``shard`` (MOVED hereafter).
@@ -798,18 +728,21 @@ class NodeStore:
 
     def abort_migration(self, shard: int) -> None:
         """Undo source-side migration state after a failed attempt:
-        detach the tail, lift the fence, keep serving (and keep
-        shipping, when the shard is replicated)."""
+        detach the migration tap, lift the fence, keep serving (and keep
+        shipping, when the shard is replicated). A dropped record stays
+        fenced: the shard is no longer this node's to serve."""
         with self._transition_lock:
-            tree = self.trees.get(shard)
-            had_tail = self._tails.pop(shard, None) is not None
-            if tree is not None and had_tail:
-                self._sync_tap(shard, tree)
-            self._fenced.discard(shard)
+            record = self._serving.get(shard)
+            if record is None:
+                return
+            record.fenced = False
+            if record.taps.pop(MIGRATION, None) is not None:
+                record.install(self.trees[shard])
 
     def migrating_shards(self) -> List[int]:
-        """Shards with an attached outbound tail (source side)."""
-        return sorted(self._tails)
+        """Shards with an attached migration tap (source side)."""
+        serving = list(self._serving.items())
+        return sorted(s for s, rec in serving if MIGRATION in rec.taps)
 
     # -- cross-node replication: standby side ----------------------------------
 
@@ -1042,16 +975,23 @@ def migrate_shard(
         # can only differ in other nodes' placements — installable).
         # Adopt it so the flip epoch exceeds both maps.
         source.adopt_map(dest.map)
-    tail = source.migration_attach_tail(shard)
+    tail: deque[BatchOp] = deque()  # the migration tap's FIFO
+
+    def tap(entries: List[Entry]) -> None:
+        tail.extend(entries_to_batch_ops(entries, context="live migration"))
+
+    source.set_tap(shard, MIGRATION, tap)
     scope = source._scope(shard)
+    snapshot_pairs = tail_ops = 0
 
     def ship_tail() -> None:
-        drained = tail.drain()
+        nonlocal tail_ops
+        drained = [tail.popleft() for _ in range(len(tail))]  # commit order
+        tail_ops += len(drained)
         if drained:
             fault_point("cluster.migrate.tail", scope=scope)
             dest.migration_apply(shard, drained)
 
-    snapshot_pairs = 0
     try:
         for batch in source.snapshot_batches(shard, chunk):
             fault_point("cluster.migrate.snapshot", scope=scope)
@@ -1062,7 +1002,7 @@ def migrate_shard(
             during()
         fence_started = time.monotonic()
         source.fence(shard)
-        source.migration_detach_tail(shard)
+        source.set_tap(shard, MIGRATION, None)
         ship_tail()
         flip_map = dest.migration_seal(
             shard, source.map.with_assignment(shard, dest.node_id)
@@ -1081,7 +1021,7 @@ def migrate_shard(
         shard,
         dest.node_id,
         snapshot_pairs=snapshot_pairs,
-        tail_ops=tail.total_ops,
+        tail_ops=tail_ops,
         fence_ms=(time.monotonic() - fence_started) * 1000.0,
     )
 
@@ -1110,7 +1050,7 @@ def replicate_local(
     shard: int,
     *,
     chunk: int = SNAPSHOT_CHUNK,
-    ship: Optional[Callable[[List[Entry]], None]] = None,
+    ship: Optional[CommitTap] = None,
 ) -> Callable[[], None]:
     """Seed and then continuously ship ``shard`` between two in-process
     NodeStores; returns the callable that detaches the stream.

@@ -251,7 +251,7 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "repl.node.ship",
-            "cluster/store.py _commit_tap",
+            "cluster/store.py _ServingShard.on_commit",
             "commit group durable on the primary, before shipping it to "
             "the replica node",
         ),

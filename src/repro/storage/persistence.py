@@ -162,7 +162,8 @@ def checkpoint(tree: LSMTree, directory: str) -> Dict[str, int]:
     either the previous checkpoint fully intact or the new one fully
     committed — never a manifest pointing at missing tables, never a
     pruned segment that the surviving manifest does not cover. Stale
-    ``.tmp`` files from an earlier crashed checkpoint are cleared first.
+    ``.tmp`` files from an earlier crashed checkpoint are cleared first,
+    and ``.sst`` files the committed manifest does not name after it.
     """
     tree.flush()
     tables_dir = os.path.join(directory, "tables")
@@ -209,6 +210,10 @@ def checkpoint(tree: LSMTree, directory: str) -> Dict[str, int]:
     fault_point("ckpt.manifest.tmp", path=temporary, tail_bytes=len(blob))
     os.replace(temporary, manifest_path)  # atomic commit of the checkpoint
     fault_point("ckpt.manifest.done", path=manifest_path)
+    live = {name for runs in manifest_levels for run in runs for name in run}
+    for name in os.listdir(tables_dir):
+        if name.endswith(".sst") and name not in live:
+            os.remove(os.path.join(tables_dir, name))  # no manifest names it
     _prune_wal_segments(tree)
     return {"tables": table_count, "bytes": byte_count}
 

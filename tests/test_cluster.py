@@ -26,6 +26,8 @@ from repro.cluster import (
     NodeStore,
     local_cluster,
     migrate_shard,
+    promote_local,
+    replicate_local,
 )
 from repro.cluster.node import _WirePeer
 from repro.core.config import LSMConfig
@@ -583,6 +585,107 @@ class TestMigrateLocal:
             assert store_a.get(key) == "v2"
         finally:
             store_a.close()
+
+    @pytest.mark.parametrize("form", ["fence", "migration", "demotion"])
+    def test_stale_lock_writer_cannot_commit_past_a_fence(
+        self, tmp_path, monkeypatch, form
+    ):
+        """A writer that picked up shard 0's write lock before the shard
+        moved ``a → b → a`` holds a lock the re-adopted shard no longer
+        uses. Its fence re-check must refuse it: otherwise it commits
+        after a later ``fence()`` returned (forms ``fence`` and
+        ``demotion``), or after a third migration's final tail drain,
+        acked by ``a`` and missing on the new owner ``b`` (form
+        ``migration``). In form ``demotion`` the first move is a
+        failover, which drops ``a``'s shard without a migration fence.
+
+        W is paused twice: after picking up the lock and before taking
+        it (the store module's ``ExitStack``), and after its fence
+        re-check and before its commit (``ShardedStore.write_batch``).
+        """
+        import contextlib
+
+        import repro.cluster.store as store_module
+        from repro.shard import ShardedStore
+
+        cmap = ClusterMap.even(
+            2,
+            _nodes(("a", 7631), ("b", 7632)),
+            epoch=1,
+            replicated=form == "demotion",
+        )
+        store_a = NodeStore("a", cmap, LSMConfig(), wal_dir=str(tmp_path / "a"))
+        store_b = NodeStore("b", cmap, LSMConfig(), wal_dir=str(tmp_path / "b"))
+        key = keys_for_shard(0, 1, 2, "tk")[0]
+        at_first, go_first = threading.Event(), threading.Event()
+        at_second, go_second = threading.Event(), threading.Event()
+        outcome: List[object] = []
+
+        def writer() -> None:
+            try:
+                store_a.write_batch([("put", key, "w")])
+                outcome.append("acked")
+            except Exception as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=writer, daemon=True)
+
+        class GatedExitStack(contextlib.ExitStack):
+            def __enter__(self):
+                if threading.current_thread() is thread:
+                    at_first.set()
+                    go_first.wait(10)
+                return super().__enter__()
+
+        real_write_batch = ShardedStore.write_batch
+
+        def gated_write_batch(self, ops):
+            if threading.current_thread() is thread:
+                at_second.set()
+                go_second.wait(10)
+            return real_write_batch(self, ops)
+
+        monkeypatch.setattr(store_module, "ExitStack", GatedExitStack)
+        monkeypatch.setattr(ShardedStore, "write_batch", gated_write_batch)
+        try:
+            thread.start()
+            assert at_first.wait(10)
+            if form == "demotion":
+                replicate_local(store_a, store_b, 0)
+                promote_local(store_b, [0], store_a)
+            else:
+                migrate_shard(store_a, store_b, 0)
+            migrate_shard(store_b, store_a, 0)
+            go_first.set()
+            deadline = time.monotonic() + 10
+            while not at_second.is_set() and thread.is_alive():
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            if form != "migration":
+                store_a.fence(0)
+                go_second.set()
+                thread.join(10)
+                assert store_a.get(key) is None  # nothing past the fence
+            else:
+                real_seal = store_b.migration_seal
+
+                def seal(shard, new_map):
+                    go_second.set()
+                    thread.join(10)
+                    return real_seal(shard, new_map)
+
+                store_b.migration_seal = seal
+                migrate_shard(store_a, store_b, 0)
+                if outcome == ["acked"]:  # no acked write may be lost
+                    assert store_b.get(key) == "w"
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], ShardFencedError), outcome
+        finally:
+            go_first.set()
+            go_second.set()
+            thread.join(10)
+            store_a.close()
+            store_b.close()
 
 
 # ---------------------------------------------------------------------------

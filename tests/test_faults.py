@@ -805,9 +805,19 @@ def _scenario(name: str):
 
 
 def _lose_migration_tail(monkeypatch):
-    from repro.cluster.store import _TailBuffer
+    from repro.cluster.store import MIGRATION, NodeStore
 
-    monkeypatch.setattr(_TailBuffer, "drain", lambda self: [])
+    real_set_tap = NodeStore.set_tap
+
+    def drop_every_group(entries):
+        pass
+
+    def set_tap(self, shard, role, tap):
+        if role == MIGRATION and tap is not None:
+            tap = drop_every_group
+        real_set_tap(self, shard, role, tap)
+
+    monkeypatch.setattr(NodeStore, "set_tap", set_tap)
 
 
 def _ship_async_under_sync_mode(monkeypatch):
@@ -869,7 +879,7 @@ class TestOraclesBite:
     ===============  ============================================  ====  =======
     scenario         defect                                        runs  viol.
     ===============  ============================================  ====  =======
-    cluster          migration tail drained as empty                 92       54
+    cluster          migration tap drops every group                 92       54
     replicated-sync  sync ships go through the async applier        136  222–382
     sharded          2PC decisions forgotten at recovery            115     1215
     single-tree      WAL replay drops each file's last group        101       67
@@ -879,7 +889,9 @@ class TestOraclesBite:
     (``replicated-sync`` varies from run to run: the planted defect *is*
     an applier thread racing the crash. Its row was re-planted when
     :class:`~repro.replication.ReplicatedStore` became two cluster nodes;
-    before that it read 131 runs / 160–195 violations.)
+    before that it read 131 runs / 160–195 violations. The ``cluster``
+    row was re-planted when the migration tail became a commit tap — it
+    used to drain the tail buffer as empty — with the same counts.)
     """
 
     @pytest.mark.parametrize(

@@ -87,6 +87,35 @@ class TestRoundtrip:
         restored = restore(str(tmp_path))
         assert restored.get("a") is None
 
+    def test_repeated_checkpoints_leave_only_live_tables(self, tmp_path):
+        # Compaction between rounds retires tables; a table file the
+        # committed manifest does not name is garbage and must go.
+        tree = LSMTree(
+            LSMConfig(
+                buffer_size_bytes=8192, target_file_bytes=4096, block_bytes=1024
+            )
+        )
+        keys = [f"key{i:05d}" for i in range(2000)]
+        for round_no in range(5):
+            for key in keys:
+                tree.put(key, f"v{round_no}-{key}")
+            checkpoint(tree, str(tmp_path))
+        manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
+        named = {
+            name
+            for level in manifest["levels"]
+            for run in level
+            for name in run
+        }
+        on_disk = {
+            name
+            for name in os.listdir(tmp_path / "tables")
+            if name.endswith(".sst")
+        }
+        assert on_disk == named
+        restored = restore(str(tmp_path))
+        assert all(restored.get(key) == f"v4-{key}" for key in keys)
+
 
 class TestCorruption:
     def test_missing_manifest(self, tmp_path):
