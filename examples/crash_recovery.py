@@ -7,8 +7,9 @@ Run with::
 
 Batched ingestion (§2.1.1-A) keeps recent writes in memory, so a real
 engine pairs the buffer with a write-ahead log and periodically checkpoints
-its immutable files. This example kills a store mid-flight and brings it
-back: checkpoint + WAL replay = complete recovery.
+its immutable files. A WAL segment stays on disk until a checkpoint covers
+it. This example kills a store mid-flight and brings it back with the one
+recovery loop: the checkpoint plus every WAL segment it does not cover.
 """
 
 import os
@@ -17,7 +18,7 @@ import tempfile
 
 from repro.core.config import LSMConfig
 from repro.core.tree import LSMTree
-from repro.storage.persistence import checkpoint, restore
+from repro.storage.persistence import checkpoint
 
 
 def main() -> None:
@@ -42,6 +43,7 @@ def main() -> None:
         # --- phase 2: more writes that never reach a checkpoint ------------
         store.put("account000001", "balance=UPDATED-AFTER-CHECKPOINT")
         store.put("brand-new-account", "balance=42")
+        store.delete("account000002")
         live_wal_records = sum(
             1 for name in os.listdir(wal_dir) if name.startswith("wal.")
         )
@@ -49,21 +51,19 @@ def main() -> None:
 
         # --- the crash -------------------------------------------------------
         print("\n*** simulated power loss (no close, no flush) ***\n")
-        del store
+        store.kill()
 
         # --- recovery: checkpoint restore + WAL replay -----------------------
-        recovered = restore(checkpoint_dir)
+        recovered = LSMTree.recover(
+            config, wal_dir, checkpoint_dir=checkpoint_dir
+        )
         print(f"restored {recovered.total_disk_bytes() / 1024:.0f} KiB "
-              "from the checkpoint")
-        replayed = LSMTree.recover(config, wal_dir, disk=recovered.disk)
-        # Fold the replayed tail into the restored tree.
-        for key, value in replayed.scan("", "\U0010ffff"):
-            recovered.put(key, value)
-        replayed.close()
+              "from the checkpoint and replayed the WAL tail")
 
         checks = [
             ("account000000", "balance=0"),
             ("account000001", "balance=UPDATED-AFTER-CHECKPOINT"),
+            ("account000002", None),
             ("account000500", None),
             ("brand-new-account", "balance=42"),
         ]

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, CorruptionError
-from ..faults.registry import fault_point
 from ..shard.store import hash_shard_index
+from ..storage.files import replace_durably
 
 #: File name of the persisted map inside a cluster node's WAL directory.
 CLUSTER_MANIFEST = "cluster.json"
@@ -450,7 +450,7 @@ class ClusterMap:
     # -- persistence ----------------------------------------------------------
 
     def save(self, directory: str) -> None:
-        """Persist as ``cluster.json`` via tmp-write + atomic rename.
+        """Persist as ``cluster.json`` via :func:`replace_durably`.
 
         Refuses to go backwards: overwriting a map with a *higher* epoch
         (or a different same-epoch map) raises
@@ -473,13 +473,7 @@ class ClusterMap:
                         f"{self.epoch}; published maps are immutable"
                     )
                 return
-        blob = self.to_json()
-        temporary = path + ".tmp"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(blob)
-        fault_point("cluster.map.tmp", path=temporary, tail_bytes=len(blob))
-        os.replace(temporary, path)  # atomic: never a torn map
-        fault_point("cluster.map.done", path=path)
+        replace_durably(path, self.to_json().encode("utf-8"), "cluster.map")
 
     @classmethod
     def load(cls, directory: str) -> "ClusterMap":

@@ -287,7 +287,6 @@ class BackgroundCoordinator:
             tree._immutable.remove(buffer)
             self._cv.notify_all()
         buffer.wal.close()
-        tree._delete_wal_file(buffer.wal)
         self.pool.kick()
         return True
 

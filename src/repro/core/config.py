@@ -112,15 +112,11 @@ class LSMConfig:
             durability cost that group commit
             (:meth:`~repro.core.wal.WriteAheadLog.append_batch`)
             amortizes: one sync per batch instead of one per write.
-        wal_preserve_segments: Keep flushed WAL segment files on disk
-            instead of deleting them at flush time (only meaningful with
-            a ``wal_dir``). Preserved segments make recovery independent
-            of flush durability — a crash *during or after* a flush can
-            still replay the segment — at the cost of unbounded log
-            growth until a checkpoint
-            (:func:`~repro.storage.persistence.checkpoint`) prunes the
-            segments it covers. The crash-consistency sweep runs with
-            this on.
+        wal_preserve_segments: Must stay ``True``. A tree with a
+            ``wal_dir`` keeps each WAL segment until a checkpoint
+            (:func:`~repro.storage.persistence.checkpoint`) covers it,
+            because flushed tables are not durable before that. Nothing
+            bounds the retained WAL yet: it grows until ``checkpoint``.
     """
 
     buffer_size_bytes: int = 64 * 1024
@@ -147,7 +143,7 @@ class LSMConfig:
     compaction_threads: int = 1
     slowdown_sleep_us: float = 500.0
     wal_fsync: bool = False
-    wal_preserve_segments: bool = False
+    wal_preserve_segments: bool = True
     extras: Tuple[Tuple[str, object], ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -214,6 +210,11 @@ class LSMConfig:
             raise ConfigError("compaction_threads must be at least 1")
         if self.slowdown_sleep_us < 0:
             raise ConfigError("slowdown_sleep_us must be non-negative")
+        if not self.wal_preserve_segments:
+            raise ConfigError(
+                "wal_preserve_segments=False is gone: a flushed WAL segment "
+                "is kept until a checkpoint covers it"
+            )
         # -- cross-field coherence ---------------------------------------
         if self.background_mode and self.num_buffers < 2:
             raise ConfigError(

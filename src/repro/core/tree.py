@@ -48,7 +48,7 @@ from .memtable import LockedMemTable, MemTable, make_memtable
 from .merge_operator import MergeOperator
 from .range_tombstone import RangeTombstone, dedupe, max_covering_seqno
 from .run import SortedRun
-from .sstable import ReadContext
+from .sstable import ReadContext, SSTable
 from .stats import TreeStats
 from .wal import CommitHook, WriteAheadLog
 
@@ -58,6 +58,15 @@ _SNAPSHOT_PIN_CAP = 8192
 
 #: What :meth:`LSMTree._manifest` hands out in synchronous mode.
 _NO_LOCK = nullcontext()
+
+
+def _segment_names(wal_dir: str) -> List[str]:
+    """The WAL segment file names in ``wal_dir``, oldest first."""
+    return sorted(
+        name
+        for name in os.listdir(wal_dir)
+        if name.startswith("wal.") and name.endswith(".log")
+    )
 
 
 class LSMTree:
@@ -1033,33 +1042,29 @@ class LSMTree:
         disk: Optional[SimulatedDisk] = None,
         merge_operator: Optional[MergeOperator] = None,
         committed_txns: Optional[set] = None,
+        checkpoint_dir: Optional[str] = None,
     ) -> "LSMTree":
-        """Rebuild the memory state from WAL segments after a crash.
+        """Restart a tree: its checkpoint, then every WAL segment.
 
-        Only buffered (unflushed) entries live in the WAL; a full restart
-        additionally reloads SSTables via
-        :mod:`repro.storage.persistence`. Entries keep their original
-        sequence numbers so recovery is idempotent.
-
-        ``committed_txns`` is the committed-transaction id set recovered
-        from the store's coordinator decision log: prepared two-phase
-        groups in it are rolled forward, all others rolled back (see
-        :meth:`~repro.core.wal.WriteAheadLog.replay_groups`).
+        The one recovery loop. A tree keeps each WAL segment until a
+        checkpoint covers it, so the durable state is the checkpoint in
+        ``checkpoint_dir`` (when its ``MANIFEST.json`` exists; its stored
+        config then overrides ``config``) plus every segment in
+        ``wal_dir``, replayed from the manifest's covered seqno on.
+        Entries keep their sequence numbers, so replay is idempotent.
+        ``committed_txns`` (from the store's coordinator decision log)
+        rolls prepared two-phase groups forward; all others roll back
+        (:meth:`~repro.core.wal.WriteAheadLog.replay_groups`).
 
         Crash-safe ordering: every segment is decoded before anything is
-        built (a refused WAL leaves the directory as found), then every
-        replayed group is re-journaled — one record and one sync per
-        group, so it stays atomic — into a *fresh* segment (numbered
-        above all existing ones) before any old segment is deleted, so a
-        crash at any point during recovery — including mid-deletion, see
-        the ``wal.recover.before_delete`` failpoint — leaves a WAL set
+        built (a refused WAL leaves the directory as found), then each
+        uncovered group is re-journaled — one record and one sync, so it
+        stays atomic — into a *fresh* segment numbered above all old
+        ones, and only then are the old segments deleted. A crash at any
+        point, ``wal.recover.before_delete`` included, leaves a WAL set
         that replays to the same state.
         """
-        segments = sorted(
-            name
-            for name in os.listdir(wal_dir)
-            if name.startswith("wal.") and name.endswith(".log")
-        )
+        segments = _segment_names(wal_dir)
         groups: List[List[Entry]] = []
         for name in segments:
             groups.extend(
@@ -1067,44 +1072,32 @@ class LSMTree:
                     os.path.join(wal_dir, name), committed_txns
                 )
             )
-        tree = cls(
-            config, disk=disk, wal_dir=None, merge_operator=merge_operator
-        )
-        tree.attach_wal_dir(wal_dir)
+        if checkpoint_dir is not None and os.path.exists(
+            os.path.join(checkpoint_dir, "MANIFEST.json")
+        ):
+            from ..storage.persistence import restore
+
+            tree = restore(
+                checkpoint_dir, disk=disk, merge_operator=merge_operator
+            )
+        else:
+            # A MANIFEST.json.tmp is an uncommitted checkpoint: ignored.
+            tree = cls(config, disk=disk, merge_operator=merge_operator)
+        covered = tree.seqno
+        tree._active_wal.close()
+        tree._wal_dir = wal_dir
+        tree._wal_segment_id = int(segments[-1][4:-4]) + 1 if segments else 0
+        tree._active_wal = tree._new_wal_segment()
         for group in groups:
-            tree.apply_replicated(group)
+            tree.apply_replicated(
+                [entry for entry in group if entry.seqno >= covered]
+            )
         for name in segments:
             path = os.path.join(wal_dir, name)
             fault_point("wal.recover.before_delete", path=path)
             if os.path.exists(path):
                 os.remove(path)
         return tree
-
-    def attach_wal_dir(self, wal_dir: str) -> None:
-        """Start journaling into ``wal_dir`` mid-life.
-
-        New segments are numbered above every segment already present, so
-        the directory's existing files (pre-crash segments a recovery is
-        still consuming, or preserved flushed segments) are never
-        appended to or clobbered. Entries already buffered in the active
-        memtable are re-journaled into the first new segment.
-        """
-        with self._write_mutex:
-            existing = [
-                int(name[4:-4])
-                for name in os.listdir(wal_dir)
-                if name.startswith("wal.")
-                and name.endswith(".log")
-                and name[4:-4].isdigit()
-            ]
-            old_wal = self._active_wal
-            self._wal_dir = wal_dir
-            self._wal_segment_id = max(existing, default=-1) + 1
-            self._active_wal = self._new_wal_segment()
-            pending = old_wal.pending_entries
-            if pending:
-                self._active_wal.append_batch(pending)
-            old_wal.close()
 
     # ------------------------------------------------------------------
     # replication taps
@@ -1318,37 +1311,49 @@ class LSMTree:
                 "flushed_bytes", sum(table.data_bytes for table in tables)
             )
         buffer.wal.close()
-        self._delete_wal_file(buffer.wal)
         self._run_compactions()
 
-    def _delete_wal_file(self, wal: WriteAheadLog) -> None:
-        if self.config.wal_preserve_segments:
-            return  # kept until a checkpoint prunes it (wal_preserve_segments)
-        path = getattr(wal, "_path", None)
-        if path is not None and os.path.exists(path):
-            fault_point("flush.wal_delete", path=path)
-            os.remove(path)
+    def checkpoint_cut(
+        self,
+    ) -> Tuple[List[List[List[SSTable]]], int, List[str]]:
+        """One instant a checkpoint covers: ``(tables, covered, segments)``.
 
-    def flushed_wal_segments(self) -> List[str]:
-        """Segment files in ``wal_dir`` not backing a live buffer.
-
-        Non-empty only with ``wal_preserve_segments`` (or mid-recovery):
-        these are the files a checkpoint may prune once its manifest
-        covers their entries.
+        ``tables`` holds each level's runs' tables; ``covered`` is the
+        lowest seqno in none of them (every buffered entry is at or
+        above it); ``segments`` are the WAL files of flushed buffers,
+        whose entries are all in ``tables``. Taken in one step under the
+        write mutex and the manifest lock, so a write or flush landing
+        while the checkpoint writes files falls wholly after the cut.
         """
-        if self._wal_dir is None:
-            return []
-        with self._write_mutex:
-            live = {getattr(self._active_wal, "_path", None)}
-            for buffer in self._immutable:
-                live.add(getattr(buffer.wal, "_path", None))
-        flushed = []
-        for name in sorted(os.listdir(self._wal_dir)):
-            if name.startswith("wal.") and name.endswith(".log"):
-                path = os.path.join(self._wal_dir, name)
-                if path not in live:
-                    flushed.append(path)
-        return flushed
+        with self._write_mutex, self._manifest():
+            tables = [
+                [list(run.tables) for run in level.runs]
+                for level in self.levels
+            ]
+            buffered = [(self._active, self._active_tombstones)]
+            buffered.extend(
+                (buffer.memtable, buffer.tombstones)
+                for buffer in self._immutable
+            )
+            covered = min(
+                (
+                    item.seqno
+                    for memtable, tombstones in buffered
+                    for items in (memtable.entries(), tombstones)
+                    for item in items
+                ),
+                default=self._next_seqno,
+            )
+            flushed: List[str] = []
+            if self._wal_dir is not None:
+                live = {self._active_wal._path}
+                live.update(buffer.wal._path for buffer in self._immutable)
+                paths = (
+                    os.path.join(self._wal_dir, name)
+                    for name in _segment_names(self._wal_dir)
+                )
+                flushed = [path for path in paths if path not in live]
+        return tables, covered, flushed
 
     def _ensure_level(self, index: int) -> Level:
         while len(self.levels) <= index:

@@ -117,11 +117,6 @@ FAILPOINTS: Dict[str, Failpoint] = {
             "tables built, before installing the run in Level 0",
         ),
         Failpoint(
-            "flush.wal_delete",
-            "core/tree.py _delete_wal_file",
-            "before deleting a flushed buffer's WAL segment",
-        ),
-        Failpoint(
             "compact.step",
             "core/tree.py _run_compactions",
             "before executing one synchronous compaction",
@@ -138,22 +133,22 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "ckpt.table.tmp",
-            "storage/persistence.py checkpoint",
-            "SSTable tmp file written, before its atomic rename",
+            "storage/persistence.py checkpoint (replace_durably)",
+            "SSTable tmp file written, before its fsync and atomic rename",
         ),
         Failpoint(
             "ckpt.table.done",
-            "storage/persistence.py checkpoint",
-            "after an SSTable rename into place",
+            "storage/persistence.py checkpoint (replace_durably)",
+            "after an SSTable rename into place and the directory fsync",
         ),
         Failpoint(
             "ckpt.manifest.tmp",
-            "storage/persistence.py checkpoint",
-            "manifest tmp written, before the atomic commit rename",
+            "storage/persistence.py checkpoint (replace_durably)",
+            "manifest tmp written, before its fsync and the commit rename",
         ),
         Failpoint(
             "ckpt.manifest.done",
-            "storage/persistence.py checkpoint",
+            "storage/persistence.py checkpoint (replace_durably)",
             "checkpoint committed, WAL segments not yet pruned",
         ),
         Failpoint(
@@ -163,13 +158,13 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "shard.manifest.tmp",
-            "shard/store.py _write_manifest",
-            "shards.json tmp written, before the atomic rename",
+            "shard/store.py _write_manifest (replace_durably)",
+            "shards.json tmp written, before its fsync and atomic rename",
         ),
         Failpoint(
             "shard.manifest.done",
-            "shard/store.py _write_manifest",
-            "after the shards.json rename",
+            "shard/store.py _write_manifest (replace_durably)",
+            "after the shards.json rename and the directory fsync",
         ),
         Failpoint(
             "shard.commit",
@@ -209,13 +204,13 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "cluster.map.tmp",
-            "cluster/map.py save",
-            "cluster.json tmp written, before the atomic rename",
+            "cluster/map.py save (replace_durably)",
+            "cluster.json tmp written, before its fsync and atomic rename",
         ),
         Failpoint(
             "cluster.map.done",
-            "cluster/map.py save",
-            "after the cluster.json rename",
+            "cluster/map.py save (replace_durably)",
+            "after the cluster.json rename and the directory fsync",
         ),
         Failpoint(
             "cluster.migrate.begin",

@@ -306,6 +306,37 @@ def apply_op(scenario: Scenario, target: _Target, op: _Op, root: str) -> None:
 
 
 _BIG_BUFFERS = LSMConfig()  # 64 KiB buffers: nothing flushes mid-workload
+#: 2 KiB buffers and a one-run Level 0: with :func:`_padded` values every
+#: shard of a ``-flush`` row flushes and compacts inside its script, so a
+#: crash lands after flushes whose tables no checkpoint has written.
+_SMALL_BUFFERS = LSMConfig(
+    buffer_size_bytes=2048,
+    num_buffers=1,
+    level0_run_limit=1,
+    target_file_bytes=1024,
+    block_bytes=256,
+)
+
+
+def _padded(script: Callable[[], List[_Op]], width: int):
+    """``script`` with every written value padded to ``width`` chars."""
+
+    def pad(value: Optional[str]) -> Optional[str]:
+        return None if value is None else value.ljust(width, ".")
+
+    def padded() -> List[_Op]:
+        ops = []
+        for op in script():
+            if op[0] == "put":
+                op = ("put", op[1], pad(op[2]))
+            elif op[0] == "batch":
+                op = ("batch", [(sub, key, pad(v)) for sub, key, v in op[1]])
+            elif op[0] == "migrate":
+                op = ("migrate", op[1], [(key, pad(v)) for key, v in op[2]])
+            ops.append(op)
+        return ops
+
+    return padded
 
 
 def _single_tree_script() -> List[_Op]:
@@ -358,7 +389,6 @@ def _single_tree(name: str, fsync: bool) -> Scenario:
         level0_run_limit=1,  # second flush forces a compaction
         target_file_bytes=1024,
         block_bytes=256,
-        wal_preserve_segments=True,
         wal_fsync=fsync,
     )
 
@@ -371,8 +401,10 @@ def _single_tree(name: str, fsync: bool) -> Scenario:
         _single_tree_script,
         open_,
         recover=lambda root: _solo(
-            persistence.recover_full(
-                config, os.path.join(root, "wal"), os.path.join(root, "ckpt")
+            LSMTree.recover(
+                config,
+                os.path.join(root, "wal"),
+                checkpoint_dir=os.path.join(root, "ckpt"),
             )
         ),
         # one tree: whole batches are atomic (one WAL group)
@@ -476,7 +508,7 @@ def _replicated_script() -> List[_Op]:
     return ops
 
 
-def _standbys_alone(path: str) -> _Target:
+def _standbys_alone(config: LSMConfig, path: str) -> _Target:
     """The replica node reopened as the owner of every shard: each shard
     it does not own yet is failed over onto it first, as an operator
     would after losing the primary disk."""
@@ -488,7 +520,7 @@ def _standbys_alone(path: str) -> _Target:
     ]
     if lost:
         standby_map.with_failover(lost, "replica").save(path)
-    return _solo(NodeStore.recover("replica", _BIG_BUFFERS, path))
+    return _solo(NodeStore.recover("replica", config, path))
 
 
 # The cluster and failover scenarios: nodes ``a`` and ``b``, four shards.
@@ -508,7 +540,9 @@ def _open_nodes(open_node: Callable[[str], NodeStore]) -> _ClusterCtx:
     return _ClusterCtx(stores)
 
 
-def _two_nodes(subdir: str, port: int, replicated: bool):
+def _two_nodes(
+    subdir: str, port: int, replicated: bool, config: LSMConfig = _BIG_BUFFERS
+):
     """``(open, recover)`` of a two-node scenario living in
     ``root/subdir/<node>``; both nodes are recovered independently."""
 
@@ -525,7 +559,7 @@ def _two_nodes(subdir: str, port: int, replicated: bool):
             lambda node_id: NodeStore(
                 node_id,
                 cluster_map,
-                _BIG_BUFFERS,
+                config,
                 wal_dir=os.path.join(root, subdir, node_id),
             )
         )
@@ -533,7 +567,7 @@ def _two_nodes(subdir: str, port: int, replicated: bool):
     def recover(root: str) -> _ClusterCtx:
         return _open_nodes(
             lambda node_id: NodeStore.recover(
-                node_id, _BIG_BUFFERS, os.path.join(root, subdir, node_id)
+                node_id, config, os.path.join(root, subdir, node_id)
             )
         )
 
@@ -756,50 +790,68 @@ def _rejoin(ctx: _ClusterCtx, op: _Op, root: str) -> None:
         )
 
 
+def _sharded(
+    name: str, config: LSMConfig, script: Callable[[], List[_Op]]
+) -> Scenario:
+    return Scenario(
+        name,
+        script,
+        open=lambda root: _solo(
+            ShardedStore(3, config, wal_dir=_made(root, "wal"))
+        ),
+        recover=lambda root: _solo(
+            ShardedStore.recover(config, os.path.join(root, "wal"))
+        ),
+        unit_of=_whole_store,
+    )
+
+
+def _replicated(
+    name: str, config: LSMConfig, script: Callable[[], List[_Op]]
+) -> Scenario:
+    return Scenario(
+        name,
+        script,
+        open=lambda root: _solo(
+            ReplicatedStore(
+                2, config, mode="sync", wal_dir=_made(root, "repl")
+            )
+        ),
+        recover=lambda root: _standbys_alone(
+            config, os.path.join(root, "repl", "replica")
+        ),
+        unit_of=partial(hash_shard_index, num_shards=2),
+        verbs={
+            "promote": lambda target, op, _root: target.store.promote(
+                op[1], reason="scripted failover"
+            )
+        },
+    )
+
+
+def _cluster(
+    name: str, config: LSMConfig, script: Callable[[], List[_Op]], port: int
+) -> Scenario:
+    return Scenario(
+        name,
+        script,
+        *_two_nodes("cluster", port, replicated=False, config=config),
+        # Batches (the during-migration one included) are atomic per
+        # shard sub-batch, same as the sharded store.
+        unit_of=partial(hash_shard_index, num_shards=_NODE_SHARDS),
+        verbs={"migrate": _migrate, "stale": _stale},
+    )
+
+
 #: The crash scenarios, in sweep order. Adding one is one row here plus
 #: the verbs its script uses that no other row has.
 SCENARIOS: Dict[str, Scenario] = {
     scenario.name: scenario
     for scenario in (
         _single_tree("single-tree", fsync=False),
-        Scenario(
-            "sharded",
-            _sharded_script,
-            open=lambda root: _solo(
-                ShardedStore(3, _BIG_BUFFERS, wal_dir=_made(root, "wal"))
-            ),
-            recover=lambda root: _solo(
-                ShardedStore.recover(_BIG_BUFFERS, os.path.join(root, "wal"))
-            ),
-            unit_of=_whole_store,
-        ),
-        Scenario(
-            "replicated-sync",
-            _replicated_script,
-            open=lambda root: _solo(
-                ReplicatedStore(
-                    2, _BIG_BUFFERS, mode="sync", wal_dir=_made(root, "repl")
-                )
-            ),
-            recover=lambda root: _standbys_alone(
-                os.path.join(root, "repl", "replica")
-            ),
-            unit_of=partial(hash_shard_index, num_shards=2),
-            verbs={
-                "promote": lambda target, op, _root: target.store.promote(
-                    op[1], reason="scripted failover"
-                )
-            },
-        ),
-        Scenario(
-            "cluster",
-            _cluster_script,
-            *_two_nodes("cluster", 7401, replicated=False),
-            # Batches (the during-migration one included) are atomic per
-            # shard sub-batch, same as the sharded store.
-            unit_of=partial(hash_shard_index, num_shards=_NODE_SHARDS),
-            verbs={"migrate": _migrate, "stale": _stale},
-        ),
+        _sharded("sharded", _BIG_BUFFERS, _sharded_script),
+        _replicated("replicated-sync", _BIG_BUFFERS, _replicated_script),
+        _cluster("cluster", _BIG_BUFFERS, _cluster_script, 7401),
         Scenario(
             "failover",
             _failover_script,
@@ -811,6 +863,17 @@ SCENARIOS: Dict[str, Scenario] = {
                 "rejoin": _rejoin,
                 "stale": _stale,
             },
+        ),
+        # Small-buffer variants: crashes after flushes and compactions
+        # that no checkpoint covers.
+        _sharded("sharded-flush", _SMALL_BUFFERS, _padded(_sharded_script, 1000)),
+        _replicated(
+            "replicated-sync-flush",
+            _SMALL_BUFFERS,
+            _padded(_replicated_script, 1500),
+        ),
+        _cluster(
+            "cluster-flush", _SMALL_BUFFERS, _padded(_cluster_script, 2000), 7421
         ),
     )
 }

@@ -97,6 +97,7 @@ from ..errors import (
 )
 from ..faults.registry import fault_point
 from ..storage.disk import SimulatedDisk
+from ..storage.files import replace_durably
 from ..workload.distributions import format_key
 
 #: One batched write: ("put" | "delete", key, value-or-None).
@@ -334,13 +335,9 @@ class ShardedStore:
                     "use a fresh directory"
                 )
             return
-        blob = json.dumps(manifest)
-        temporary = path + ".tmp"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(blob)
-        fault_point("shard.manifest.tmp", path=temporary, tail_bytes=len(blob))
-        os.replace(temporary, path)  # atomic: readers never see a torn file
-        fault_point("shard.manifest.done", path=path)
+        replace_durably(
+            path, json.dumps(manifest).encode("utf-8"), "shard.manifest"
+        )
 
     # -- slots ---------------------------------------------------------------
 

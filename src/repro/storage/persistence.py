@@ -1,14 +1,17 @@
 """Checkpoint/restore: durable snapshots of the tree's on-disk state.
 
-The WAL (:mod:`repro.core.wal`) covers the *buffered* entries; this module
-covers the rest of a restart: serializing every SSTable and the level
-manifest to real files and rebuilding the tree from them. Together they
-give the engine the full durability story a production store has —
-checkpoint + WAL replay == crash recovery.
+Flushed tables live only in memory until a checkpoint writes them, so a
+tree with a ``wal_dir`` keeps every WAL segment (:mod:`repro.core.wal`)
+until a checkpoint covers it. This module writes that checkpoint —
+every SSTable and the level manifest as real files — prunes the
+segments it covers, and rebuilds a tree from it. A restart is the
+latest checkpoint plus every remaining segment, replayed by the one
+recovery loop, :meth:`~repro.core.tree.LSMTree.recover`. Nothing bounds
+the retained WAL yet: it grows until :func:`checkpoint` runs.
 
 On-disk layout of a checkpoint directory::
 
-    MANIFEST.json          # config, seqno high-water mark, level structure
+    MANIFEST.json          # config, covered seqno, level structure
     tables/<n>.sst         # one binary file per SSTable
 
 SSTable file format, version 3 (little-endian)::
@@ -47,10 +50,10 @@ from ..core.range_tombstone import RangeTombstone
 from ..core.run import SortedRun
 from ..core.sstable import SSTable
 from ..core.tree import LSMTree
-from ..core.wal import WriteAheadLog
 from ..errors import CorruptionError
 from ..faults.registry import fault_point
 from .disk import SimulatedDisk
+from .files import replace_durably
 
 _MAGIC = b"RSST"
 _VERSION = 3
@@ -151,46 +154,37 @@ def _clear_stale_temporaries(directory: str, tables_dir: str) -> None:
 def checkpoint(tree: LSMTree, directory: str) -> Dict[str, int]:
     """Write a full snapshot of the tree's disk state to ``directory``.
 
-    The active and immutable buffers are flushed first so the checkpoint
-    plus an empty WAL is the complete database. Returns a small summary
-    (tables and bytes written) for logging.
-
-    Crash-safe ordering: each SSTable is written to a ``.tmp`` file and
-    atomically renamed; the manifest referencing them is committed last,
-    also via tmp+rename; only then are checkpoint-covered WAL segments
-    pruned (with ``wal_preserve_segments``). A crash anywhere leaves
-    either the previous checkpoint fully intact or the new one fully
-    committed — never a manifest pointing at missing tables, never a
-    pruned segment that the surviving manifest does not cover. Stale
-    ``.tmp`` files from an earlier crashed checkpoint are cleared first,
-    and ``.sst`` files the committed manifest does not name after it.
+    Flushes the buffers, then takes the tables, the covered seqno and
+    the prunable WAL segments in one locked step
+    (:meth:`~repro.core.tree.LSMTree.checkpoint_cut`): a write committed
+    while the files are written stays in a segment this checkpoint keeps.
+    Each table, then the manifest naming them, commits through
+    :func:`~repro.storage.files.replace_durably`; only then are the
+    cut's segments pruned, so a crash anywhere leaves the previous
+    checkpoint intact or the new one committed, and never a pruned
+    segment the surviving manifest does not cover. Stale ``.tmp`` files
+    are cleared first, ``.sst`` files the manifest does not name after.
+    Returns the tables and bytes written.
     """
     tree.flush()
     tables_dir = os.path.join(directory, "tables")
     os.makedirs(tables_dir, exist_ok=True)
     _clear_stale_temporaries(directory, tables_dir)
+    levels, covered, segments = tree.checkpoint_cut()
 
-    table_count = 0
     byte_count = 0
     manifest_levels = []
-    for level in tree.levels:
+    for runs in levels:
         level_runs = []
-        for run in level.runs:
+        for tables in runs:
             run_tables = []
-            for table in run.tables:
+            for table in tables:
                 filename = f"{table.table_id}.sst"
                 blob = _encode_table(table)
-                final_path = os.path.join(tables_dir, filename)
-                temporary = final_path + ".tmp"
-                with open(temporary, "wb") as handle:
-                    handle.write(blob)
-                fault_point(
-                    "ckpt.table.tmp", path=temporary, tail_bytes=len(blob)
+                replace_durably(
+                    os.path.join(tables_dir, filename), blob, "ckpt.table"
                 )
-                os.replace(temporary, final_path)
-                fault_point("ckpt.table.done", path=final_path)
                 run_tables.append(filename)
-                table_count += 1
                 byte_count += len(blob)
             level_runs.append(run_tables)
         manifest_levels.append(level_runs)
@@ -198,39 +192,27 @@ def checkpoint(tree: LSMTree, directory: str) -> Dict[str, int]:
     manifest = {
         "version": _VERSION,
         "config": dataclasses.asdict(tree.config),
-        "next_seqno": tree.seqno,
+        # Every seqno below this is in the tables; replay starts here.
+        "next_seqno": covered,
         "now_us": tree.disk.now_us,
         "levels": manifest_levels,
     }
-    manifest_path = os.path.join(directory, "MANIFEST.json")
-    temporary = manifest_path + ".tmp"
-    blob = json.dumps(manifest)
-    with open(temporary, "w", encoding="utf-8") as handle:
-        handle.write(blob)
-    fault_point("ckpt.manifest.tmp", path=temporary, tail_bytes=len(blob))
-    os.replace(temporary, manifest_path)  # atomic commit of the checkpoint
-    fault_point("ckpt.manifest.done", path=manifest_path)
+    replace_durably(
+        os.path.join(directory, "MANIFEST.json"),
+        json.dumps(manifest).encode("utf-8"),
+        "ckpt.manifest",
+    )
     live = {name for runs in manifest_levels for run in runs for name in run}
     for name in os.listdir(tables_dir):
         if name.endswith(".sst") and name not in live:
             os.remove(os.path.join(tables_dir, name))  # no manifest names it
-    _prune_wal_segments(tree)
-    return {"tables": table_count, "bytes": byte_count}
-
-
-def _prune_wal_segments(tree: LSMTree) -> None:
-    """Delete WAL segments a just-committed checkpoint fully covers.
-
-    Only preserved (already-flushed) segments qualify — the active
-    segment backs the post-checkpoint writes and always survives. Runs
-    after the manifest rename, so a crash mid-prune leaves extra
-    segments whose replay is idempotent (their entries' seqnos are below
-    the manifest's ``next_seqno`` and are filtered on recovery).
-    """
-    for path in tree.flushed_wal_segments():
+    for path in segments:
+        # Covered by the committed manifest: a crash mid-prune leaves
+        # extra segments whose entries recovery filters by seqno.
         fault_point("ckpt.wal_prune", path=path)
         if os.path.exists(path):
             os.remove(path)
+    return {"tables": len(live), "bytes": byte_count}
 
 
 def restore(
@@ -313,43 +295,7 @@ def recover_full(
     disk: Optional[SimulatedDisk] = None,
     merge_operator: Optional["MergeOperator"] = None,
 ) -> LSMTree:
-    """Full restart: latest committed checkpoint plus WAL replay.
-
-    The complete crash-recovery path the consistency sweep exercises:
-
-    1. If ``checkpoint_dir`` holds a committed ``MANIFEST.json``, restore
-       it (the manifest's stored config is authoritative; ``config`` is
-       only used when no checkpoint exists). The manifest's
-       ``next_seqno`` is the high-water mark the checkpoint *covers*.
-    2. Replay every WAL segment in ``wal_dir``, re-journaling group by
-       group into a fresh segment and skipping entries the checkpoint
-       already covers — so replaying segments an interrupted prune left
-       behind is idempotent.
-
-    Old segments are not deleted here; the next :func:`checkpoint` prunes
-    them once its manifest covers their entries. Recovery itself is
-    therefore repeatable: crashing *during* recovery and recovering again
-    reaches the same state.
-    """
-    manifest_path = os.path.join(checkpoint_dir, "MANIFEST.json")
-    if not os.path.exists(manifest_path):
-        # No committed checkpoint: the WAL is the whole database. (A
-        # MANIFEST.json.tmp from a crashed first checkpoint is
-        # uncommitted by definition and deliberately ignored.)
-        return LSMTree.recover(
-            config, wal_dir, disk=disk, merge_operator=merge_operator
-        )
-    tree = restore(checkpoint_dir, disk=disk, merge_operator=merge_operator)
-    covered = tree.seqno
-    segments = sorted(
-        name
-        for name in os.listdir(wal_dir)
-        if name.startswith("wal.") and name.endswith(".log")
+    """:meth:`LSMTree.recover` from the checkpoint in ``checkpoint_dir``."""
+    return LSMTree.recover(
+        config, wal_dir, disk, merge_operator, checkpoint_dir=checkpoint_dir
     )
-    tree.attach_wal_dir(wal_dir)
-    for name in segments:
-        for group in WriteAheadLog.replay_groups(os.path.join(wal_dir, name)):
-            tree.apply_replicated(
-                [entry for entry in group if entry.seqno >= covered]
-            )
-    return tree

@@ -309,7 +309,7 @@ class TestOneInboundSlot:
         is refused, its retry REPL.SYNCs — once left two trees open on
         one directory (one table each), the later wipe under the earlier
         tree, and every acked key gone after a restart."""
-        config = LSMConfig(wal_preserve_segments=True)
+        config = LSMConfig()
         _, stores = _replicated_stores(tmp_path, config)
         a, b = stores["a"], stores["b"]
         keys = keys_for_shard(0, 51, NUM_SHARDS, "fk")
@@ -732,7 +732,7 @@ class TestWireMigrationOntoReplica:
         mid-seed until the shard's shipper has failed (its standby was
         superseded) and come round its retry loop: the retry must not
         REPL.SYNC — wipe — the destination under the migration."""
-        config = LSMConfig(wal_preserve_segments=True)
+        config = LSMConfig()
         moving = 0
         keys = keys_for_shard(moving, 201, NUM_SHARDS, "fk")
         preload, post = keys[:200], keys[200]

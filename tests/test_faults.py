@@ -389,41 +389,6 @@ class TestRecoveryTimeFaults:
             assert recovered.get(f"k{i}") == f"v{i}"
         recovered.close()
 
-    def test_crash_at_flush_wal_delete_loses_nothing(self, tmp_path):
-        config = small_config(num_buffers=1)
-        tree = LSMTree(config, wal_dir=str(tmp_path))
-        plan = FaultPlan(root=str(tmp_path), crash_at=None)
-        with fault_plan(plan):
-            for i in range(40):
-                tree.put(f"k{i:02d}", "x" * 150)
-            tree.close()
-        target = next(
-            (c for c in plan.crossings if c.startswith("flush.wal_delete@")),
-            None,
-        )
-        assert target is not None, "workload never crossed flush.wal_delete"
-
-        import shutil
-
-        shutil.rmtree(tmp_path)
-        tmp_path.mkdir()
-        plan = FaultPlan(root=str(tmp_path), crash_at=target)
-        tree = LSMTree(config, wal_dir=str(tmp_path))
-        tracker = WorkloadTracker()
-        with fault_plan(plan):
-            try:
-                for i in range(40):
-                    tracker.begin([(f"k{i:02d}", "x" * 150)])
-                    tree.put(f"k{i:02d}", "x" * 150)
-                    tracker.commit()
-            except InjectedCrash:
-                pass
-        assert plan.fired
-        tree.kill()
-        recovered = LSMTree.recover(config, str(tmp_path))
-        assert not check_invariants(tracker, recovered.get, lambda _k: 0)
-        recovered.close()
-
 
 # ---------------------------------------------------------------------------
 # Recovery edge cases (satellite: adversarial on-disk states)
@@ -620,7 +585,7 @@ class TestTwoPhaseCommitCrossings:
         assert victims[0].name in str(excinfo.value)
 
     def test_recover_full_checkpoint_plus_wal_tail(self, tmp_path):
-        config = small_config(wal_preserve_segments=True)
+        config = small_config()
         wal_dir = tmp_path / "wal"
         ckpt_dir = tmp_path / "ckpt"
         wal_dir.mkdir()

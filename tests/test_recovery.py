@@ -21,15 +21,23 @@ def make_config():
 
 class TestWalSegments:
     def test_segments_created_and_removed(self, tmp_path):
-        tree = LSMTree(make_config(), wal_dir=str(tmp_path))
+        wal_dir, ckpt_dir = tmp_path / "wal", tmp_path / "ckpt"
+        wal_dir.mkdir()
+        tree = LSMTree(make_config(), wal_dir=str(wal_dir))
+
+        def segments():
+            return sorted(os.listdir(wal_dir))
+
         for index in range(10):
             tree.put(f"k{index}", "v")
-        assert any(name.startswith("wal.") for name in os.listdir(tmp_path))
+        assert segments() == ["wal.000000.log"]
         tree.flush()
-        # All buffered data flushed: every segment except the fresh active
-        # one should be deleted.
-        live = [name for name in os.listdir(tmp_path) if name.startswith("wal.")]
-        assert len(live) == 1
+        # The flushed tables are not durable yet: the flushed segment
+        # stays beside the fresh active one.
+        assert segments() == ["wal.000000.log", "wal.000001.log"]
+        persistence.checkpoint(tree, str(ckpt_dir))
+        # The checkpoint covers the flushed segment and prunes it.
+        assert segments() == ["wal.000001.log"]
         tree.close()
 
 
