@@ -110,10 +110,11 @@ async def mixed_window(port: int) -> None:
 
 
 async def idle_drill(port: int, shards: int) -> None:
-    """An idle server's background workers sleep: over a one-second
-    pause each of them (``serve`` defaults to two flush and two
-    compaction workers per shard tree) runs only its 20 ms backstop
-    poll — 50 empty steps, allowed 150 — not a wake storm."""
+    """An idle server's background workers sleep until kicked: over a
+    one-second pause they (``serve`` defaults to two flush and two
+    compaction workers per shard tree) run no empty step unless work
+    left over from the drills above kicks them — allowed 150 each, far
+    below a wake storm."""
     pause_s, per_worker = 1.0, 150
     async with await KVClient.connect("127.0.0.1", port) as kv:
         before = (await kv.info())["engine"]["background_idle_steps"]

@@ -228,6 +228,7 @@ class KVStore(Protocol):
         reads on its event loop on the strength of this rule; a store
         that cannot keep it must not be served. ``at=`` reads may wait
         (the engine takes its write mutex to consult pinned versions).
+        ``scan`` keeps the same rule.
         """
         ...
 
@@ -249,6 +250,13 @@ class KVStore(Protocol):
         ``at=`` reads at a snapshot; ``allow_partial=True`` skips
         unavailable routing units and returns a
         :class:`PartialScanResult`.
+
+        Without ``at=`` the call never waits, as :meth:`get` states — an
+        aggregating store scans its routing units on the calling thread,
+        not through a pool it would wait on. The server answers such a
+        scan on its event loop when it carries a ``limit``, which bounds
+        its work; an unlimited scan keeps its executor hop. ``at=``
+        scans may wait.
         """
         ...
 

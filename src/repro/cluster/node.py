@@ -358,11 +358,11 @@ class ClusterNode(KVServer):
     # -- cluster verbs --------------------------------------------------------
 
     async def _dispatch_read(
-        self, request: List[str], conn=None
+        self, request: List[str], conn=None, settle=None
     ) -> List[str]:
         verb = request[0]
         if verb not in _CLUSTER_VERBS:
-            return await super()._dispatch_read(request, conn)
+            return await super()._dispatch_read(request, conn, settle)
         started = time.perf_counter()
         try:
             reply = await self._dispatch_cluster(request)

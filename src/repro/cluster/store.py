@@ -349,6 +349,9 @@ class NodeStore:
     def get(
         self, key: str, at: Optional[SnapshotLike] = None
     ) -> Optional[str]:
+        """Point lookup in an owned shard; MOVED when it lives elsewhere.
+        Without ``at=`` it never waits — :meth:`scan` gives the lock
+        argument both rely on."""
         self._check_open()
         self._owned_tree(self.shard_index(key))
         return self._forest.get(key, at)
@@ -420,6 +423,22 @@ class NodeStore:
         A node answers for its slice of the key space only; the
         cluster-wide merge across nodes is the
         :class:`~repro.cluster.ClusterClient`'s job.
+
+        Without ``at=`` it never waits (the
+        :meth:`KVStore.scan <repro.api.KVStore.scan>` rule), so the
+        node's server may answer it on its event loop, as it answers
+        :meth:`get`. The argument is the same for both: they take only
+        locks that are held for a few statements (the forest's health
+        lock; each tree's manifest, memtable, block-cache and disk
+        locks). The locks a thread holds across a loop round trip are
+        never taken. A committing writer holds its shard's record lock
+        and tree write mutex — and a 2PC coordinator the forest's
+        transaction lock — while the sync ship hook waits for the
+        standby's ack over the loop; only writes, ``snapshot`` and
+        ``at=`` reads take those. The migration driver, which calls a
+        :class:`~repro.cluster.node._WirePeer` from a thread, holds no
+        lock across its ``MIG.*`` calls: :meth:`fence` and
+        :meth:`set_tap` take theirs between calls.
         """
         return self._forest.scan(
             lo, hi, limit, at=at, allow_partial=allow_partial

@@ -83,7 +83,7 @@ class BackgroundCoordinator:
         #: trigger and stops writes at four times (§2.2.3).
         self._slowdown_runs = config.level0_run_limit * 2
         self._stop_runs = config.level0_run_limit * 4
-        self.pool = BackgroundWorkerPool()
+        self.pool = BackgroundWorkerPool(poll=config.tombstone_ttl_us > 0)
         self.pool.spawn("flush", config.flush_threads, self._flush_step)
         self.pool.spawn(
             "compact", config.compaction_threads, self._compaction_step

@@ -15,8 +15,11 @@ whether any work was available. A worker runs a step only because work
    and sleeps after an empty step only if it has not moved — so a kick
    that lands while the step was looking for work reruns the step
    instead of being slept through.
-3. **The poll is a backstop** (:data:`IDLE_WAIT_S`), needed only for
-   work that becomes due without any state change.
+3. **No poll unless the work is timed.** An idle worker sleeps until
+   kicked. Only a pool built with ``poll=True`` also re-runs its steps
+   every :data:`IDLE_WAIT_S`, for work that becomes due without any
+   state change — a tree asks for it only when its config sets
+   ``tombstone_ttl_us`` (Lethe's time-triggered plans).
 
 Exceptions escaping a step are captured — never propagated into the
 thread — so the owning tree can surface them on the next foreground
@@ -28,13 +31,13 @@ from __future__ import annotations
 import threading
 from typing import Callable, List, Optional
 
-#: Seconds an idle worker sleeps before re-polling. Every *state-change*
-#: hand-off (rotate → flush, flush install → compaction, compaction
-#: install → next compaction, resume, stop) is delivered by
-#: :meth:`BackgroundWorkerPool.kick` and works with this stretched to any
-#: length; the poll exists for time-triggered plans (Lethe-style
-#: delete-persistence deadlines), which become due because the simulated
-#: clock advanced — something reads do without kicking anyone.
+#: Seconds an idle worker of a polling pool sleeps before re-polling.
+#: Every *state-change* hand-off (rotate → flush, flush install →
+#: compaction, compaction install → next compaction, resume, stop) is
+#: delivered by :meth:`BackgroundWorkerPool.kick`, so a pool polls only
+#: for time-triggered plans (Lethe-style delete-persistence deadlines),
+#: which become due because the simulated clock advanced — something
+#: reads do without kicking anyone.
 IDLE_WAIT_S = 0.02
 
 #: A unit of background work: returns True if it found work to do.
@@ -50,8 +53,10 @@ class BackgroundWorkerPool:
     tests, and join on stop.
     """
 
-    def __init__(self, name: str = "lsm-bg") -> None:
+    def __init__(self, name: str = "lsm-bg", *, poll: bool = False) -> None:
         self.name = name
+        #: Re-run empty steps every :data:`IDLE_WAIT_S` (rule 3).
+        self._poll = poll
         self._threads: List[threading.Thread] = []
         self._cv = threading.Condition()
         self._stopped = False
@@ -153,4 +158,4 @@ class BackgroundWorkerPool:
                     and not self._paused
                     and not self._stopped
                 ):
-                    self._cv.wait(IDLE_WAIT_S)
+                    self._cv.wait(IDLE_WAIT_S if self._poll else None)

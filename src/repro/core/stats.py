@@ -82,7 +82,8 @@ class TreeStats:
     # -- background workers (background mode only) ------------------------
     #: Flush and compaction worker steps run, and how many of them found
     #: nothing to do: the wake protocol's useful outcomes ÷ attempts. An
-    #: idle tree adds only the backstop poll (two per ``IDLE_WAIT_S`` with
+    #: idle tree adds none: its workers sleep until kicked. Only a tree
+    #: with ``tombstone_ttl_us`` set polls (two per ``IDLE_WAIT_S`` with
     #: the default one flush and one compaction worker).
     background_steps: int = 0
     background_idle_steps: int = 0

@@ -17,15 +17,16 @@ Three serving-layer mechanisms do the heavy lifting:
   arrival order, in one buffer; a write's effects are as if executed in
   arrival order on its connection. Inside a window the writes
   (PUT/DELETE/BATCH, and MULTI where one committer serves the whole
-  store) are *deferred* into one run and committed together, a plain
-  ``GET`` is answered at once — unless its key is written earlier in
-  the run, in which case the run commits first (read your pipelined
-  writes) — and every other verb is a barrier: the run commits, then the
-  verb runs. A read that does not conflict may therefore be answered
-  from the state before its window's writes commit; those writes are
-  still unacknowledged when the read is invoked, so that is a legal
-  linearization. Ordering is per-connection; different connections
-  interleave freely.
+  store) are *deferred* into one run and committed together. A plain
+  ``GET`` and a ``SCAN`` with a limit are answered at once, from the
+  store as it stands — unless the run writes a key inside the read's
+  answer, in which case the run commits first and the read answers
+  after it (read your pipelined writes). Every other verb is a barrier:
+  the run commits, then the verb runs. A read that does not conflict
+  may therefore be answered from the state before its window's writes
+  commit; those writes are still unacknowledged when the read is
+  invoked, so that is a legal linearization. Ordering is
+  per-connection; different connections interleave freely.
 * **Parallel group commit** — writes from all connections are coalesced
   into shared :meth:`~repro.api.KVStore.write_batch` calls: one
   write-mutex acquisition and one WAL flush for N client writes (Luo &
@@ -43,12 +44,14 @@ Three serving-layer mechanisms do the heavy lifting:
   instead of parking an executor thread on the engine's stall condition.
   Connection count and per-request frame size are bounded the same way.
 
-Plain ``GET`` (no ``AT``) and ``PING`` run on the event loop itself: a
-latest-state point read takes no lock that is held across I/O on any
-store (the rule :meth:`repro.api.KVStore.get` states), so the executor
-hop would only add latency. Everything that can wait — every write,
-``SCAN``, snapshot reads, ``SNAP``, ``HEALTH``, cluster verbs — runs on
-a bounded thread-pool executor, so the loop never blocks on a commit; a
+Plain ``GET`` (no ``AT``), ``SCAN`` with a limit (no ``AT``) and
+``PING`` run on the event loop itself: a latest-state read takes no lock
+that is held across I/O on any store (the rule
+:meth:`repro.api.KVStore.get` and :meth:`~repro.api.KVStore.scan`
+state), so the executor hop would only add latency. Everything that can
+wait — every write, snapshot reads, ``SNAP``, ``HEALTH``, cluster verbs —
+and a ``SCAN`` without a limit, whose work has no bound, runs on a
+bounded thread-pool executor, so the loop never blocks on a commit; a
 failing background flush/compaction surfaces as a structured
 ``ERR BACKGROUND`` reply (the store stays readable), never as a hung or
 dropped connection.
@@ -62,7 +65,17 @@ import socket
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Awaitable,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..api import KVStore, Snapshot
 from ..errors import (
@@ -91,6 +104,11 @@ from .protocol import (
 #: reach the engine as one ``write_batch`` call, never split across
 #: per-shard committers.
 _WRITE_VERBS = ("PUT", "DELETE", "BATCH")
+
+#: Reads a window answers on the loop, by their field count: ``GET key``
+#: and ``SCAN lo hi limit`` — no ``AT`` (it takes the write mutex) and,
+#: for a scan, a limit (without one its work has no bound).
+_LOOP_READ_FIELDS = {"GET": 2, "SCAN": 4}
 
 #: Ceiling on snapshots held open per connection: each pins engine-side
 #: versions, so an unbounded registry would let one client pin memory
@@ -134,9 +152,21 @@ _SLOWDOWN_DELAY_S = 0.002
 _WRITE_BUFFER_HIGH = 256 * 1024
 
 #: A connection yields to the loop after every this many requests of a
-#: window: plain GETs never suspend, so a 64 KiB chunk of them would
+#: window: loop reads never suspend, so a 64 KiB chunk of them would
 #: otherwise hold every other connection for its whole length.
 _LOOP_HOLD_REQUESTS = 128
+
+
+def _answer_end(
+    lo: str, hi: str, limit: int, pairs: Sequence[Tuple[str, str]]
+) -> str:
+    """Exclusive end of a limited scan's answer ``[lo, end)``, the keys
+    whose writes would change it: a full answer ends just past its last
+    key (``+ "\\x00"`` is the next string up), a short one covers all of
+    ``[lo, hi)``, a zero limit nothing."""
+    if len(pairs) < limit:
+        return hi
+    return pairs[-1][0] + "\x00" if pairs else lo
 
 
 def tune_transport(writer: asyncio.StreamWriter) -> None:
@@ -426,12 +456,18 @@ class KVServer:
 
         Writes are parsed once and deferred into ``run``; the run is
         committed — one :meth:`_dispatch_writes` call, so one commit
-        group per committer — when a later request needs its effects (a
-        ``GET`` of a key it writes, or any barrier verb) and at the end
-        of the window. ``PING`` and a plain ``GET`` of a key the run does
-        not write are answered at once, on the loop. Deferring costs no
-        latency: the reply cork holds every reply until the window is
-        done anyway.
+        group per committer — when a later request needs its effects and
+        at the end of the window. ``PING``, a plain ``GET`` and a
+        ``SCAN`` with a limit are loop reads, answered at once from the
+        store as it stands; one rule decides when such a read needs the
+        run: it does when the run writes a key inside the read's answer
+        — a ``GET``'s key; a full scan's ``[lo, last key returned]``; a
+        short scan's whole ``[lo, hi)``. A ``GET`` knows its answer
+        before it reads, so the run commits first; a scan learns it from
+        its result, so on a hit the run commits and the scan reads again
+        (``settle``). Any other verb is a barrier: the run commits, then
+        the verb runs. Deferring costs no latency: the reply cork holds
+        every reply until the window is done anyway.
         """
         replies: List[List[str]] = [[]] * len(requests)
         run: List[Tuple[str, List[BatchOp]]] = []
@@ -444,6 +480,14 @@ class KVServer:
             run.clear()
             slots.clear()
             written.clear()
+
+        async def settle(lo: str, end: str) -> bool:
+            """Commit the run if it writes a key in ``[lo, end)``; say
+            whether it did."""
+            if not any(lo <= key < end for key in written):
+                return False
+            await commit_run()
+            return True
 
         for slot, request in enumerate(requests):
             verb = request[0]
@@ -458,12 +502,16 @@ class KVServer:
                     run.append((verb, ops))
                     slots.append(slot)
                     written.update(op[1] for op in ops)
+            elif verb == "PING" or (
+                _LOOP_READ_FIELDS.get(verb) == len(request)
+            ):
+                if verb == "GET" and request[1] in written:
+                    await commit_run()
+                replies[slot] = await self._dispatch_read(
+                    request, conn, settle
+                )
             else:
-                plain_get = verb == "GET" and len(request) == 2
-                on_loop = plain_get or verb == "PING"
-                if run and (
-                    not on_loop or (plain_get and request[1] in written)
-                ):
+                if run:
                     await commit_run()
                 if verb == "MULTI":
                     replies[slot] = await self._dispatch_multi(conn, request)
@@ -665,8 +713,18 @@ class KVServer:
             )
 
     async def _dispatch_read(
-        self, request: List[str], conn: Optional[_ConnState] = None
+        self,
+        request: List[str],
+        conn: Optional[_ConnState] = None,
+        settle: Optional[Callable[[str, str], Awaitable[bool]]] = None,
     ) -> List[str]:
+        """Answer one non-write request; one latency sample per request.
+
+        ``settle(lo, end)`` (from :meth:`_serve_window`) commits the
+        window's pending writes when one falls in ``[lo, end)`` and says
+        whether it did: a loop scan passes its answer's range and, on a
+        hit, reads again.
+        """
         started = time.perf_counter()
         verb = request[0]
         try:
@@ -759,15 +817,23 @@ class KVServer:
                         raise ProtocolError(
                             "SCAN limit must be non-negative"
                         )
-                if at is None:
+                lo, hi = fields[1], fields[2]
+                if at is None and limit is not None:
+                    # On the loop, like a plain GET: a latest-state scan
+                    # never waits (the KVStore.scan contract), and the
+                    # limit bounds its work.
+                    pairs = self.store.scan(lo, hi, limit)
+                    if settle is not None and await settle(
+                        lo, _answer_end(lo, hi, limit, pairs)
+                    ):
+                        pairs = self.store.scan(lo, hi, limit)
+                elif at is None:
                     pairs = await self._run_engine(
-                        self.store.scan, fields[1], fields[2], limit
+                        self.store.scan, lo, hi, limit
                     )
                 else:
                     pairs = await self._run_engine(
-                        lambda: self.store.scan(
-                            fields[1], fields[2], limit, at=at
-                        )
+                        lambda: self.store.scan(lo, hi, limit, at=at)
                     )
                 reply = ["PAIRS"]
                 for key, value in pairs:

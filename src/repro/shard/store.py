@@ -308,9 +308,9 @@ class ShardedStore:
                 os.path.join(wal_dir, TXN_LOG_NAME),
                 fsync=config.wal_fsync if config is not None else False,
             )
-        #: Runs hash-routed scans and shard closes concurrently. Threads
-        #: are spawned lazily, on first use; single-shard reads and
-        #: commits stay inline on the calling thread.
+        #: Closes shards concurrently (each close drains its tree).
+        #: Threads are spawned lazily, on first use; reads and commits
+        #: stay inline on the calling thread.
         self._executor = ThreadPoolExecutor(
             max_workers=num_shards, thread_name_prefix="shard"
         )
@@ -703,10 +703,19 @@ class ShardedStore:
         Range routing touches only the open shards overlapping
         ``[lo, hi)``, in key order, stopping as soon as ``limit`` pairs
         are collected. Hash routing must scatter to every open shard (any
-        shard may own any key in the range) — the per-shard scans run
-        concurrently on the store's executor, each individually capped at
-        ``limit``, and the sorted partial results are k-way merged (shards
-        own disjoint keys, so the merge never sees duplicates).
+        shard may own any key in the range) — each per-shard scan is
+        individually capped at ``limit``, and the sorted partial results
+        are k-way merged (shards own disjoint keys, so the merge never
+        sees duplicates).
+
+        Every per-shard scan runs on the calling thread, one after
+        another, so a scan without ``at=`` keeps the
+        :meth:`KVStore.scan <repro.api.KVStore.scan>` rule — it never
+        waits — and the server may answer it on its event loop. A fan-out
+        over threads would buy nothing here: the shards' work is Python
+        under one interpreter lock, and the hand-offs cost more than the
+        scans (130-230 against 410-520 us per limit-20 scan of a 4-shard
+        hash store of 4,000 keys, measured on a 2-vCPU VM).
 
         ``at=`` reads every shard as of its seqno pinned in the snapshot,
         so a multi-shard scan sees each cross-shard batch entirely or not
@@ -776,17 +785,10 @@ class ShardedStore:
                 if remaining == 0:
                     break
                 merged.extend(scan_shard(index, remaining))
-        elif len(available) <= 1:
-            merged = scan_shard(available[0], limit) if available else []
         else:
-            partials = list(
-                self._executor.map(
-                    lambda index: scan_shard(index, limit), available
-                )
-            )
-            merged = list(heap_merge(*partials))
-            if limit is not None:
-                merged = merged[:limit]
+            merged = list(
+                heap_merge(*(scan_shard(index, limit) for index in available))
+            )[:limit]
         if allow_partial:
             return PartialScanResult(merged, skipped)
         return merged

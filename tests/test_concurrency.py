@@ -103,8 +103,8 @@ class TestWakeProtocol:
     counts and orderings, never CPU time."""
 
     WINDOW_S = 0.5
-    #: Steps one idle worker may run in the window: the backstop poll,
-    #: with a factor of two and a little slack for scheduling jitter.
+    #: Steps one idle worker of a polling pool may run in the window: the
+    #: poll, with a factor of two and a little slack for scheduling jitter.
     IDLE_BOUND = WINDOW_S / pool_module.IDLE_WAIT_S * 2 + 5
 
     def test_empty_steps_wake_nobody(self):
@@ -128,12 +128,23 @@ class TestWakeProtocol:
         assert 1 <= calls["compact"] <= self.IDLE_BOUND, calls
 
     def test_idle_tree_only_polls(self):
+        """An idle tree without a tombstone TTL runs no step at all once
+        each worker has made its first; one with a TTL (whose plans fall
+        due as time passes) keeps polling."""
         with LSMTree(LSMConfig(background_mode=True)) as tree:
+            # One flush and one compaction worker by default.
+            wait_until(lambda: tree.stats.background_steps >= 2, 5.0)
+            before = tree.stats.background_steps
+            time.sleep(self.WINDOW_S)
+            assert tree.stats.background_steps == before
+            assert tree.stats.background_idle_steps == before
+        ttl = LSMConfig(background_mode=True, tombstone_ttl_us=1e9)
+        with LSMTree(ttl) as tree:
+            wait_until(lambda: tree.stats.background_steps >= 2, 5.0)
             before = tree.stats.background_steps
             time.sleep(self.WINDOW_S)
             steps = tree.stats.background_steps - before
-            # One flush and one compaction worker by default.
-            assert 1 <= steps <= 2 * self.IDLE_BOUND
+            assert 2 <= steps <= 2 * self.IDLE_BOUND
             assert tree.stats.background_idle_steps == (
                 tree.stats.background_steps
             )
@@ -294,7 +305,7 @@ class TestWakeProtocol:
             raised.append(weakref.ref(exc))
             raise exc
 
-        pool = BackgroundWorkerPool()
+        pool = BackgroundWorkerPool(poll=True)
         try:
             pool.spawn("only", 1, step)
             wait_until(lambda: len(raised) >= 3, 5.0)

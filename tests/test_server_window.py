@@ -4,9 +4,9 @@ Each test writes one fixed window of raw frames and asserts the exact
 replies *and* the exact engine calls the window cost: how many
 ``write_batch`` calls the server made, with which ops, in which order
 relative to the reads, and on which thread each read ran (plain ``GET``
-runs on the event-loop thread — ``asyncio.run`` puts the loop on the
-main thread here — everything that can wait runs on a ``kv-engine``
-executor thread).
+and ``SCAN`` with a limit run on the event-loop thread — ``asyncio.run``
+puts the loop on the main thread here — everything that can wait runs on
+a ``kv-engine`` executor thread).
 """
 
 from __future__ import annotations
@@ -154,6 +154,89 @@ class TestWindowGoldenCounts:
             ("scan", "a", "executor"),
             ("write_batch", [put("b", "2")]),
         ]
+
+    def test_limited_scan_runs_on_the_loop_inside_one_commit(self):
+        replies, recorder, metrics = run_window(
+            [["PUT", "a", "1"], ["SCAN", "m", "z", "2"], ["PUT", "b", "2"]],
+            preload=[("n", "N"), ("p", "P"), ("q", "Q")],
+        )
+        assert replies == [["OK"], ["PAIRS", "n", "N", "p", "P"], ["OK"]]
+        assert recorder.events == [
+            ("scan", "m", LOOP),
+            ("write_batch", [put("a", "1"), put("b", "2")]),
+        ]
+        assert metrics.group_commits == 1
+        assert metrics.op_latencies["SCAN"].count == 1
+
+    def test_scan_of_a_pipelined_put_commits_and_reads_again(self):
+        replies, recorder, metrics = run_window(
+            [["PUT", "c", "C"], ["SCAN", "a", "z", "5"]],
+            preload=[("a", "A"), ("b", "B"), ("d", "D")],
+        )
+        assert replies == [
+            ["OK"], ["PAIRS", "a", "A", "b", "B", "c", "C", "d", "D"],
+        ]
+        assert recorder.events == [
+            ("scan", "a", LOOP),
+            ("write_batch", [put("c", "C")]),
+            ("scan", "a", LOOP),
+        ]
+        # One request, one latency sample, though it read twice.
+        assert metrics.op_latencies["SCAN"].count == 1
+
+    def test_pipelined_delete_inside_a_scan_hides_the_key(self):
+        replies, recorder, _ = run_window(
+            [["DELETE", "b"], ["SCAN", "a", "z", "2"]],
+            preload=[("a", "A"), ("b", "B"), ("c", "C")],
+        )
+        assert replies == [["OK"], ["PAIRS", "a", "A", "c", "C"]]
+        assert recorder.events == [
+            ("scan", "a", LOOP),
+            ("write_batch", [("delete", "b", None)]),
+            ("scan", "a", LOOP),
+        ]
+
+    def test_write_past_a_full_scans_last_key_does_not_split_the_run(self):
+        replies, recorder, _ = run_window(
+            [["PUT", "x", "1"], ["SCAN", "a", "z", "2"], ["PUT", "y", "2"]],
+            preload=[("a", "A"), ("b", "B"), ("c", "C")],
+        )
+        assert replies == [["OK"], ["PAIRS", "a", "A", "b", "B"], ["OK"]]
+        assert recorder.events == [
+            ("scan", "a", LOOP),
+            ("write_batch", [put("x", "1"), put("y", "2")]),
+        ]
+
+    def test_write_below_hi_splits_the_run_of_a_short_scan(self):
+        replies, recorder, _ = run_window(
+            [["PUT", "x", "1"], ["SCAN", "a", "z", "5"], ["PUT", "y", "2"]],
+            preload=[("a", "A"), ("b", "B")],
+        )
+        assert replies == [
+            ["OK"], ["PAIRS", "a", "A", "b", "B", "x", "1"], ["OK"],
+        ]
+        assert recorder.events == [
+            ("scan", "a", LOOP),
+            ("write_batch", [put("x", "1")]),
+            ("scan", "a", LOOP),
+            ("write_batch", [put("y", "2")]),
+        ]
+
+    def test_bad_scan_limit_fails_alone(self):
+        replies, recorder, metrics = run_window(
+            [
+                ["PUT", "a", "1"],
+                ["SCAN", "a", "z", "many"],
+                ["SCAN", "a", "z", "-1"],
+                ["PUT", "b", "2"],
+            ]
+        )
+        assert replies[0] == replies[3] == ["OK"]
+        assert replies[1][:2] == replies[2][:2] == ["ERR", "BADREQ"]
+        assert recorder.events == [
+            ("write_batch", [put("a", "1"), put("b", "2")]),
+        ]
+        assert metrics.errors_total == 2
 
     def test_snapshot_read_is_a_barrier_on_the_executor(self):
         tree = LSMTree(bg_config())

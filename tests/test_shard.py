@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import threading
 
 import pytest
 
@@ -320,6 +321,94 @@ class TestDecidedBatchVisibility:
             assert (recovered.get(k0), recovered.get(k1)) == ("B", "B")
         finally:
             recovered.close()
+
+
+class TestScanOnTheCallingThread:
+    """Hash and range routing, with and without a limit, partial or not:
+    the pairs a model says, and every per-shard scan on the caller's
+    thread (what lets the server answer a limited scan on its loop)."""
+
+    KEYS = 160
+
+    def _fill(self, store: ShardedStore) -> dict:
+        model = {}
+        for i in range(self.KEYS):
+            store.put(format_key(i), f"v{i}")
+            model[format_key(i)] = f"v{i}"
+        for i in range(0, self.KEYS, 7):
+            store.delete(format_key(i))
+            del model[format_key(i)]
+        return model
+
+    @staticmethod
+    def _record_threads(store: ShardedStore) -> list:
+        threads = []
+        for tree in store.shards.values():
+            def scan(*args, _real=tree.scan, **kwargs):
+                threads.append(threading.get_ident())
+                return _real(*args, **kwargs)
+
+            tree.scan = scan
+        return threads
+
+    @staticmethod
+    def _expected(model, lo, hi, limit=None, skip=lambda key: False):
+        pairs = [
+            (key, value)
+            for key, value in sorted(model.items())
+            if lo <= key < hi and not skip(key)
+        ]
+        return pairs if limit is None else pairs[:limit]
+
+    @pytest.mark.parametrize("routing", ["hash", "range"])
+    def test_scans_match_the_model_on_the_callers_thread(self, routing):
+        if routing == "hash":
+            store = ShardedStore(4, small_config())
+        else:
+            store = ShardedStore(
+                boundaries=range_boundaries(self.KEYS, 4),
+                config=small_config(),
+            )
+        with store:
+            model = self._fill(store)
+            threads = self._record_threads(store)
+            for lo, hi in [(0, self.KEYS), (13, 97), (40, 41), (90, 20)]:
+                lo_key, hi_key = format_key(lo), format_key(hi)
+                for limit in (None, 0, 1, 20, 500):
+                    assert store.scan(lo_key, hi_key, limit) == (
+                        self._expected(model, lo_key, hi_key, limit)
+                    ), (lo, hi, limit)
+            # The full hash scan alone fans out to all four shards.
+            assert len(threads) >= 4 * 4
+            assert set(threads) == {threading.get_ident()}
+
+    def test_partial_hash_scan_over_a_quarantined_shard(self):
+        store = ShardedStore(
+            4,
+            LSMConfig(
+                background_mode=True, flush_threads=1, compaction_threads=1
+            ),
+        )
+        try:
+            model = self._fill(store)
+            inject_worker_death(store.shards[2], "test: dead worker")
+            store.check_health()
+            threads = self._record_threads(store)
+            lo, hi = format_key(0), format_key(self.KEYS)
+
+            def dead(key):
+                return store.shard_index(key) == 2
+
+            for limit in (None, 25):
+                result = store.scan(lo, hi, limit, allow_partial=True)
+                assert result.skipped_shards == [2]
+                assert list(result) == self._expected(
+                    model, lo, hi, limit, skip=dead
+                )
+            assert len(threads) == 2 * 3
+            assert set(threads) == {threading.get_ident()}
+        finally:
+            store.kill()
 
 
 class TestPartialScan:
