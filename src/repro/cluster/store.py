@@ -23,8 +23,9 @@ tail the log — written once, in four parts:
    stream filling it, and whether it finished seeding. **The newest
    begin owns the slot**: whatever held it is killed *before* the
    directory is wiped, so a shard directory never has two open trees.
-   Applies are **role-checked**: a superseded stream's late batches are
-   refused, never interleaved.
+   Applies are **role-checked**, and a wire stream is bound to the slot
+   its begin returned (:meth:`NodeStore.check_inbound`): a superseded
+   stream's late batches are refused, never interleaved.
 2. **One snapshot pager** (:meth:`NodeStore.snapshot_batches`): ``put``
    batches, each read from the live tree at the moment it is asked for.
 3. **One migration driver** (:func:`migrate_shard`): begin → attach the
@@ -32,7 +33,7 @@ tail the log — written once, in four parts:
    then whatever the tap buffered meanwhile → :meth:`~NodeStore.fence`
    (writes answer ``BUSY``) → detach the tap → final tail → seal →
    release. Its destination is duck-typed: an in-process
-   :class:`NodeStore` *is* a peer, and :mod:`repro.cluster.node`
+   :class:`NodeStore` *is* a peer, and :mod:`repro.cluster.shipper`
    supplies one that speaks ``MIG.*`` — so the function the
    crash-consistency sweep crashes at every crossing is the function
    that serves ``MIGRATE``.
@@ -45,8 +46,8 @@ tail the log — written once, in four parts:
    primary observes the newer map (:meth:`~NodeStore.adopt_map`) and
    demotes itself. Seal and promotion share one commit step — persist
    the bumped-epoch map, *then* serve; :func:`promote_local` is the one
-   promotion sequence. The long-lived async shipper lives in
-   :mod:`repro.cluster.node`; :func:`replicate_local` is its small
+   promotion sequence. The long-lived wire shipper lives in
+   :mod:`repro.cluster.shipper`; :func:`replicate_local` is its small
    in-process twin.
 
 A serving shard is **one record** (:class:`_ServingShard`): write lock,
@@ -55,7 +56,8 @@ in ``_drop``; the tree's single WAL hook is its dispatcher.
 
 One rule keeps the roles apart on the wire: a source opens no replica
 session for a shard it is migrating — its ``REPL.SYNC`` would supersede
-the migration on the destination (``_ShardShipper`` in the node module).
+the migration on the destination (``_ShardShipper`` in
+:mod:`repro.cluster.shipper`).
 
 Correctness argument, in one paragraph: all data flows to the
 destination over a single ordered channel, snapshot batches interleaved
@@ -430,14 +432,14 @@ class NodeStore:
         :meth:`get`. The argument is the same for both: they take only
         locks that are held for a few statements (the forest's health
         lock; each tree's manifest, memtable, block-cache and disk
-        locks). The locks a thread holds across a loop round trip are
-        never taken. A committing writer holds its shard's record lock
-        and tree write mutex — and a 2PC coordinator the forest's
+        locks). The locks a thread holds across a network round trip
+        are never taken. A committing writer holds its shard's record
+        lock and tree write mutex — and a 2PC coordinator the forest's
         transaction lock — while the sync ship hook waits for the
-        standby's ack over the loop; only writes, ``snapshot`` and
-        ``at=`` reads take those. The migration driver, which calls a
-        :class:`~repro.cluster.node._WirePeer` from a thread, holds no
-        lock across its ``MIG.*`` calls: :meth:`fence` and
+        standby's ack on the stream's socket; only writes, ``snapshot``
+        and ``at=`` reads take those. The migration driver, which calls
+        a :class:`~repro.cluster.shipper._WirePeer` from a thread, holds
+        no lock across its ``MIG.*`` calls: :meth:`fence` and
         :meth:`set_tap` take theirs between calls.
         """
         return self._forest.scan(
@@ -451,9 +453,10 @@ class NodeStore:
         shard: int,
         role: str,
         source_map: Optional[ClusterMap] = None,
-    ) -> str:
+    ) -> _Inbound:
         """Wipe ``shard``'s directory and open a fresh tree over it for a
-        peer's ``role`` stream to fill; returns our node id.
+        peer's ``role`` stream to fill; returns the new slot, which the
+        stream binds to (:meth:`check_inbound`).
 
         **The newest begin owns the slot.** Whatever held it — an
         abandoned attempt of the same role, a standby superseded because
@@ -494,10 +497,20 @@ class NodeStore:
             shutil.rmtree(path, ignore_errors=True)
             os.makedirs(path, exist_ok=True)
             fault_point(_BEGIN_FAILPOINT[role], scope=self._scope(shard))
-            self._inbound[shard] = _Inbound(
-                self._forest._open_tree(shard), role
+            slot = _Inbound(self._forest._open_tree(shard), role)
+            self._inbound[shard] = slot
+        return slot
+
+    def check_inbound(self, shard: int, slot: _Inbound) -> None:
+        """Refuse a stream whose begin no longer owns ``shard``'s slot: a
+        newer begin superseded it (whatever either stream's role), or the
+        slot was sealed, promoted or dropped. Its late batches must never
+        reach a newer slot's tree."""
+        if self._inbound.get(shard) is not slot:
+            raise ConfigError(
+                f"the {slot.role} stream for shard {shard} on "
+                f"{self.node_id} was superseded"
             )
-        return self.node_id
 
     def _inbound_slot(self, shard: int, role: str) -> _Inbound:
         """``shard``'s slot when a ``role`` stream owns it; refused
@@ -521,9 +534,10 @@ class NodeStore:
     ) -> None:
         """Apply one shipped batch to the slot's tree, journaled as one
         group so the tree's own recovery preserves its atomicity.
-        Role-checked: two channels into one tree would break the
-        single-ordered-channel argument, so a superseded stream's late
-        batches are refused, never interleaved."""
+        Role-checked here; a wire stream also checks its binding first
+        (:meth:`check_inbound`), so a superseded stream's late batches
+        are refused, never interleaved — two channels into one tree
+        would break the single-ordered-channel argument."""
         self._check_open()
         slot = self._inbound_slot(shard, role)
         if ops:
@@ -1076,10 +1090,10 @@ def replicate_local(
 
     A replica stream never ends, so there is no synchronous driver to
     share as :func:`migrate_shard` is: the wire shipper
-    (``_ShardShipper`` in :mod:`repro.cluster.node`) is a long-lived
-    async task with a buffered window, and this is its small in-process
-    twin — same begin, same pager loop, same ``repl.node.*`` failpoints
-    — for the crash-consistency sweep and
+    (``_ShardShipper`` in :mod:`repro.cluster.shipper`) is a long-lived
+    session thread that buffers live groups while it seeds, and this is
+    its small in-process twin — same begin, same pager loop, same
+    ``repl.node.*`` failpoints — for the crash-consistency sweep and
     :class:`~repro.replication.ReplicatedStore`.
 
     ``ship`` is the step each live commit group takes to the standby,

@@ -54,7 +54,9 @@ and a ``SCAN`` without a limit, whose work has no bound, runs on a
 bounded thread-pool executor, so the loop never blocks on a commit; a
 failing background flush/compaction surfaces as a structured
 ``ERR BACKGROUND`` reply (the store stays readable), never as a hung or
-dropped connection.
+dropped connection. A verb may also *upgrade* its connection (a cluster
+node's shard streams, :mod:`repro.cluster.shipper`): the loop answers
+what came before it and hands the socket to the hook it set.
 """
 
 from __future__ import annotations
@@ -116,6 +118,12 @@ _LOOP_READ_FIELDS = {"GET": 2, "SCAN": 4}
 _MAX_SNAPSHOTS_PER_CONN = 64
 
 
+#: Takes over an upgraded connection: its socket (a duplicate the loop
+#: no longer reads), its frame parser, the requests from the upgrading
+#: verb on, and the bytes read off the socket but not yet parsed.
+Upgrade = Callable[[socket.socket, FrameParser, List[List[str]], bytes], None]
+
+
 class _ConnState:
     """Per-connection protocol state: negotiated version + live snapshots.
 
@@ -123,13 +131,21 @@ class _ConnState:
     set) and upgrades via ``HELLO``. ``snapshots`` maps each token issued
     by this connection's ``SNAP`` to its engine handle; the handles are
     released on ``SNAP.END`` or when the connection closes.
+
+    A verb that opens a stream sets ``upgrade``: the window stops at it,
+    and the connection — that verb and every request after it
+    (``upgrade_requests``) — leaves the event loop for the hook.
     """
 
-    __slots__ = ("protocol_version", "snapshots")
+    __slots__ = (
+        "protocol_version", "snapshots", "upgrade", "upgrade_requests"
+    )
 
     def __init__(self) -> None:
         self.protocol_version = 1
         self.snapshots: Dict[str, Snapshot] = {}
+        self.upgrade: Optional[Upgrade] = None
+        self.upgrade_requests: List[List[str]] = []
 
     def close_snapshots(self) -> None:
         for snapshot in self.snapshots.values():
@@ -433,6 +449,9 @@ class KVServer:
                         )
                     )
                 await writer.drain()
+                if conn.upgrade is not None:
+                    self._hand_off(conn, reader, writer, parser)
+                    break
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -440,6 +459,28 @@ class KVServer:
             self.metrics.connection_closed()
             self._writers.discard(writer)
             await self._close_writer(writer)
+
+    @staticmethod
+    def _hand_off(
+        conn: _ConnState,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        parser: FrameParser,
+    ) -> None:
+        """Give an upgraded connection to its hook: the loop stops
+        reading, and the hook gets a duplicate of the socket plus every
+        byte already read off it (the reader's buffer: a ``read`` returns
+        at most what it was asked for). Closing the transport afterwards
+        closes only the loop's descriptor, so the peer sees no EOF."""
+        writer.transport.pause_reading()
+        leftover = bytes(reader._buffer)
+        reader._buffer.clear()
+        conn.upgrade(
+            writer.get_extra_info("socket").dup(),
+            parser,
+            conn.upgrade_requests,
+            leftover,
+        )
 
     @staticmethod
     async def _close_writer(writer: asyncio.StreamWriter) -> None:
@@ -466,7 +507,9 @@ class KVServer:
         before it reads, so the run commits first; a scan learns it from
         its result, so on a hit the run commits and the scan reads again
         (``settle``). Any other verb is a barrier: the run commits, then
-        the verb runs. Deferring costs no latency: the reply cork holds
+        the verb runs; a barrier that upgrades the connection (it set
+        ``conn.upgrade``) ends the window, and only the replies before it
+        are the loop's. Deferring costs no latency: the reply cork holds
         every reply until the window is done anyway.
         """
         replies: List[List[str]] = [[]] * len(requests)
@@ -517,6 +560,11 @@ class KVServer:
                     replies[slot] = await self._dispatch_multi(conn, request)
                 else:
                     replies[slot] = await self._dispatch_read(request, conn)
+                    if conn.upgrade is not None:
+                        # It opened a stream: this request and the rest
+                        # are the stream's to answer, off the loop.
+                        conn.upgrade_requests = requests[slot:]
+                        return replies[:slot]
             if slot % _LOOP_HOLD_REQUESTS == _LOOP_HOLD_REQUESTS - 1:
                 await asyncio.sleep(0)
         if run:

@@ -29,7 +29,7 @@ from repro.cluster import (
     promote_local,
     replicate_local,
 )
-from repro.cluster.node import _WirePeer
+from repro.cluster.shipper import StreamConnection, _WirePeer
 from repro.core.config import LSMConfig
 from repro.errors import (
     ClosedError,
@@ -1136,8 +1136,8 @@ class TestMigrationDriverPeers:
             async with local_cluster(tmp_path / "wire") as (servers, stores, live):
                 load(stores[0])
                 calls = _record_inbound(stores[1])
-                async with servers[0]._dial(live.nodes["b"]) as client:
-                    peer = _WirePeer(servers[0], live.nodes["b"], client)
+                peer = _WirePeer(servers[0], live.nodes["b"])
+                try:
                     stats = await asyncio.get_running_loop().run_in_executor(
                         None,
                         lambda: migrate_shard(
@@ -1148,6 +1148,8 @@ class TestMigrationDriverPeers:
                             during=during_on(stores[0]),
                         ),
                     )
+                finally:
+                    peer.close()
                 assert stores[1].get(preload[0]) == "overwritten"
                 assert stores[1].get(preload[1]) is None
                 assert stores[1].get(fresh) == "fresh"
@@ -1227,18 +1229,17 @@ class TestSealFailureRecovery:
         driver must confirm against the destination's durable map and
         release — resuming serving here would be dual ownership."""
 
-        class LostReplyClient(KVClient):
-            async def command(self, fields):
-                reply = await super().command(fields)
-                if fields[0] == "MIG.SEAL":
-                    raise ConnectionError("reply lost to a reset")
-                return reply
+        real_call = StreamConnection.call
+
+        def lost_reply_call(self, fields, deadline=None):
+            reply = real_call(self, fields, deadline)
+            if fields[0] == "MIG.SEAL":
+                raise ConnectionError("reply lost to a reset")
+            return reply
 
         async def scenario():
             async with local_cluster(tmp_path) as (servers, stores, live):
-                monkeypatch.setattr(
-                    "repro.cluster.node.KVClient", LostReplyClient
-                )
+                monkeypatch.setattr(StreamConnection, "call", lost_reply_call)
                 moving = stores[0].owned_shards()[0]
                 key = keys_for_shard(moving, 1, live.num_shards, "tk")[0]
                 admin = await KVClient.connect(
@@ -1267,17 +1268,16 @@ class TestSealFailureRecovery:
         """MIG.SEAL provably never reached the destination (its durable
         map still assigns the shard to the source): aborting is safe."""
 
-        class DropSealClient(KVClient):
-            async def command(self, fields):
-                if fields[0] == "MIG.SEAL":
-                    raise ConnectionError("seal never sent")
-                return await super().command(fields)
+        real_call = StreamConnection.call
+
+        def drop_seal_call(self, fields, deadline=None):
+            if fields[0] == "MIG.SEAL":
+                raise ConnectionError("seal never sent")
+            return real_call(self, fields, deadline)
 
         async def scenario():
             async with local_cluster(tmp_path) as (servers, stores, live):
-                monkeypatch.setattr(
-                    "repro.cluster.node.KVClient", DropSealClient
-                )
+                monkeypatch.setattr(StreamConnection, "call", drop_seal_call)
                 moving = stores[0].owned_shards()[0]
                 key = keys_for_shard(moving, 1, live.num_shards, "tk")[0]
                 admin = await KVClient.connect(
@@ -1308,9 +1308,16 @@ class TestSealFailureRecovery:
 
         class BlackoutClient(KVClient):
             async def command(self, fields):
-                if fields[0] in ("MIG.SEAL", "CLUSTER"):
+                if fields[0] == "CLUSTER":
                     raise ConnectionError("partitioned at the seal")
                 return await super().command(fields)
+
+        real_call = StreamConnection.call
+
+        def blackout_call(self, fields, deadline=None):
+            if fields[0] == "MIG.SEAL":
+                raise ConnectionError("partitioned at the seal")
+            return real_call(self, fields, deadline)
 
         async def scenario():
             async with local_cluster(tmp_path) as (servers, stores, live):
@@ -1326,6 +1333,7 @@ class TestSealFailureRecovery:
                 monkeypatch.setattr(
                     "repro.cluster.node.KVClient", BlackoutClient
                 )
+                monkeypatch.setattr(StreamConnection, "call", blackout_call)
                 admin = await KVClient.connect(
                     "127.0.0.1", servers[0].port
                 )

@@ -771,9 +771,9 @@ class TestWireMigrationOntoReplica:
                         rounds.append(state)
                         real_release(state)
 
-                    async def session():
+                    def session():
                         rounds.append("session")
-                        await real_session()
+                        real_session()
 
                     shipper._release_all = release_all
                     shipper._session = session
