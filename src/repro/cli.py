@@ -29,7 +29,7 @@ import contextlib
 import os
 import signal
 import sys
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from .api import KVStore
 from .bench.harness import Harness
@@ -121,7 +121,9 @@ def _engine_config(args: argparse.Namespace) -> LSMConfig:
     )
 
 
-def _serve_until_signal(server: KVServer, who: str, details: str) -> None:
+def _serve_until_signal(
+    server: Union[KVServer, ClusterNode], who: str, details: str
+) -> None:
     """Start ``server``, announce where it listens (port 0 resolves
     only then), serve until SIGINT/SIGTERM, stop it cleanly."""
 

@@ -10,9 +10,9 @@ processes, Nova-LSM-style. Four pieces, smallest first:
 * :class:`NodeStore` — one node's engine: a
   :class:`~repro.shard.ShardedStore` forest over exactly its assigned
   shards, ``MOVED`` for everything else, plus the migration primitives;
-* :class:`ClusterNode` — a ``KVServer`` subclass speaking the cluster
-  verbs (``CLUSTER``, ``MIGRATE``, ``MIG.*``) over the same wire
-  protocol;
+* :class:`ClusterNode` — one ``KVServer`` with the cluster verbs
+  (``CLUSTER``, ``MIGRATE``, ``MIG.*``, ``REPL.*``) in its verb table,
+  over the same wire protocol;
 * :class:`ClusterClient` — map-driven routing with MOVED-redirect
   chasing and one pooled connection per node.
 

@@ -1,18 +1,15 @@
-"""ClusterNode: a :class:`~repro.server.KVServer` speaking cluster verbs.
+"""ClusterNode: a :class:`~repro.server.KVServer` with the cluster verbs.
 
-One ClusterNode fronts one :class:`~repro.cluster.NodeStore` — everything
-the serving layer already does (pipelining, per-shard group commit,
-admission control, degraded-mode replies) applies unchanged, because the
-NodeStore satisfies the same :class:`~repro.api.KVStore` protocol and
-exposes ``num_shards``/``shard_index`` for the per-shard committers. On
-top of that, this subclass:
+One ClusterNode fronts one :class:`~repro.cluster.NodeStore` through one
+:class:`~repro.server.KVServer` it builds — everything the serving layer
+already does (pipelining, per-shard group commit, admission control,
+degraded-mode replies, the ``MOVED``/``BUSY`` replies of its one error
+map) applies unchanged, because the NodeStore satisfies the same
+:class:`~repro.api.KVStore` protocol and exposes
+``num_shards``/``shard_index`` for the per-shard committers. Into that
+server's verb table the node registers:
 
-* maps :class:`~repro.errors.ShardMovedError` to the retryable
-  ``ERR MOVED <shard> <host>:<port> <epoch>`` reply and
-  :class:`~repro.errors.ShardFencedError` to ``BUSY`` (a fenced shard is
-  milliseconds from flipping, so the client's ordinary BUSY backoff
-  absorbs the handoff invisibly);
-* serves ``CLUSTER`` — fetch the node's epoch'd map, or push a newer map
+* ``CLUSTER`` — fetch the node's epoch'd map, or push a newer map
   (:meth:`~repro.cluster.NodeStore.adopt_map`: membership changes ride
   this, a map that takes shards away demotes, one that grants shards is
   refused — ownership is gained through the migration protocol or a
@@ -131,8 +128,6 @@ from ..errors import (
     ConfigError,
     MigrationUnresolvedError,
     ReproError,
-    ShardFencedError,
-    ShardMovedError,
 )
 from ..faults.registry import fault_point
 from ..server.client import KVClient
@@ -149,18 +144,10 @@ from .shipper import (
 )
 from .store import NodeStore, migrate_shard, migration_stats, promote_local
 
-#: Verbs this subclass dispatches ahead of the base server.
-_CLUSTER_VERBS = (
-    "CLUSTER", "MIGRATE", "MIG.BEGIN", "MIG.APPLY", "MIG.SEAL",
-    "REPL.SYNC", "REPL.SHIP", "REPL.SEEDED", "REPL.PING",
-)
 
-#: The verbs that open a shard stream, upgrading their connection.
-_STREAM_OPENERS = ("REPL.SYNC", "MIG.BEGIN")
-
-
-class ClusterNode(KVServer):
-    """One cluster member: a KVServer bound at its map address.
+class ClusterNode:
+    """One cluster member: a KVServer bound at its map address, with the
+    cluster verbs in its verb table.
 
     Args:
         store: The node's :class:`~repro.cluster.NodeStore`; its map
@@ -200,7 +187,8 @@ class ClusterNode(KVServer):
             of the map address — the hook the deterministic network
             fault layer (:mod:`repro.faults.net`) uses to route every
             node-to-node connection through a per-link :class:`NetProxy`.
-        options: Forwarded to :class:`~repro.server.KVServer`.
+        options: Forwarded to :class:`~repro.server.KVServer`
+            (:attr:`server`).
     """
 
     def __init__(
@@ -217,8 +205,25 @@ class ClusterNode(KVServer):
         info = store.map.nodes[store.node_id]
         options.setdefault("host", info.host)
         options.setdefault("port", info.port)
-        super().__init__(store, **options)  # type: ignore[arg-type]
+        self.host = options["host"]
         self.node_store = store
+        self.server = KVServer(
+            store,
+            verbs={
+                "CLUSTER": self._dispatch_read,
+                "MIGRATE": self._dispatch_read,
+                "REPL.PING": self._dispatch_read,
+                "INFO": self._dispatch_read,
+                "HEALTH": self._dispatch_read,
+                "REPL.SYNC": self._upgrade,
+                "MIG.BEGIN": self._upgrade,
+                "REPL.SHIP": self._dispatch_read,
+                "REPL.SEEDED": self._dispatch_read,
+                "MIG.APPLY": self._dispatch_read,
+                "MIG.SEAL": self._dispatch_read,
+            },
+            **options,  # type: ignore[arg-type]
+        )
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.lease_timeout_s = (
             float(lease_timeout_s)
@@ -337,11 +342,16 @@ class ClusterNode(KVServer):
         finally:
             await peer.close()
 
+    @property
+    def port(self) -> int:
+        """The bound port (resolved by :meth:`start` when 0)."""
+        return self.server.port
+
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        await super().start()
+        await self.server.start()
         self._reconcile_replication()
 
     async def stop(self) -> None:
@@ -364,7 +374,7 @@ class ClusterNode(KVServer):
             await asyncio.wait([job for _peer, job in outbound])
         for worker in workers:
             await worker.stopped
-        await super().stop()
+        await self.server.stop()
 
     def _from_thread(self, fn, *args):
         """Run ``fn(*args)`` — a plain or a coroutine function — on the
@@ -381,66 +391,15 @@ class ClusterNode(KVServer):
 
         return asyncio.run_coroutine_threadsafe(call(), self._loop).result()
 
-    # -- error mapping --------------------------------------------------------
-
-    def _error_reply(self, exc: BaseException) -> List[str]:
-        if isinstance(exc, ShardMovedError):
-            return [
-                "ERR",
-                "MOVED",
-                str(exc.shard),
-                f"{exc.host}:{exc.port}",
-                str(exc.epoch),
-                str(exc),
-            ]
-        if isinstance(exc, ShardFencedError):
-            # Not an error to the client: the shard flips owners within
-            # milliseconds, and BUSY is the "retry shortly" signal the
-            # client already absorbs with jittered backoff.
-            return ["BUSY", str(exc)]
-        return super()._error_reply(exc)
-
     # -- cluster verbs --------------------------------------------------------
 
     async def _dispatch_read(
         self, request: List[str], conn=None, settle=None
     ) -> List[str]:
-        verb = request[0]
-        if verb not in _CLUSTER_VERBS:
-            return await super()._dispatch_read(request, conn, settle)
-        if verb in _STREAM_OPENERS and conn is not None and not self._closing:
-            # The connection becomes the stream's: its own thread runs
-            # this verb and every later one (see _open_stream).
-            conn.upgrade = self._open_stream
-            return []
-        started = time.perf_counter()
-        try:
-            reply = await self._dispatch_cluster(request)
-        except Exception as exc:
-            self.metrics.errors_total += 1
-            return self._error_reply(exc)
-        self.metrics.record_op(
-            verb, (time.perf_counter() - started) * 1e6
-        )
-        return reply
-
-    def _open_stream(
-        self,
-        sock: socket.socket,
-        parser: FrameParser,
-        requests: List[List[str]],
-        leftover: bytes,
-    ) -> None:
-        """Upgrade hook: serve the stream on a thread of its own. An
-        upgraded connection leaves the server's count, so the node's
-        stream and session threads are bounded by ``max_connections``
-        instead: past it the stream is closed unanswered."""
-        if self._closing or len(self._workers) >= self.max_connections:
-            sock.close()
-            return
-        InboundStream(self, sock, parser, requests, leftover)
-
-    async def _dispatch_cluster(self, request: List[str]) -> List[str]:
+        """The node's verbs answered on the loop: ``CLUSTER``,
+        ``MIGRATE``, ``REPL.PING``, ``INFO`` / ``HEALTH`` with the node's
+        own payloads, and the refusal of a shard stream's verb that
+        reached the loop without its opener."""
         verb = request[0]
         store = self.node_store
         if verb == "CLUSTER":
@@ -469,12 +428,46 @@ class ClusterNode(KVServer):
                 raise ProtocolError("REPL.PING needs a node id and an epoch")
             self._last_seen[request[1]] = time.monotonic()
             return ["OK", store.node_id, str(store.map.epoch)]
+        if verb == "INFO":
+            return ["INFO", json.dumps(self.info(), sort_keys=True)]
+        if verb == "HEALTH":
+            if len(request) != 1:
+                raise ProtocolError("HEALTH takes no arguments")
+            payload = await self.server.run_engine(self.health)
+            return ["HEALTH", json.dumps(payload, sort_keys=True)]
         if self._closing:
             raise ClosedError(f"node {store.node_id} is stopping")
         raise ProtocolError(
             f"{verb} belongs to a shard stream; open one with REPL.SYNC "
             "or MIG.BEGIN"
         )
+
+    async def _upgrade(
+        self, request: List[str], conn, settle=None
+    ) -> List[str]:
+        """``REPL.SYNC`` / ``MIG.BEGIN``: the connection becomes the
+        stream's; its own thread runs this verb and every later one
+        (:meth:`_open_stream`)."""
+        if self._closing:
+            raise ClosedError(f"node {self.node_store.node_id} is stopping")
+        conn.upgrade = self._open_stream
+        return []
+
+    def _open_stream(
+        self,
+        sock: socket.socket,
+        parser: FrameParser,
+        requests: List[List[str]],
+        leftover: bytes,
+    ) -> None:
+        """Upgrade hook: serve the stream on a thread of its own. An
+        upgraded connection leaves the server's count, so the node's
+        stream and session threads are bounded by ``max_connections``
+        instead: past it the stream is closed unanswered."""
+        if self._closing or len(self._workers) >= self.server.max_connections:
+            sock.close()
+            return
+        InboundStream(self, sock, parser, requests, leftover)
 
     def _note_stream(self, shard: int) -> None:
         """Record inbound ship-stream activity for ``shard`` (from its
@@ -563,9 +556,9 @@ class ClusterNode(KVServer):
             ConnectionError("unresolved earlier flip"),
         )
         if flip_map is None:
-            await self._run_engine(store.abort_migration, shard)
+            await self.server.run_engine(store.abort_migration, shard)
             return None
-        await self._run_engine(store.release_shard, shard, flip_map)
+        await self.server.run_engine(store.release_shard, shard, flip_map)
         self._reconcile_replication()
         stats = migration_stats(
             store, shard, dest_id, resolved_earlier_flip=True
@@ -708,7 +701,9 @@ class ClusterNode(KVServer):
     async def _adopt_remote_map(self, new_map: ClusterMap) -> bool:
         """Adopt a map learned from outside (a push, gossip, a peer's
         reply) and re-match the shippers; whether anything changed."""
-        changed = await self._run_engine(self.node_store.adopt_map, new_map)
+        changed = await self.server.run_engine(
+            self.node_store.adopt_map, new_map
+        )
         if changed:
             self._reconcile_replication()
         return changed
@@ -763,7 +758,9 @@ class ClusterNode(KVServer):
         self, peer_id: str, shards: List[int], last_seen: float
     ) -> None:
         """Fenced failover: bump the epoch, persist, serve, publish."""
-        new_map = await self._run_engine(promote_local, self.node_store, shards)
+        new_map = await self.server.run_engine(
+            promote_local, self.node_store, shards
+        )
         self.promotions.append(
             {
                 "from": peer_id,
@@ -812,12 +809,12 @@ class ClusterNode(KVServer):
                 self._last_seen[shipper.target_id] = now
                 continue
             if now - last >= self.fence_timeout_s:
-                if await self._run_engine(store.repl_fence, shard):
+                if await self.server.run_engine(store.repl_fence, shard):
                     self.fence_events.append(
                         (shard, "fence", store.map.epoch)
                     )
             elif shipper.streaming:
-                if await self._run_engine(store.repl_unfence, shard):
+                if await self.server.run_engine(store.repl_unfence, shard):
                     self.fence_events.append(
                         (shard, "unfence", store.map.epoch)
                     )
@@ -839,9 +836,13 @@ class ClusterNode(KVServer):
 
     # -- introspection --------------------------------------------------------
 
+    def info(self) -> dict:
+        """The INFO payload, its ``health`` the node's :meth:`health`."""
+        return {**self.server.info(), "health": self.health()}
+
     def health(self) -> dict:
         """HEALTH payload plus peer liveness and replication lag."""
-        payload = super().health()
+        payload = self.server.health()
         now = time.monotonic()
         payload["peers"] = {
             peer_id: round(now - last, 3)

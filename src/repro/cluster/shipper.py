@@ -16,10 +16,11 @@ node's event loop past the first frame:
 * :class:`_WirePeer` — the migration driver's destination, spoken over
   a :class:`StreamConnection` from the driver's own thread.
 * :class:`InboundStream` — the receiving end. The opening verb
-  upgrades its server connection (``ClusterNode._dispatch_read`` sets
-  the hook, ``KVServer._handle_connection`` hands over the socket), and
-  one thread per stream runs that verb and every later one, writing
-  the replies itself.
+  upgrades its server connection (``ClusterNode._upgrade`` sets the
+  hook, ``KVServer._handle_connection`` hands over the socket), and one
+  thread per stream runs that verb and every later one, writing the
+  replies itself through the server's one answer path
+  (:meth:`~repro.server.KVServer.answer`).
 
 **Why this cannot deadlock.** A committing thread holds its shard's
 write mutex while it waits for the standby's ack, and the peer's
@@ -217,6 +218,7 @@ class InboundStream:
         sock = self._sock
         requests = self._requests
         data = self._leftover
+        answer = self.node.server.answer
         try:
             sock.settimeout(None)
             while True:
@@ -229,11 +231,17 @@ class InboundStream:
                         )
                         return
                 if requests:
+                    replies = []
+                    for request in requests:
+                        started = time.perf_counter()
+                        try:
+                            outcome = self._dispatch(request)
+                        except Exception as exc:
+                            outcome = exc
+                        replies.append(answer(request[0], started, outcome))
                     # One send per chunk of pipelined requests, as on
                     # the loop.
-                    sock.sendall(
-                        encode_messages([self._answer(r) for r in requests])
-                    )
+                    sock.sendall(encode_messages(replies))
                     requests.clear()
                 data = sock.recv(_RECV_BYTES)
                 if not data:
@@ -242,19 +250,6 @@ class InboundStream:
             return  # the peer went, or the node shut the stream down
         finally:
             sock.close()
-
-    def _answer(self, request: List[str]) -> List[str]:
-        node = self.node
-        started = time.perf_counter()
-        try:
-            reply = self._dispatch(request)
-        except Exception as exc:
-            node.metrics.errors_total += 1
-            return node._error_reply(exc)
-        node.metrics.record_op(
-            request[0], (time.perf_counter() - started) * 1e6
-        )
-        return reply
 
     def _dispatch(self, request: List[str]) -> List[str]:
         node = self.node

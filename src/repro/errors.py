@@ -72,7 +72,11 @@ class CompactionError(ReproError):
 
 
 class ConfigError(ReproError):
-    """An :class:`~repro.core.config.LSMConfig` combination is invalid."""
+    """A request the configuration does not allow: an invalid
+    :class:`~repro.core.config.LSMConfig` combination, or a cluster
+    request the node's map or a shard's stream state refuses (a
+    migration onto the shard's owner, a superseded stream's late frame).
+    On the wire it is ``ERR REFUSED``."""
 
 
 class FilterError(ReproError):

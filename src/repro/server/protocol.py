@@ -95,6 +95,10 @@ Error codes a client should know:
   engine's pin budget overflowed). Take a fresh ``SNAP`` and retry.
 * ``ERR TXN <detail>`` — a ``MULTI`` batch was rolled back before its
   commit point; nothing was applied anywhere. Retryable as-is.
+* ``ERR REFUSED <detail>`` — the request breaks a rule, not the server:
+  a migration onto the shard's owner, a replica stream to the node that
+  serves the shard, a superseded stream's late frame. Not a fault, and
+  not retryable as-is.
 * ``ERR BADREQ | PROTOCOL | CLOSED | INTERNAL`` — see the server module.
 """
 

@@ -77,13 +77,17 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..api import KVStore, Snapshot
 from ..errors import (
     BackgroundError,
     ClosedError,
+    ConfigError,
     ReplicationError,
+    ShardFencedError,
+    ShardMovedError,
     ShardUnavailableError,
     SnapshotExpiredError,
     TxnConflictError,
@@ -122,6 +126,10 @@ _MAX_SNAPSHOTS_PER_CONN = 64
 #: no longer reads), its frame parser, the requests from the upgrading
 #: verb on, and the bytes read off the socket but not yet parsed.
 Upgrade = Callable[[socket.socket, FrameParser, List[List[str]], bytes], None]
+
+#: Answers one verb of the verb table: ``handler(request, conn, settle)``
+#: returns the reply or raises (``settle``: see :meth:`KVServer._dispatch_read`).
+Handler = Callable[..., Awaitable[List[str]]]
 
 
 class _ConnState:
@@ -319,6 +327,8 @@ class KVServer:
             commits (on by default; off = one engine call per request,
             the contrast ``bench_e22`` measures).
         owns_tree: Close the store on :meth:`stop`.
+        verbs: Handlers added to the verb table :meth:`_dispatch_read`
+            answers through (a cluster node's verbs), by verb.
     """
 
     def __init__(
@@ -331,6 +341,7 @@ class KVServer:
         executor_threads: Optional[int] = None,
         group_commit: bool = True,
         owns_tree: bool = False,
+        verbs: Optional[Dict[str, Handler]] = None,
     ) -> None:
         self.store = store
         self.host = host
@@ -366,6 +377,19 @@ class KVServer:
         self._run_verbs = _WRITE_VERBS + (
             ("MULTI",) if num_committers == 1 else ()
         )
+        #: The verb table: a handler for every verb a window answers
+        #: outside its write run, bar ``MULTI`` (:meth:`_dispatch_multi`).
+        self._verbs: Dict[str, Handler] = {
+            "PING": self._ping,
+            "HELLO": self._hello,
+            "SNAP": self._snap,
+            "SNAP.END": self._snap_end,
+            "GET": self._get,
+            "SCAN": self._scan,
+            "INFO": self._info,
+            "HEALTH": self._health,
+            **(verbs or {}),
+        }
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Set[asyncio.StreamWriter] = set()
         self._started_at = time.time()
@@ -629,19 +653,10 @@ class KVServer:
                 else:
                     outcomes.append(None)
 
-        micros = (time.perf_counter() - started) * 1e6
         replies: List[List[str]] = []
-        for (verb, sub_ops), outcome in zip(run, outcomes):
-            if outcome is not None:
-                self.metrics.errors_total += 1
-                replies.append(self._error_reply(outcome))
-                continue
-            self.metrics.record_op(verb, micros)
-            replies.append(
-                ["OK"]
-                if verb in ("PUT", "DELETE")
-                else ["OK", str(len(sub_ops))]
-            )
+        for (verb, sub_ops), error in zip(run, outcomes):
+            ok = ["OK"] if verb in ("PUT", "DELETE") else ["OK", str(len(sub_ops))]
+            replies.append(self.answer(verb, started, ok if error is None else error))
         return replies
 
     def _submit_grouped(self, ops: List[BatchOp]) -> "asyncio.Future":
@@ -735,27 +750,19 @@ class KVServer:
         started = time.perf_counter()
         try:
             ops = self._parse_write(request, conn)
-        except ProtocolError as exc:
-            self.metrics.errors_total += 1
-            return ["ERR", "BADREQ", str(exc)]
-        busy = await self._admit(1)
-        if busy is not None:
-            return busy
-        try:
-            await self._run_engine(self.store.write_batch, ops)
+            busy = await self._admit(1)
+            if busy is not None:
+                return busy
+            await self.run_engine(self.store.write_batch, ops)
         except Exception as exc:
-            self.metrics.errors_total += 1
-            return self._error_reply(exc)
-        self.metrics.record_op(
-            "MULTI", (time.perf_counter() - started) * 1e6
-        )
-        return ["OK", str(len(ops))]
+            return self.answer("MULTI", started, exc)
+        return self.answer("MULTI", started, ["OK", str(len(ops))])
 
     # -- read path ----------------------------------------------------------
 
     @staticmethod
-    def _require_v2(conn: Optional[_ConnState], verb: str) -> None:
-        if conn is None or conn.protocol_version < 2:
+    def _require_v2(conn: _ConnState, verb: str) -> None:
+        if conn.protocol_version < 2:
             raise ProtocolError(
                 f"{verb} requires protocol version 2; send HELLO 2 first"
             )
@@ -763,10 +770,12 @@ class KVServer:
     async def _dispatch_read(
         self,
         request: List[str],
-        conn: Optional[_ConnState] = None,
+        conn: _ConnState,
         settle: Optional[Callable[[str, str], Awaitable[bool]]] = None,
     ) -> List[str]:
-        """Answer one non-write request; one latency sample per request.
+        """Answer one request a window does not defer, through the verb
+        table; one latency sample per request answered here (a verb that
+        upgrades its connection is answered by its stream instead).
 
         ``settle(lo, end)`` (from :meth:`_serve_window`) commits the
         window's pending writes when one falls in ``[lo, end)`` and says
@@ -776,143 +785,157 @@ class KVServer:
         started = time.perf_counter()
         verb = request[0]
         try:
-            if verb == "PING":
-                reply = ["PONG"]
-            elif verb == "HELLO":
-                if len(request) != 2:
-                    raise ProtocolError("HELLO needs exactly a version")
-                try:
-                    requested = int(request[1])
-                except ValueError:
-                    raise ProtocolError(
-                        "HELLO version must be an integer"
-                    ) from None
-                if requested < 1:
-                    raise ProtocolError("HELLO version must be >= 1")
-                negotiated = min(requested, PROTOCOL_VERSION)
-                if conn is not None:
-                    conn.protocol_version = negotiated
-                reply = ["HELLO", str(negotiated)]
-            elif verb == "SNAP":
-                self._require_v2(conn, "SNAP")
-                if len(request) != 1:
-                    raise ProtocolError("SNAP takes no arguments")
-                if len(conn.snapshots) >= _MAX_SNAPSHOTS_PER_CONN:
-                    raise ProtocolError(
-                        f"too many open snapshots (limit "
-                        f"{_MAX_SNAPSHOTS_PER_CONN}); SNAP.END some first"
-                    )
-                snapshot = await self._run_engine(self.store.snapshot)
-                if snapshot.token in conn.snapshots:
-                    # Same sequence point as one already held: drop the
-                    # duplicate's pin (overwriting the registry entry
-                    # would leak the displaced handle's pin forever).
-                    snapshot.close()
-                else:
-                    conn.snapshots[snapshot.token] = snapshot
-                reply = ["SNAP", snapshot.token]
-            elif verb == "SNAP.END":
-                self._require_v2(conn, "SNAP.END")
-                if len(request) != 2:
-                    raise ProtocolError("SNAP.END needs exactly a token")
-                snapshot = conn.snapshots.pop(request[1], None)
-                if snapshot is not None:
-                    snapshot.close()
-                # An unknown token still answers OK: releasing is
-                # idempotent, and a client retrying after a lost reply
-                # must not see an error for work already done.
-                reply = ["OK"]
-            elif verb == "GET":
-                at: Optional[str] = None
-                if len(request) == 4 and request[2] == "AT":
-                    self._require_v2(conn, "GET ... AT")
-                    at = request[3]
-                elif len(request) != 2:
-                    raise ProtocolError(
-                        "GET needs a key (optionally: AT token)"
-                    )
-                if at is None:
-                    # On the loop: a latest-state point read never waits
-                    # (no I/O, no lock held across I/O — the KVStore.get
-                    # contract), so a thread hop would only add latency.
-                    value = self.store.get(request[1])
-                else:
-                    value = await self._run_engine(
-                        lambda: self.store.get(request[1], at=at)
-                    )
-                reply = ["NONE"] if value is None else ["VALUE", value]
-            elif verb == "SCAN":
-                fields = list(request)
-                at = None
-                if len(fields) >= 5 and fields[-2] == "AT":
-                    self._require_v2(conn, "SCAN ... AT")
-                    at = fields[-1]
-                    fields = fields[:-2]
-                if len(fields) not in (3, 4):
-                    raise ProtocolError(
-                        "SCAN needs lo, hi, and an optional limit "
-                        "(optionally: AT token)"
-                    )
-                limit: Optional[int] = None
-                if len(fields) == 4:
-                    try:
-                        limit = int(fields[3])
-                    except ValueError:
-                        raise ProtocolError(
-                            "SCAN limit must be an integer"
-                        ) from None
-                    if limit < 0:
-                        raise ProtocolError(
-                            "SCAN limit must be non-negative"
-                        )
-                lo, hi = fields[1], fields[2]
-                if at is None and limit is not None:
-                    # On the loop, like a plain GET: a latest-state scan
-                    # never waits (the KVStore.scan contract), and the
-                    # limit bounds its work.
-                    pairs = self.store.scan(lo, hi, limit)
-                    if settle is not None and await settle(
-                        lo, _answer_end(lo, hi, limit, pairs)
-                    ):
-                        pairs = self.store.scan(lo, hi, limit)
-                elif at is None:
-                    pairs = await self._run_engine(
-                        self.store.scan, lo, hi, limit
-                    )
-                else:
-                    pairs = await self._run_engine(
-                        lambda: self.store.scan(lo, hi, limit, at=at)
-                    )
-                reply = ["PAIRS"]
-                for key, value in pairs:
-                    reply.extend((key, value))
-            elif verb == "INFO":
-                reply = ["INFO", json.dumps(self.info(), sort_keys=True)]
-            elif verb == "HEALTH":
-                if len(request) != 1:
-                    raise ProtocolError("HEALTH takes no arguments")
-                payload = await self._run_engine(self.health)
-                reply = ["HEALTH", json.dumps(payload, sort_keys=True)]
-            else:
-                self.metrics.errors_total += 1
-                return ["ERR", "BADREQ", f"unknown command {verb!r}"]
+            handler = self._verbs.get(verb)
+            if handler is None:
+                raise ProtocolError(f"unknown command {verb!r}")
+            outcome = await handler(request, conn, settle)
         except Exception as exc:
+            outcome = exc
+        if conn.upgrade is not None:
+            return []
+        return self.answer(verb, started, outcome)
+
+    def answer(
+        self, verb: str, started: float, outcome: Union[List[str], BaseException]
+    ) -> List[str]:
+        """The one answer path — the verb table, the write run, ``MULTI``
+        and a cluster node's stream threads: ``verb`` began at ``started``
+        (``perf_counter``) and ended in its reply (latency recorded) or in
+        an exception (counted in ``errors_total``, mapped to its reply)."""
+        if isinstance(outcome, BaseException):
             self.metrics.errors_total += 1
-            return self._error_reply(exc)
-        self.metrics.record_op(
-            verb, (time.perf_counter() - started) * 1e6
-        )
+            return self._error_reply(outcome)
+        self.metrics.record_op(verb, (time.perf_counter() - started) * 1e6)
+        return outcome
+
+    # -- the base verbs: handlers of the verb table -------------------------
+
+    async def _ping(self, request, conn=None, settle=None) -> List[str]:
+        return ["PONG"]
+
+    async def _hello(self, request, conn=None, settle=None) -> List[str]:
+        if len(request) != 2:
+            raise ProtocolError("HELLO needs exactly a version")
+        try:
+            requested = int(request[1])
+        except ValueError:
+            raise ProtocolError("HELLO version must be an integer") from None
+        if requested < 1:
+            raise ProtocolError("HELLO version must be >= 1")
+        conn.protocol_version = min(requested, PROTOCOL_VERSION)
+        return ["HELLO", str(conn.protocol_version)]
+
+    async def _snap(self, request, conn=None, settle=None) -> List[str]:
+        self._require_v2(conn, "SNAP")
+        if len(request) != 1:
+            raise ProtocolError("SNAP takes no arguments")
+        if len(conn.snapshots) >= _MAX_SNAPSHOTS_PER_CONN:
+            raise ProtocolError(
+                f"too many open snapshots (limit "
+                f"{_MAX_SNAPSHOTS_PER_CONN}); SNAP.END some first"
+            )
+        snapshot = await self.run_engine(self.store.snapshot)
+        if snapshot.token in conn.snapshots:
+            # Same sequence point as one already held: drop the
+            # duplicate's pin (overwriting the registry entry would leak
+            # the displaced handle's pin forever).
+            snapshot.close()
+        else:
+            conn.snapshots[snapshot.token] = snapshot
+        return ["SNAP", snapshot.token]
+
+    async def _snap_end(self, request, conn=None, settle=None) -> List[str]:
+        self._require_v2(conn, "SNAP.END")
+        if len(request) != 2:
+            raise ProtocolError("SNAP.END needs exactly a token")
+        snapshot = conn.snapshots.pop(request[1], None)
+        if snapshot is not None:
+            snapshot.close()
+        # An unknown token still answers OK: releasing is idempotent, and
+        # a client retrying after a lost reply must not see an error for
+        # work already done.
+        return ["OK"]
+
+    async def _get(self, request, conn=None, settle=None) -> List[str]:
+        at: Optional[str] = None
+        if len(request) == 4 and request[2] == "AT":
+            self._require_v2(conn, "GET ... AT")
+            at = request[3]
+        elif len(request) != 2:
+            raise ProtocolError("GET needs a key (optionally: AT token)")
+        if at is None:
+            # On the loop: a latest-state point read never waits (no I/O,
+            # no lock held across I/O — the KVStore.get contract), so a
+            # thread hop would only add latency.
+            value = self.store.get(request[1])
+        else:
+            value = await self.run_engine(
+                lambda: self.store.get(request[1], at=at)
+            )
+        return ["NONE"] if value is None else ["VALUE", value]
+
+    async def _scan(self, request, conn=None, settle=None) -> List[str]:
+        fields = list(request)
+        at: Optional[str] = None
+        if len(fields) >= 5 and fields[-2] == "AT":
+            self._require_v2(conn, "SCAN ... AT")
+            at = fields[-1]
+            fields = fields[:-2]
+        if len(fields) not in (3, 4):
+            raise ProtocolError(
+                "SCAN needs lo, hi, and an optional limit "
+                "(optionally: AT token)"
+            )
+        limit: Optional[int] = None
+        if len(fields) == 4:
+            try:
+                limit = int(fields[3])
+            except ValueError:
+                raise ProtocolError("SCAN limit must be an integer") from None
+            if limit < 0:
+                raise ProtocolError("SCAN limit must be non-negative")
+        lo, hi = fields[1], fields[2]
+        if at is None and limit is not None:
+            # On the loop, like a plain GET: a latest-state scan never
+            # waits (the KVStore.scan contract), and the limit bounds its
+            # work.
+            pairs = self.store.scan(lo, hi, limit)
+            if settle is not None and await settle(
+                lo, _answer_end(lo, hi, limit, pairs)
+            ):
+                pairs = self.store.scan(lo, hi, limit)
+        elif at is None:
+            pairs = await self.run_engine(self.store.scan, lo, hi, limit)
+        else:
+            pairs = await self.run_engine(
+                lambda: self.store.scan(lo, hi, limit, at=at)
+            )
+        reply = ["PAIRS"]
+        for key, value in pairs:
+            reply.extend((key, value))
         return reply
 
-    async def _run_engine(self, fn, *args):
+    async def _info(self, request, conn=None, settle=None) -> List[str]:
+        return ["INFO", json.dumps(self.info(), sort_keys=True)]
+
+    async def _health(self, request, conn=None, settle=None) -> List[str]:
+        if len(request) != 1:
+            raise ProtocolError("HEALTH takes no arguments")
+        payload = await self.run_engine(self.health)
+        return ["HEALTH", json.dumps(payload, sort_keys=True)]
+
+    async def run_engine(self, fn, *args):
+        """``fn(*args)`` on the engine executor: a call that may wait."""
         return await asyncio.get_running_loop().run_in_executor(
             self._executor, fn, *args
         )
 
     def _error_reply(self, exc: BaseException) -> List[str]:
-        """Map an engine exception onto a structured ERR reply.
+        """Map an exception onto a structured reply: the one error map.
 
-        :class:`~repro.errors.ShardUnavailableError` becomes the
+        A cluster node's :class:`~repro.errors.ShardMovedError` becomes
+        the retryable ``ERR MOVED <shard> <host>:<port> <epoch>
+        <detail>``. :class:`~repro.errors.ShardUnavailableError` becomes the
         retryable ``ERR UNAVAILABLE <shard> <detail>`` — the degraded
         mode's wire form: only the affected shard's keys fail and the
         connection stays usable. :class:`~repro.errors.BackgroundError`
@@ -920,6 +943,20 @@ class KVServer:
         reach the client as data, not as a hung connection — and
         includes the worker's root cause.
         """
+        if isinstance(exc, ShardMovedError):
+            return [
+                "ERR",
+                "MOVED",
+                str(exc.shard),
+                f"{exc.host}:{exc.port}",
+                str(exc.epoch),
+                str(exc),
+            ]
+        if isinstance(exc, ShardFencedError):
+            # Not an error to the client: the shard flips owners within
+            # milliseconds, and BUSY is the "retry shortly" signal the
+            # client already absorbs with jittered backoff.
+            return ["BUSY", str(exc)]
         if isinstance(exc, ShardUnavailableError):
             self.metrics.unavailable_errors += 1
             return ["ERR", "UNAVAILABLE", str(exc.shard), str(exc)]
@@ -947,6 +984,10 @@ class KVServer:
             return ["ERR", "TXN", str(exc)]
         if isinstance(exc, (ProtocolError, ValueError)):
             return ["ERR", "BADREQ", str(exc)]
+        if isinstance(exc, ConfigError):
+            # A refusal by rule (a cluster request the map or a stream's
+            # state does not allow), not a fault.
+            return ["ERR", "REFUSED", str(exc)]
         return ["ERR", "INTERNAL", f"{type(exc).__name__}: {exc}"]
 
     # -- introspection ------------------------------------------------------

@@ -559,6 +559,20 @@ class TestWireFailover:
                     assert summary["target"] == "a"
                     assert summary["state"] == "streaming"
                     assert summary["lag_records"] == 0
+                # The wire carries the node's payload, not the server's.
+                async with await KVClient.connect(
+                    "127.0.0.1", servers[1].port
+                ) as client:
+                    payloads = [
+                        await client.health(),
+                        (await client.info())["health"],
+                    ]
+                node_keys = {
+                    "peers", "replication", "lease_timeout_s",
+                    "promotions", "self_fence",
+                }
+                for payload in payloads:
+                    assert node_keys <= set(payload)
 
         asyncio.run(scenario())
 

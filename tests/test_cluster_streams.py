@@ -81,8 +81,9 @@ class TestSupersededStreams:
                 try:
                     await old.command(begin)
                     await new.command(begin)
-                    with pytest.raises(ServerError, match="superseded"):
+                    with pytest.raises(ServerError, match="superseded") as refused:
                         await old.command([apply, "0", "PUT", "k", "stale"])
+                    assert refused.value.code == "REFUSED"
                     assert await new.command(
                         [apply, "0", "PUT", "k", "fresh"]
                     ) == ["OK", "1"]
@@ -90,6 +91,46 @@ class TestSupersededStreams:
                     await old.close()
                     await new.close()
                 assert stores[1]._inbound[0].tree.get("k") == "fresh"
+
+        asyncio.run(scenario())
+
+
+class TestRefusals:
+    def test_cluster_refusals_answer_refused_and_faults_internal(
+        self, tmp_path
+    ):
+        """A refusal the cluster protocol makes by rule reaches the peer
+        as ``ERR REFUSED``, so the peer can tell it from a fault, which
+        still answers ``ERR INTERNAL``."""
+
+        async def scenario():
+            async with local_cluster(
+                tmp_path, shape="replicated", **QUIET
+            ) as (servers, stores, live):
+                owner = live.owner_id(0)
+                node = next(
+                    server for server, store in zip(servers, stores)
+                    if store.node_id == owner
+                )
+                other = next(n for n in live.nodes if n != owner)
+
+                async def crash(shard, dest_id):
+                    raise RuntimeError("planted")
+
+                cases = [
+                    (["MIGRATE", "0", owner], "REFUSED"),
+                    (["REPL.SYNC", "0", live.to_json()], "REFUSED"),
+                    (["MIGRATE", "0", other], "INTERNAL"),
+                ]
+                for request, code in cases:
+                    if code == "INTERNAL":
+                        node._migrate_shard = crash
+                    async with await KVClient.connect(
+                        "127.0.0.1", node.port, retry_s=0.0
+                    ) as peer:
+                        with pytest.raises(ServerError) as error:
+                            await peer.command(request)
+                    assert error.value.code == code, (request[0], error)
 
         asyncio.run(scenario())
 
@@ -150,14 +191,14 @@ class TestStreamThreads:
                 loop_thread = threading.get_ident()
                 dispatched: List[str] = []
                 for server in servers:
-                    real_dispatch = server._dispatch_read
+                    real_dispatch = server.server._dispatch_read
 
                     async def on_loop(request, conn=None, settle=None,
                                       _real=real_dispatch):
                         dispatched.append(request[0])
                         return await _real(request, conn, settle)
 
-                    server._dispatch_read = on_loop
+                    server.server._dispatch_read = on_loop
                 applied: List[tuple] = []
                 real_apply = stores[1].replica_apply
 

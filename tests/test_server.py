@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.config import LSMConfig
 from repro.core.tree import LSMTree
-from repro.errors import ClosedError
+from repro.errors import ClosedError, ConfigError
 from repro.faults import inject_worker_death
 from repro.replication import ReplicatedStore
 from repro.shard import ShardedStore
@@ -663,6 +663,35 @@ class TestScanLimitOverWire:
                 assert replies[1][:2] == ["ERR", "BADREQ"]
                 assert replies[2][:2] == ["ERR", "BADREQ"]
                 assert replies[3] == ["PONG"]
+
+        asyncio.run(scenario())
+
+
+class TestVerbTable:
+    def test_a_registered_verb_answers_through_the_one_answer_path(self):
+        """A verb added to a plain server's table is timed and counted
+        like a base verb, and its exception maps through the one error
+        map; a verb in no table is still a BADREQ."""
+
+        async def echo(request, conn, settle):
+            if request[1:] == ["refuse"]:
+                raise ConfigError("echo refuses")
+            return ["ECHO", *request[1:]]
+
+        requests = [["ECHO", "x"], ["ECHO", "refuse"], ["NOPE"]]
+
+        async def scenario():
+            async with serving(verbs={"ECHO": echo}) as server:
+                replies = await raw_exchange(server.port, requests, 3)
+                metrics = server.metrics.to_dict()
+            assert replies == [
+                ["ECHO", "x"],
+                ["ERR", "REFUSED", "echo refuses"],
+                ["ERR", "BADREQ", "unknown command 'NOPE'"],
+            ]
+            assert metrics["latency_us"]["ECHO"]["count"] == 1
+            assert metrics["requests_total"] == 1
+            assert metrics["errors_total"] == 2
 
         asyncio.run(scenario())
 
